@@ -7,17 +7,18 @@ directory: a ``manifest.json`` that echoes the config and records
 diagnostics, plus ``snapshots.csv`` / ``samples.csv`` / ``report.json``
 depending on the command.
 
-Exit codes: 0 success, 1 verification failure, 2 config error,
-3 runtime/solver error.
+Every command goes through ``run``.  Exit codes: 0 success, 1 a
+verification or convergence target missed, 2 config error (no manifest),
+3 solver or construction failure (the manifest names the error).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import jsonschema
 import numpy as np
@@ -27,7 +28,9 @@ from .constitutive import flux_from_config, modulus_from_config
 from .errors import ConfigError, NeitherOrientationDecays, ShearWaveError
 from .exact import (
     CarrollWave,
+    FullState,
     HodographData,
+    StrainState,
     carroll_full_state,
     eval_asymptotic_linear,
     eval_overdetermined,
@@ -37,7 +40,7 @@ from .exact import (
     sample_simple_wave,
     strain_to_polar,
 )
-from .analysis import classify, temple_eigen
+from .analysis import ScalarField2D, classify, temple_eigen
 from .profiles import profile_from_config
 from .simulate import Grid1D, SimulationConfig, evolve_asymptotic, evolve_full, evolve_scalar
 from .verify import (
@@ -344,9 +347,17 @@ def _load_config(path: str) -> dict:
     return config
 
 
+# JSON has one number type and JSON Schema lets 2.0 pass as an integer, but
+# the grid sizes and counts go to numpy, which takes Python ints only
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
+
+
 def _validate(config: dict, schema: dict, where: str = "config"):
     try:
-        jsonschema.Draft202012Validator(schema).validate(config)
+        _Validator(schema).validate(config)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"invalid {where} at {path}: {exc.message}")
@@ -358,26 +369,17 @@ def _axis(cfg: dict) -> np.ndarray:
     return np.linspace(cfg["min"], cfg["max"], cfg["n"])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _numpy_to_json(obj):
+    """numpy arrays and scalars as the equivalent plain JSON values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, obj: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(_jsonable(obj), f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, default=_numpy_to_json)
         f.write("\n")
 
 
@@ -395,110 +397,110 @@ def _write_csv(path: Path, header, columns):
             writer.writerow([format(c[i], ".17g") for c in columns])
 
 
-def _manifest(outdir: Path, command: str, config: dict, status: str, threads: int,
-              **extra):
+def _manifest(outdir: Path, command: str, config: dict, status: str, **extra):
     doc = {
         "package": "shearwaves",
         "version": __version__,
         "command": command,
         "config": config,
         "status": status,
-        "threads": threads,
         **extra,
     }
     _write_json(outdir / "manifest.json", doc)
 
 
-def _say(quiet: bool, message: str):
-    if not quiet:
-        print(message)
+def _grid(grid_cfg: dict, n: int) -> Grid1D:
+    return Grid1D(n=n, a=grid_cfg["a"], b=grid_cfg["b"],
+                  boundary=grid_cfg.get("boundary", "periodic"))
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# systems: each pairs one evolution with the exact family it reproduces
 
 
-def _simulate_init(config, centers):
-    system = config["system"]
-    init = config["init"]
-    _validate(init, INIT_SCHEMAS[system], where="init block")
-    if system == "full":
-        if "modulus" not in config:
-            raise ConfigError("system 'full' requires a 'modulus' block")
-        m = modulus_from_config(config["modulus"])
-        if init["kind"] == "carroll":
-            wave = CarrollWave.from_modulus(m, init["amplitude"], init["wavenumber"],
-                                            init.get("polarization", 1))
-            state = carroll_full_state(wave, centers, 0.0)
-            oracle = lambda x, t: np.stack(carroll_full_state(wave, x, t))
-        else:
-            z = np.zeros_like(centers)
-            state = (z, z, z, z)
-            oracle = lambda x, t: np.zeros((4, len(x)))
-        return m, None, np.stack(state), oracle
+class System(NamedTuple):
+    """One of the three systems, wired from a config and an init/oracle block.
+
+    ``evolve(grid, run)`` evolves the block's initial state from the grid's
+    cell centers and returns the Trajectory.  ``oracle(centers, coordinate)``
+    evaluates the exact fields at that coordinate, stacked like the
+    trajectory's states; it is None when the block names no exact family.
+    """
+
+    evolve: Callable
+    oracle: Optional[Callable]
+
+
+def _beta(config: dict, system: str) -> float:
     if "beta" not in config:
         raise ConfigError(f"system {system!r} requires 'beta'")
-    beta = float(config["beta"])
-    if system == "asymptotic":
-        if init["kind"] == "constant_amplitude":
-            amp = init["amplitude"]
-            prof = profile_from_config(init["profile"])
-            U, V = eval_asymptotic_linear(beta, amp, prof, 0.0, centers)
-            oracle = lambda tau, X: np.stack(eval_asymptotic_linear(beta, amp, prof, X, tau))
-        else:
-            prof = profile_from_config(init["profile"])
-            U = np.asarray(prof(centers), dtype=float)
-            V = np.zeros_like(U)
-            oracle = None
-        return None, beta, np.stack([np.broadcast_to(U, centers.shape),
-                                     np.broadcast_to(V, centers.shape)]), oracle
-    prof = profile_from_config(init["profile"])
-    rho0 = np.broadcast_to(np.asarray(prof(centers), dtype=float), centers.shape)
-    oracle = lambda tau, X: sample_simple_wave(beta, prof, [X], tau)
-    return None, beta, rho0[None, :], oracle
+    return float(config["beta"])
 
 
-def cmd_simulate(config: dict, outdir: Path, threads: int, quiet: bool) -> int:
-    _validate(config, SIMULATE_SCHEMA)
-    grid_cfg = config["grid"]
-    try:
-        grid = Grid1D(n=grid_cfg["n"], a=grid_cfg["a"], b=grid_cfg["b"],
-                      boundary=grid_cfg.get("boundary", "periodic"))
-        run = SimulationConfig(**config["run"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    m, beta, w0, oracle = _simulate_init(config, grid.centers)
+def _full_system(config: dict, block: dict) -> System:
+    if "modulus" not in config:
+        raise ConfigError("system 'full' requires a 'modulus' block")
+    m = modulus_from_config(config["modulus"])
+    if block["kind"] == "zero":
+        oracle = lambda x, t: np.zeros((4, len(x)))
+    else:
+        wave = CarrollWave.from_modulus(m, block["amplitude"], block["wavenumber"],
+                                        block.get("polarization", 1))
+        oracle = lambda x, t: np.stack(carroll_full_state(wave, x, t))
+    return System(
+        lambda grid, run: evolve_full(m, grid, FullState(*oracle(grid.centers, 0.0)), run),
+        oracle)
 
-    system = config["system"]
-    try:
-        if system == "full":
-            from .exact import FullState
-            traj = evolve_full(m, grid, FullState(*w0), run)
-        elif system == "asymptotic":
-            from .exact import StrainState
-            traj = evolve_asymptotic(beta, grid, StrainState(*w0), run)
-        else:
-            traj = evolve_scalar(beta, grid, w0[0], run)
-    except ShearWaveError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        coordinate = getattr(exc, "coordinate", None)
-        if coordinate is not None:
-            error["coordinate"] = coordinate
-        _manifest(outdir, "simulate", config, "error", threads, error=error)
-        _say(quiet, f"solver error ({error['type']}); manifest in {outdir}")
-        return 3
 
-    names = list(traj.field_names)
-    coord_col, center_col = [], []
-    field_cols = [[] for _ in names]
-    for si, coord in enumerate(traj.coords):
-        coord_col.append(np.full(grid.n, coord))
-        center_col.append(grid.centers)
-        for fi in range(len(names)):
-            field_cols[fi].append(traj.states[si, fi])
-    columns = [np.concatenate(coord_col), np.concatenate(center_col)]
-    columns += [np.concatenate(c) for c in field_cols]
-    _write_csv(outdir / "snapshots.csv", ["coordinate", "cell_center", *names], columns)
+def _asymptotic_system(config: dict, block: dict) -> System:
+    beta = _beta(config, "asymptotic")
+    prof = profile_from_config(block["profile"])
+    if block["kind"] == "plane":
+        oracle = None
+        initial = lambda x: StrainState(np.asarray(prof(x), dtype=float), np.zeros_like(x))
+    else:
+        amp = block["amplitude"]
+        oracle = lambda x, X: np.stack(eval_asymptotic_linear(beta, amp, prof, X, x))
+        initial = lambda x: eval_asymptotic_linear(beta, amp, prof, 0.0, x)
+    return System(lambda grid, run: evolve_asymptotic(beta, grid, initial(grid.centers), run),
+                  oracle)
+
+
+def _scalar_system(config: dict, block: dict) -> System:
+    beta = _beta(config, "scalar")
+    prof = profile_from_config(block["profile"])
+    # evolve_scalar solves rho_X = beta (rho^3)_tau, whose simple wave
+    # rho = Phi(tau + 3 beta X rho^2) is the family sample_simple_wave builds
+    # with -beta
+    oracle = lambda x, X: sample_simple_wave(-beta, prof, [X], x)
+    return System(
+        lambda grid, run: evolve_scalar(beta, grid, np.asarray(prof(grid.centers), dtype=float),
+                                        run),
+        oracle)
+
+
+SYSTEMS = {"full": _full_system, "asymptotic": _asymptotic_system, "scalar": _scalar_system}
+
+
+# ---------------------------------------------------------------------------
+# command handlers: each computes, writes its artifacts and returns the
+# manifest entries it adds; run() owns validation, errors and exit codes
+
+
+def cmd_simulate(config: dict, outdir: Path) -> dict:
+    _validate(config["init"], INIT_SCHEMAS[config["system"]], where="init block")
+    grid = _grid(config["grid"], config["grid"]["n"])
+    run_cfg = SimulationConfig(**config["run"])
+    system = SYSTEMS[config["system"]](config, config["init"])
+    if config.get("oracle_check") and system.oracle is None:
+        raise ConfigError("oracle_check is not available for this init family")
+    traj = system.evolve(grid, run_cfg)
+
+    n_snap = len(traj.coords)
+    columns = [np.repeat(traj.coords, grid.n), np.tile(grid.centers, n_snap)]
+    columns += [traj.states[:, fi].ravel() for fi in range(len(traj.field_names))]
+    _write_csv(outdir / "snapshots.csv", ["coordinate", "cell_center", *traj.field_names],
+               columns)
 
     diagnostics = {
         "n_steps": int(len(traj.step_coords)),
@@ -510,20 +512,11 @@ def cmd_simulate(config: dict, outdir: Path, threads: int, quiet: bool) -> int:
         "max_gradient": traj.step_max_gradient,
         "total_variation": traj.tv,
     }
-    extra = {}
+    extra = {"grid": {**config["grid"], "h": grid.h}, "diagnostics": diagnostics}
     if config.get("oracle_check"):
-        if oracle is None:
-            raise ConfigError("oracle_check is not available for this init family")
-        ref = oracle(grid.centers, float(traj.coords[-1]))
+        ref = system.oracle(grid.centers, float(traj.coords[-1]))
         extra["oracle_error_linf"] = float(np.max(np.abs(traj.final - ref)))
-    _manifest(outdir, "simulate", config, "ok", threads,
-              grid={**grid_cfg, "h": grid.h}, diagnostics=diagnostics, **extra)
-    _say(quiet, f"wrote {outdir / 'snapshots.csv'}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# exact sampling
+    return extra
 
 
 def _mesh(coord_axis, point_axis):
@@ -579,28 +572,13 @@ def _sample_exact(sol: dict):
     return ["t", "x", "U", "V"], [T, X, U, V]
 
 
-def cmd_exact(config: dict, outdir: Path, threads: int, quiet: bool) -> int:
-    _validate(config, EXACT_SCHEMA)
-    try:
-        header, columns = _sample_exact(config["solution"])
-    except ShearWaveError as exc:
-        _manifest(outdir, "exact", config, "error", threads,
-                  error={"type": type(exc).__name__, "message": str(exc)})
-        _say(quiet, f"sampling failed ({type(exc).__name__}); manifest in {outdir}")
-        return 3
+def cmd_exact(config: dict, outdir: Path) -> dict:
+    header, columns = _sample_exact(config["solution"])
     _write_csv(outdir / "samples.csv", header, columns)
-    _manifest(outdir, "exact", config, "ok", threads,
-              rows=int(np.asarray(columns[0]).size), columns=header)
-    _say(quiet, f"wrote {outdir / 'samples.csv'}")
-    return 0
+    return {"rows": int(np.asarray(columns[0]).size), "columns": header}
 
 
-# ---------------------------------------------------------------------------
-# classify
-
-
-def cmd_classify(config: dict, outdir: Path, threads: int, quiet: bool) -> int:
-    _validate(config, CLASSIFY_SCHEMA)
+def cmd_classify(config: dict, outdir: Path) -> dict:
     f = flux_from_config(config["flux"])
     u = _axis(config["samples"]["u"])
     v = _axis(config["samples"]["v"])
@@ -624,13 +602,10 @@ def cmd_classify(config: dict, outdir: Path, threads: int, quiet: bool) -> int:
             "note": "constant flux: the system is linear and every family is degenerate",
         }
         _write_json(outdir / "report.json", report)
-        _manifest(outdir, "classify", config, "ok", threads)
-        _say(quiet, f"wrote {outdir / 'report.json'}")
-        return 0
+        return {}
 
     alpha = None
     if "alpha" in config:
-        from .analysis import ScalarField2D
         alpha = ScalarField2D.from_flux(flux_from_config(config["alpha"]))
     cls = classify(f, pts, alpha=alpha)
     ld2_worst = 0.0
@@ -657,40 +632,19 @@ def cmd_classify(config: dict, outdir: Path, threads: int, quiet: bool) -> int:
         },
     }
     _write_json(outdir / "report.json", report)
-    _manifest(outdir, "classify", config, "ok", threads)
-    _say(quiet, f"wrote {outdir / 'report.json'}")
-    return 0
+    return {}
 
 
-# ---------------------------------------------------------------------------
-# hodograph
-
-
-def cmd_hodograph(config: dict, outdir: Path, threads: int, quiet: bool) -> int:
-    _validate(config, HODOGRAPH_SCHEMA)
+def cmd_hodograph(config: dict, outdir: Path) -> dict:
     data = HodographData(phase_fn=profile_from_config(config["phase"]),
                          radial_fn=profile_from_config(config["radial"]))
     X = _axis(config["X"])
     tau = _axis(config["tau"])
-    try:
-        rho, theta = sample_hodograph(data, config["beta"], X, tau, tuple(config["seed"]))
-    except ShearWaveError as exc:
-        _manifest(outdir, "hodograph", config, "error", threads,
-                  error={"type": type(exc).__name__, "message": str(exc)})
-        _say(quiet, f"inversion failed ({type(exc).__name__}); manifest in {outdir}")
-        return 3
+    rho, theta = sample_hodograph(data, config["beta"], X, tau, tuple(config["seed"]))
     Xc, Tau = _mesh(X, tau)
-    _write_csv(outdir / "samples.csv", ["X", "tau", "theta", "rho"],
-               [Xc, Tau, theta, rho])
-    _manifest(outdir, "hodograph", config, "ok", threads,
-              rho_range=[float(rho.min()), float(rho.max())],
-              theta_range=[float(theta.min()), float(theta.max())])
-    _say(quiet, f"wrote {outdir / 'samples.csv'}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# verify
+    _write_csv(outdir / "samples.csv", ["X", "tau", "theta", "rho"], [Xc, Tau, theta, rho])
+    return {"rho_range": [float(rho.min()), float(rho.max())],
+            "theta_range": [float(theta.min()), float(theta.max())]}
 
 
 def _verify_polar_fields(config: dict, n: int):
@@ -717,210 +671,141 @@ def _verify_polar_fields(config: dict, n: int):
     return FieldSample(coords, points, {"theta": theta, "rho": rho})
 
 
-def _verify_study(config: dict):
-    """Run the configured study; returns (report dict, passed flag)."""
+def _verify_full_fields(config: dict, wave: CarrollWave, control: bool):
+    """(U, V, M, N) of the Carroll wave on every level, or noise for the control."""
+    rect = config["rectangle"]
+    rng = np.random.default_rng(config.get("seed", 0))
+    samples = []
+    for n in config["levels"]:
+        coords = np.linspace(rect["coord"]["min"], rect["coord"]["max"], n)
+        points = np.linspace(rect["point"]["min"], rect["point"]["max"], n)
+        if control:
+            vals = {k: rng.standard_normal((n, n)) for k in ("U", "V", "M", "N")}
+        else:
+            T, X = np.meshgrid(coords, points, indexing="ij")
+            U, V, M, N = carroll_full_state(wave, X, T)
+            vals = {"U": U, "V": V, "M": M, "N": N}
+        samples.append(FieldSample(coords, points, vals))
+    return samples
+
+
+def _order_report(study: str, report, target: float, control: bool, **extra) -> dict:
+    """Report of a study judged by the fitted decay order of its residual."""
+    doc = {"study": study, "order": report.order, "order_l2": report.order_l2,
+           "linf": report.linf, "l2": report.l2, "target": target,
+           "negative_control": control, "passed": report.passed, **extra}
+    if control:
+        doc["control_confirmed"] = report.order <= 0.5
+    return doc
+
+
+def _commutator_study(config: dict, control: bool) -> dict:
+    sym = config.get("symmetry")
+    if sym is None:
+        raise ConfigError("commutator study requires a 'symmetry' block")
+    spec = SymmetrySpec(phase_fn=profile_from_config(sym["phase"]),
+                        radial_fn=profile_from_config(sym["radial"]))
+    if control:
+        spec = PerturbedRadialControl(spec)
+    rng = np.random.default_rng(config.get("seed", 0))
+    n = config.get("jets", 100)
+    jets = np.column_stack([
+        rng.uniform(0.0, 2.0 * np.pi, n),
+        rng.uniform(0.5, 1.5, n),
+        rng.uniform(-1.0, 1.0, n),
+        rng.uniform(-1.0, 1.0, n),
+        rng.uniform(-1.0, 1.0, n),
+        rng.uniform(-1.0, 1.0, n),
+    ])
+    beta = config.get("beta", 1.0)
+    worst = commutator_residual(spec, beta, jets)
+    phi = spec.characteristic(jets[:, 0], jets[:, 1], jets[:, 2], jets[:, 3])
+    scale = max(1.0, float(np.max(np.abs(phi[0]))), float(np.max(np.abs(phi[1]))),
+                abs(beta) * float(np.max(jets[:, 1] ** 2)))
+    tol = config.get("tol_factor", 1e-10) * scale
+    doc = {"study": "commutator", "max_bracket": worst, "tolerance": tol,
+           "n_jets": int(n), "negative_control": control, "passed": worst <= tol}
+    if control:
+        doc["control_confirmed"] = worst > tol
+    return doc
+
+
+def _verify_study(config: dict) -> dict:
+    """Run the configured study and return its report; ``passed`` holds the verdict."""
     study = config["study"]
     target = config.get("order_target", 1.8)
     control = bool(config.get("negative_control", False))
-
     if study == "commutator":
-        sym = config.get("symmetry")
-        if sym is None:
-            raise ConfigError("commutator study requires a 'symmetry' block")
-        spec = SymmetrySpec(phase_fn=profile_from_config(sym["phase"]),
-                            radial_fn=profile_from_config(sym["radial"]))
-        if control:
-            spec = PerturbedRadialControl(spec)
-        rng = np.random.default_rng(config.get("seed", 0))
-        n = config.get("jets", 100)
-        jets = np.column_stack([
-            rng.uniform(0.0, 2.0 * np.pi, n),
-            rng.uniform(0.5, 1.5, n),
-            rng.uniform(-1.0, 1.0, n),
-            rng.uniform(-1.0, 1.0, n),
-            rng.uniform(-1.0, 1.0, n),
-            rng.uniform(-1.0, 1.0, n),
-        ])
-        beta = config.get("beta", 1.0)
-        worst = commutator_residual(spec, beta, jets)
-        phi = spec.characteristic(jets[:, 0], jets[:, 1], jets[:, 2], jets[:, 3])
-        scale = max(1.0, float(np.max(np.abs(phi[0]))), float(np.max(np.abs(phi[1]))),
-                    abs(beta) * float(np.max(jets[:, 1] ** 2)))
-        tol = config.get("tol_factor", 1e-10) * scale
-        passed = worst <= tol
-        doc = {"study": study, "max_bracket": worst, "tolerance": tol,
-               "n_jets": int(n), "negative_control": control, "passed": passed}
-        if control:
-            doc["control_confirmed"] = worst > tol
-        return doc, passed
-
+        return _commutator_study(config, control)
     if "beta" not in config:
         raise ConfigError(f"study {study!r} requires 'beta'")
+    if "rectangle" not in config or "levels" not in config:
+        raise ConfigError(f"study {study!r} requires 'rectangle' and 'levels'")
+    beta = config["beta"]
+    sol = config.get("solution")
+
     if study == "full":
-        sol = config.get("solution")
         if sol is None or sol.get("kind") != "carroll":
             raise ConfigError("study 'full' requires a 'carroll' solution block")
         _validate(sol, VERIFY_SOLUTION_SCHEMAS["carroll"], where="solution block")
         m = modulus_from_config(sol["modulus"])
         wave = CarrollWave.from_modulus(m, sol["amplitude"], sol["wavenumber"])
-        rect = config["rectangle"]
-        samples = []
-        rng = np.random.default_rng(config.get("seed", 0))
-        for n in config["levels"]:
-            coords = np.linspace(rect["coord"]["min"], rect["coord"]["max"], n)
-            points = np.linspace(rect["point"]["min"], rect["point"]["max"], n)
-            if control:
-                vals = {k: rng.standard_normal((n, n)) for k in ("U", "V", "M", "N")}
-            else:
-                T, X = np.meshgrid(coords, points, indexing="ij")
-                U, V, M, N = carroll_full_state(wave, X, T)
-                vals = {"U": U, "V": V, "M": M, "N": N}
-            samples.append(FieldSample(coords, points, vals))
-        report = residual_full(samples, m, order_target=target)
-        passed = report.passed
-        doc = {"study": study, "order": report.order, "order_l2": report.order_l2,
-               "linf": report.linf, "l2": report.l2, "target": target,
-               "negative_control": control, "passed": passed}
-        if control:
-            doc["control_confirmed"] = report.order <= 0.5
-        return doc, passed
+        report = residual_full(_verify_full_fields(config, wave, control), m,
+                               order_target=target)
+        return _order_report(study, report, target, control)
 
-    sol = config.get("solution")
-    if study in ("asymptotic", "conservation", "linearized_symmetry"):
-        if not control or study == "linearized_symmetry":
-            if sol is None or sol.get("kind") not in VERIFY_SOLUTION_SCHEMAS:
-                raise ConfigError(f"study {study!r} requires a solution block "
-                                  f"(constant_amplitude or hodograph)")
-            _validate(sol, VERIFY_SOLUTION_SCHEMAS[sol["kind"]], where="solution block")
-        if "rectangle" not in config or "levels" not in config:
-            raise ConfigError(f"study {study!r} requires 'rectangle' and 'levels'")
-        samples = [_verify_polar_fields(config, n) for n in config["levels"]]
+    if not control or study == "linearized_symmetry":
+        if sol is None or sol.get("kind") not in ("constant_amplitude", "hodograph"):
+            raise ConfigError(f"study {study!r} requires a solution block "
+                              f"(constant_amplitude or hodograph)")
+        _validate(sol, VERIFY_SOLUTION_SCHEMAS[sol["kind"]], where="solution block")
+    block = {"conservation": "conservation", "linearized_symmetry": "symmetry"}.get(study)
+    if block is not None and block not in config:
+        raise ConfigError(f"{study} study requires a {block!r} block")
+    samples = [_verify_polar_fields(config, n) for n in config["levels"]]
 
     if study == "asymptotic":
-        report = residual_asymptotic(samples, config["beta"], order_target=target)
-        passed = report.passed
-        doc = {"study": study, "order": report.order, "order_l2": report.order_l2,
-               "linf": report.linf, "l2": report.l2, "target": target,
-               "negative_control": control, "passed": passed}
-        if control:
-            doc["control_confirmed"] = report.order <= 0.5
-        return doc, passed
-
+        report = residual_asymptotic(samples, beta, order_target=target)
+        return _order_report(study, report, target, control)
     if study == "conservation":
-        cons = config.get("conservation")
-        if cons is None:
-            raise ConfigError("conservation study requires a 'conservation' block")
+        cons = config["conservation"]
         spec = ConservationSpec(amp_weight=profile_from_config(cons["amp_weight"]),
                                 angle_weight=profile_from_config(cons["angle_weight"]))
         try:
-            report = conservation_residual(samples, config["beta"], spec, order_target=target)
+            report = conservation_residual(samples, beta, spec, order_target=target)
         except NeitherOrientationDecays as exc:
             doc = {"study": study, "neither_orientation_decays": True,
-                   "message": str(exc), "negative_control": control,
-                   "passed": False}
+                   "message": str(exc), "negative_control": control, "passed": False}
             if control:
                 doc["control_confirmed"] = True
-            return doc, False
-        passed = report.passed
-        doc = {"study": study, "order": report.order, "order_l2": report.order_l2,
-               "orientation": report.details.get("orientation"),
-               "linf": report.linf, "l2": report.l2, "target": target,
-               "negative_control": control, "passed": passed}
-        if control:
-            doc["control_confirmed"] = report.order <= 0.5
-        return doc, passed
-
-    sym = config.get("symmetry")
-    if sym is None:
-        raise ConfigError("linearized_symmetry study requires a 'symmetry' block")
+            return doc
+        return _order_report(study, report, target, control,
+                             orientation=report.details.get("orientation"))
+    sym = config["symmetry"]
     spec = SymmetrySpec(phase_fn=profile_from_config(sym["phase"]),
                         radial_fn=profile_from_config(sym["radial"]))
     if control:
         spec = AngleSquaredControl(spec)
-    report = linearized_symmetry_residual(samples, config["beta"], spec, order_target=target)
-    passed = report.passed
-    doc = {"study": study, "order": report.order, "order_l2": report.order_l2,
-           "linf": report.linf, "l2": report.l2, "target": target,
-           "negative_control": control, "passed": passed}
-    if control:
-        doc["control_confirmed"] = report.order <= 0.5
-    return doc, passed
+    report = linearized_symmetry_residual(samples, beta, spec, order_target=target)
+    return _order_report(study, report, target, control)
 
 
-def cmd_verify(config: dict, outdir: Path, threads: int, quiet: bool) -> int:
-    _validate(config, VERIFY_SCHEMA)
-    doc, passed = _verify_study(config)
+def cmd_verify(config: dict, outdir: Path) -> dict:
+    doc = _verify_study(config)
     _write_json(outdir / "report.json", doc)
-    _manifest(outdir, "verify", config, "ok", threads, passed=passed)
-    _say(quiet, f"wrote {outdir / 'report.json'} ({'pass' if passed else 'FAIL'})")
-    return 0 if passed else 1
+    return {"passed": doc["passed"]}
 
 
-# ---------------------------------------------------------------------------
-# convergence
-
-
-def cmd_convergence(config: dict, outdir: Path, threads: int, quiet: bool) -> int:
-    _validate(config, CONVERGENCE_SCHEMA)
-    system = config["system"]
-    oracle_cfg = config["oracle"]
-    _validate(oracle_cfg, ORACLE_SCHEMAS[system], where="oracle block")
-    grid_cfg = config["grid"]
-    try:
-        run_cfg = SimulationConfig(**config["run"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    def make_grid(n):
-        return Grid1D(n=n, a=grid_cfg["a"], b=grid_cfg["b"],
-                      boundary=grid_cfg.get("boundary", "periodic"))
-
-    if system == "full":
-        if "modulus" not in config:
-            raise ConfigError("system 'full' requires a 'modulus' block")
-        from .exact import FullState
-        m = modulus_from_config(config["modulus"])
-        wave = CarrollWave.from_modulus(m, oracle_cfg["amplitude"], oracle_cfg["wavenumber"],
-                                        oracle_cfg.get("polarization", 1))
-
-        def run(n):
-            grid = make_grid(n)
-            return evolve_full(m, grid, FullState(*carroll_full_state(wave, grid.centers, 0.0)),
-                               run_cfg)
-
-        oracle = lambda x, t: np.stack(carroll_full_state(wave, x, t))
-    elif system == "asymptotic":
-        if "beta" not in config:
-            raise ConfigError("system 'asymptotic' requires 'beta'")
-        from .exact import StrainState
-        beta = float(config["beta"])
-        amp = oracle_cfg["amplitude"]
-        prof = profile_from_config(oracle_cfg["profile"])
-
-        def run(n):
-            grid = make_grid(n)
-            U, V = eval_asymptotic_linear(beta, amp, prof, 0.0, grid.centers)
-            return evolve_asymptotic(beta, grid, StrainState(U, V), run_cfg)
-
-        oracle = lambda tau, X: np.stack(eval_asymptotic_linear(beta, amp, prof, X, tau))
-    else:
-        if "beta" not in config:
-            raise ConfigError("system 'scalar' requires 'beta'")
-        beta = float(config["beta"])
-        prof = profile_from_config(oracle_cfg["profile"])
-
-        def run(n):
-            grid = make_grid(n)
-            return evolve_scalar(beta, grid, np.asarray(prof(grid.centers), dtype=float),
-                                 run_cfg)
-
-        oracle = lambda tau, X: sample_simple_wave(beta, prof, [X], tau)
-
-    report = convergence_study(run, oracle, config["levels"],
+def cmd_convergence(config: dict, outdir: Path) -> dict:
+    _validate(config["oracle"], ORACLE_SCHEMAS[config["system"]], where="oracle block")
+    run_cfg = SimulationConfig(**config["run"])
+    system = SYSTEMS[config["system"]](config, config["oracle"])
+    report = convergence_study(lambda n: system.evolve(_grid(config["grid"], n), run_cfg),
+                               system.oracle, config["levels"],
                                order_target=config.get("order_target"),
                                order_tol=config.get("order_tol"))
     doc = {
-        "system": system,
+        "system": config["system"],
         "cells": report.cells,
         "spacings": report.spacings,
         "linf": report.linf,
@@ -932,13 +817,7 @@ def cmd_convergence(config: dict, outdir: Path, threads: int, quiet: bool) -> in
         "passed": report.passed,
     }
     _write_json(outdir / "report.json", doc)
-    _manifest(outdir, "convergence", config, "ok", threads, passed=report.passed)
-    _say(quiet, f"wrote {outdir / 'report.json'} ({'pass' if report.passed else 'FAIL'})")
-    return 0 if report.passed else 1
-
-
-# ---------------------------------------------------------------------------
-# entry point
+    return {"passed": report.passed}
 
 
 HANDLERS = {
@@ -951,6 +830,45 @@ HANDLERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# entry point
+
+
+def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> int:
+    """Load and validate a config, run its command, write the manifest; return the exit code.
+
+    0: success.  1: a verification or convergence target was missed.
+    2: a config error, including a ValueError from a library input check;
+    the message goes to stderr and no manifest is written.  3: any other
+    ShearWaveError; ``manifest.json`` gets ``status: "error"`` and
+    ``error.{type, message, coordinate}``.  Exits 0, 1 and 3 all leave a
+    manifest.
+    """
+    try:
+        config = _load_config(config_path)
+        declared = config.get("command")
+        if declared is not None and declared != command:
+            raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked")
+        _validate(config, SCHEMAS[command])
+        extra = HANDLERS[command](config, outdir)
+    except (ConfigError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ShearWaveError as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        coordinate = getattr(exc, "coordinate", None)
+        if coordinate is not None:
+            error["coordinate"] = coordinate
+        _manifest(outdir, command, config, "error", error=error)
+        print(f"{command} failed: {error['type']}: {exc} (manifest in {outdir})", file=sys.stderr)
+        return 3
+    _manifest(outdir, command, config, "ok", **extra)
+    passed = extra.get("passed", True)
+    if not quiet:
+        print(f"wrote {outdir}" if passed else f"wrote {outdir} (target missed)")
+    return 0 if passed else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="shearwaves",
@@ -960,25 +878,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON run configuration")
     parser.add_argument("--out", default="out", help="artifact output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (recorded; execution is serial)")
     parser.add_argument("--quiet", action="store_true", help="suppress status output")
     args = parser.parse_args(argv)
-
-    outdir = Path(args.out)
-    try:
-        config = _load_config(args.config)
-        declared = config.get("command")
-        if declared is not None and declared != args.command:
-            raise ConfigError(
-                f"config declares command {declared!r} but {args.command!r} was invoked")
-        return HANDLERS[args.command](config, outdir, args.threads, args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ShearWaveError as exc:
-        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    return run(args.command, args.config, Path(args.out), args.quiet)
 
 
 if __name__ == "__main__":

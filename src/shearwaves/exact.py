@@ -309,9 +309,13 @@ def hodograph_invert(hd: HodographData, beta: float, X: float, tau: float,
     Converges when both coordinate residuals are <= 1e-10; raises
     SingularJacobian on a fold (|det| below 1e-14 * entry scale) and
     NoConvergence when the iteration budget or damping schedule is exhausted.
+    The map is undefined for beta = 0 and at rho = 0, so either raises
+    ValueError.
     """
     theta, rho = float(seed[0]), float(seed[1])
     X, tau = float(X), float(tau)
+    if beta == 0.0 or rho == 0.0:
+        raise ValueError("the hodograph map needs beta != 0 and a seed with rho != 0")
 
     def residual(th, r):
         Xf, tf = hodograph_forward(hd, beta, th, r)

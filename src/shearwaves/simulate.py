@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constitutive import ShearModulus
-from .errors import BlowupDetected, HyperbolicityLoss
+from .errors import BlowupDetected, HyperbolicityLoss, NoConvergence
 from .exact import FullState, StrainState
 from .profiles import ProfileFunction
 
@@ -205,7 +205,7 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
             coords.append(t)
             states.append(w.copy())
         if n_steps >= config.max_steps:
-            raise RuntimeError(f"exceeded max_steps = {config.max_steps}")
+            raise NoConvergence(f"exceeded max_steps = {config.max_steps} at coordinate {t!r}")
     if coords[-1] != t:
         coords.append(t)
         states.append(w.copy())

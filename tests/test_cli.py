@@ -1,12 +1,19 @@
 """Command-line entry: exit codes, artifacts, validation, determinism."""
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shearwaves.cli import main
 
@@ -70,11 +77,50 @@ def test_simulate_carroll_artifacts(tmp_path):
     assert np.max(np.abs(s - 1.0)) < 5e-2
 
 
-def test_simulate_artifacts_deterministic(tmp_path):
-    _, out1 = run_cli(tmp_path, carroll_simulate_config(), "det1")
-    _, out2 = run_cli(tmp_path, carroll_simulate_config(), "det2")
-    assert (out1 / "snapshots.csv").read_bytes() == (out2 / "snapshots.csv").read_bytes()
-    assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+def small_config(command):
+    """A quick schema-valid config for each command."""
+    sine = {"kind": "sine", "amp": 1.0, "freq": 1.0}
+    configs = {
+        "simulate": carroll_simulate_config(
+            grid={"n": 16, "a": 0.0, "b": TWO_PI}, run={"end": 0.3, "cfl": 0.45}),
+        "exact": {"command": "exact",
+                  "solution": {"kind": "constant_amplitude", "beta": 0.5, "amplitude": 1.0,
+                               "profile": sine, "X": {"min": 0.0, "max": 1.0, "n": 3},
+                               "tau": {"min": 0.0, "max": TWO_PI, "n": 5}}},
+        "classify": {"command": "classify", "flux": {"kind": "ratio"},
+                     "samples": {"u": {"min": 0.5, "max": 2.0, "n": 3},
+                                 "v": {"min": 0.5, "max": 2.0, "n": 3}}},
+        "hodograph": {"command": "hodograph", "beta": 1.0, "phase": {"kind": "linear", "k": 1.0},
+                      "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
+                      "X": {"min": -0.55, "max": -0.45, "n": 3},
+                      "tau": {"min": -1.7, "max": -1.3, "n": 3}, "seed": [0.5, 1.0]},
+        "verify": {"command": "verify", "study": "asymptotic", "beta": 0.5,
+                   "solution": {"kind": "constant_amplitude", "amplitude": 1.0, "profile": sine},
+                   "rectangle": {"coord": {"min": 0.0, "max": 1.0},
+                                 "point": {"min": 0.0, "max": TWO_PI}},
+                   "levels": [9, 17]},
+        "convergence": {"command": "convergence", "system": "asymptotic", "beta": 0.5,
+                        "grid": {"a": 0.0, "b": TWO_PI},
+                        "run": {"end": 0.2, "scheme": "lax_friedrichs"}, "levels": [8, 16],
+                        "oracle": {"kind": "constant_amplitude", "amplitude": 1.0,
+                                   "profile": sine}},
+    }
+    return configs[command]
+
+
+COMMANDS = ("simulate", "exact", "classify", "hodograph", "verify", "convergence")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_artifacts_deterministic(tmp_path, command):
+    code1, out1 = run_cli(tmp_path, small_config(command), "det1")
+    code2, out2 = run_cli(tmp_path, small_config(command), "det2")
+    assert code1 == code2 == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert "manifest.json" in names and len(names) == 2
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_exact_constant_amplitude_rho_column_constant(tmp_path):
@@ -160,6 +206,51 @@ def test_verify_positive_study(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert report["order"] > 1.8
+
+
+def scalar_simulate_config(**overrides):
+    cfg = {
+        "command": "simulate",
+        "system": "scalar",
+        "beta": 1.0,
+        "grid": {"n": 256, "a": 0.0, "b": TWO_PI},
+        "run": {"end": 0.3, "scheme": "muscl_minmod"},
+        "init": {"kind": "profile",
+                 "profile": {"kind": "sine", "amp": 0.2, "freq": 1.0, "offset": 1.0}},
+        "oracle_check": True,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def scalar_convergence_config(end):
+    return {
+        "command": "convergence",
+        "system": "scalar",
+        "beta": 1.0,
+        "grid": {"a": 0.0, "b": TWO_PI},
+        "run": {"end": end, "scheme": "muscl_minmod"},
+        "levels": [64, 128, 256],
+        "oracle": {"kind": "simple_wave",
+                   "profile": {"kind": "sine", "amp": 0.2, "freq": 1.0, "offset": 1.0}},
+        "order_target": 1.0,
+    }
+
+
+def test_scalar_oracle_matches_solver(tmp_path):
+    # the solver's family is the simple wave of -beta; +beta is off by ~0.3
+    code, out = run_cli(tmp_path, scalar_simulate_config(), "sco")
+    assert code == 0
+    assert read_manifest(out)["oracle_error_linf"] < 1e-2
+
+
+def test_scalar_convergence_below_breaking(tmp_path):
+    # breaking sets in near X = 0.83 for this profile
+    code, out = run_cli(tmp_path, scalar_convergence_config(0.3), "scc")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is True
+    assert report["linf"][-1] < 1e-3
 
 
 def test_convergence_pass(tmp_path):
@@ -298,6 +389,116 @@ def test_hodograph_fold_seed_exits_three(tmp_path):
     manifest = read_manifest(out)
     assert manifest["status"] == "error"
     assert manifest["error"]["type"] == "SingularJacobian"
+
+
+def test_scalar_convergence_past_breaking_exits_three(tmp_path):
+    code, out = run_cli(tmp_path, scalar_convergence_config(1.0), "scb")
+    assert code == 3
+    manifest = read_manifest(out)
+    assert manifest["status"] == "error"
+    assert manifest["error"]["type"] == "OracleFailure"
+    assert "simple-wave" in manifest["error"]["message"]
+
+
+def test_verify_descending_levels_exits_two(tmp_path, capsys):
+    cfg = small_config("verify")
+    cfg["levels"] = [65, 33]
+    code, out = run_cli(tmp_path, cfg, "vdl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "decreasing spacing" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_oracle_check_without_oracle_exits_two(tmp_path):
+    cfg = {
+        "command": "simulate",
+        "system": "asymptotic",
+        "beta": 1.0,
+        "grid": {"n": 16, "a": 0.0, "b": TWO_PI},
+        "run": {"end": 0.1},
+        "init": {"kind": "plane", "profile": {"kind": "sine", "amp": 1.0, "freq": 1.0}},
+        "oracle_check": True,
+    }
+    code, out = run_cli(tmp_path, cfg, "noo")
+    assert code == 2
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# generated configs
+
+
+def _dict_paths(obj, prefix=()):
+    """Paths to every value held in a nested dict, outer keys first."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _dict_paths(value, prefix + (key,))
+
+
+def _get(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+# Numbers stay away from zero: a tiny grid length or cfl is valid but takes
+# millions of steps.
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from((-1.0, 0.0, 0.5, 2.5)),
+    st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2), st.just({}))
+CFL_VALUES = st.one_of(st.floats(-0.5, 0.0), st.floats(0.9, 1.5), st.just(0.3))
+
+
+@st.composite
+def generated_configs(draw):
+    """A small config per command, left valid or broken in one way."""
+    command = draw(st.sampled_from(COMMANDS))
+    cfg = copy.deepcopy(small_config(command))
+    change = draw(st.sampled_from(("none", "value", "extra_key", "drop_key", "levels", "cfl")))
+    paths = list(_dict_paths(cfg))
+    if change == "value":
+        path = draw(st.sampled_from(paths))
+        _get(cfg, path[:-1])[path[-1]] = draw(ODD_VALUES)
+    elif change == "extra_key":
+        blocks = [()] + [p for p in paths if isinstance(_get(cfg, p), dict)]
+        _get(cfg, draw(st.sampled_from(blocks)))[draw(st.text(min_size=1, max_size=4))] = 1
+    elif change == "drop_key":
+        path = draw(st.sampled_from(paths))
+        del _get(cfg, path[:-1])[path[-1]]
+    elif change == "levels" and "levels" in cfg:
+        cfg["levels"] = draw(st.permutations(cfg["levels"] + [12]))
+    elif change == "cfl" and "run" in cfg:
+        cfg["run"]["cfl"] = draw(CFL_VALUES)
+    return command, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_configs())
+@example(("classify", {**small_config("classify"),
+                       "samples": {"u": {"min": 0.5, "max": 2.0, "n": 3},
+                                   "v": {"min": 0.5, "max": 2.0, "n": 2.0}}}))
+@example(("verify", {**small_config("verify"), "solution": {"kind": {}}}))
+@example(("hodograph", {**small_config("hodograph"), "beta": 0}))
+@example(("verify", {**small_config("verify"), "solution": {"kind": "carroll"}}))
+def test_generated_configs_keep_exit_contract(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert err.getvalue().startswith("config error:")
+            assert not (out / "manifest.json").exists()
+        else:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == ("error" if code == 3 else "ok")
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,14 @@ def test_hodograph_invert_exact_point_recovery():
     assert sol.rho == pytest.approx(1.2, abs=1e-12)
 
 
+@pytest.mark.parametrize("beta, seed", [(0.0, (0.5, 1.0)), (1.0, (0.5, 0.0))])
+def test_hodograph_invert_rejects_undefined_map(beta, seed):
+    hd = HodographData(phase_fn=linear_profile(1.0),
+                       radial_fn=poly_profile([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="beta != 0"):
+        hodograph_invert(hd, beta, -0.5, -1.5, seed=seed)
+
+
 def test_hodograph_fold_raises():
     # with phase weight s(theta) = theta and radial weight rho^2 the Jacobian
     # determinant is proportional to theta: seeding on theta = 0 sits exactly

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shearwaves.constitutive import cubic_modulus, mooney_rivlin
-from shearwaves.errors import BlowupDetected, HyperbolicityLoss
+from shearwaves.errors import BlowupDetected, HyperbolicityLoss, NoConvergence
 from shearwaves.exact import (
     CarrollWave,
     FullState,
@@ -65,6 +65,13 @@ def test_grid_validation(kwargs):
 def test_simulation_config_validation(kwargs):
     with pytest.raises(ValueError):
         SimulationConfig(**kwargs)
+
+
+def test_max_steps_raises_no_convergence():
+    grid = Grid1D(n=16, a=0.0, b=TWO_PI)
+    rho0 = 1.0 + 0.1 * np.sin(grid.centers)
+    with pytest.raises(NoConvergence, match="max_steps = 3"):
+        evolve_scalar(1.0, grid, rho0, SimulationConfig(end=1.0, max_steps=3))
 
 
 def test_cfl_step_arithmetic():
