@@ -10,7 +10,7 @@ Hamiltonian structure, decoupling in a Riemann-invariant chart).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -100,45 +100,55 @@ class ScalarField2D:
 
 @dataclass(frozen=True)
 class EigenReport:
-    """Wave speeds, characteristic directions and degeneracy products at a state."""
+    """Wave speeds, characteristic directions and degeneracy products at states.
 
-    u: float
-    v: float
-    lambda1: float
-    lambda2: float
+    Fields are floats for a scalar state and arrays for arrays of states.
+    """
+
+    u: Union[float, np.ndarray]
+    v: Union[float, np.ndarray]
+    lambda1: Union[float, np.ndarray]
+    lambda2: Union[float, np.ndarray]
     d1: tuple
     d2: tuple
-    grad1_dot_d1: float
-    grad2_dot_d2: float
+    grad1_dot_d1: Union[float, np.ndarray]
+    grad2_dot_d2: Union[float, np.ndarray]
 
 
-def temple_eigen(f: TempleFlux, u: float, v: float) -> EigenReport:
-    """Eigenstructure of the 2x2 flux Jacobian at (u, v).
+def temple_eigen(f: TempleFlux, u, v) -> EigenReport:
+    """Eigenstructure of the 2x2 flux Jacobian at (u, v), elementwise over arrays.
 
-    Raises DegenerateDirection when P_v = 0 (d2 undefined) or u = 0 (d1
-    undefined).
+    One evaluation of P and its partials covers every state; a scalar state
+    returns floats.  Raises DegenerateDirection when P_v = 0 (d2 undefined)
+    or u = 0 (d1 undefined) at any state, naming the first such state.
     """
-    u, v = float(u), float(v)
-    P = float(f.p(u, v))
-    Pu = float(f.p_u(u, v))
-    Pv = float(f.p_v(u, v))
-    scale = max(1.0, abs(P), abs(Pu))
-    if abs(Pv) <= DIRECTION_TOL * scale:
-        raise DegenerateDirection(f"P_v = {Pv!r} at ({u}, {v}): d2 undefined")
-    if u == 0.0:
-        raise DegenerateDirection(f"u = 0: d1 = (1, v/u) undefined")
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    P = np.asarray(f.p(u, v), dtype=float)
+    Pu = np.asarray(f.p_u(u, v), dtype=float)
+    Pv = np.asarray(f.p_v(u, v), dtype=float)
+    scale = np.maximum(1.0, np.maximum(np.abs(P), np.abs(Pu)))
+    flat = np.flatnonzero(np.abs(Pv) <= DIRECTION_TOL * scale)
+    if flat.size:
+        k = flat[0]
+        raise DegenerateDirection(
+            f"P_v = {float(Pv.flat[k])!r} at ({u.flat[k]}, {v.flat[k]}): d2 undefined")
+    if np.any(u == 0.0):
+        raise DegenerateDirection("u = 0: d1 = (1, v/u) undefined")
     lam1 = P + u * Pu + v * Pv
-    lam2 = P
-    d1 = (1.0, v / u)
-    d2 = (1.0, -Pu / Pv)
-    Puu = float(f.p_uu(u, v))
-    Puv = float(f.p_uv(u, v))
-    Pvv = float(f.p_vv(u, v))
+    one = np.ones_like(u)
+    d1 = (one, v / u)
+    d2 = (one, -Pu / Pv)
+    Puu = np.asarray(f.p_uu(u, v), dtype=float)
+    Puv = np.asarray(f.p_uv(u, v), dtype=float)
+    Pvv = np.asarray(f.p_vv(u, v), dtype=float)
     grad1 = (2.0 * Pu + u * Puu + v * Puv, 2.0 * Pv + u * Puv + v * Pvv)
     ld1 = grad1[0] * d1[0] + grad1[1] * d1[1]
     # grad(lambda2) = (P_u, P_v); the product with d2 cancels exactly
     ld2 = Pu * d2[0] + Pv * d2[1]
-    return EigenReport(u, v, lam1, lam2, d1, d2, ld1, ld2)
+    if u.ndim == 0:
+        return EigenReport(float(u), float(v), float(lam1), float(P), (1.0, float(d1[1])),
+                           (1.0, float(d2[1])), float(ld1), float(ld2))
+    return EigenReport(u, v, lam1, P, d1, d2, ld1, ld2)
 
 
 @dataclass(frozen=True)
@@ -200,17 +210,11 @@ def classify(f: TempleFlux, samples, alpha: Optional[ScalarField2D] = None) -> C
     v = pts[:, 1]
     if np.any(u == 0.0) or np.any(v == 0.0):
         raise DegenerateDirection("samples must avoid the axes u = 0 and v = 0")
+    # raises DegenerateDirection where P_v = 0
+    res_ce = np.abs(temple_eigen(f, u, v).grad1_dot_d1)
     Pu = np.asarray(f.p_u(u, v), dtype=float)
     Pv = np.asarray(f.p_v(u, v), dtype=float)
-    scale = np.maximum(1.0, np.abs(np.asarray(f.p(u, v))))
-    if np.any(np.abs(Pv) <= DIRECTION_TOL * np.maximum(scale, np.abs(Pu))):
-        raise DegenerateDirection("P_v = 0 at a sample: d2 undefined")
-
     res_equal = np.abs(u * Pu + v * Pv)
-    ld1 = np.empty(len(u))
-    for i in range(len(u)):
-        ld1[i] = temple_eigen(f, u[i], v[i]).grad1_dot_d1
-    res_ce = np.abs(ld1)
     res_ham = np.abs(v * Pv - u * Pu)
     chart = alpha if alpha is not None else ScalarField2D.from_flux(f)
     try:

@@ -608,13 +608,7 @@ def cmd_classify(config: dict, outdir: Path) -> dict:
     if "alpha" in config:
         alpha = ScalarField2D.from_flux(flux_from_config(config["alpha"]))
     cls = classify(f, pts, alpha=alpha)
-    ld2_worst = 0.0
-    lam = []
-    for uu, vv in pts:
-        eig = temple_eigen(f, uu, vv)
-        ld2_worst = max(ld2_worst, abs(eig.grad2_dot_d2))
-        lam.append((eig.lambda1, eig.lambda2))
-    lam = np.asarray(lam)
+    eig = temple_eigen(f, pts[:, 0], pts[:, 1])
     report = {
         "constant_flux": False,
         "flags": {
@@ -626,9 +620,9 @@ def cmd_classify(config: dict, outdir: Path) -> dict:
         "residuals": cls.residuals,
         "n_samples": cls.n_samples,
         "eigen": {
-            "max_abs_grad2_dot_d2": ld2_worst,
-            "lambda1_range": [float(lam[:, 0].min()), float(lam[:, 0].max())],
-            "lambda2_range": [float(lam[:, 1].min()), float(lam[:, 1].max())],
+            "max_abs_grad2_dot_d2": float(np.max(np.abs(eig.grad2_dot_d2))),
+            "lambda1_range": [float(eig.lambda1.min()), float(eig.lambda1.max())],
+            "lambda2_range": [float(eig.lambda2.min()), float(eig.lambda2.max())],
         },
     }
     _write_json(outdir / "report.json", report)

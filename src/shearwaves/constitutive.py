@@ -187,50 +187,63 @@ def beta_from_moduli(mu0: float, mu1: float, rho: float, convention: str = "spee
     return c1 / (2.0 * c0sq)
 
 
-def solve_level_set(f: TempleFlux, a: float, u: float, v_bracket) -> float:
-    """Solve P(u, v) = a for v inside v_bracket.
+def solve_level_set(f: TempleFlux, a: float, u, v_bracket):
+    """Solve P(u, v) = a for v inside v_bracket, elementwise over u.
 
-    Bisection-safeguarded Newton: the bracket must enclose a sign change of
-    P(u, .) - a (else NoBracket); Newton steps that leave the bracket or stall
-    are replaced by bisection.  Converged when |P(u, v) - a| <= 1e-12 *
-    max(1, |a|) within 100 iterations (else NoConvergence).
+    Bisection-safeguarded Newton with a bracket per element: the bracket must
+    enclose a sign change of P(u, .) - a (else NoBracket); Newton steps that
+    leave an element's bracket or stall are replaced by bisection.  An
+    element converges when |P(u, v) - a| <= 1e-12 * max(1, |a|) within 100
+    iterations (else NoConvergence).  A scalar u returns a float, an array
+    u an array of its shape.  A failure is raised for the first failing
+    element in row-major order, and the error's coordinate is its flat index.
     """
-    lo, hi = float(v_bracket[0]), float(v_bracket[1])
-    if lo > hi:
-        lo, hi = hi, lo
+    lo0, hi0 = float(v_bracket[0]), float(v_bracket[1])
+    if lo0 > hi0:
+        lo0, hi0 = hi0, lo0
     a = float(a)
-    u = float(u)
     tol = LEVEL_SET_TOL * max(1.0, abs(a))
-
-    def g(v):
-        return float(f.p(u, v)) - a
-
-    glo, ghi = g(lo), g(hi)
-    if abs(glo) <= tol:
-        return lo
-    if abs(ghi) <= tol:
-        return hi
-    if glo * ghi > 0.0:
-        raise NoBracket(
-            f"P(u,.)-a has no sign change on [{lo}, {hi}] (values {glo:.3e}, {ghi:.3e})"
-        )
-
+    u_in = np.asarray(u, dtype=float)
+    u = u_in.ravel()
+    lo, hi = np.full(u.shape, lo0), np.full(u.shape, hi0)
+    glo = np.asarray(f.p(u, lo), dtype=float) - a
+    ghi = np.asarray(f.p(u, hi), dtype=float) - a
+    at_lo = np.abs(glo) <= tol
+    at_hi = ~at_lo & (np.abs(ghi) <= tol)
+    no_bracket = ~(at_lo | at_hi) & (glo * ghi > 0.0)
     v = 0.5 * (lo + hi)
+    v[at_lo], v[at_hi] = lo0, hi0
+    code = no_bracket.astype(int)
+    act = np.flatnonzero(~(at_lo | at_hi | no_bracket))
     for _ in range(LEVEL_SET_MAX_ITER):
-        gv = g(v)
-        if abs(gv) <= tol:
-            return v
-        if gv * glo < 0.0:
-            hi = v
-        else:
-            lo, glo = v, gv
-        dg = float(f.p_v(u, v))
-        if dg != 0.0 and np.isfinite(dg):
-            v_new = v - gv / dg
-            v = v_new if lo < v_new < hi else 0.5 * (lo + hi)
-        else:
-            v = 0.5 * (lo + hi)
-    raise NoConvergence(f"level-set solve did not reach {tol:.1e} in {LEVEL_SET_MAX_ITER} iterations")
+        uu, vv = u[act], v[act]
+        gv = np.asarray(f.p(uu, vv), dtype=float) - a
+        live = ~(np.abs(gv) <= tol)
+        act, uu, vv, gv = act[live], uu[live], vv[live], gv[live]
+        if act.size == 0:
+            break
+        left = gv * glo[act] < 0.0
+        hi[act[left]] = vv[left]
+        lo[act[~left]], glo[act[~left]] = vv[~left], gv[~left]
+        dg = np.asarray(f.p_v(uu, vv), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v_new = vv - gv / dg
+        l, h = lo[act], hi[act]
+        newton = (dg != 0.0) & np.isfinite(dg) & (l < v_new) & (v_new < h)
+        v[act] = np.where(newton, v_new, 0.5 * (l + h))
+    else:
+        code[act] = 2
+    bad = np.flatnonzero(code)
+    if bad.size:
+        k = int(bad[0])
+        if code[k] == 1:
+            raise NoBracket(
+                f"P(u,.)-a has no sign change on [{lo0}, {hi0}] "
+                f"(values {glo[k]:.3e}, {ghi[k]:.3e})", coordinate=k)
+        raise NoConvergence(
+            f"level-set solve did not reach {tol:.1e} in {LEVEL_SET_MAX_ITER} iterations",
+            coordinate=k)
+    return v.reshape(u_in.shape) if u_in.ndim else float(v[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ Every error raised by library code derives from ShearWaveError so callers
 
 
 class ShearWaveError(Exception):
-    """Base class for all domain errors."""
+    """Base class for all domain errors; ``coordinate`` is where it happened, if known."""
+
+    def __init__(self, message="", coordinate=None):
+        super().__init__(message)
+        self.coordinate = coordinate
 
 
 class NonPositiveModulus(ShearWaveError):
@@ -55,10 +59,6 @@ class HyperbolicityLoss(ShearWaveError):
 
 class BlowupDetected(ShearWaveError):
     """The gradient monitor tripped: loss of smoothness."""
-
-    def __init__(self, message, coordinate=None):
-        super().__init__(message)
-        self.coordinate = coordinate
 
 
 class InsufficientSnapshots(ShearWaveError):

@@ -15,6 +15,7 @@ import numpy as np
 from .constitutive import ShearModulus, TempleFlux, eval_Q, solve_level_set
 from .errors import (
     InconsistentField,
+    NoBracket,
     NoConvergence,
     SingularJacobian,
     StepFailure,
@@ -175,34 +176,112 @@ def eval_asymptotic_linear(beta: float, amplitude: float, theta_profile: Profile
 # plane-polarized simple wave (implicit profile equation)
 
 
-def _simple_wave_newton(beta, profile, X, tau, rho0):
-    """Damped Newton for g(rho) = rho - Phi(tau - 3 beta X rho^2) = 0."""
-    rho = float(rho0)
+def _damped_newton(residual, newton_step, unknowns, tol):
+    """Damped Newton over arrays of independent equations, each element on its own.
 
-    def g(r):
-        return r - float(profile(tau - 3.0 * beta * X * r * r))
-
-    gr = g(rho)
+    residual(u, idx) returns the residual components and their max-norm at
+    the elements idx, given their unknowns u; newton_step(u, res, idx)
+    returns the full Newton step and a flag per element that cannot step.
+    Each element tries the fractions 1, 1/2, ..., 2^-NEWTON_MAX_HALVINGS of
+    its step and takes the first that lowers its norm, until norm <= tol.
+    Returns the unknowns and a code per element: 0 converged, 1 flagged by
+    newton_step, 2 damping exhausted, 3 iteration budget exhausted.
+    """
+    u = [np.array(a, dtype=float) for a in unknowns]
+    act = np.arange(u[0].size)
+    res, err = residual(u, act)
+    code = np.zeros(act.size, dtype=int)
     for _ in range(NEWTON_MAX_ITER):
-        if abs(gr) <= SIMPLE_WAVE_TOL:
+        act = act[~(err[act] <= tol)]
+        if act.size == 0:
+            return u, code
+        step, code[act] = newton_step([a[act] for a in u], [r[act] for r in res], act)
+        ok = code[act] == 0
+        act, step = act[ok], [s[ok] for s in step]
+        left, lam = np.arange(act.size), 1.0
+        for _h in range(NEWTON_MAX_HALVINGS + 1):
+            idx = act[left]
+            trial = [a[idx] + lam * s[left] for a, s in zip(u, step)]
+            res_t, err_t = residual(trial, idx)
+            won = err_t < err[idx]
+            for old, new in zip(u + res + [err], trial + res_t + [err_t]):
+                old[idx[won]] = new[won]
+            left, lam = left[~won], 0.5 * lam
+            if left.size == 0:
+                break
+        code[act[left]] = 2
+        act = act[code[act] == 0]
+    code[act] = 3
+    return u, code
+
+
+def _point_error(cls, message, point, names="(X, tau)"):
+    """A solver error whose message and coordinate name the sample point where it failed."""
+    point = tuple(float(c) for c in point)
+    return cls(f"{message} at {names} = {point}", coordinate=point)
+
+
+def _first_failure(code, failures, X, tau):
+    """(k, error) for the first element k with a nonzero code, or None."""
+    bad = np.flatnonzero(code)
+    if bad.size == 0:
+        return None
+    k = bad[0]
+    return k, _point_error(*failures[code[k]], (np.broadcast_to(X, code.shape)[k], tau[k]))
+
+
+SIMPLE_WAVE_FAILURES = {
+    1: (NoConvergence, "simple-wave Newton hit a vanishing derivative"),
+    2: (NoConvergence, "simple-wave Newton stalled"),
+    3: (NoConvergence, f"simple-wave Newton did not reach {SIMPLE_WAVE_TOL:.0e}"),
+}
+BRANCH_SUBSTEPS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+
+def _simple_wave_solve(beta, profile, X, tau, rho, check=True):
+    """Newton for g(rho) = rho - Phi(tau - 3 beta X rho^2) = 0 at one X over an array of tau.
+
+    Returns the roots, raising at the first failing tau; with check=False,
+    returns the iterates and the failure codes of _damped_newton instead.
+    """
+    c3, c6 = 3.0 * beta * X, 6.0 * beta * X
+
+    def residual(u, idx):
+        g = u[0] - profile(tau[idx] - c3 * u[0] * u[0])
+        return [g], np.abs(g)
+
+    def newton_step(u, res, idx):
+        dg = 1.0 + c6 * u[0] * profile.deriv(tau[idx] - c3 * u[0] * u[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return [-(res[0] / dg)], (dg == 0.0) | ~np.isfinite(dg)
+
+    (rho,), code = _damped_newton(residual, newton_step, [rho], SIMPLE_WAVE_TOL)
+    if not check:
+        return rho, code
+    failure = _first_failure(code, SIMPLE_WAVE_FAILURES, X, tau)
+    if failure is not None:
+        raise failure[1]
+    return rho
+
+
+def _track_branch(beta, profile, X, tau) -> np.ndarray:
+    """Simple-wave roots at X over an array of tau, continued from the X = 0 root Phi(tau).
+
+    Each element not yet resolved retries with 1, 2, 4, ..., 256 equal
+    substeps in X, warm-starting each substep from the last.
+    """
+    rho = np.array(profile(tau), dtype=float)
+    todo = np.arange(tau.size)
+    for n_sub in BRANCH_SUBSTEPS:
+        idx, r = todo, rho[todo]
+        for j in range(1, n_sub + 1):
+            r, code = _simple_wave_solve(beta, profile, X * j / n_sub, tau[idx], r, check=False)
+            idx, r = idx[code == 0], r[code == 0]
+        rho[idx] = r
+        todo = todo[~np.isin(todo, idx)]
+        if todo.size == 0:
             return rho
-        arg = tau - 3.0 * beta * X * rho * rho
-        dg = 1.0 + 6.0 * beta * X * rho * float(profile.deriv(arg))
-        if dg == 0.0 or not np.isfinite(dg):
-            raise NoConvergence("simple-wave Newton hit a vanishing derivative")
-        step = gr / dg
-        new_rho = rho - step
-        new_gr = g(new_rho)
-        halvings = 0
-        while abs(new_gr) >= abs(gr) and halvings < NEWTON_MAX_HALVINGS:
-            step *= 0.5
-            new_rho = rho - step
-            new_gr = g(new_rho)
-            halvings += 1
-        if abs(new_gr) >= abs(gr):
-            raise NoConvergence("simple-wave Newton stalled")
-        rho, gr = new_rho, new_gr
-    raise NoConvergence(f"simple-wave Newton did not reach {SIMPLE_WAVE_TOL:.0e}")
+    raise _point_error(NoConvergence, "simple-wave branch tracking failed", (X, tau[todo[0]]))
 
 
 def eval_simple_wave(beta: float, profile: ProfileFunction, X: float, tau: float,
@@ -212,43 +291,34 @@ def eval_simple_wave(beta: float, profile: ProfileFunction, X: float, tau: float
     Solves the implicit relation rho = Phi(tau - 3*beta*X*rho^2) to 1e-12 on
     the branch continued in X from the X = 0 root rho = Phi(tau).  An explicit
     rho_guess selects a branch directly; otherwise the branch is tracked by
-    stepping X from 0 and warm-starting Newton at each substep.
+    stepping X from 0 and warm-starting Newton at each substep.  This is a
+    one-point view of the array solver behind sample_simple_wave.
     """
-    beta, X, tau = float(beta), float(X), float(tau)
-    if rho_guess is not None:
-        return _simple_wave_newton(beta, profile, X, tau, float(rho_guess))
-    rho = float(profile(tau))
-    if X == 0.0:
-        return rho
-    for n_sub in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-        try:
-            r = rho
-            for j in range(1, n_sub + 1):
-                r = _simple_wave_newton(beta, profile, X * j / n_sub, tau, r)
-            return r
-        except NoConvergence:
-            continue
-    raise NoConvergence(f"simple-wave branch tracking failed at X = {X!r}, tau = {tau!r}")
+    if rho_guess is None:
+        return float(sample_simple_wave(beta, profile, [X], [tau])[0, 0])
+    return float(_simple_wave_solve(beta, profile, float(X), np.array([float(tau)]),
+                                    np.array([float(rho_guess)]))[0])
 
 
 def sample_simple_wave(beta: float, profile: ProfileFunction, X_grid, tau_grid) -> np.ndarray:
     """Simple-wave amplitude on a rectangle, shape (len(X_grid), len(tau_grid)).
 
-    Marches in X, warm-starting each point from the previous X level.
+    Seed graph: row i is warm-started from row i-1, so each X row is one
+    array Newton over tau.  The first row starts from rho = Phi(tau), with
+    the branch-tracking substeps of _track_branch when its X is not 0, per
+    element on the points not yet resolved.  A failure raises NoConvergence
+    naming the first failing point (X, tau) in row-major order, in its
+    message and coordinate.
     """
     X_grid = np.asarray(X_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
     out = np.empty((len(X_grid), len(tau_grid)))
-    prev = None
-    for i, X in enumerate(X_grid):
-        for j, tau in enumerate(tau_grid):
-            guess = prev[j] if prev is not None else None
-            if guess is None and X != 0.0:
-                out[i, j] = eval_simple_wave(beta, profile, X, tau)
-            else:
-                seed = guess if guess is not None else float(profile(tau))
-                out[i, j] = _simple_wave_newton(beta, profile, X, tau, seed)
-        prev = out[i]
+    for i, X in enumerate(X_grid.tolist()):
+        if i == 0 and X != 0.0:
+            out[0] = _track_branch(beta, profile, X, tau_grid)
+        else:
+            out[i] = _simple_wave_solve(beta, profile, X, tau_grid,
+                                        out[i - 1] if i else profile(tau_grid))
     return out
 
 
@@ -289,86 +359,107 @@ def hodograph_forward(hd: HodographData, beta: float, theta, rho):
     return X, tau
 
 
-def hodograph_jacobian(hd: HodographData, beta: float, theta: float, rho: float) -> np.ndarray:
-    """2x2 Jacobian d(X, tau)/d(theta, rho) of the forward map."""
-    s = float(hd.phase_fn(theta))
-    ds = float(hd.phase_fn.deriv(theta))
-    dr = float(hd.radial_fn.deriv(rho))
-    d2r = float(hd.radial_fn.deriv2(rho))
-    X_theta = ds / (2.0 * beta * rho**3)
-    X_rho = -3.0 * s / (2.0 * beta * rho**4) - d2r / (2.0 * beta * rho) + dr / (2.0 * beta * rho**2)
+def hodograph_jacobian(hd: HodographData, beta: float, theta, rho) -> np.ndarray:
+    """Jacobian d(X, tau)/d(theta, rho) of the forward map, shape (2, 2, *theta.shape)."""
+    theta = np.asarray(theta, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    s = hd.phase_fn(theta)
+    ds = hd.phase_fn.deriv(theta)
+    dr = hd.radial_fn.deriv(rho)
+    d2r = hd.radial_fn.deriv2(rho)
+    # float_power is libm pow per element, the same bits as a Python float
+    # power; numpy's ** on arrays may differ from it in the last place
+    rho2, rho3, rho4 = (np.float_power(rho, k) for k in (2, 3, 4))
+    X_theta = ds / (2.0 * beta * rho3)
+    X_rho = -3.0 * s / (2.0 * beta * rho4) - d2r / (2.0 * beta * rho) + dr / (2.0 * beta * rho2)
     tau_theta = -3.0 * ds / (2.0 * rho)
-    tau_rho = 3.0 * s / (2.0 * rho**2) - 0.5 * dr + 0.5 * rho * d2r
+    tau_rho = 3.0 * s / (2.0 * rho2) - 0.5 * dr + 0.5 * rho * d2r
     return np.array([[X_theta, X_rho], [tau_theta, tau_rho]])
+
+
+HODOGRAPH_FAILURES = {
+    1: (SingularJacobian, "fold: |det J| below 1e-14 of its scale"),
+    2: (NoConvergence, "hodograph Newton damping exhausted"),
+    3: (NoConvergence, f"hodograph inversion did not reach {HODOGRAPH_TOL:.0e}"),
+}
+
+
+def _hodograph_solve(hd, beta, X, tau, theta, rho):
+    """Invert the forward map at arrays of points, seeded at (theta, rho).
+
+    One damped 2D Newton over all points, with the forward map and its
+    Jacobian evaluated once per sweep over the points still iterating.
+    Returns ((theta, rho), failure), failure as from _first_failure.
+    """
+    if beta == 0.0 or np.any(np.asarray(rho) == 0.0):
+        raise ValueError("the hodograph map needs beta != 0 and a seed with rho != 0")
+    X, tau, theta, rho = np.broadcast_arrays(*np.atleast_1d(X, tau, theta, rho))
+
+    def residual(u, idx):
+        # a trial at rho = 0 gets a NaN residual, which is never accepted
+        Xf, tf = hodograph_forward(hd, beta, u[0], np.where(u[1] == 0.0, np.nan, u[1]))
+        res = [Xf - X[idx], tf - tau[idx]]
+        return res, np.maximum(np.abs(res[0]), np.abs(res[1]))
+
+    def newton_step(u, res, idx):
+        (a, b), (c, d) = hodograph_jacobian(hd, beta, *u)
+        det = a * d - b * c
+        fold = np.abs(det) <= 1e-14 * np.maximum(np.abs(a * d) + np.abs(b * c), 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return [(-res[0] * d + res[1] * b) / det, (-res[1] * a + res[0] * c) / det], fold
+
+    u, code = _damped_newton(residual, newton_step, [theta, rho], HODOGRAPH_TOL)
+    return u, _first_failure(code, HODOGRAPH_FAILURES, X, tau)
 
 
 def hodograph_invert(hd: HodographData, beta: float, X: float, tau: float,
                      seed) -> PolarState:
     """Invert the forward map at one physical point by damped 2D Newton.
 
-    Converges when both coordinate residuals are <= 1e-10; raises
-    SingularJacobian on a fold (|det| below 1e-14 * entry scale) and
-    NoConvergence when the iteration budget or damping schedule is exhausted.
-    The map is undefined for beta = 0 and at rho = 0, so either raises
-    ValueError.
+    A one-point view of the array solver behind sample_hodograph.  Converges
+    when both coordinate residuals are <= 1e-10; raises SingularJacobian on a
+    fold (|det| below 1e-14 * entry scale) and NoConvergence when the
+    iteration budget or damping schedule is exhausted, naming (X, tau) in
+    the message and coordinate.  The map is undefined for beta = 0 and at
+    rho = 0, so either raises ValueError.
     """
-    theta, rho = float(seed[0]), float(seed[1])
-    X, tau = float(X), float(tau)
-    if beta == 0.0 or rho == 0.0:
-        raise ValueError("the hodograph map needs beta != 0 and a seed with rho != 0")
-
-    def residual(th, r):
-        Xf, tf = hodograph_forward(hd, beta, th, r)
-        return np.array([Xf - X, tf - tau])
-
-    res = residual(theta, rho)
-    for _ in range(NEWTON_MAX_ITER):
-        if np.max(np.abs(res)) <= HODOGRAPH_TOL:
-            return PolarState(np.float64(rho), np.float64(theta))
-        J = hodograph_jacobian(hd, beta, theta, rho)
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        scale = abs(J[0, 0] * J[1, 1]) + abs(J[0, 1] * J[1, 0])
-        if abs(det) <= 1e-14 * max(scale, 1e-300):
-            raise SingularJacobian(
-                f"fold at (theta, rho) = ({theta!r}, {rho!r}): |det J| = {abs(det):.3e}"
-            )
-        dth = (-res[0] * J[1, 1] + res[1] * J[0, 1]) / det
-        drh = (-res[1] * J[0, 0] + res[0] * J[1, 0]) / det
-        lam = 1.0
-        for _h in range(NEWTON_MAX_HALVINGS + 1):
-            th_new, rho_new = theta + lam * dth, rho + lam * drh
-            if rho_new != 0.0:
-                res_new = residual(th_new, rho_new)
-                if np.max(np.abs(res_new)) < np.max(np.abs(res)):
-                    theta, rho, res = th_new, rho_new, res_new
-                    break
-            lam *= 0.5
-        else:
-            raise NoConvergence("hodograph Newton damping exhausted")
-    raise NoConvergence(f"hodograph inversion did not reach {HODOGRAPH_TOL:.0e}")
+    rho, theta = sample_hodograph(hd, beta, [X], [tau], seed)
+    return PolarState(rho[0, 0], theta[0, 0])
 
 
 def sample_hodograph(hd: HodographData, beta: float, X_grid, tau_grid, seed) -> PolarState:
     """Invert the hodograph map on a coordinate rectangle.
 
-    Marches across the grid warm-starting each Newton solve from the
-    neighbouring solution; returns (rho, theta) arrays of shape
-    (len(X_grid), len(tau_grid)).
+    Seed graph: point (i, j) is warm-started from (i, j-1), and the first
+    column from (i-1, 0), starting at seed.  Column 0 is marched down X one
+    point at a time; every later tau column is then one array Newton over
+    all of X, warm-started from the previous column, so no point can change
+    branch.  A failure raises the error of the first failing point in
+    row-major order, naming its (X, tau) in the message and coordinate.
+    Returns (rho, theta) arrays of shape (len(X_grid), len(tau_grid)).
     """
     X_grid = np.asarray(X_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
     nX, nt = len(X_grid), len(tau_grid)
     rho = np.empty((nX, nt))
     theta = np.empty((nX, nt))
-    row_seed = (float(seed[0]), float(seed[1]))
-    for i in range(nX):
-        pt_seed = row_seed
-        for j in range(nt):
-            sol = hodograph_invert(hd, beta, X_grid[i], tau_grid[j], pt_seed)
-            rho[i, j], theta[i, j] = sol.rho, sol.theta
-            pt_seed = (theta[i, j], rho[i, j])
-            if j == 0:
-                row_seed = pt_seed
+    # rows before the first failure found so far; a failure at row k puts
+    # every later row after it in row-major order
+    rows, failure = (nX if nt else 0), None
+    th, r = seed[0], seed[1]
+    for i in range(rows):
+        (th, r), failure = _hodograph_solve(hd, beta, X_grid[i], tau_grid[0], th, r)
+        if failure is not None:
+            rows = i
+            break
+        theta[i, 0], rho[i, 0] = th[0], r[0]
+    for j in range(1, nt):
+        (theta[:rows, j], rho[:rows, j]), fail_j = _hodograph_solve(
+            hd, beta, X_grid[:rows], tau_grid[j], theta[:rows, j - 1], rho[:rows, j - 1])
+        if fail_j is not None:
+            rows, failure = fail_j[0], fail_j
+    if failure is not None:
+        raise failure[1]
     return PolarState(rho, theta)
 
 
@@ -381,23 +472,24 @@ def eval_overdetermined(f: TempleFlux, level: float, profile: ProfileFunction,
     """Wave riding a level set P(U, V) = level.
 
     U = F(x + direction*sqrt(level)*t) and V solves P(U, V) = level inside
-    v_bracket at every point.  Requires level > 0.
+    v_bracket, by one array solve over every point.  A failure raises the
+    NoBracket or NoConvergence of the first failing point in row-major
+    order, naming its (x, t) in the message and coordinate.  Requires
+    level > 0.
     """
     if level <= 0.0:
         raise ValueError("level must be positive (it is a squared speed)")
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     c = math.sqrt(level)
-    xi = np.asarray(x, dtype=float) + direction * c * np.asarray(t, dtype=float)
-    U = np.asarray(profile(xi), dtype=float)
-    V = np.empty_like(U, dtype=float)
-    flat_U = U.reshape(-1)
-    flat_V = V.reshape(-1)
-    for i, u in enumerate(flat_U):
-        flat_V[i] = solve_level_set(f, level, float(u), v_bracket)
-    if U.ndim == 0:
-        return StrainState(float(U), float(flat_V[0]))
-    return StrainState(U, V)
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    U = np.asarray(profile(x + direction * c * t), dtype=float)
+    try:
+        V = solve_level_set(f, level, U, v_bracket)
+    except (NoBracket, NoConvergence) as exc:
+        k = exc.coordinate
+        raise _point_error(type(exc), str(exc), (x.flat[k], t.flat[k]), "(x, t)") from exc
+    return StrainState(float(U) if U.ndim == 0 else U, V)
 
 
 # ---------------------------------------------------------------------------

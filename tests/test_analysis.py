@@ -62,6 +62,20 @@ def test_eigen_degenerate_directions():
         temple_eigen(product_flux(), 0.0, 1.0)  # d1 undefined
 
 
+@pytest.mark.parametrize("flux", [product_flux(), ratio_flux(), sum_squares_flux()],
+                         ids=["product", "ratio", "sum_squares"])
+def test_eigen_array_matches_scalar_calls(flux):
+    pts = _lattice(0.4, 1.8, 7)
+    rep = temple_eigen(flux, pts[:, 0], pts[:, 1])
+    for i, (u, v) in enumerate(pts):
+        one = temple_eigen(flux, u, v)
+        for name in ("u", "v", "lambda1", "lambda2", "grad1_dot_d1", "grad2_dot_d2"):
+            assert isinstance(getattr(one, name), float)
+            assert getattr(one, name) == getattr(rep, name)[i]
+        assert one.d1 == (rep.d1[0][i], rep.d1[1][i])
+        assert one.d2 == (rep.d2[0][i], rep.d2[1][i])
+
+
 def test_exceptionality_identity_randomized():
     rng = np.random.default_rng(11)
     fluxes = [

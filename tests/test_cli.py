@@ -389,6 +389,40 @@ def test_hodograph_fold_seed_exits_three(tmp_path):
     manifest = read_manifest(out)
     assert manifest["status"] == "error"
     assert manifest["error"]["type"] == "SingularJacobian"
+    assert manifest["error"]["coordinate"] == [-1.1, -0.1]
+
+
+def test_simple_wave_failure_names_its_point(tmp_path):
+    # past breaking, Newton warm-started from the row X = 0.5 stalls at
+    # X = 1.0 on the sixth tau node first
+    sine = {"kind": "sine", "amp": 0.5, "freq": 1.0, "offset": 1.0}
+    cfg = {"command": "exact",
+           "solution": {"kind": "simple_wave", "beta": 1.0, "profile": sine,
+                        "X": {"min": 0.0, "max": 2.0, "n": 5},
+                        "tau": {"min": 0.0, "max": TWO_PI, "n": 9}}}
+    code, out = run_cli(tmp_path, cfg, "swfail")
+    assert code == 3
+    error = read_manifest(out)["error"]
+    point = [1.0, float(np.linspace(0.0, TWO_PI, 9)[5])]
+    assert error["type"] == "NoConvergence"
+    assert error["coordinate"] == point
+    assert f"at (X, tau) = ({point[0]!r}, {point[1]!r})" in error["message"]
+
+
+def test_level_set_failure_names_its_point(tmp_path):
+    # U = sin(x) on the row t = 0: u v = 2 has no root v <= 10 once u < 0.2,
+    # first at x = 3.0
+    cfg = {"command": "exact",
+           "solution": {"kind": "overdetermined", "flux": {"kind": "product"}, "level": 2.0,
+                        "profile": {"kind": "sine", "amp": 1.0, "freq": 1.0},
+                        "x": {"min": 0.5, "max": 4.5, "n": 9},
+                        "t": {"min": 0.0, "max": 0.5, "n": 3}}}
+    code, out = run_cli(tmp_path, cfg, "lsfail")
+    assert code == 3
+    error = read_manifest(out)["error"]
+    assert error["type"] == "NoBracket"
+    assert error["coordinate"] == [3.0, 0.0]
+    assert "at (x, t) = (3.0, 0.0)" in error["message"]
 
 
 def test_scalar_convergence_past_breaking_exits_three(tmp_path):

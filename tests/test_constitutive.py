@@ -185,3 +185,17 @@ def test_level_set_requires_sign_change():
     f = sum_squares_flux()
     with pytest.raises(NoBracket):
         solve_level_set(f, 100.0, 0.5, (0.0, 1.0))
+
+
+def test_level_set_array_matches_scalar_solves():
+    # P = u/v from the bracket midpoint v = 5: the first Newton step lands
+    # at 10 - 50/u, outside the bracket for u < 5, so those elements bisect
+    # while the others take Newton steps
+    f = ratio_flux()
+    u = np.linspace(0.5, 8.0, 16).reshape(4, 4)
+    v = solve_level_set(f, 2.0, u, (1e-8, 10.0))
+    assert v.shape == u.shape
+    scalar = [solve_level_set(f, 2.0, float(x), (1e-8, 10.0)) for x in u.ravel()]
+    assert all(isinstance(x, float) for x in scalar)
+    np.testing.assert_array_equal(v.ravel(), scalar)
+    np.testing.assert_allclose(v, u / 2.0, rtol=1e-12)

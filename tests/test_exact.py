@@ -15,7 +15,7 @@ from shearwaves.constitutive import (
     ratio_flux,
     sum_squares_flux,
 )
-from shearwaves.errors import InconsistentField, SingularJacobian
+from shearwaves.errors import InconsistentField, NoConvergence, SingularJacobian
 from shearwaves.exact import (
     CarrollWave,
     HodographData,
@@ -188,6 +188,25 @@ def test_simple_wave_branch_guess():
     assert r_seed == pytest.approx(r_cont, abs=1e-9)
 
 
+def test_simple_wave_branch_tracking_matches_point_view():
+    # at X = 1.5 Newton started from Phi(tau) fails on some tau, so the first
+    # row needs branch-tracking substeps
+    beta, X = 0.5, np.array([1.5, 1.55])
+    prof = sine_profile(0.5, 2.0, offset=1.0)
+    tau = np.linspace(0.0, 2.0 * math.pi, 9)
+    direct_fails = 0
+    for t in tau:
+        try:
+            eval_simple_wave(beta, prof, X[0], t, rho_guess=prof(t))
+        except NoConvergence:
+            direct_fails += 1
+    assert direct_fails > 0
+    rho = sample_simple_wave(beta, prof, X, tau)
+    np.testing.assert_array_equal(rho[0], [eval_simple_wave(beta, prof, X[0], t) for t in tau])
+    np.testing.assert_array_equal(
+        rho[1], [eval_simple_wave(beta, prof, X[1], t, rho_guess=r) for t, r in zip(tau, rho[0])])
+
+
 def test_simple_wave_pde_after_sign_flip():
     # the implicit family built with -beta satisfies rho_X = 3 beta rho^2 rho_tau
     beta = 0.5
@@ -283,6 +302,26 @@ def test_hodograph_fold_raises():
                        radial_fn=poly_profile([0.0, 0.0, 1.0]))
     with pytest.raises(SingularJacobian):
         hodograph_invert(hd, 1.0, -3.0, 4.0, seed=(0.0, 1.0))
+
+
+def test_sample_hodograph_pinned_values():
+    # corners and centre of scripts/configs/hodograph.json, as sampled by the
+    # point-by-point solver this one replaced
+    hd = HodographData(phase_fn=linear_profile(1.0),
+                       radial_fn=poly_profile([0.0, 0.0, 1.0]))
+    X = np.linspace(-0.55, -0.45, 65)
+    tau = np.linspace(-1.7, -1.3, 65)
+    rho, theta = sample_hodograph(hd, 1.0, X, tau, seed=(0.5, 1.0))
+    pinned = {
+        (0, 0): (1.1221672153371889, 1.2717895107188977),
+        (0, 64): (0.9813067628806141, 0.8504658611913934),
+        (64, 0): (1.015038437831025, 1.150376896208495),
+        (64, 64): (0.8876253645581599, 0.7692753159759081),
+        (32, 32): (0.9999999999742731, 0.999999999992994),
+    }
+    for (i, j), (r, th) in pinned.items():
+        assert abs(rho[i, j] - r) <= 1e-13
+        assert abs(theta[i, j] - th) <= 1e-13
 
 
 def test_sample_hodograph_grid_orientation():
