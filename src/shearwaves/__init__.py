@@ -24,7 +24,6 @@ from .errors import (
     OracleFailure,
     ShearWaveError,
     SingularJacobian,
-    StepFailure,
 )
 from .profiles import (
     ProfileFunction,
@@ -35,7 +34,6 @@ from .profiles import (
     sine_profile,
 )
 from .constitutive import (
-    AsymptoticCoefficients,
     ShearModulus,
     TempleFlux,
     beta_from_moduli,
@@ -83,7 +81,6 @@ from .analysis import (
     ClassificationReport,
     DiagonalForm,
     EigenReport,
-    ScalarField2D,
     classify,
     compatibility_residuals,
     construct_temple_flux,

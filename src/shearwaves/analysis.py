@@ -22,80 +22,12 @@ from .errors import (
     DegenerateDirection,
 )
 from .numerics import rk4_integrate
-from .profiles import ProfileFunction, _fd_step
+from .profiles import ProfileFunction
 
 FLAG_SET_TOL = 1e-8
 FLAG_CLEAR_TOL = 1e-4
 DIRECTION_TOL = 1e-14
 SPEED_GAP_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ScalarField2D:
-    """A scalar field of (u, v) with partial derivatives.
-
-    Missing partials fall back to central differences
-    (step 1e-6 * max(1, |arg|); second differences use 1e-4).
-    """
-
-    f: Callable
-    fu: Optional[Callable] = None
-    fv: Optional[Callable] = None
-    fuu: Optional[Callable] = None
-    fuv: Optional[Callable] = None
-    fvv: Optional[Callable] = None
-    name: str = "field"
-
-    def __call__(self, u, v):
-        return self.f(u, v)
-
-    def d_u(self, u, v):
-        if self.fu is not None:
-            return self.fu(u, v)
-        h = _fd_step(u)
-        return (self.f(u + h, v) - self.f(u - h, v)) / (2.0 * h)
-
-    def d_v(self, u, v):
-        if self.fv is not None:
-            return self.fv(u, v)
-        h = _fd_step(v)
-        return (self.f(u, v + h) - self.f(u, v - h)) / (2.0 * h)
-
-    def d_uu(self, u, v):
-        if self.fuu is not None:
-            return self.fuu(u, v)
-        h = 1e-4 * np.maximum(1.0, np.abs(u))
-        return (self.f(u + h, v) - 2.0 * self.f(u, v) + self.f(u - h, v)) / (h * h)
-
-    def d_vv(self, u, v):
-        if self.fvv is not None:
-            return self.fvv(u, v)
-        h = 1e-4 * np.maximum(1.0, np.abs(v))
-        return (self.f(u, v + h) - 2.0 * self.f(u, v) + self.f(u, v - h)) / (h * h)
-
-    def d_uv(self, u, v):
-        if self.fuv is not None:
-            return self.fuv(u, v)
-        hu = 1e-4 * np.maximum(1.0, np.abs(u))
-        hv = 1e-4 * np.maximum(1.0, np.abs(v))
-        return (
-            self.f(u + hu, v + hv)
-            - self.f(u + hu, v - hv)
-            - self.f(u - hu, v + hv)
-            + self.f(u - hu, v - hv)
-        ) / (4.0 * hu * hv)
-
-    @classmethod
-    def from_flux(cls, flux: TempleFlux) -> "ScalarField2D":
-        return cls(
-            f=flux.p,
-            fu=flux.p_u,
-            fv=flux.p_v,
-            fuu=flux.p_uu,
-            fuv=flux.p_uv,
-            fvv=flux.p_vv,
-            name=flux.name,
-        )
 
 
 @dataclass(frozen=True)
@@ -175,10 +107,10 @@ def _flag(residual_max: float) -> Optional[bool]:
     return None
 
 
-def _decoupling_residual(alpha: ScalarField2D, u, v):
+def _decoupling_residual(alpha: TempleFlux, u, v):
     """Residual of d(alpha_u u + alpha_v v)/d(u/v) = 0 in the (alpha, u/v) chart."""
-    au = alpha.d_u(u, v)
-    av = alpha.d_v(u, v)
+    au = alpha.p_u(u, v)
+    av = alpha.p_v(u, v)
     bu = 1.0 / v
     bv = -u / (v * v)
     det = au * bv - av * bu
@@ -187,12 +119,12 @@ def _decoupling_residual(alpha: ScalarField2D, u, v):
         raise ChartFailure("(alpha, u/v) change of variables is singular at a sample")
     du_db = -av / det
     dv_db = au / det
-    Eu = alpha.d_uu(u, v) * u + alpha.d_u(u, v) + alpha.d_uv(u, v) * v
-    Ev = alpha.d_uv(u, v) * u + alpha.d_vv(u, v) * v + alpha.d_v(u, v)
+    Eu = alpha.p_uu(u, v) * u + alpha.p_u(u, v) + alpha.p_uv(u, v) * v
+    Ev = alpha.p_uv(u, v) * u + alpha.p_vv(u, v) * v + alpha.p_v(u, v)
     return du_db * Eu + dv_db * Ev
 
 
-def classify(f: TempleFlux, samples, alpha: Optional[ScalarField2D] = None) -> ClassificationReport:
+def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> ClassificationReport:
     """Two-threshold structure classification over an array of (u, v) samples.
 
     samples: array-like of shape (n, 2).  The decoupling test runs in the
@@ -216,7 +148,7 @@ def classify(f: TempleFlux, samples, alpha: Optional[ScalarField2D] = None) -> C
     Pv = np.asarray(f.p_v(u, v), dtype=float)
     res_equal = np.abs(u * Pu + v * Pv)
     res_ham = np.abs(v * Pv - u * Pu)
-    chart = alpha if alpha is not None else ScalarField2D.from_flux(f)
+    chart = alpha if alpha is not None else f
     try:
         dec_max = float(np.max(np.abs(_decoupling_residual(chart, u, v))))
         dec_flag = _flag(dec_max)
@@ -252,7 +184,7 @@ class CompatibilityResiduals(NamedTuple):
     g5: float
 
 
-def compatibility_residuals(A: ScalarField2D, B: ScalarField2D, phi: ScalarField2D,
+def compatibility_residuals(A: TempleFlux, B: TempleFlux, phi: TempleFlux,
                             u, v) -> CompatibilityResiduals:
     """Residuals of restricting u_t = [A]_x, v_t = [B]_x to a level set of phi.
 
@@ -267,14 +199,14 @@ def compatibility_residuals(A: ScalarField2D, B: ScalarField2D, phi: ScalarField
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    pu = np.asarray(phi.d_u(u, v), dtype=float)
-    pv = np.asarray(phi.d_v(u, v), dtype=float)
+    pu = np.asarray(phi.p_u(u, v), dtype=float)
+    pv = np.asarray(phi.p_v(u, v), dtype=float)
     if np.any(np.abs(pv) <= 1e-14 * np.maximum(1.0, np.abs(pu))):
         raise DegenerateConstraint("phi_v = 0 at a sample: level set is not a v-graph")
-    Au = np.asarray(A.d_u(u, v), dtype=float)
-    Av = np.asarray(A.d_v(u, v), dtype=float)
-    Bu = np.asarray(B.d_u(u, v), dtype=float)
-    Bv = np.asarray(B.d_v(u, v), dtype=float)
+    Au = np.asarray(A.p_u(u, v), dtype=float)
+    Av = np.asarray(A.p_v(u, v), dtype=float)
+    Bu = np.asarray(B.p_u(u, v), dtype=float)
+    Bv = np.asarray(B.p_v(u, v), dtype=float)
     g4 = Bu * pv**2 + (Au - Bv) * pu * pv - Av * pu**2
     k = Au - Av * pu / pv
     g5 = float(np.var(np.atleast_1d(k)))
@@ -285,13 +217,13 @@ def compatibility_residuals(A: ScalarField2D, B: ScalarField2D, phi: ScalarField
 class FluxPair:
     """Conservative pair (A, B) compatible with every level set of phi."""
 
-    A: ScalarField2D
-    B: ScalarField2D
-    phi: ScalarField2D
+    A: TempleFlux
+    B: TempleFlux
+    phi: TempleFlux
 
 
 def construct_temple_flux(H: ProfileFunction, Phi: ProfileFunction, Psi: ProfileFunction,
-                          phi: ScalarField2D, check_points=None) -> FluxPair:
+                          phi: TempleFlux, check_points=None) -> FluxPair:
     """Build the compatible pair A = H(phi) u + Phi(phi), B = H(phi) v + Psi(phi).
 
     The constructed pair satisfies the g4 compatibility residual identically;
@@ -300,7 +232,7 @@ def construct_temple_flux(H: ProfileFunction, Phi: ProfileFunction, Psi: Profile
     coefficient seen through phi, the pair reduces to (P u, P v).
     """
 
-    def make_field(extra: ProfileFunction, carrier: str) -> ScalarField2D:
+    def make_field(extra: ProfileFunction, carrier: str) -> TempleFlux:
         def value(u, v):
             w = u if carrier == "u" else v
             s = phi(u, v)
@@ -309,16 +241,16 @@ def construct_temple_flux(H: ProfileFunction, Phi: ProfileFunction, Psi: Profile
         def d_u(u, v):
             w = u if carrier == "u" else v
             s = phi(u, v)
-            base = H.deriv(s) * phi.d_u(u, v) * w + extra.deriv(s) * phi.d_u(u, v)
+            base = H.deriv(s) * phi.p_u(u, v) * w + extra.deriv(s) * phi.p_u(u, v)
             return base + (H(s) if carrier == "u" else 0.0)
 
         def d_v(u, v):
             w = u if carrier == "u" else v
             s = phi(u, v)
-            base = H.deriv(s) * phi.d_v(u, v) * w + extra.deriv(s) * phi.d_v(u, v)
+            base = H.deriv(s) * phi.p_v(u, v) * w + extra.deriv(s) * phi.p_v(u, v)
             return base + (H(s) if carrier == "v" else 0.0)
 
-        return ScalarField2D(f=value, fu=d_u, fv=d_v, name=f"H*{carrier}+{extra.name}")
+        return TempleFlux(p=value, pu=d_u, pv=d_v, name=f"H*{carrier}+{extra.name}")
 
     A = make_field(Phi, "u")
     B = make_field(Psi, "v")
@@ -348,19 +280,19 @@ class DiagonalForm:
     """
 
     flux: TempleFlux
-    alpha: ScalarField2D
+    alpha: TempleFlux
     R: ProfileFunction
 
     def alpha_speed(self, u, v):
         a = self.alpha(u, v)
-        stretch = self.alpha.d_u(u, v) * u + self.alpha.d_v(u, v) * v
+        stretch = self.alpha.p_u(u, v) * u + self.alpha.p_v(u, v) * v
         return self.R.deriv(a) * stretch + self.R(a)
 
     def ratio_speed(self, u, v):
         return self.R(self.alpha(u, v))
 
 
-def diagonal_form(f: TempleFlux, alpha: ScalarField2D, R: ProfileFunction,
+def diagonal_form(f: TempleFlux, alpha: TempleFlux, R: ProfileFunction,
                   samples=None, rtol: float = 1e-10) -> DiagonalForm:
     """Validate P = R(alpha) on samples and return the diagonal-form bundle."""
     if samples is None:

@@ -40,7 +40,7 @@ from .exact import (
     sample_simple_wave,
     strain_to_polar,
 )
-from .analysis import ScalarField2D, classify, temple_eigen
+from .analysis import classify, temple_eigen
 from .profiles import profile_from_config
 from .simulate import Grid1D, SimulationConfig, evolve_asymptotic, evolve_full, evolve_scalar
 from .verify import (
@@ -154,18 +154,15 @@ SIMULATE_SCHEMA = {
     "required": ["system", "grid", "run", "init"],
     "additionalProperties": False,
 }
+CARROLL_BLOCK = _kind("carroll", {"amplitude": POS_NUM, "wavenumber": POS_NUM,
+                                  "polarization": SIGN}, ["amplitude", "wavenumber"])
+CONSTANT_AMPLITUDE_BLOCK = _kind("constant_amplitude", {"amplitude": POS_NUM, "profile": PROFILE},
+                                 ["amplitude", "profile"])
 INIT_SCHEMAS = {
-    "full": {
-        "oneOf": [
-            _kind("carroll", {"amplitude": POS_NUM, "wavenumber": POS_NUM,
-                              "polarization": SIGN}, ["amplitude", "wavenumber"]),
-            _kind("zero", {}),
-        ]
-    },
+    "full": {"oneOf": [CARROLL_BLOCK, _kind("zero", {})]},
     "asymptotic": {
         "oneOf": [
-            _kind("constant_amplitude", {"amplitude": POS_NUM, "profile": PROFILE},
-                  ["amplitude", "profile"]),
+            CONSTANT_AMPLITUDE_BLOCK,
             _kind("plane", {"profile": PROFILE}, ["profile"]),
         ]
     },
@@ -281,9 +278,7 @@ VERIFY_SCHEMA = {
 VERIFY_SOLUTION_SCHEMAS = {
     "carroll": _kind("carroll", {"modulus": MODULUS, "amplitude": POS_NUM,
                                  "wavenumber": POS_NUM}, ["modulus", "amplitude", "wavenumber"]),
-    "constant_amplitude": _kind("constant_amplitude",
-                                {"amplitude": POS_NUM, "profile": PROFILE},
-                                ["amplitude", "profile"]),
+    "constant_amplitude": CONSTANT_AMPLITUDE_BLOCK,
     "hodograph": _kind("hodograph", {"phase": PROFILE, "radial": PROFILE,
                                      "seed": {"type": "array", "items": NUM,
                                               "minItems": 2, "maxItems": 2}},
@@ -313,10 +308,8 @@ CONVERGENCE_SCHEMA = {
     "additionalProperties": False,
 }
 ORACLE_SCHEMAS = {
-    "full": _kind("carroll", {"amplitude": POS_NUM, "wavenumber": POS_NUM,
-                              "polarization": SIGN}, ["amplitude", "wavenumber"]),
-    "asymptotic": _kind("constant_amplitude", {"amplitude": POS_NUM, "profile": PROFILE},
-                        ["amplitude", "profile"]),
+    "full": CARROLL_BLOCK,
+    "asymptotic": CONSTANT_AMPLITUDE_BLOCK,
     "scalar": _kind("simple_wave", {"profile": PROFILE}, ["profile"]),
 }
 
@@ -604,9 +597,7 @@ def cmd_classify(config: dict, outdir: Path) -> dict:
         _write_json(outdir / "report.json", report)
         return {}
 
-    alpha = None
-    if "alpha" in config:
-        alpha = ScalarField2D.from_flux(flux_from_config(config["alpha"]))
+    alpha = flux_from_config(config["alpha"]) if "alpha" in config else None
     cls = classify(f, pts, alpha=alpha)
     eig = temple_eigen(f, pts[:, 0], pts[:, 1])
     report = {

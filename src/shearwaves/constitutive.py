@@ -1,7 +1,8 @@
 """Constitutive inputs: shear modulus functions and 2x2 flux families.
 
 The modulus Q acts on the squared strain magnitude s = U^2 + V^2; the flux
-P(u, v) multiplies both components of the reduced 2x2 system.  Both carry
+P(u, v) multiplies both components of the reduced 2x2 system, and the same
+TempleFlux type carries its charts and level-set functions.  Both carry
 optional analytic derivatives with central-difference fallbacks
 (step 1e-6 * max(1, |arg|)).
 """
@@ -13,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NoBracket, NoConvergence, NonPositiveModulus
-from .profiles import _fd_step
+from .profiles import FD2_REL_STEP, _fd_step, derivative
 
 LEVEL_SET_TOL = 1e-12
 LEVEL_SET_MAX_ITER = 100
@@ -38,12 +39,7 @@ class ShearModulus:
             raise ValueError(f"rho must be positive, got {self.rho}")
 
     def dq_eval(self, s):
-        if self.dq is not None:
-            return self.dq(np.asarray(s, dtype=float)) if np.ndim(s) else float(self.dq(s))
-        s = np.asarray(s, dtype=float)
-        h = _fd_step(s)
-        out = (self.q(s + h) - self.q(s - h)) / (2.0 * h)
-        return out if out.ndim else float(out)
+        return derivative(self.q, self.dq, s)
 
     @property
     def mu0(self) -> float:
@@ -68,17 +64,21 @@ def eval_Q(m: ShearModulus, s):
         raise ValueError("squared strain magnitude must be non-negative")
     out = np.asarray(m.q(s), dtype=float)
     if np.any(out <= 0.0):
-        bad = s.flat[int(np.argmax(np.asarray(out <= 0.0)))] if out.ndim else float(s)
+        bad = float(s.flat[int(np.argmax(np.asarray(out <= 0.0)))]) if out.ndim else float(s)
         raise NonPositiveModulus(f"Q({bad!r}) <= 0 for modulus {m.name!r}")
     return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
 class TempleFlux:
-    """Flux coefficient P(u, v) of the reduced system u_t = [P u]_x, v_t = [P v]_x.
+    """A scalar function P(u, v) with its first and second partial derivatives.
 
-    First (and optionally second) partial derivatives may be supplied; missing
-    ones fall back to central differences.
+    It is the flux coefficient of the reduced system u_t = [P u]_x,
+    v_t = [P v]_x, and equally a decoupling chart alpha, a level-set function
+    phi or one member of a conservative pair (A, B).  Missing partials fall
+    back to central differences (step 1e-6 * max(1, |arg|)): a second partial
+    differences a supplied first partial, else takes a second difference of p
+    (step 1e-4 * max(1, |arg|)).
     """
 
     p: Callable
@@ -105,16 +105,13 @@ class TempleFlux:
         h = _fd_step(v)
         return (self.p(u, v + h) - self.p(u, v - h)) / (2.0 * h)
 
-    def _second_step(self, w):
-        return 1e-4 * np.maximum(1.0, np.abs(w))
-
     def p_uu(self, u, v):
         if self.puu is not None:
             return self.puu(u, v)
         if self.pu is not None:
             h = _fd_step(u)
             return (self.pu(u + h, v) - self.pu(u - h, v)) / (2.0 * h)
-        h = self._second_step(u)
+        h = _fd_step(u, FD2_REL_STEP)
         return (self.p(u + h, v) - 2.0 * self.p(u, v) + self.p(u - h, v)) / (h * h)
 
     def p_vv(self, u, v):
@@ -123,7 +120,7 @@ class TempleFlux:
         if self.pv is not None:
             h = _fd_step(v)
             return (self.pv(u, v + h) - self.pv(u, v - h)) / (2.0 * h)
-        h = self._second_step(v)
+        h = _fd_step(v, FD2_REL_STEP)
         return (self.p(u, v + h) - 2.0 * self.p(u, v) + self.p(u, v - h)) / (h * h)
 
     def p_uv(self, u, v):
@@ -135,35 +132,14 @@ class TempleFlux:
         if self.pv is not None:
             h = _fd_step(u)
             return (self.pv(u + h, v) - self.pv(u - h, v)) / (2.0 * h)
-        hu = self._second_step(u)
-        hv = self._second_step(v)
+        hu = _fd_step(u, FD2_REL_STEP)
+        hv = _fd_step(v, FD2_REL_STEP)
         return (
             self.p(u + hu, v + hv)
             - self.p(u + hu, v - hv)
             - self.p(u - hu, v + hv)
             + self.p(u - hu, v - hv)
         ) / (4.0 * hu * hv)
-
-
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    """Weak-nonlinearity coefficient beta with its derivation record."""
-
-    beta: float
-    mu0: Optional[float] = None
-    mu1: Optional[float] = None
-    rho: Optional[float] = None
-    convention: str = "speed"
-
-    @classmethod
-    def from_moduli(cls, mu0, mu1, rho, convention: str = "speed"):
-        return cls(
-            beta=beta_from_moduli(mu0, mu1, rho, convention),
-            mu0=float(mu0),
-            mu1=float(mu1),
-            rho=float(rho),
-            convention=convention,
-        )
 
 
 def beta_from_moduli(mu0: float, mu1: float, rho: float, convention: str = "speed") -> float:

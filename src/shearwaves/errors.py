@@ -29,10 +29,6 @@ class SingularJacobian(ShearWaveError):
     """A Newton Jacobian is numerically singular (fold / degenerate map)."""
 
 
-class StepFailure(ShearWaveError):
-    """A time integrator produced a non-finite state."""
-
-
 class InconsistentField(ShearWaveError):
     """Quadrature along independent paths disagrees beyond discretization error."""
 
@@ -58,7 +54,7 @@ class HyperbolicityLoss(ShearWaveError):
 
 
 class BlowupDetected(ShearWaveError):
-    """The gradient monitor tripped: loss of smoothness."""
+    """A time integrator produced a non-finite state, or the gradient monitor tripped."""
 
 
 class InsufficientSnapshots(ShearWaveError):

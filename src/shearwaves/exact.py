@@ -18,7 +18,6 @@ from .errors import (
     NoBracket,
     NoConvergence,
     SingularJacobian,
-    StepFailure,
 )
 from .numerics import cumtrapz, rk4_integrate
 from .profiles import ProfileFunction
@@ -552,7 +551,7 @@ def eval_separable(f: Union[TempleFlux, Callable], k: float, phi0: float, dphi0:
 
     f is either a product-form flux (P(u, v) = g(u v), verified on samples)
     or the scalar factor g itself.  k = 0 degenerates to free motion
-    phi = phi0 + dphi0 * t.  Raises StepFailure if phi leaves the domain
+    phi = phi0 + dphi0 * t.  Raises BlowupDetected if phi leaves the domain
     where the modulus can be evaluated (non-finite state).
     """
     g = _product_scalar(f)

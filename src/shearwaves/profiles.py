@@ -14,10 +14,25 @@ from typing import Callable, Optional
 import numpy as np
 
 FD_REL_STEP = 1e-6
+# step of differences of a difference: larger, to keep the noise floor down
+FD2_REL_STEP = 1e-4
 
 
-def _fd_step(s):
-    return FD_REL_STEP * np.maximum(1.0, np.abs(s))
+def _fd_step(s, rel_step: float = FD_REL_STEP):
+    return rel_step * np.maximum(1.0, np.abs(s))
+
+
+def derivative(f: Callable, df: Optional[Callable], s, rel_step: float = FD_REL_STEP):
+    """df(s), or else the central difference of f at s with step rel_step * max(1, |s|).
+
+    A scalar s returns a float, an array s an array.
+    """
+    if df is not None:
+        return df(np.asarray(s, dtype=float)) if np.ndim(s) else float(df(s))
+    s = np.asarray(s, dtype=float)
+    h = _fd_step(s, rel_step)
+    out = (f(s + h) - f(s - h)) / (2.0 * h)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -44,22 +59,11 @@ class ProfileFunction:
         return self.f(np.asarray(s, dtype=float)) if np.ndim(s) else float(self.f(s))
 
     def deriv(self, s):
-        if self.df is not None:
-            return self.df(np.asarray(s, dtype=float)) if np.ndim(s) else float(self.df(s))
-        s = np.asarray(s, dtype=float)
-        h = _fd_step(s)
-        out = (self.f(s + h) - self.f(s - h)) / (2.0 * h)
-        return out if out.ndim else float(out)
+        return derivative(self.f, self.df, s)
 
     def deriv2(self, s):
-        if self.d2f is not None:
-            return self.d2f(np.asarray(s, dtype=float)) if np.ndim(s) else float(self.d2f(s))
-        # difference the (possibly analytic) first derivative; a slightly larger
-        # step keeps the noise floor acceptable when deriv is itself FD
-        s = np.asarray(s, dtype=float)
-        h = 1e-4 * np.maximum(1.0, np.abs(s))
-        out = (np.asarray(self.deriv(s + h)) - np.asarray(self.deriv(s - h))) / (2.0 * h)
-        return out if out.ndim else float(out)
+        # difference the (possibly analytic) first derivative
+        return derivative(self.deriv, self.d2f, s, rel_step=FD2_REL_STEP)
 
 
 def linear_profile(k: float) -> ProfileFunction:

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from shearwaves.analysis import (
-    ScalarField2D,
     classify,
     compatibility_residuals,
     construct_temple_flux,
@@ -12,6 +11,7 @@ from shearwaves.analysis import (
     temple_eigen,
 )
 from shearwaves.constitutive import (
+    TempleFlux,
     cubic_modulus,
     modulus_flux,
     mooney_rivlin,
@@ -123,9 +123,18 @@ def test_classify_sum_squares_not_hamiltonian():
 
 
 def test_classify_explicit_singular_chart_raises():
-    chart = ScalarField2D.from_flux(ratio_flux())
+    chart = ratio_flux()
     with pytest.raises(ChartFailure):
         classify(ratio_flux(), _lattice(), alpha=chart)
+
+
+def test_classify_hand_built_chart_matches_analytic_chart():
+    # only p is given: every partial of the chart comes from differences of p
+    chart = TempleFlux(p=lambda u, v: u * v)
+    analytic = classify(product_flux(), _lattice(), alpha=product_flux())
+    rep = classify(product_flux(), _lattice(), alpha=chart)
+    assert analytic.decouples is True
+    assert rep.decouples is analytic.decouples
 
 
 def test_classify_rejects_axis_samples():
@@ -138,7 +147,7 @@ def test_classify_rejects_axis_samples():
 
 
 def _field(fun, fu, fv):
-    return ScalarField2D(f=fun, fu=fu, fv=fv)
+    return TempleFlux(p=fun, pu=fu, pv=fv)
 
 
 def test_compatibility_linear_pair_is_exact():
@@ -198,7 +207,7 @@ def test_diagonal_form_product_chart():
     # P = (uv)^2 = R(alpha) with alpha = uv, R(a) = a^2:
     # the alpha-speed is 2 alpha R' + R = 5 alpha^2
     f = poly_flux([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    alpha = ScalarField2D.from_flux(product_flux())
+    alpha = product_flux()
     form = diagonal_form(f, alpha, poly_profile([0.0, 0.0, 1.0]))
     u, v = 1.2, 0.8
     a = u * v
@@ -208,8 +217,7 @@ def test_diagonal_form_product_chart():
 
 def test_diagonal_form_rejects_wrong_chart():
     with pytest.raises(ValueError):
-        diagonal_form(sum_squares_flux(), ScalarField2D.from_flux(product_flux()),
-                      poly_profile([0.0, 0.0, 1.0]))
+        diagonal_form(sum_squares_flux(), product_flux(), poly_profile([0.0, 0.0, 1.0]))
 
 
 def test_s2_homogeneous_closed_form():

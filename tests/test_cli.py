@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,35 @@ def test_classify_constant_flux_special_case(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["constant_flux"] is True
     assert report["flags"]["completely_exceptional"] is True
+
+
+def classify_config(kind, alpha=None):
+    cfg = {
+        "command": "classify",
+        "flux": {"kind": kind},
+        "samples": {"u": {"min": 0.5, "max": 1.5, "n": 5},
+                    "v": {"min": 0.5, "max": 1.5, "n": 5}},
+    }
+    if alpha is not None:
+        cfg["alpha"] = {"kind": alpha}
+    return cfg
+
+
+def test_classify_flux_as_its_own_chart(tmp_path):
+    code, out = run_cli(tmp_path, classify_config("product", alpha="product"), "cla")
+    assert code == 0
+    code_default, out_default = run_cli(tmp_path, classify_config("product"), "cld")
+    assert code_default == 0
+    assert (json.loads((out / "report.json").read_text())
+            == json.loads((out_default / "report.json").read_text()))
+
+
+def test_classify_singular_chart_exits_three(tmp_path):
+    code, out = run_cli(tmp_path, classify_config("ratio", alpha="ratio"), "clr")
+    assert code == 3
+    manifest = read_manifest(out)
+    assert manifest["status"] == "error"
+    assert manifest["error"]["type"] == "ChartFailure"
 
 
 def test_verify_positive_study(tmp_path):
@@ -372,6 +402,23 @@ def test_simulate_blowup_exits_three(tmp_path):
     assert manifest["status"] == "error"
     assert manifest["error"]["type"] == "BlowupDetected"
     assert 0.0 < manifest["error"]["coordinate"] < 5.0
+
+
+def test_separable_blowup_exits_three(tmp_path):
+    # phi'' = phi^3 from phi = phi' = 1 blows up before t = 5
+    cfg = {"command": "exact",
+           "solution": {"kind": "separable", "flux": {"kind": "product"},
+                        "k": 1.0, "phi0": 1.0, "dphi0": 1.0,
+                        "x": {"min": -1.0, "max": 1.0, "n": 5},
+                        "t": {"min": 0.0, "max": 5.0, "n": 51}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, cfg, "sepblow")
+    assert code == 3
+    error = read_manifest(out)["error"]
+    assert error["type"] == "BlowupDetected"
+    assert error["coordinate"] == pytest.approx(1.6)
+    assert "t = 1.6" in error["message"]
 
 
 def test_hodograph_fold_seed_exits_three(tmp_path):

@@ -66,6 +66,14 @@ def test_eval_q_guards():
         eval_Q(m, -0.5)
 
 
+@pytest.mark.parametrize("s", [2.0, np.array([0.5, 2.0])])
+def test_eval_q_error_names_a_plain_float(s):
+    with pytest.raises(NonPositiveModulus) as info:
+        eval_Q(cubic_modulus(1.0, -0.5), s)
+    assert "Q(2.0)" in str(info.value)
+    assert "np.float64" not in str(info.value)
+
+
 def test_negative_rho_rejected():
     with pytest.raises(ValueError):
         ShearModulus(q=lambda s: 1.0 + s, rho=-1.0)
