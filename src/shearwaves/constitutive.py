@@ -58,13 +58,20 @@ class ShearModulus:
 
 
 def eval_Q(m: ShearModulus, s):
-    """Evaluate Q(s) for s >= 0; raise NonPositiveModulus if Q <= 0 anywhere."""
+    """Evaluate Q(s) for s >= 0; raise NonPositiveModulus if Q <= 0 anywhere.
+
+    Q is broadcast to the shape of s, so a modulus that returns a constant
+    still gives one value per point; a scalar s returns a float.  Each check
+    is one NaN-ignoring min reduction, so NaN passes through unflagged.
+    """
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
+    if s.size and np.fmin.reduce(s, axis=None) < 0.0:
         raise ValueError("squared strain magnitude must be non-negative")
     out = np.asarray(m.q(s), dtype=float)
-    if np.any(out <= 0.0):
-        bad = float(s.flat[int(np.argmax(np.asarray(out <= 0.0)))]) if out.ndim else float(s)
+    if out.shape != s.shape:
+        out = np.broadcast_to(out, s.shape).copy()
+    if s.size and np.fmin.reduce(out, axis=None) <= 0.0:
+        bad = float(s.flat[int(np.argmax(out <= 0.0))])
         raise NonPositiveModulus(f"Q({bad!r}) <= 0 for modulus {m.name!r}")
     return out if out.ndim else float(out)
 

@@ -4,7 +4,11 @@ Two schemes share one kernel: first-order local Lax-Friedrichs (Rusanov
 interface flux) and second-order MUSCL-Hancock with minmod-limited slopes.
 All systems are advanced in conservation form w_t + f(w)_x = 0 with local
 wave-speed bounds feeding the CFL step; a gradient monitor watches for loss
-of smoothness.
+of smoothness.  Each evolve_* function hands the kernel its system as one
+ConservationLaw, whose flux and wave speed come from one coefficient
+evaluation: a Lax-Friedrichs step evaluates the coefficients once, on the
+cells; a MUSCL step three times, on the cells, on the stacked predictor
+faces and on the stacked interface states.
 """
 from __future__ import annotations
 
@@ -112,6 +116,23 @@ def cfl_step(max_speed: float, h: float, cfl: float, remaining: float = math.inf
     return min(cfl * h / max_speed, remaining)
 
 
+@dataclass(frozen=True)
+class ConservationLaw:
+    """One system w_t + f(w)_x = 0 as data for the finite-volume kernel.
+
+    ``flux(w)`` returns f(w) for states of shape (fields, n).
+    ``flux_speed(w)`` returns f(w) together with a wave-speed bound of shape
+    (1, n), both from one evaluation of the system's coefficients; it also
+    checks that the states it bounds are hyperbolic.  ``raise_on_blowup``
+    says whether the gradient monitor raises or only records.
+    """
+
+    flux: Callable
+    flux_speed: Callable
+    field_names: tuple
+    raise_on_blowup: bool
+
+
 def _minmod(a, b):
     return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
 
@@ -124,18 +145,20 @@ def _pad(w: np.ndarray, ng: int, boundary: str) -> np.ndarray:
     return np.concatenate([left, w, right], axis=1)
 
 
-def _rusanov(flux, speed, a, b):
-    alpha = np.maximum(speed(a), speed(b))
-    return 0.5 * (flux(a) + flux(b)) - 0.5 * alpha * (b - a)
+def _rusanov(w, f, c, left, right):
+    """Rusanov fluxes between states w[:, left] and w[:, right], given f(w) and speeds c."""
+    alpha = np.maximum(c[:, left], c[:, right])
+    return 0.5 * (f[:, left] + f[:, right]) - 0.5 * alpha * (w[:, right] - w[:, left])
 
 
-def _step_lf(w, dt, h, boundary, flux, speed):
-    wp = _pad(w, 1, boundary)
-    F = _rusanov(flux, speed, wp[:, :-1], wp[:, 1:])
+def _step_lf(w, f, c, dt, h, boundary, law):
+    # interface states are padded cells, so the padded f and c serve them
+    wp, fp, cp = (_pad(x, 1, boundary) for x in (w, f, c))
+    F = _rusanov(wp, fp, cp, np.s_[:-1], np.s_[1:])
     return w - (dt / h) * (F[:, 1:] - F[:, :-1])
 
 
-def _step_muscl(w, dt, h, boundary, flux, speed):
+def _step_muscl(w, f, c, dt, h, boundary, law):
     wp = _pad(w, 2, boundary)
     dm = wp[:, 1:-1] - wp[:, :-2]
     dp = wp[:, 2:] - wp[:, 1:-1]
@@ -143,17 +166,25 @@ def _step_muscl(w, dt, h, boundary, flux, speed):
     wc = wp[:, 1:-1]
     wl = wc - 0.5 * slope
     wr = wc + 0.5 * slope
-    shift = -(dt / (2.0 * h)) * (flux(wr) - flux(wl))
+    # predictor faces stacked right-then-left, so a failing Q names the
+    # same first point as evaluating wr before wl would
+    m = wc.shape[1]
+    fr_fl = law.flux(np.concatenate([wr, wl], axis=1))
+    shift = -(dt / (2.0 * h)) * (fr_fl[:, :m] - fr_fl[:, m:])
     wl = wl + shift
     wr = wr + shift
-    F = _rusanov(flux, speed, wr[:, :-1], wl[:, 1:])
+    # interface k sits between wr[:, k] and wl[:, k + 1]; stack both sides
+    k = m - 1
+    ab = np.concatenate([wr[:, :-1], wl[:, 1:]], axis=1)
+    f_ab, c_ab = law.flux_speed(ab)
+    F = _rusanov(ab, f_ab, c_ab, np.s_[:k], np.s_[k:])
     return w - (dt / h) * (F[:, 1:] - F[:, :-1])
 
 
 def _max_gradient(w: np.ndarray, h: float) -> float:
     if w.shape[1] < 2:
         return 0.0
-    return float(np.max(np.abs(np.diff(w, axis=1)))) / h
+    return float(np.abs(w[:, 1:] - w[:, :-1]).max()) / h
 
 
 def _total_variation(w: np.ndarray, boundary: str) -> np.ndarray:
@@ -164,8 +195,7 @@ def _total_variation(w: np.ndarray, boundary: str) -> np.ndarray:
 
 
 def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
-            flux: Callable, speed: Callable, field_names: tuple,
-            raise_on_blowup: bool) -> Trajectory:
+            law: ConservationLaw) -> Trajectory:
     w = np.array(w0, dtype=float)
     h = grid.h
     end = config.end
@@ -181,10 +211,12 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
     t = 0.0
     n_steps = 0
     while t < end - 1e-14 * max(1.0, abs(end)):
-        amax = float(np.max(speed(w)))
+        # the cells' speeds set dt; an LF step reuses f and c at its interfaces
+        f, c = law.flux_speed(w)
+        amax = float(c.max())
         dt = cfl_step(amax, h, config.cfl, end - t)
-        w = stepper(w, dt, h, grid.boundary, flux, speed)
-        if not np.all(np.isfinite(w)):
+        w = stepper(w, f, c, dt, h, grid.boundary, law)
+        if not np.isfinite(w).all():
             raise BlowupDetected(f"non-finite state at coordinate {t + dt!r}", coordinate=t + dt)
         t += dt
         n_steps += 1
@@ -195,7 +227,7 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
         tripped = g > config.blowup_factor * g0 or dt < step_floor
         if tripped and blowup_at is None:
             blowup_at = t
-            if raise_on_blowup:
+            if law.raise_on_blowup:
                 raise BlowupDetected(
                     f"gradient monitor tripped at coordinate {t!r} "
                     f"(gradient {g:.3e} vs initial {g0:.3e}, step {dt:.3e})",
@@ -213,7 +245,7 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
     states_arr = np.array(states)
     return Trajectory(
         grid=grid,
-        field_names=field_names,
+        field_names=law.field_names,
         coords=np.array(coords),
         states=states_arr,
         tv=np.array([_total_variation(s, grid.boundary) for s in states_arr]),
@@ -229,6 +261,12 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
 # the three systems
 
 
+def _strain_sq(w):
+    """s = U^2 + V^2 of the first two rows, shape (1, n)."""
+    U, V = w[:1], w[1:2]
+    return U * U + V * V
+
+
 def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
                 config: SimulationConfig) -> Trajectory:
     """Evolve the 4-field system (U, V, M, N) in conservation form.
@@ -241,31 +279,23 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
     """
     safety = 1.2 if m.dq is None else 1.0
 
-    def _speeds_sq(w):
-        U, V = w[0], w[1]
-        s = U * U + V * V
+    def flux(w):
+        qt = m.qtilde(_strain_sq(w))
+        return -np.concatenate([w[2:], qt * w[:2]])
+
+    def flux_speed(w):
+        s = _strain_sq(w)
         qt = m.qtilde(s)
         fast = qt + 2.0 * s * m.dqtilde(s)
-        return qt, fast
-
-    def flux(w):
-        U, V, M, N = w
-        s = U * U + V * V
-        qt = m.qtilde(s)
-        return -np.stack([M, N, qt * U, qt * V])
-
-    def speed(w):
-        slow, fast = _speeds_sq(w)
-        lam2 = np.maximum(slow, fast)
-        if np.any(slow <= 0.0) or np.any(fast <= 0.0):
+        if np.fmin.reduce(qt, axis=None) <= 0.0 or np.fmin.reduce(fast, axis=None) <= 0.0:
             raise HyperbolicityLoss(
-                f"squared wave speed went non-positive (min {min(np.min(slow), np.min(fast)):.3e})"
+                f"squared wave speed went non-positive (min {min(np.min(qt), np.min(fast)):.3e})"
             )
-        return safety * np.sqrt(lam2)
+        return -np.concatenate([w[2:], qt * w[:2]]), safety * np.sqrt(np.maximum(qt, fast))
 
     w0 = np.stack([np.asarray(c, dtype=float) for c in (init.U, init.V, init.M, init.N)])
-    return _evolve(w0, grid, config, flux, speed,
-                   ("U", "V", "M", "N"), raise_on_blowup=True)
+    law = ConservationLaw(flux, flux_speed, ("U", "V", "M", "N"), raise_on_blowup=True)
+    return _evolve(w0, grid, config, law)
 
 
 def evolve_asymptotic(beta: float, grid: Grid1D, init: StrainState,
@@ -279,16 +309,15 @@ def evolve_asymptotic(beta: float, grid: Grid1D, init: StrainState,
     beta = float(beta)
 
     def flux(w):
-        U, V = w
-        s = U * U + V * V
-        return -beta * np.stack([s * U, s * V])
+        return -beta * (_strain_sq(w) * w)
 
-    def speed(w):
-        U, V = w
-        return 3.0 * abs(beta) * (U * U + V * V)
+    def flux_speed(w):
+        s = _strain_sq(w)
+        return -beta * (s * w), 3.0 * abs(beta) * s
 
     w0 = np.stack([np.asarray(c, dtype=float) for c in (init.U, init.V)])
-    return _evolve(w0, grid, config, flux, speed, ("U", "V"), raise_on_blowup=True)
+    law = ConservationLaw(flux, flux_speed, ("U", "V"), raise_on_blowup=True)
+    return _evolve(w0, grid, config, law)
 
 
 def evolve_scalar(beta: float, grid: Grid1D, rho0,
@@ -303,11 +332,12 @@ def evolve_scalar(beta: float, grid: Grid1D, rho0,
     def flux(w):
         return -beta * w**3
 
-    def speed(w):
-        return 3.0 * abs(beta) * w * w
+    def flux_speed(w):
+        return flux(w), 3.0 * abs(beta) * w * w
 
     w0 = np.asarray(rho0, dtype=float)[None, :]
-    return _evolve(w0, grid, config, flux, speed, ("rho",), raise_on_blowup=False)
+    law = ConservationLaw(flux, flux_speed, ("rho",), raise_on_blowup=False)
+    return _evolve(w0, grid, config, law)
 
 
 def breaking_estimate(beta: float, rho0: ProfileFunction, tau_grid) -> float:

@@ -124,6 +124,24 @@ def test_artifacts_deterministic(tmp_path, command):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs")
+                         .glob("*.json"))
+
+
+def test_every_command_has_a_shipped_config():
+    commands = {json.loads(p.read_text())["command"] for p in SHIPPED_CONFIGS}
+    assert commands == set(COMMANDS)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_runs(tmp_path, path):
+    out = tmp_path / path.stem
+    code = main([json.loads(path.read_text())["command"], "--config", str(path),
+                 "--out", str(out), "--quiet"])
+    assert code == 0
+    assert read_manifest(out)["status"] == "ok"
+
+
 def test_exact_constant_amplitude_rho_column_constant(tmp_path):
     cfg = {
         "command": "exact",

@@ -74,6 +74,28 @@ def test_eval_q_error_names_a_plain_float(s):
     assert "np.float64" not in str(info.value)
 
 
+def test_eval_q_broadcasts_a_constant_modulus():
+    s = np.array([1.0, 2.0])
+    with pytest.raises(NonPositiveModulus) as info:
+        eval_Q(ShearModulus(q=lambda s: -1.0), s)
+    assert "Q(1.0)" in str(info.value)
+    out = eval_Q(ShearModulus(q=lambda s: 1.0), s)
+    assert isinstance(out, np.ndarray)
+    np.testing.assert_array_equal(out, [1.0, 1.0])
+    assert eval_Q(ShearModulus(q=lambda s: 1.0), 2.0) == 1.0
+    assert isinstance(eval_Q(ShearModulus(q=lambda s: 1.0), 2.0), float)
+
+
+def test_eval_q_lets_nan_through_but_flags_the_finite_points():
+    m = cubic_modulus(1.0, -0.5)
+    assert np.isnan(eval_Q(m, np.array([np.nan, 1.0]))[0])
+    with pytest.raises(NonPositiveModulus) as info:
+        eval_Q(m, np.array([np.nan, 3.0]))
+    assert "Q(3.0)" in str(info.value)
+    with pytest.raises(ValueError):
+        eval_Q(m, np.array([np.nan, -0.5]))
+
+
 def test_negative_rho_rejected():
     with pytest.raises(ValueError):
         ShearModulus(q=lambda s: 1.0 + s, rho=-1.0)

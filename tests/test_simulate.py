@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from shearwaves.constitutive import cubic_modulus, mooney_rivlin
-from shearwaves.errors import BlowupDetected, HyperbolicityLoss, NoConvergence
+from shearwaves.constitutive import ShearModulus, cubic_modulus, mooney_rivlin
+from shearwaves.errors import BlowupDetected, HyperbolicityLoss, NoConvergence, NonPositiveModulus
 from shearwaves.exact import (
     CarrollWave,
     FullState,
@@ -175,15 +175,36 @@ def test_plane_asymptotic_matches_scalar_law():
 # guards and monitors
 
 
-def test_hyperbolicity_loss_raises():
+SCHEMES_AND_BOUNDARIES = [(scheme, boundary)
+                          for scheme in ("lax_friedrichs", "muscl_minmod")
+                          for boundary in ("periodic", "outflow")]
+
+
+@pytest.mark.parametrize("scheme, boundary", SCHEMES_AND_BOUNDARIES)
+def test_hyperbolicity_loss_raises(scheme, boundary):
     # Q stays positive but Q + 2 s Q' does not: the fast family loses
     # hyperbolicity at amplitude 1.2 for Q = 1 - 0.3 s
     m = cubic_modulus(1.0, -0.3)
     w = CarrollWave.from_modulus(m, 1.2, 1.0)
-    grid = Grid1D(n=32, a=0.0, b=TWO_PI)
+    grid = Grid1D(n=32, a=0.0, b=TWO_PI, boundary=boundary)
     init = FullState(*carroll_full_state(w, grid.centers, 0.0))
     with pytest.raises(HyperbolicityLoss):
-        evolve_full(m, grid, init, SimulationConfig(end=0.1))
+        evolve_full(m, grid, init, SimulationConfig(end=0.1, scheme=scheme))
+
+
+@pytest.mark.parametrize("scheme, boundary", SCHEMES_AND_BOUNDARIES)
+def test_modulus_turning_non_positive_mid_run_raises(scheme, boundary):
+    # Q = 1 below s = 0.25 and -1 above, with Q' = 0 so the fast speed never
+    # fails first.  From U = 0, M = sin x the linear wave grows U = cos x sin t,
+    # so |U| first reaches 0.5 (s = 0.25) near t = pi/6.
+    m = ShearModulus(q=lambda s: np.where(s < 0.25, 1.0, -1.0),
+                     dq=lambda s: np.zeros_like(s), name="step")
+    grid = Grid1D(n=64, a=0.0, b=TWO_PI, boundary=boundary)
+    zero = np.zeros(grid.n)
+    init = FullState(zero, zero, np.sin(grid.centers), zero)
+    evolve_full(m, grid, init, SimulationConfig(end=0.3, scheme=scheme))
+    with pytest.raises(NonPositiveModulus, match="for modulus 'step'"):
+        evolve_full(m, grid, init, SimulationConfig(end=1.5, scheme=scheme))
 
 
 def test_blowup_detected_on_steepening_plane_wave():
