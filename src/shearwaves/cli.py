@@ -5,7 +5,9 @@ Every run validates its config against a closed schema (unknown keys are
 rejected), computes, and writes a deterministic artifact set into the output
 directory: a ``manifest.json`` that echoes the config and records
 diagnostics, plus ``snapshots.csv`` / ``samples.csv`` / ``report.json``
-depending on the command.
+depending on the command.  A CSV is one header line, then comma-separated rows
+with CRLF line ends; every value is printed with ``%.17g`` (so ``float()`` gives
+back the exact double), and the special values as ``nan``, ``inf``, ``-inf``, ``-0``.
 
 Every command goes through ``run``.  Exit codes: 0 success, 1 a
 verification or convergence target missed, 2 config error (no manifest),
@@ -14,7 +16,6 @@ verification or convergence target missed, 2 config error (no manifest),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -58,6 +59,7 @@ from .verify import (
 )
 
 COMMANDS = ("simulate", "exact", "classify", "hodograph", "verify", "convergence")
+CSV_BLOCK_ROWS = 2048  # rows per `%` format; one block at a time bounds the writer's memory
 
 # ---------------------------------------------------------------------------
 # schema building blocks
@@ -377,17 +379,18 @@ def _write_json(path: Path, obj: dict):
 
 
 def _write_csv(path: Path, header, columns):
-    """Write equal-length 1D columns at full double precision."""
+    """Write equal-length columns, flattened, one per header name, at full double precision."""
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.ravel(np.asarray(c, dtype=float)) for c in columns]
     n = len(columns[0])
-    if any(len(c) != n for c in columns):
-        raise ValueError("CSV columns must have equal length")
+    if len(header) != len(columns) or any(len(c) != n for c in columns):
+        raise ValueError("CSV needs one header name per column and columns of equal length")
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i in range(n):
-            writer.writerow([format(c[i], ".17g") for c in columns])
+        f.write(",".join(header) + "\r\n")
+        for i in range(0, n, CSV_BLOCK_ROWS):
+            block = np.column_stack([c[i:i + CSV_BLOCK_ROWS] for c in columns])
+            f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _manifest(outdir: Path, command: str, config: dict, status: str, **extra):
@@ -489,11 +492,8 @@ def cmd_simulate(config: dict, outdir: Path) -> dict:
         raise ConfigError("oracle_check is not available for this init family")
     traj = system.evolve(grid, run_cfg)
 
-    n_snap = len(traj.coords)
-    columns = [np.repeat(traj.coords, grid.n), np.tile(grid.centers, n_snap)]
-    columns += [traj.states[:, fi].ravel() for fi in range(len(traj.field_names))]
     _write_csv(outdir / "snapshots.csv", ["coordinate", "cell_center", *traj.field_names],
-               columns)
+               [*_mesh(traj.coords, grid.centers), *traj.states.transpose(1, 0, 2)])
 
     diagnostics = {
         "n_steps": int(len(traj.step_coords)),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shearwaves.cli import main
+from shearwaves.cli import CSV_BLOCK_ROWS, _write_csv, main
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +41,15 @@ def read_csv_columns(path):
     header = rows[0]
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     return header, data
+
+
+def reference_csv(header, rows):
+    """The CSV format spelled by the csv module: excel dialect, each value as format(v, ".17g")."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def carroll_simulate_config(**overrides):
@@ -140,6 +149,58 @@ def test_shipped_config_runs(tmp_path, path):
                  "--out", str(out), "--quiet"])
     assert code == 0
     assert read_manifest(out)["status"] == "ok"
+    # pins the CSV format itself: values read back with float() re-encode to the same bytes
+    for csv_path in out.glob("*.csv"):
+        assert reference_csv(*read_csv_columns(csv_path)) == csv_path.read_bytes(), csv_path.name
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer against the reference encoder
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300,
+               1.7976931348623157e308, 1.0, 0.1]
+
+
+def written_csv(tmp_path, header, columns):
+    path = tmp_path / "out" / "t.csv"
+    _write_csv(path, header, columns)
+    return path.read_bytes()
+
+
+def expected_csv(header, columns):
+    return reference_csv(header, zip(*[np.ravel(np.asarray(c, dtype=float)) for c in columns]))
+
+
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                  2 * CSV_BLOCK_ROWS + 1])
+def test_write_csv_matches_reference_at_block_edges(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    edges = np.resize(EDGE_VALUES, rows)
+    scaled = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    columns = [edges, -edges[::-1], scaled, np.arange(rows) * 0.1]
+    header = ["edge", "negated", "scaled", "ramp"]
+    assert written_csv(tmp_path, header, columns) == expected_csv(header, columns)
+
+
+def test_write_csv_takes_meshes_views_ints_and_one_column(tmp_path):
+    T, X = np.meshgrid(np.linspace(0.0, 1.0, 7), np.linspace(-1.0, 2.0, 5), indexing="ij")
+    phi = np.broadcast_to(np.linspace(-3.0, 3.0, 7)[:, None], T.shape)
+    assert not phi.flags.writeable
+    ints = np.arange(-17, 18).reshape(5, 7).T
+    header = ["t", "x", "phi", "i"]
+    columns = [T, X, phi, ints]
+    assert written_csv(tmp_path, header, columns) == expected_csv(header, columns)
+    assert written_csv(tmp_path, ["x"], [X]) == expected_csv(["x"], [X])
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [np.zeros(3), np.zeros(4)]),
+    (["a"], [np.zeros(3), np.zeros(3)]),
+    (["a", "b", "c"], [np.zeros(3), np.zeros(3)]),
+], ids=["unequal_lengths", "header_short", "header_long"])
+def test_write_csv_rejects_mismatched_shapes(tmp_path, header, columns):
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "t.csv", header, columns)
 
 
 def test_exact_constant_amplitude_rho_column_constant(tmp_path):
