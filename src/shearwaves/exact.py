@@ -25,6 +25,8 @@ from .profiles import ProfileFunction
 DISPERSION_RTOL = 1e-12
 SIMPLE_WAVE_TOL = 1e-12
 HODOGRAPH_TOL = 1e-10
+# converged hodograph roots scatter by about 1e-13; distinct branches are O(1) apart
+HODOGRAPH_AGREE = 1e-8
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 20
 
@@ -383,12 +385,14 @@ HODOGRAPH_FAILURES = {
 }
 
 
-def _hodograph_solve(hd, beta, X, tau, theta, rho):
+def _hodograph_solve(hd, beta, X, tau, theta, rho, check=True):
     """Invert the forward map at arrays of points, seeded at (theta, rho).
 
     One damped 2D Newton over all points, with the forward map and its
     Jacobian evaluated once per sweep over the points still iterating.
-    Returns ((theta, rho), failure), failure as from _first_failure.
+    Returns (theta, rho), raising at the first failing point; with
+    check=False, returns the iterates and the failure codes of
+    _damped_newton instead.
     """
     if beta == 0.0 or np.any(np.asarray(rho) == 0.0):
         raise ValueError("the hodograph map needs beta != 0 and a seed with rho != 0")
@@ -408,7 +412,59 @@ def _hodograph_solve(hd, beta, X, tau, theta, rho):
             return [(-res[0] * d + res[1] * b) / det, (-res[1] * a + res[0] * c) / det], fold
 
     u, code = _damped_newton(residual, newton_step, [theta, rho], HODOGRAPH_TOL)
-    return u, _first_failure(code, HODOGRAPH_FAILURES, X, tau)
+    if not check:
+        return u, code
+    failure = _first_failure(code, HODOGRAPH_FAILURES, X, tau)
+    if failure is not None:
+        raise failure[1]
+    return u
+
+
+def _hodograph_continue(hd, beta, X, tau, start):
+    """Continue solved lanes over n steps, each step warm-started from the one before.
+
+    X and tau broadcast to shape (n, w): step k solves lane l at
+    (X[k, l], tau[k, l]) from lane l of step k-1, and step -1 is
+    start = (theta, rho), each of shape (w,).  Lanes are independent.
+    Pass 1 solves every step from start; pass 2 solves step k from pass-1
+    step k-1, the march's own seed graph.  A lane keeps its pass-2 values up
+    to the first step where a pass fails or the passes differ by more than
+    HODOGRAPH_AGREE, and is marched one step at a time from there.  Returns
+    theta and rho of shape (n, w), and (lane, step, code) of the first
+    failure in lane-major order, or None.
+    """
+    X, tau = np.broadcast_arrays(X, tau)
+    n, w = X.shape
+    if X.size == 0:
+        return np.empty((n, w)), np.empty((n, w)), None
+    # seeds far from the root may overflow the forward map; such a trial is
+    # rejected by the damping, and its step marched below
+    with np.errstate(all="ignore"):
+        (th1, r1), c1 = _hodograph_solve(hd, beta, X.ravel(), tau.ravel(),
+                                         *(np.broadcast_to(a, (n, w)).ravel() for a in start),
+                                         check=False)
+        th1, r1, c1 = (a.reshape(n, w) for a in (th1, r1, c1))
+        theta, rho, code = th1.copy(), r1.copy(), c1.copy()
+        k, lane = np.nonzero(np.logical_and.accumulate(c1 == 0, axis=0)[1:])
+        (theta[k + 1, lane], rho[k + 1, lane]), code[k + 1, lane] = _hodograph_solve(
+            hd, beta, X[k + 1, lane], tau[k + 1, lane], th1[k, lane], r1[k, lane], check=False)
+    # pass 2 runs only where pass 1 converged up to its step, so code holds
+    # pass 1's failures and pass 2's
+    bad = ((code != 0) | (np.abs(theta - th1) > HODOGRAPH_AGREE)
+           | (np.abs(rho - r1) > HODOGRAPH_AGREE))
+    march = np.where(bad.any(axis=0), bad.argmax(axis=0), n)
+    # a failure in lane l comes before every point of the lanes after it
+    alive, failure = np.arange(w), None
+    for k in range(march.min(), n):
+        lane = alive[march[alive] <= k]
+        prev = (theta[k - 1, lane], rho[k - 1, lane]) if k else (start[0][lane], start[1][lane])
+        (theta[k, lane], rho[k, lane]), c = _hodograph_solve(hd, beta, X[k, lane], tau[k, lane],
+                                                             *prev, check=False)
+        if c.any():
+            f = np.flatnonzero(c)[0]
+            failure = (lane[f], k, c[f])
+            alive = alive[alive < lane[f]]
+    return theta, rho, failure
 
 
 def hodograph_invert(hd: HodographData, beta: float, X: float, tau: float,
@@ -430,11 +486,18 @@ def sample_hodograph(hd: HodographData, beta: float, X_grid, tau_grid, seed) -> 
     """Invert the hodograph map on a coordinate rectangle.
 
     Seed graph: point (i, j) is warm-started from (i, j-1), and the first
-    column from (i-1, 0), starting at seed.  Column 0 is marched down X one
-    point at a time; every later tau column is then one array Newton over
-    all of X, warm-started from the previous column, so no point can change
-    branch.  A failure raises the error of the first failing point in
-    row-major order, naming its (X, tau) in the message and coordinate.
+    column from (i-1, 0), starting at seed, so no point can change branch.
+    Point (0, 0) is solved alone and raises at once if it fails.  Column 0
+    is then continued down X one point per step, and the later tau columns
+    along tau, one vector over the rows per step, each in two array Newton
+    solves: pass 1 seeds every step from the first, pass 2 seeds step k
+    from pass-1 step k-1.  Where pass 1 agrees with pass 2 to within
+    HODOGRAPH_AGREE, pass 2 had the march's seed to that bound, and Newton
+    contracts the difference to rounding, so pass 2 is kept.  From the
+    first step where a pass fails or the two disagree, the row or column is
+    marched one step at a time as the seed graph says.  A failure raises
+    the error of the first failing point in row-major order, naming its
+    (X, tau) in the message and coordinate.
     Returns (rho, theta) arrays of shape (len(X_grid), len(tau_grid)).
     """
     X_grid = np.asarray(X_grid, dtype=float)
@@ -442,23 +505,26 @@ def sample_hodograph(hd: HodographData, beta: float, X_grid, tau_grid, seed) -> 
     nX, nt = len(X_grid), len(tau_grid)
     rho = np.empty((nX, nt))
     theta = np.empty((nX, nt))
-    # rows before the first failure found so far; a failure at row k puts
-    # every later row after it in row-major order
-    rows, failure = (nX if nt else 0), None
-    th, r = seed[0], seed[1]
-    for i in range(rows):
-        (th, r), failure = _hodograph_solve(hd, beta, X_grid[i], tau_grid[0], th, r)
-        if failure is not None:
-            rows = i
-            break
-        theta[i, 0], rho[i, 0] = th[0], r[0]
-    for j in range(1, nt):
-        (theta[:rows, j], rho[:rows, j]), fail_j = _hodograph_solve(
-            hd, beta, X_grid[:rows], tau_grid[j], theta[:rows, j - 1], rho[:rows, j - 1])
-        if fail_j is not None:
-            rows, failure = fail_j[0], fail_j
+    if nX == 0 or nt == 0:
+        return PolarState(rho, theta)
+    theta[0, :1], rho[0, :1] = _hodograph_solve(hd, beta, X_grid[0], tau_grid[0], seed[0], seed[1])
+    th, r, fail = _hodograph_continue(hd, beta, X_grid[1:, None], tau_grid[0],
+                                      (theta[0, :1], rho[0, :1]))
+    theta[1:, 0], rho[1:, 0] = th[:, 0], r[:, 0]
+    # a failure at row k puts every later row after it in row-major order
+    rows, failure = nX, None
+    if fail is not None:
+        _, step, code = fail
+        rows = step + 1
+        failure = _point_error(*HODOGRAPH_FAILURES[code], (X_grid[rows], tau_grid[0]))
+    th, r, fail = _hodograph_continue(hd, beta, X_grid[:rows], tau_grid[1:, None],
+                                      (theta[:rows, 0], rho[:rows, 0]))
+    theta[:rows, 1:], rho[:rows, 1:] = th.T, r.T
+    if fail is not None:
+        lane, step, code = fail
+        failure = _point_error(*HODOGRAPH_FAILURES[code], (X_grid[lane], tau_grid[step + 1]))
     if failure is not None:
-        raise failure[1]
+        raise failure
     return PolarState(rho, theta)
 
 

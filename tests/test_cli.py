@@ -518,6 +518,29 @@ def test_hodograph_fold_seed_exits_three(tmp_path):
     assert manifest["error"]["coordinate"] == [-1.1, -0.1]
 
 
+def test_hodograph_off_image_in_later_columns_exits_three(tmp_path):
+    # with phase theta and radial rho^2 the map's image is
+    # rho^2 = -tau / (3 (X + 1)), so for X > -1 the tau columns from the fold
+    # at tau = 0 on have no root: the array passes fail part-way through the
+    # rectangle and the march names the first failing point
+    cfg = {
+        "command": "hodograph",
+        "beta": 1.0,
+        "phase": {"kind": "linear", "k": 1.0},
+        "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]},
+        "X": {"min": -0.6, "max": -0.4, "n": 5},
+        "tau": {"min": -0.4, "max": 0.1, "n": 11},
+        "seed": [0.15, 0.6],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, cfg, "offimage")
+    assert code == 3
+    error = read_manifest(out)["error"]
+    assert error["type"] == "NoConvergence"
+    assert error["coordinate"] == [-0.6, 0.0]
+
+
 def test_simple_wave_failure_names_its_point(tmp_path):
     # past breaking, Newton warm-started from the row X = 0.5 stalls at
     # X = 1.0 on the sixth tau node first

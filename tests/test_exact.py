@@ -1,5 +1,6 @@
 """Exact solution families and their defining identities."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,95 @@ def test_sample_hodograph_grid_orientation():
             Xr, taur = hodograph_forward(hd, 1.0, theta[i, j], rho[i, j])
             assert abs(Xr - X[i]) <= 1e-9
             assert abs(taur - tau[j]) <= 1e-9
+
+
+def _march_reference(hd, beta, X, tau, seed):
+    """The point-by-point march over sample_hodograph's seed graph.
+
+    (i, 0) is solved from (i-1, 0), starting at seed, and (i, j) from
+    (i, j-1), in row-major order.  Returns (rho, theta), or the error of the
+    first failing point.
+    """
+    rho = np.empty((len(X), len(tau)))
+    theta = np.empty_like(rho)
+    for i, x in enumerate(X):
+        for j, t in enumerate(tau):
+            if j:
+                start = (theta[i, j - 1], rho[i, j - 1])
+            else:
+                start = (theta[i - 1, 0], rho[i - 1, 0]) if i else seed
+            try:
+                rho[i, j], theta[i, j] = hodograph_invert(hd, beta, x, t, seed=start)
+            except (NoConvergence, SingularJacobian) as exc:
+                return exc
+    return rho, theta
+
+
+def _hodograph_cases(n=200, seed=1):
+    """Random rectangles, seeds, phase slopes and radial cubics.
+
+    Each rectangle starts next to the image of its seed and spans up to 0.5
+    in X and 1.5 in tau, so about a third of them run into a fold or off the
+    map's image, and a few send a point seeded from the first column onto
+    another branch.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        beta = rng.uniform(0.5, 1.5)
+        hd = HodographData(phase_fn=linear_profile(rng.uniform(0.5, 2.0)),
+                           radial_fn=poly_profile([0.0, rng.uniform(-0.5, 0.5), 1.0,
+                                                   rng.uniform(-0.5, 0.5)]))
+        theta0, rho0 = rng.uniform(-1.0, 1.5), rng.uniform(0.6, 1.5)
+        X0, tau0 = hodograph_forward(hd, beta, theta0 + 0.05, rho0 - 0.05)
+        X = X0 + np.linspace(0.0, rng.uniform(-0.5, 0.5), rng.integers(2, 7))
+        tau = tau0 + np.linspace(0.0, rng.uniform(-1.5, 1.5), rng.integers(2, 7))
+        cases.append((hd, beta, X, tau, (theta0, rho0)))
+    return cases
+
+
+HODOGRAPH_CASES = _hodograph_cases()
+
+
+def test_sample_hodograph_matches_reference_march():
+    failed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, (hd, beta, X, tau, seed) in enumerate(HODOGRAPH_CASES):
+            ref = _march_reference(hd, beta, X, tau, seed)
+            try:
+                got = sample_hodograph(hd, beta, X, tau, seed)
+            except (NoConvergence, SingularJacobian) as exc:
+                got = exc
+            if isinstance(ref, Exception):
+                failed += 1
+                assert isinstance(got, Exception), (k, ref)
+                assert type(got) is type(ref), (k, ref, got)
+                assert got.coordinate == ref.coordinate, (k, ref, got)
+            else:
+                assert not isinstance(got, Exception), (k, got)
+                assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12, k
+    assert 0 < failed < len(HODOGRAPH_CASES)
+
+
+def test_sample_hodograph_marches_past_a_branch_jump():
+    # in case 52 every point converges from either seed, but seeded from the
+    # first column, (0, 4) and (0, 5) land on the branch with rho < 0; a solve
+    # of (0, 5) seeded from that (0, 4) stays there, so only the march is right
+    hd, beta, X, tau, seed = HODOGRAPH_CASES[52]
+    rho, theta = _march_reference(hd, beta, X, tau, seed)
+    jumps = []
+    for i in range(len(X)):
+        for j in range(1, len(tau)):
+            sol = hodograph_invert(hd, beta, X[i], tau[j], seed=(theta[i, 0], rho[i, 0]))
+            jumps.append(max(abs(sol.theta - theta[i, j]), abs(sol.rho - rho[i, j])))
+    assert max(jumps) > 1.0
+    off = hodograph_invert(hd, beta, X[0], tau[4], seed=(theta[0, 0], rho[0, 0]))
+    off = hodograph_invert(hd, beta, X[0], tau[5], seed=(off.theta, off.rho))
+    assert off.rho < 0.0 < rho[0, 5]
+    got_rho, got_theta = sample_hodograph(hd, beta, X, tau, seed)
+    assert np.max(np.abs(got_rho - rho)) <= 1e-12
+    assert np.max(np.abs(got_theta - theta)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
