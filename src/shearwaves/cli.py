@@ -8,6 +8,9 @@ diagnostics, plus ``snapshots.csv`` / ``samples.csv`` / ``report.json``
 depending on the command.  A CSV is one header line, then comma-separated rows
 with CRLF line ends; every value is printed with ``%.17g`` (so ``float()`` gives
 back the exact double), and the special values as ``nan``, ``inf``, ``-inf``, ``-0``.
+The rows are the sample mesh in row-major order, first column slowest.  The
+mesh axes come as broadcast views, and the writer formats such a column once
+per distinct value, not once per row; the bytes are the same either way.
 
 Every command goes through ``run``.  Exit codes: 0 success, 1 a
 verification or convergence target missed, 2 config error (no manifest),
@@ -59,7 +62,10 @@ from .verify import (
 )
 
 COMMANDS = ("simulate", "exact", "classify", "hodograph", "verify", "convergence")
-CSV_BLOCK_ROWS = 2048  # rows per `%` format; one block at a time bounds the writer's memory
+# about this many rows per `%` format and write: a mesh block is whole outer rows,
+# or one outer row's share of a longer inner axis; one block at a time bounds
+# the writer's memory
+CSV_BLOCK_ROWS = 2048
 
 # ---------------------------------------------------------------------------
 # schema building blocks
@@ -329,10 +335,16 @@ SCHEMAS = {
 # plumbing
 
 
+def _reject_constant(literal: str):
+    # Python's json reads NaN, Infinity and -Infinity, which JSON does not
+    # have; the schema's "number" would then let them through to the solvers
+    raise ConfigError(f"config is not valid JSON: {literal} is not a JSON number")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            config = json.load(f)
+            config = json.load(f, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -379,18 +391,79 @@ def _write_json(path: Path, obj: dict):
 
 
 def _write_csv(path: Path, header, columns):
-    """Write equal-length columns, flattened, one per header name, at full double precision."""
+    """Write equal-size columns, one per header name, at full double precision.
+
+    Each column is read in row-major order.  Columns that all share one 2-D
+    shape, some of them broadcast views, are a mesh: see `_write_mesh_rows`.
+    Any other columns are written as one mesh row.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    columns = [np.ravel(np.asarray(c, dtype=float)) for c in columns]
-    n = len(columns[0])
-    if len(header) != len(columns) or any(len(c) != n for c in columns):
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = columns[0].size
+    if len(header) != len(columns) or any(c.size != n for c in columns):
         raise ValueError("CSV needs one header name per column and columns of equal length")
-    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        for i in range(0, n, CSV_BLOCK_ROWS):
-            block = np.column_stack([c[i:i + CSV_BLOCK_ROWS] for c in columns])
-            f.write((row * len(block)) % tuple(block.ravel().tolist()))
+        if n == 0:
+            return
+        if columns[0].ndim != 2 or any(c.shape != columns[0].shape for c in columns):
+            columns = [c.reshape(1, -1) for c in columns]
+        _write_mesh_rows(f, columns)
+
+
+def _row_major(columns) -> tuple:
+    """The values of equal-shape columns as one flat tuple, row by row."""
+    return tuple(np.stack(columns, axis=-1).ravel().tolist()) if columns else ()
+
+
+def _write_mesh_rows(f, columns):
+    """Write the rows of equal-shape 2-D columns, formatting each broadcast column once.
+
+    A column with stride 0 along axis 1 is constant along each outer row (the
+    outer mesh axis, or a field of the outer coordinate alone): its value is
+    formatted once per outer index and joined into that row's template.  A
+    column with stride 0 along axis 0 is the inner mesh axis: it is formatted
+    once, into the template of one outer row's lines that every outer row
+    reuses.  Only the other columns go through ``%`` value by value.  The
+    stride test reads no values, so NaN or signed-zero axes cannot be taken
+    for constant columns.  Blocks hold about `CSV_BLOCK_ROWS` rows; an inner
+    axis longer than that is formatted with the full columns, so memory stays
+    bounded.
+    """
+    m, k = columns[0].shape
+    inner_fits = k <= CSV_BLOCK_ROWS  # one template holds every inner index
+    kinds = ["outer" if c.strides[1] == 0 else
+             "inner" if c.strides[0] == 0 and inner_fits else "full" for c in columns]
+    outer = [c[:, 0] for c, kind in zip(columns, kinds) if kind == "outer"]
+    inner = [c[0] for c, kind in zip(columns, kinds) if kind == "inner"]
+    full = [c for c, kind in zip(columns, kinds) if kind == "full"]
+    marks = [f"\0{r}\0" for r in range(len(outer))]  # no formatted number holds a NUL
+    next_mark = iter(marks).__next__
+    row = ",".join(next_mark() if kind == "outer" else "%.17g" if kind == "inner" else "%%.17g"
+                   for kind in kinds) + "\r\n"
+    if inner:
+        template = (row * k) % _row_major(inner)
+    group = max(1, CSV_BLOCK_ROWS // k)  # outer rows per block
+    for i0 in range(0, m, group):
+        texts = [["%.17g" % v for v in c[i0:i0 + group].tolist()] for c in outer]
+        for j0 in range(0, k, CSV_BLOCK_ROWS):
+            if not inner:
+                template = (row % ()) * (min(k, j0 + CSV_BLOCK_ROWS) - j0)
+            lines = _fill_outer(template, marks, texts) if outer \
+                else template * (min(m, i0 + group) - i0)
+            f.write(lines % _row_major([c[i0:i0 + group, j0:j0 + CSV_BLOCK_ROWS] for c in full]))
+
+
+def _fill_outer(template: str, marks, texts) -> str:
+    """`template` once per outer row, each mark replaced by that row's formatted value."""
+    parts = template.split(marks[0])
+    lines = []
+    for values in zip(*texts):
+        line = values[0].join(parts)
+        for mark, value in zip(marks[1:], values[1:]):
+            line = line.replace(mark, value)
+        lines.append(line)
+    return "".join(lines)
 
 
 def _manifest(outdir: Path, command: str, config: dict, status: str, **extra):
@@ -513,7 +586,11 @@ def cmd_simulate(config: dict, outdir: Path) -> dict:
 
 
 def _mesh(coord_axis, point_axis):
-    return np.meshgrid(coord_axis, point_axis, indexing="ij")
+    """The (coordinate, point) mesh as read-only broadcast views, indexed [coordinate, point]."""
+    coords = np.asarray(coord_axis, dtype=float)
+    points = np.asarray(point_axis, dtype=float)
+    shape = (coords.size, points.size)
+    return np.broadcast_to(coords[:, None], shape), np.broadcast_to(points, shape)
 
 
 def _sample_exact(sol: dict):

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shearwaves.cli import CSV_BLOCK_ROWS, _write_csv, main
+from shearwaves import cli
+from shearwaves.cli import CSV_BLOCK_ROWS, _mesh, _write_csv, main
 
 TWO_PI = 2.0 * math.pi
 
@@ -201,6 +202,131 @@ def test_write_csv_takes_meshes_views_ints_and_one_column(tmp_path):
 def test_write_csv_rejects_mismatched_shapes(tmp_path, header, columns):
     with pytest.raises(ValueError):
         _write_csv(tmp_path / "t.csv", header, columns)
+
+
+# mesh columns: the broadcast views of the axes that _mesh returns, plus
+# fields of one axis alone, such as the separable family's phi
+
+AXIS_EDGES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.0, 0.1]
+
+
+def axis_values(n, rng):
+    """`n` axis values: the edge values first, then doubles over many decades."""
+    scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return np.concatenate([AXIS_EDGES, scaled])[:n]
+
+
+@pytest.mark.parametrize("m, k", [
+    (1, 1), (1, 9), (9, 1), (CSV_BLOCK_ROWS + 3, 1), (700, 3), (3, CSV_BLOCK_ROWS + 5),
+], ids=["1x1", "outer_1", "inner_1", "inner_1_block_remainder", "block_remainder",
+        "inner_above_block"])
+def test_write_csv_mesh_views_match_reference(tmp_path, m, k):
+    rng = np.random.default_rng(m * k)
+    T, X = _mesh(axis_values(m, rng), axis_values(k, rng))
+    phi = np.broadcast_to(axis_values(m, rng)[::-1, None], (m, k))
+    psi = np.broadcast_to(axis_values(k, rng)[::-1], (m, k))
+    u, v = rng.standard_normal((2, m, k))
+    # outer-only phi is not column 0 and inner-only psi is not column 1
+    header = ["t", "x", "phi", "u", "psi", "v"]
+    columns = [T, X, phi, u, psi, v]
+    assert written_csv(tmp_path, header, columns) == expected_csv(header, columns)
+    # views alone, inner axis first
+    assert written_csv(tmp_path, header[:3], [X, T, phi]) == expected_csv(header[:3], [X, T, phi])
+
+
+def test_write_csv_stride_zero_int_view_takes_converted_path(tmp_path):
+    T, X = _mesh(np.array([0.0, -0.0, math.nan]), np.linspace(-1.0, 1.0, 4))
+    ints = np.broadcast_to(np.arange(-1, 2)[:, None], T.shape)
+    assert ints.strides[1] == 0
+    for columns in ([T, X, ints], [np.array(T), np.array(X), ints]):
+        assert written_csv(tmp_path, ["t", "x", "i"], columns) == \
+            expected_csv(["t", "x", "i"], columns)
+
+
+def test_write_csv_rejects_mismatched_views(tmp_path):
+    T, X = _mesh(np.zeros(3), np.zeros(4))
+    _, X5 = _mesh(np.zeros(3), np.zeros(5))
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "t.csv", ["t", "x"], [T, X5])
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "t.csv", ["t"], [T, X])
+
+
+# one small config of every exact family
+SINE = {"kind": "sine", "amp": 1.0, "freq": 1.0}
+CUBIC = {"kind": "cubic", "mu0": 1.0, "mu1": 0.5}
+EXACT_SOLUTIONS = {
+    "carroll": {"modulus": CUBIC, "amplitude": 0.8, "wavenumber": 1.0,
+                "x": {"min": 0.0, "max": TWO_PI, "n": 7}, "t": {"min": 0.0, "max": 1.0, "n": 5}},
+    "generalized": {"modulus": CUBIC, "amplitude": 0.8, "profile": SINE,
+                    "x": {"min": 0.0, "max": TWO_PI, "n": 7},
+                    "t": {"min": 0.0, "max": 1.0, "n": 5}},
+    "constant_amplitude": {"beta": 0.5, "amplitude": 1.0, "profile": SINE,
+                           "X": {"min": 0.0, "max": 1.0, "n": 5},
+                           "tau": {"min": 0.0, "max": TWO_PI, "n": 7}},
+    "simple_wave": {"beta": 1.0, "profile": {**SINE, "amp": 0.5, "offset": 1.0},
+                    "X": {"min": 0.0, "max": 0.2, "n": 5},
+                    "tau": {"min": 0.0, "max": TWO_PI, "n": 7}},
+    "separable": {"flux": {"kind": "product"}, "k": 0.3, "phi0": 0.3, "dphi0": 0.1,
+                  "x": {"min": -1.0, "max": 1.0, "n": 7}, "t": {"min": 0.0, "max": 1.0, "n": 5}},
+    "overdetermined": {"flux": {"kind": "product"}, "level": 2.0, "profile": SINE,
+                       "x": {"min": 0.5, "max": 1.5, "n": 7},
+                       "t": {"min": 0.0, "max": 0.5, "n": 5}},
+}
+
+
+def csv_data_lines(path):
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[-1] == b""
+    return len(lines) - 2
+
+
+@pytest.fixture
+def csv_sizes(monkeypatch):
+    """The size of column 0 of every _write_csv call, as the benchmark tracer counts rows."""
+    sizes = []
+    write_csv = cli._write_csv
+
+    def spy(path, header, columns):
+        sizes.append(np.asarray(columns[0]).size)
+        return write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_SOLUTIONS))
+def test_exact_rows_count_csv_lines(tmp_path, csv_sizes, kind):
+    cfg = {"command": "exact", "solution": {"kind": kind, **EXACT_SOLUTIONS[kind]}}
+    code, out = run_cli(tmp_path, cfg, kind)
+    assert code == 0
+    rows = csv_data_lines(out / "samples.csv")
+    assert rows == 35
+    assert read_manifest(out)["rows"] == rows
+    assert csv_sizes == [rows]
+
+
+def test_simulate_snapshot_rows_count_csv_lines(tmp_path, csv_sizes):
+    cfg = carroll_simulate_config(grid={"n": 16, "a": 0.0, "b": TWO_PI},
+                                  run={"end": 0.3, "cfl": 0.45, "snapshot_stride": 1})
+    code, out = run_cli(tmp_path, cfg, "snaps")
+    assert code == 0
+    manifest = read_manifest(out)
+    rows = csv_data_lines(out / "snapshots.csv")
+    assert len(manifest["diagnostics"]["snapshot_coords"]) > 2
+    assert manifest["grid"]["n"] * len(manifest["diagnostics"]["snapshot_coords"]) == rows
+    assert csv_sizes == [rows]
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_SOLUTIONS))
+def test_exact_fields_on_mesh_views_match_meshgrid_copies(monkeypatch, kind):
+    sol = {"kind": kind, **EXACT_SOLUTIONS[kind]}
+    header, views = cli._sample_exact(sol)
+    assert views[0].strides[1] == 0 and views[1].strides[0] == 0
+    monkeypatch.setattr(cli, "_mesh", lambda c, p: np.meshgrid(c, p, indexing="ij"))
+    _, copies = cli._sample_exact(sol)
+    for name, view, copy_ in zip(header, views, copies):
+        assert np.ascontiguousarray(view).tobytes() == copy_.tobytes(), name
 
 
 def test_exact_constant_amplitude_rho_column_constant(tmp_path):
@@ -451,6 +577,29 @@ def test_malformed_json_exits_two(tmp_path):
     code = main(["simulate", "--config", str(path),
                  "--out", str(tmp_path / "out_broken"), "--quiet"])
     assert code == 2
+
+
+def _carroll_exact_config():
+    return {"command": "exact", "solution": {"kind": "carroll", **EXACT_SOLUTIONS["carroll"]}}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("config, path", [
+    (carroll_simulate_config, ("init", "amplitude")),
+    (_carroll_exact_config, ("solution", "x", "max")),
+    (carroll_simulate_config, ("grid", "b")),
+], ids=["init_block", "axis", "grid_bound"])
+def test_non_json_number_literals_exit_two(tmp_path, capsys, literal, config, path):
+    cfg = config()
+    _get(cfg, path[:-1])[path[-1]] = float(literal.lower().replace("infinity", "inf"))
+    text = json.dumps(cfg)
+    assert literal in text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, cfg, "literal")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "manifest.json").exists()
 
 
 def test_missing_oracle_exits_two(tmp_path):
