@@ -51,10 +51,12 @@ class ShearModulus:
 
     def qtilde(self, s):
         """Q(s)/rho, the squared slow wave speed."""
-        return eval_Q(self, s) / self.rho
+        q = eval_Q(self, s)
+        return q if self.rho == 1.0 else q / self.rho
 
     def dqtilde(self, s):
-        return self.dq_eval(s) / self.rho
+        dq = self.dq_eval(s)
+        return dq if self.rho == 1.0 else dq / self.rho
 
 
 def eval_Q(m: ShearModulus, s):
@@ -252,7 +254,7 @@ def cubic_modulus(mu0: float, mu1: float, rho: float = 1.0) -> ShearModulus:
     mu0, mu1 = float(mu0), float(mu1)
     return ShearModulus(
         q=lambda s: mu0 + mu1 * np.asarray(s, dtype=float),
-        dq=lambda s: mu1 * np.ones_like(np.asarray(s, dtype=float)),
+        dq=lambda s: np.full(np.shape(s), mu1),
         rho=rho,
         name="cubic",
         params={"mu0": mu0, "mu1": mu1},

@@ -7,8 +7,8 @@ wave-speed bounds feeding the CFL step; a gradient monitor watches for loss
 of smoothness.  Each evolve_* function hands the kernel its system as one
 ConservationLaw, whose flux and wave speed come from one coefficient
 evaluation: a Lax-Friedrichs step evaluates the coefficients once, on the
-cells; a MUSCL step three times, on the cells, on the stacked predictor
-faces and on the stacked interface states.
+cells; a MUSCL step twice, on the cells with the stacked predictor faces,
+then on the stacked interface states.
 """
 from __future__ import annotations
 
@@ -120,21 +120,20 @@ def cfl_step(max_speed: float, h: float, cfl: float, remaining: float = math.inf
 class ConservationLaw:
     """One system w_t + f(w)_x = 0 as data for the finite-volume kernel.
 
-    ``flux(w)`` returns f(w) for states of shape (fields, n).
-    ``flux_speed(w)`` returns f(w) together with a wave-speed bound of shape
-    (1, n), both from one evaluation of the system's coefficients; it also
-    checks that the states it bounds are hyperbolic.  ``raise_on_blowup``
-    says whether the gradient monitor raises or only records.
+    ``flux_speed(w, ncells=None)`` takes states of shape (fields, n) and
+    evaluates the system's coefficients once.  It returns the fluxes f(w) of
+    the columns from ``ncells`` on and the wave-speed bounds, shape
+    (1, ncells), of the first ``ncells`` columns, and checks that those
+    first columns are hyperbolic; ``ncells=None`` gives both for every
+    column.  A MUSCL step evaluates it twice: on the cells with the stacked
+    predictor faces (cell speeds, face fluxes), then on the stacked
+    interface states.  ``raise_on_blowup`` says whether the gradient monitor
+    raises or only records.
     """
 
-    flux: Callable
     flux_speed: Callable
     field_names: tuple
     raise_on_blowup: bool
-
-
-def _minmod(a, b):
-    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
 
 
 def _pad(w: np.ndarray, ng: int, boundary: str) -> np.ndarray:
@@ -151,25 +150,38 @@ def _rusanov(w, f, c, left, right):
     return 0.5 * (f[:, left] + f[:, right]) - 0.5 * alpha * (w[:, right] - w[:, left])
 
 
-def _step_lf(w, f, c, dt, h, boundary, law):
+# A stepper advances the cells by one CFL step: (w, law, h, boundary, cfl,
+# remaining) -> (new w, dt, max cell speed).  The cells' speeds set dt.
+
+
+def _step_lf(w, law, h, boundary, cfl, remaining):
+    f, c = law.flux_speed(w)
+    amax = float(c.max())
+    dt = cfl_step(amax, h, cfl, remaining)
     # interface states are padded cells, so the padded f and c serve them
-    wp, fp, cp = (_pad(x, 1, boundary) for x in (w, f, c))
-    F = _rusanov(wp, fp, cp, np.s_[:-1], np.s_[1:])
-    return w - (dt / h) * (F[:, 1:] - F[:, :-1])
+    nf = w.shape[0]
+    wfc = _pad(np.concatenate([w, f, c]), 1, boundary)
+    F = _rusanov(wfc[:nf], wfc[nf:2 * nf], wfc[2 * nf:], np.s_[:-1], np.s_[1:])
+    return w - (dt / h) * (F[:, 1:] - F[:, :-1]), dt, amax
 
 
-def _step_muscl(w, f, c, dt, h, boundary, law):
+def _step_muscl(w, law, h, boundary, cfl, remaining):
     wp = _pad(w, 2, boundary)
-    dm = wp[:, 1:-1] - wp[:, :-2]
-    dp = wp[:, 2:] - wp[:, 1:-1]
-    slope = _minmod(dm, dp)
+    # minmod of the backward and forward differences of each padded cell
+    d = wp[:, 1:] - wp[:, :-1]
+    dm, dp = d[:, :-1], d[:, 1:]
+    ad = np.abs(d)
+    slope = np.where(dm * dp <= 0.0, 0.0, np.where(ad[:, :-1] < ad[:, 1:], dm, dp))
     wc = wp[:, 1:-1]
-    wl = wc - 0.5 * slope
-    wr = wc + 0.5 * slope
-    # predictor faces stacked right-then-left, so a failing Q names the
-    # same first point as evaluating wr before wl would
-    m = wc.shape[1]
-    fr_fl = law.flux(np.concatenate([wr, wl], axis=1))
+    half = 0.5 * slope
+    wl = wc - half
+    wr = wc + half
+    # cells first, then the predictor faces right-then-left, so a failing Q
+    # names the same first point as evaluating cells, wr and wl in turn
+    n, m = w.shape[1], wc.shape[1]
+    fr_fl, c = law.flux_speed(np.concatenate([w, wr, wl], axis=1), n)
+    amax = float(c.max())
+    dt = cfl_step(amax, h, cfl, remaining)
     shift = -(dt / (2.0 * h)) * (fr_fl[:, :m] - fr_fl[:, m:])
     wl = wl + shift
     wr = wr + shift
@@ -178,7 +190,7 @@ def _step_muscl(w, f, c, dt, h, boundary, law):
     ab = np.concatenate([wr[:, :-1], wl[:, 1:]], axis=1)
     f_ab, c_ab = law.flux_speed(ab)
     F = _rusanov(ab, f_ab, c_ab, np.s_[:k], np.s_[k:])
-    return w - (dt / h) * (F[:, 1:] - F[:, :-1])
+    return w - (dt / h) * (F[:, 1:] - F[:, :-1]), dt, amax
 
 
 def _max_gradient(w: np.ndarray, h: float) -> float:
@@ -197,6 +209,8 @@ def _total_variation(w: np.ndarray, boundary: str) -> np.ndarray:
 def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
             law: ConservationLaw) -> Trajectory:
     w = np.array(w0, dtype=float)
+    if not np.isfinite(w).all():
+        raise BlowupDetected("non-finite initial state", coordinate=0.0)
     h = grid.h
     end = config.end
     stepper = _step_lf if config.scheme == "lax_friedrichs" else _step_muscl
@@ -211,11 +225,7 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
     t = 0.0
     n_steps = 0
     while t < end - 1e-14 * max(1.0, abs(end)):
-        # the cells' speeds set dt; an LF step reuses f and c at its interfaces
-        f, c = law.flux_speed(w)
-        amax = float(c.max())
-        dt = cfl_step(amax, h, config.cfl, end - t)
-        w = stepper(w, f, c, dt, h, grid.boundary, law)
+        w, dt, amax = stepper(w, law, h, grid.boundary, config.cfl, end - t)
         if not np.isfinite(w).all():
             raise BlowupDetected(f"non-finite state at coordinate {t + dt!r}", coordinate=t + dt)
         t += dt
@@ -279,22 +289,21 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
     """
     safety = 1.2 if m.dq is None else 1.0
 
-    def flux(w):
-        qt = m.qtilde(_strain_sq(w))
-        return -np.concatenate([w[2:], qt * w[:2]])
-
-    def flux_speed(w):
+    def flux_speed(w, ncells=None):
         s = _strain_sq(w)
         qt = m.qtilde(s)
-        fast = qt + 2.0 * s * m.dqtilde(s)
-        if np.fmin.reduce(qt, axis=None) <= 0.0 or np.fmin.reduce(fast, axis=None) <= 0.0:
+        sc, qc = s[:, :ncells], qt[:, :ncells]
+        fast = qc + 2.0 * sc * m.dqtilde(sc)
+        if np.fmin.reduce(np.fmin(qc, fast), axis=None) <= 0.0:
             raise HyperbolicityLoss(
-                f"squared wave speed went non-positive (min {min(np.min(qt), np.min(fast)):.3e})"
+                f"squared wave speed went non-positive (min {min(np.min(qc), np.min(fast)):.3e})"
             )
-        return -np.concatenate([w[2:], qt * w[:2]]), safety * np.sqrt(np.maximum(qt, fast))
+        c = np.sqrt(np.maximum(qc, fast))
+        wf, qf = w[:, ncells:], qt[:, ncells:]
+        return -np.concatenate([wf[2:], qf * wf[:2]]), (c if safety == 1.0 else safety * c)
 
     w0 = np.stack([np.asarray(c, dtype=float) for c in (init.U, init.V, init.M, init.N)])
-    law = ConservationLaw(flux, flux_speed, ("U", "V", "M", "N"), raise_on_blowup=True)
+    law = ConservationLaw(flux_speed, ("U", "V", "M", "N"), raise_on_blowup=True)
     return _evolve(w0, grid, config, law)
 
 
@@ -308,15 +317,12 @@ def evolve_asymptotic(beta: float, grid: Grid1D, init: StrainState,
     """
     beta = float(beta)
 
-    def flux(w):
-        return -beta * (_strain_sq(w) * w)
-
-    def flux_speed(w):
+    def flux_speed(w, ncells=None):
         s = _strain_sq(w)
-        return -beta * (s * w), 3.0 * abs(beta) * s
+        return -beta * (s[:, ncells:] * w[:, ncells:]), 3.0 * abs(beta) * s[:, :ncells]
 
     w0 = np.stack([np.asarray(c, dtype=float) for c in (init.U, init.V)])
-    law = ConservationLaw(flux, flux_speed, ("U", "V"), raise_on_blowup=True)
+    law = ConservationLaw(flux_speed, ("U", "V"), raise_on_blowup=True)
     return _evolve(w0, grid, config, law)
 
 
@@ -329,14 +335,12 @@ def evolve_scalar(beta: float, grid: Grid1D, rho0,
     """
     beta = float(beta)
 
-    def flux(w):
-        return -beta * w**3
-
-    def flux_speed(w):
-        return flux(w), 3.0 * abs(beta) * w * w
+    def flux_speed(w, ncells=None):
+        wf, wc = w[:, ncells:], w[:, :ncells]
+        return -beta * wf**3, 3.0 * abs(beta) * wc * wc
 
     w0 = np.asarray(rho0, dtype=float)[None, :]
-    law = ConservationLaw(flux, flux_speed, ("rho",), raise_on_blowup=False)
+    law = ConservationLaw(flux_speed, ("rho",), raise_on_blowup=False)
     return _evolve(w0, grid, config, law)
 
 

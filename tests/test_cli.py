@@ -632,6 +632,29 @@ def test_simulate_blowup_exits_three(tmp_path):
     assert 0.0 < manifest["error"]["coordinate"] < 5.0
 
 
+def test_non_finite_initial_state_exits_three_with_strict_json_manifest(tmp_path):
+    # freq * tau overflows to inf, and sin(inf) is NaN
+    cfg = {
+        "command": "simulate",
+        "system": "asymptotic",
+        "beta": 1,
+        "grid": {"n": 64, "a": 0.0, "b": TWO_PI},
+        "run": {"end": 0.1},
+        "init": {"kind": "plane", "profile": {"kind": "sine", "amp": 1, "freq": 1e308}},
+    }
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, cfg, "nonfinite")
+    assert code == 3
+
+    def reject(literal):
+        raise ValueError(f"non-JSON number {literal}")
+
+    error = json.loads((out / "manifest.json").read_text(), parse_constant=reject)["error"]
+    assert error["type"] == "BlowupDetected"
+    assert error["message"] == "non-finite initial state"
+    assert error["coordinate"] == 0.0
+
+
 def test_separable_blowup_exits_three(tmp_path):
     # phi'' = phi^3 from phi = phi' = 1 blows up before t = 5
     cfg = {"command": "exact",

@@ -1,4 +1,4 @@
-"""Source hygiene: every name a package module imports is used in that module."""
+"""Source hygiene: every import is used, and every private module-level name is referenced."""
 import ast
 from pathlib import Path
 
@@ -20,6 +20,35 @@ def unused_imports(source):
     return sorted(imported - used - {"annotations"})
 
 
+def unreferenced_private_names(sources):
+    """Private module-level names (``_x``, not dunders) that no module refers to, sorted.
+
+    ``sources`` maps module names to source text.  A definition is a
+    top-level ``def``, ``class`` or assignment; a reference is a name read
+    anywhere, an attribute ``module._x`` or an import ``from .module import _x``.
+    """
+    defined, used = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for tgt in targets for n in ast.walk(tgt) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined |= {(module, n) for n in names if n.startswith("_") and not n.endswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {a.name for a in node.names}
+    return sorted(f"{module}:{name}" for module, name in defined if name not in used)
+
+
 def test_detector_finds_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -36,3 +65,37 @@ def test_detector_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_detector_finds_unreferenced_private_names():
+    sources = {
+        "a": (
+            "import b\n"
+            "_LIMIT = 3\n"
+            "_dead_const, _pair = 1, 2\n"
+            "def _helper(x):\n"
+            "    return x + _LIMIT\n"
+            "def _orphan():\n"
+            "    return _helper(1)\n"
+            "class _Unused:\n"
+            "    pass\n"
+            "__all__ = []\n"
+            "def public():\n"
+            "    return b._shared() + _pair\n"
+        ),
+        "b": (
+            "from .c import _imported\n"
+            "def _shared():\n"
+            "    return 0\n"
+            "def _step_old(w):\n"
+            "    return w\n"
+        ),
+        "c": "def _imported():\n    return 1\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a:_Unused", "a:_dead_const", "a:_orphan", "b:_step_old"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_names(sources) == []

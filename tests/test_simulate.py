@@ -217,6 +217,25 @@ def test_blowup_detected_on_steepening_plane_wave():
     assert 0.0 < info.value.coordinate < 5.0
 
 
+@pytest.mark.parametrize("system", ["full", "asymptotic", "scalar"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_state_raises_at_coordinate_zero(system, bad):
+    # caught before the first step, so no speed or coordinate is computed from it
+    grid = Grid1D(n=16, a=0.0, b=TWO_PI)
+    u = np.full(grid.n, 0.5)
+    u[5] = bad
+    zero = np.zeros(grid.n)
+    cfg = SimulationConfig(end=0.1)
+    with pytest.raises(BlowupDetected, match="non-finite initial state") as info:
+        if system == "full":
+            evolve_full(cubic_modulus(1.0, 0.4), grid, FullState(zero, zero, u, zero), cfg)
+        elif system == "asymptotic":
+            evolve_asymptotic(1.0, grid, StrainState(zero, u), cfg)
+        else:
+            evolve_scalar(1.0, grid, u, cfg)
+    assert info.value.coordinate == 0.0
+
+
 def test_scalar_evolution_records_blowup_without_raising():
     grid = Grid1D(n=256, a=0.0, b=TWO_PI)
     rho0 = 1.0 + 0.2 * np.sin(grid.centers)
