@@ -709,46 +709,37 @@ def cmd_hodograph(config: dict, outdir: Path) -> dict:
             "theta_range": [float(theta.min()), float(theta.max())]}
 
 
-def _verify_polar_fields(config: dict, n: int):
-    """One refinement level of (theta, rho) fields for the verify studies."""
-    rect = config["rectangle"]
-    coords = np.linspace(rect["coord"]["min"], rect["coord"]["max"], n)
-    points = np.linspace(rect["point"]["min"], rect["point"]["max"], n)
-    if config.get("negative_control") and config["study"] in ("asymptotic", "conservation"):
-        C, P = np.meshgrid(coords, points, indexing="ij")
-        theta = np.sin(2.0 * P) + 0.0 * C
-        rho = np.ones_like(theta)
-        return FieldSample(coords, points, {"theta": theta, "rho": rho})
-    sol = config["solution"]
-    if sol["kind"] == "constant_amplitude":
-        prof = profile_from_config(sol["profile"])
-        amp = sol["amplitude"]
-        C, P = np.meshgrid(coords, points, indexing="ij")
-        theta = np.asarray(prof(config["beta"] * amp**2 * C + P), dtype=float)
-        rho = np.full_like(theta, amp)
-        return FieldSample(coords, points, {"theta": theta, "rho": rho})
-    data = HodographData(phase_fn=profile_from_config(sol["phase"]),
-                         radial_fn=profile_from_config(sol["radial"]))
-    rho, theta = sample_hodograph(data, config["beta"], coords, points, tuple(sol["seed"]))
-    return FieldSample(coords, points, {"theta": theta, "rho": rho})
+def _rectangle_samples(config: dict, fields: Callable) -> list:
+    """The study's fields on every refinement level of the rectangle, coarsest first.
 
-
-def _verify_full_fields(config: dict, wave: CarrollWave, control: bool):
-    """(U, V, M, N) of the Carroll wave on every level, or noise for the control."""
+    ``fields(C, P)`` returns the named fields on one level's (coordinate,
+    point) mesh, given as broadcast views.
+    """
     rect = config["rectangle"]
-    rng = np.random.default_rng(config.get("seed", 0))
     samples = []
     for n in config["levels"]:
         coords = np.linspace(rect["coord"]["min"], rect["coord"]["max"], n)
         points = np.linspace(rect["point"]["min"], rect["point"]["max"], n)
-        if control:
-            vals = {k: rng.standard_normal((n, n)) for k in ("U", "V", "M", "N")}
-        else:
-            T, X = np.meshgrid(coords, points, indexing="ij")
-            U, V, M, N = carroll_full_state(wave, X, T)
-            vals = {"U": U, "V": V, "M": M, "N": N}
-        samples.append(FieldSample(coords, points, vals))
+        samples.append(FieldSample(coords, points, fields(*_mesh(coords, points))))
     return samples
+
+
+def _polar_fields(config: dict, control: bool) -> Callable:
+    """``fields(C, P)`` of (theta, rho) from the solution block, or the non-solution
+    theta = sin(2 tau), rho = 1 for a negative control of a residual or conservation study."""
+    if control and config["study"] in ("asymptotic", "conservation"):
+        return lambda C, P: {"theta": np.sin(2.0 * P) + 0.0 * C, "rho": np.ones(C.shape)}
+    sol, beta = config["solution"], config["beta"]
+    if sol["kind"] == "constant_amplitude":
+        prof = profile_from_config(sol["profile"])
+        amp = sol["amplitude"]
+        return lambda C, P: {"theta": prof(beta * amp**2 * C + P),
+                             "rho": np.full(C.shape, float(amp))}
+    data = HodographData(phase_fn=profile_from_config(sol["phase"]),
+                         radial_fn=profile_from_config(sol["radial"]))
+    # the hodograph is sampled on the mesh's two axes
+    return lambda C, P: dict(zip(("rho", "theta"),
+                                 sample_hodograph(data, beta, C[:, 0], P[0], tuple(sol["seed"]))))
 
 
 def _order_report(study: str, report, target: float, control: bool, **extra) -> dict:
@@ -799,11 +790,8 @@ def _verify_study(config: dict) -> dict:
     control = bool(config.get("negative_control", False))
     if study == "commutator":
         return _commutator_study(config, control)
-    if "beta" not in config:
-        raise ConfigError(f"study {study!r} requires 'beta'")
     if "rectangle" not in config or "levels" not in config:
         raise ConfigError(f"study {study!r} requires 'rectangle' and 'levels'")
-    beta = config["beta"]
     sol = config.get("solution")
 
     if study == "full":
@@ -812,11 +800,20 @@ def _verify_study(config: dict) -> dict:
         _validate(sol, VERIFY_SOLUTION_SCHEMAS["carroll"], where="solution block")
         m = modulus_from_config(sol["modulus"])
         wave = CarrollWave.from_modulus(m, sol["amplitude"], sol["wavenumber"])
-        report = residual_full(_verify_full_fields(config, wave, control), m,
-                               order_target=target)
+        if control:
+            rng = np.random.default_rng(config.get("seed", 0))
+            fields = lambda C, P: {k: rng.standard_normal(C.shape) for k in ("U", "V", "M", "N")}
+        else:
+            fields = lambda C, P: dict(zip(("U", "V", "M", "N"), carroll_full_state(wave, P, C)))
+        report = residual_full(_rectangle_samples(config, fields), m, order_target=target)
         return _order_report(study, report, target, control)
 
-    if not control or study == "linearized_symmetry":
+    if "beta" not in config:
+        raise ConfigError(f"study {study!r} requires 'beta'")
+    beta = config["beta"]
+    # a negative control of the residual and conservation studies samples its
+    # own non-solution, but a solution block it is given must still be valid
+    if sol is not None or not control or study == "linearized_symmetry":
         if sol is None or sol.get("kind") not in ("constant_amplitude", "hodograph"):
             raise ConfigError(f"study {study!r} requires a solution block "
                               f"(constant_amplitude or hodograph)")
@@ -824,7 +821,7 @@ def _verify_study(config: dict) -> dict:
     block = {"conservation": "conservation", "linearized_symmetry": "symmetry"}.get(study)
     if block is not None and block not in config:
         raise ConfigError(f"{study} study requires a {block!r} block")
-    samples = [_verify_polar_fields(config, n) for n in config["levels"]]
+    samples = _rectangle_samples(config, _polar_fields(config, control))
 
     if study == "asymptotic":
         report = residual_asymptotic(samples, beta, order_target=target)

@@ -148,24 +148,33 @@ class ResidualReport:
         return "\n".join(lines)
 
 
-def _make_report(hs, linfs, l2s, target, **details) -> ResidualReport:
-    hs = np.asarray(hs, float)
-    linfs = np.asarray(linfs, float)
-    l2s = np.asarray(l2s, float)
-    order = _fit_order(hs, linfs)
-    order_l2 = _fit_order(hs, l2s)
-    passed = min(order, order_l2) >= target
-    return ResidualReport(spacings=hs, linf=linfs, l2=l2s, order=order,
-                          order_l2=order_l2, target=target, passed=passed,
-                          details=dict(details))
+def _make_report(hs, norms, target, **details) -> ResidualReport:
+    """Report of one residual's (Linf, L2) norms over the spacings ``hs``."""
+    linf, l2 = norms
+    order, order_l2 = _fit_order(hs, linf), _fit_order(hs, l2)
+    return ResidualReport(spacings=hs, linf=linf, l2=l2, order=order, order_l2=order_l2,
+                          target=target, passed=min(order, order_l2) >= target,
+                          details=details)
 
 
-def _check_levels(samples: Sequence[FieldSample]):
+def _level_norms(samples: Sequence[FieldSample], level_residuals: Callable):
+    """Transverse spacings and residual norms over the refinement levels.
+
+    ``level_residuals(sample)`` returns one level's residuals as a tuple of
+    groups, each a list of arrays pooled into one (Linf, L2) pair.  Returns
+    the spacings and an array indexed [group, Linf or L2, level].  The levels
+    need strictly decreasing spacing and room for the stencils.
+    """
     if len(samples) < 2:
         raise ValueError("need at least 2 refinement levels to estimate a decay order")
-    hs = [s.d_point for s in samples]
-    if any(b >= a for a, b in zip(hs, hs[1:])):
+    hs = np.array([s.d_point for s in samples])
+    if np.any(hs[1:] >= hs[:-1]):
         raise ValueError("refinement levels must have strictly decreasing spacing")
+    norms = []
+    for sample in samples:
+        _require_layers(sample)
+        norms.append([_norms(group) for group in level_residuals(sample)])
+    return hs, np.transpose(norms, (1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -180,27 +189,21 @@ def residual_full(samples: Sequence[FieldSample], m: ShearModulus,
     N_t - [Qt(s)V]_x are discretized with centered stencils; fields must be
     sampled with the evolution axis t and transverse axis x.
     """
-    _check_levels(samples)
-    hs, linfs, l2s = [], [], []
-    for sample in samples:
-        _require_layers(sample)
+    def level(sample):
         dt, dx = sample.d_coord, sample.d_point
         U, V = sample.get("U"), sample.get("V")
         M, N = sample.get("M"), sample.get("N")
-        s = U * U + V * V
-        qt = m.qtilde(s)
+        qt = m.qtilde(U * U + V * V)
         res = [
             _d_evolution(U, dt)[:, 1:-1] - _d_transverse(M, dx)[1:-1, :],
             _d_evolution(V, dt)[:, 1:-1] - _d_transverse(N, dx)[1:-1, :],
             _d_evolution(M, dt)[:, 1:-1] - _d_transverse(qt * U, dx)[1:-1, :],
             _d_evolution(N, dt)[:, 1:-1] - _d_transverse(qt * V, dx)[1:-1, :],
         ]
-        res = [r[1:-1, 1:-1] for r in res]
-        a, b = _norms(res)
-        hs.append(dx)
-        linfs.append(a)
-        l2s.append(b)
-    return _make_report(hs, linfs, l2s, order_target)
+        return ([r[1:-1, 1:-1] for r in res],)
+
+    hs, norms = _level_norms(samples, level)
+    return _make_report(hs, norms[0], order_target)
 
 
 def residual_asymptotic(samples: Sequence[FieldSample], beta: float,
@@ -210,21 +213,18 @@ def residual_asymptotic(samples: Sequence[FieldSample], beta: float,
     Checks theta_X - beta rho^2 theta_tau and rho_X - 3 beta rho^2 rho_tau
     with the evolution axis X and transverse axis tau.
     """
-    _check_levels(samples)
     beta = float(beta)
-    hs, linfs, l2s = [], [], []
-    for sample in samples:
-        _require_layers(sample)
+
+    def level(sample):
         dX, dtau = sample.d_coord, sample.d_point
         th, rh = sample.get("theta"), sample.get("rho")
         rh_mid = rh[1:-1, 1:-1]
         r1 = _d_evolution(th, dX)[:, 1:-1] - beta * rh_mid**2 * _d_transverse(th, dtau)[1:-1, :]
         r2 = _d_evolution(rh, dX)[:, 1:-1] - 3.0 * beta * rh_mid**2 * _d_transverse(rh, dtau)[1:-1, :]
-        a, b = _norms([r1[1:-1, 1:-1], r2[1:-1, 1:-1]])
-        hs.append(dtau)
-        linfs.append(a)
-        l2s.append(b)
-    return _make_report(hs, linfs, l2s, order_target)
+        return ([r1[1:-1, 1:-1], r2[1:-1, 1:-1]],)
+
+    hs, norms = _level_norms(samples, level)
+    return _make_report(hs, norms[0], order_target)
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +270,20 @@ def conservation_residual(samples: Sequence[FieldSample], beta: float,
     not a solution (or the pair is wrong) and NeitherOrientationDecays is
     raised with both fitted orders.
     """
-    _check_levels(samples)
     beta = float(beta)
-    norms = {"forward": ([], []), "swapped": ([], [])}
-    hs = []
-    for sample in samples:
-        _require_layers(sample)
+
+    def level(sample):
         dX, dtau = sample.d_coord, sample.d_point
         th, rh = sample.get("theta"), sample.get("rho")
         dens = spec.density(th, rh)
         flx = spec.flux(th, rh, beta)
         fwd = _d_evolution(dens, dX)[:, 1:-1] - _d_transverse(flx, dtau)[1:-1, :]
         swp = _d_evolution(flx, dX)[:, 1:-1] - _d_transverse(dens, dtau)[1:-1, :]
-        hs.append(dtau)
-        for key, r in (("forward", fwd), ("swapped", swp)):
-            a, b = _norms([r[1:-1, 1:-1]])
-            norms[key][0].append(a)
-            norms[key][1].append(b)
+        return [fwd[1:-1, 1:-1]], [swp[1:-1, 1:-1]]
 
-    orders = {}
-    for key in ("forward", "swapped"):
-        orders[key] = (_fit_order(np.asarray(hs), np.asarray(norms[key][0])),
-                       _fit_order(np.asarray(hs), np.asarray(norms[key][1])))
+    hs, norm_pairs = _level_norms(samples, level)
+    norms = dict(zip(("forward", "swapped"), norm_pairs))
+    orders = {key: (_fit_order(hs, linf), _fit_order(hs, l2)) for key, (linf, l2) in norms.items()}
     decays = {k: min(v) >= DECAY_MIN_ORDER for k, v in orders.items()}
     if not any(decays.values()):
         raise NeitherOrientationDecays(
@@ -304,11 +296,8 @@ def conservation_residual(samples: Sequence[FieldSample], beta: float,
             chosen = "forward"
     else:
         chosen = "forward" if decays["forward"] else "swapped"
-    report = _make_report(hs, norms[chosen][0], norms[chosen][1], order_target,
-                          orientation=chosen,
-                          order_forward=orders["forward"][0],
-                          order_swapped=orders["swapped"][0])
-    return report
+    return _make_report(hs, norms[chosen], order_target, orientation=chosen,
+                        order_forward=orders["forward"][0], order_swapped=orders["swapped"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +438,9 @@ def linearized_symmetry_residual(samples: Sequence[FieldSample], beta: float, sp
         D_X phi_theta - 2 beta rho theta_tau phi_rho - beta rho^2 D_tau phi_theta = 0
         D_X phi_rho   - 6 beta rho rho_tau   phi_rho - 3 beta rho^2 D_tau phi_rho = 0.
     """
-    _check_levels(samples)
     beta = float(beta)
-    hs, linfs, l2s = [], [], []
-    for sample in samples:
-        _require_layers(sample)
+
+    def level(sample):
         dX, dtau = sample.d_coord, sample.d_point
         th, rh = sample.get("theta"), sample.get("rho")
         th_tau = _d_transverse(th, dtau)
@@ -472,11 +459,10 @@ def linearized_symmetry_residual(samples: Sequence[FieldSample], beta: float, sp
 
         eq1 = dX_phi_th - 2.0 * beta * rh_m * th_tau_m * phi_rh_m - beta * rh_m**2 * dtau_phi_th
         eq2 = dX_phi_rh - 6.0 * beta * rh_m * rh_tau_m * phi_rh_m - 3.0 * beta * rh_m**2 * dtau_phi_rh
-        a, b = _norms([eq1[1:-1, :], eq2[1:-1, :]])
-        hs.append(dtau)
-        linfs.append(a)
-        l2s.append(b)
-    return _make_report(hs, linfs, l2s, order_target)
+        return ([eq1[1:-1, :], eq2[1:-1, :]],)
+
+    hs, norms = _level_norms(samples, level)
+    return _make_report(hs, norms[0], order_target)
 
 
 def commutator_residual(spec, beta: float, jet_samples) -> float:
@@ -565,6 +551,8 @@ def convergence_study(run: Callable, oracle: Callable, levels: Sequence[int],
     """
     if len(levels) < 2:
         raise ValueError("need at least 2 resolutions")
+    if len({int(n) for n in levels}) < len(levels):
+        raise ValueError(f"resolutions must be distinct, got {[int(n) for n in levels]}")
     cells, hs, linfs, l2s = [], [], [], []
     for n in levels:
         traj = run(int(n))

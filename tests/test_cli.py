@@ -766,6 +766,47 @@ def test_verify_descending_levels_exits_two(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_convergence_repeated_level_exits_two(tmp_path, capsys):
+    cfg = small_config("convergence")
+    cfg["levels"] = [16, 16]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no line is fitted through repeated points
+        code, out = run_cli(tmp_path, cfg, "crl")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "distinct" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_verify_full_study_needs_no_beta(tmp_path):
+    cfg = {"command": "verify", "study": "full", "beta": 1.0,
+           "solution": {"kind": "carroll", "modulus": {"kind": "cubic", "mu0": 1.0, "mu1": 0.5},
+                        "amplitude": 1.0, "wavenumber": 1.0},
+           "rectangle": {"coord": {"min": 0.0, "max": 1.0}, "point": {"min": 0.0, "max": TWO_PI}},
+           "levels": [17, 33, 65]}
+    code, out = run_cli(tmp_path, cfg, "fwb")
+    del cfg["beta"]
+    code_nb, out_nb = run_cli(tmp_path, cfg, "fnb")
+    assert code == code_nb == 0
+    assert (out / "report.json").read_bytes() == (out_nb / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("solution", [{"kind": 3}, {"kind": "carroll", "bogus": 1},
+                                      {"kind": "hodograph", "phase": {"kind": "linear", "k": 1.0}}],
+                         ids=["kind_3", "carroll", "hodograph_missing_keys"])
+@pytest.mark.parametrize("study", ["asymptotic", "conservation"])
+def test_negative_control_validates_its_solution_block(tmp_path, capsys, study, solution):
+    cfg = {**small_config("verify"), "study": study, "negative_control": True,
+           "conservation": {"amp_weight": {"kind": "const", "c": 0.0},
+                            "angle_weight": {"kind": "linear", "k": 1.0}}}
+    code, _ = run_cli(tmp_path, cfg, "ncv")
+    assert code == 1  # a valid block: the control is confirmed
+    code, out = run_cli(tmp_path, {**cfg, "solution": solution}, "nci")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "manifest.json").exists()
+
+
 def test_oracle_check_without_oracle_exits_two(tmp_path):
     cfg = {
         "command": "simulate",

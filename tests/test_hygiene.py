@@ -1,10 +1,13 @@
-"""Source hygiene: every import is used, and every private module-level name is referenced."""
+"""Source hygiene: every import is used, every private module-level name is
+referenced, and every script path the README names exists."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "shearwaves"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "shearwaves"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -99,3 +102,22 @@ def test_detector_finds_unreferenced_private_names():
 def test_every_private_name_is_referenced():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def script_paths(text):
+    """The ``scripts/...`` paths named in a text, in order of appearance."""
+    return re.findall(r"scripts/[\w./-]*[\w/]", text)
+
+
+def test_detector_finds_script_paths():
+    text = ("Configs live in `scripts/configs/`:\n"
+            "shearwaves verify --config scripts/configs/verify.json --out o\n"
+            "python3 scripts/old_study.py. See scripts/a-b/c_d.json, too.")
+    assert script_paths(text) == ["scripts/configs/", "scripts/configs/verify.json",
+                                  "scripts/old_study.py", "scripts/a-b/c_d.json"]
+
+
+def test_readme_names_only_existing_scripts():
+    named = script_paths((ROOT / "README.md").read_text())
+    assert named
+    assert [p for p in named if not (ROOT / p).exists()] == []

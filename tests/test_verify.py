@@ -76,16 +76,38 @@ def test_field_sample_from_function():
     assert sample.get("b")[4, 6] == pytest.approx(1.0)
 
 
-def test_too_few_snapshots_rejected():
-    m = cubic_modulus(1.0, 0.5)
-    c = np.linspace(0.0, 1.0, 3)
-    p = np.linspace(0.0, 1.0, 9)
-    z = np.zeros((3, 9))
-    sample = FieldSample(c, p, {"U": z, "V": z, "M": z, "N": z})
-    fine = FieldSample(c, np.linspace(0.0, 1.0, 17),
-                       {k: np.zeros((3, 17)) for k in ("U", "V", "M", "N")})
-    with pytest.raises(InsufficientSnapshots):
-        residual_full([sample, fine], m)
+def _flat_sample(n_coords, n_points):
+    """Zero fields on the unit square, with rho = 1: enough for every residual."""
+    z = np.zeros((n_coords, n_points))
+    return FieldSample(np.linspace(0.0, 1.0, n_coords), np.linspace(0.0, 1.0, n_points),
+                       {"U": z, "V": z, "M": z, "N": z, "theta": z, "rho": z + 1.0})
+
+
+RESIDUALS = {
+    "residual_full": lambda samples: residual_full(samples, cubic_modulus(1.0, 0.5)),
+    "residual_asymptotic": lambda samples: residual_asymptotic(samples, 1.0),
+    "conservation_residual": lambda samples: conservation_residual(
+        samples, 1.0, ConservationSpec(const_profile(0.0), linear_profile(1.0))),
+    "linearized_symmetry_residual": lambda samples: linearized_symmetry_residual(
+        samples, 1.0, SymmetrySpec(linear_profile(1.0), poly_profile([0.0, 0.0, 1.0]))),
+}
+LEVEL_GUARDS = {
+    "too_few_snapshots": ([_flat_sample(3, 9), _flat_sample(3, 17)],
+                          InsufficientSnapshots, "at least 5 evolution layers"),
+    "single_level": ([_flat_sample(9, 9)], ValueError, "at least 2 refinement levels"),
+    "equal_spacing": ([_flat_sample(9, 9), _flat_sample(17, 9)], ValueError,
+                      "strictly decreasing spacing"),
+    "coarsening": ([_flat_sample(9, 17), _flat_sample(9, 9)], ValueError,
+                   "strictly decreasing spacing"),
+}
+
+
+@pytest.mark.parametrize("guard", LEVEL_GUARDS)
+@pytest.mark.parametrize("residual", RESIDUALS)
+def test_level_guards_rejected(residual, guard):
+    samples, error, message = LEVEL_GUARDS[guard]
+    with pytest.raises(error, match=message):
+        RESIDUALS[residual](samples)
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +420,9 @@ def test_convergence_study_oracle_failure():
 
     with pytest.raises(OracleFailure):
         convergence_study(run, nan_oracle, [32, 64])
+
+
+def test_convergence_study_rejects_repeated_level():
+    run, oracle = _asymptotic_runner(0.5, 1.0, sine_profile(1.0, 1.0), end=0.2)
+    with pytest.raises(ValueError, match="must be distinct"):
+        convergence_study(run, oracle, [32, 64, 32])
