@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 from .errors import (
     BlowupDetected,
     ChartFailure,
-    CoincidenceOfSpeeds,
     ConfigError,
     DegenerateConstraint,
     DegenerateDirection,
     HyperbolicityLoss,
-    InconsistentField,
     InsufficientSnapshots,
     NeitherOrientationDecays,
     NoBracket,
@@ -36,7 +34,6 @@ from .profiles import (
 from .constitutive import (
     ShearModulus,
     TempleFlux,
-    beta_from_moduli,
     cubic_modulus,
     eval_Q,
     flux_from_config,
@@ -56,7 +53,6 @@ from .exact import (
     FullState,
     HodographData,
     PolarState,
-    PotentialField,
     SeparableSolution,
     StrainState,
     carroll_dispersion,
@@ -71,21 +67,16 @@ from .exact import (
     hodograph_forward,
     hodograph_invert,
     hodograph_jacobian,
-    polar_to_strain,
-    potential_phi,
     sample_hodograph,
     sample_simple_wave,
     strain_to_polar,
 )
 from .analysis import (
     ClassificationReport,
-    DiagonalForm,
     EigenReport,
     classify,
     compatibility_residuals,
     construct_temple_flux,
-    diagonal_form,
-    symmetry_coefficient_s2,
     temple_eigen,
 )
 from .simulate import (
@@ -103,7 +94,6 @@ from .verify import (
     ConservationSpec,
     ConvergenceReport,
     FieldSample,
-    FirstOrderSymmetry,
     PerturbedRadialControl,
     ResidualReport,
     SymmetrySpec,

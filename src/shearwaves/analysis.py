@@ -10,24 +10,21 @@ Hamiltonian structure, decoupling in a Riemann-invariant chart).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .constitutive import TempleFlux
 from .errors import (
     ChartFailure,
-    CoincidenceOfSpeeds,
     DegenerateConstraint,
     DegenerateDirection,
 )
-from .numerics import rk4_integrate
 from .profiles import ProfileFunction
 
 FLAG_SET_TOL = 1e-8
 FLAG_CLEAR_TOL = 1e-4
 DIRECTION_TOL = 1e-14
-SPEED_GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -266,69 +263,3 @@ def construct_temple_flux(H: ProfileFunction, Phi: ProfileFunction, Psi: Profile
         raise AssertionError(f"constructed pair failed its own compatibility check: {worst:.3e}")
     return pair
 
-
-# ---------------------------------------------------------------------------
-# diagonal (Riemann-invariant) form
-
-
-@dataclass(frozen=True)
-class DiagonalForm:
-    """The system rewritten in the chart (alpha, u/v) with P = R(alpha).
-
-    alpha rides at speed R'(alpha)(alpha_u u + alpha_v v) + R(alpha); the
-    ratio u/v rides at speed R(alpha).
-    """
-
-    flux: TempleFlux
-    alpha: TempleFlux
-    R: ProfileFunction
-
-    def alpha_speed(self, u, v):
-        a = self.alpha(u, v)
-        stretch = self.alpha.p_u(u, v) * u + self.alpha.p_v(u, v) * v
-        return self.R.deriv(a) * stretch + self.R(a)
-
-    def ratio_speed(self, u, v):
-        return self.R(self.alpha(u, v))
-
-
-def diagonal_form(f: TempleFlux, alpha: TempleFlux, R: ProfileFunction,
-                  samples=None, rtol: float = 1e-10) -> DiagonalForm:
-    """Validate P = R(alpha) on samples and return the diagonal-form bundle."""
-    if samples is None:
-        g = np.linspace(0.6, 1.4, 5)
-        uu, vv = np.meshgrid(g, g, indexing="ij")
-        samples = np.column_stack([uu.ravel(), vv.ravel()])
-    pts = np.asarray(samples, dtype=float)
-    u, v = pts[:, 0], pts[:, 1]
-    P = np.asarray(f.p(u, v), dtype=float)
-    Ra = np.asarray(R(alpha(u, v)), dtype=float)
-    err = np.max(np.abs(P - Ra) / np.maximum(1.0, np.abs(P)))
-    if err > rtol:
-        raise ValueError(f"P != R(alpha) on samples (relative error {err:.3e})")
-    return DiagonalForm(f, alpha, R)
-
-
-def symmetry_coefficient_s2(s1: ProfileFunction, R: ProfileFunction, f: Callable,
-                            alpha_grid, s2_init: float = 1.0,
-                            substeps: int = 4) -> np.ndarray:
-    """Second symmetry coefficient from the decoupled first one.
-
-    Integrates  R'(alpha) (s2 - s1) + s2'(alpha) (f(alpha) - R(alpha)) = 0
-    for s2(alpha) along alpha_grid with s2(alpha_grid[0]) = s2_init, by RK4.
-    For the product chart (f - R = 2 alpha R') this is equivalent to
-    s2 - s1 + 2 alpha s2' = 0.  Raises CoincidenceOfSpeeds when |f - R|
-    drops below 1e-12 anywhere on the grid.
-    """
-    grid = np.asarray(alpha_grid, dtype=float)
-    gap = np.abs(np.asarray(f(grid), dtype=float) - np.asarray(R(grid), dtype=float))
-    if np.min(gap) < SPEED_GAP_TOL:
-        raise CoincidenceOfSpeeds(
-            f"|f - R| = {np.min(gap):.3e} on the grid; the s2 equation is singular"
-        )
-
-    def rhs(a, y):
-        return np.array([float(R.deriv(a)) * (float(s1(a)) - y[0]) / (float(f(a)) - float(R(a)))])
-
-    out = rk4_integrate(rhs, grid, [float(s2_init)], substeps=substeps)
-    return out[:, 0]

@@ -14,7 +14,9 @@ per distinct value, not once per row; the bytes are the same either way.
 
 Every command goes through ``run``.  Exit codes: 0 success, 1 a
 verification or convergence target missed, 2 config error (no manifest),
-3 solver or construction failure (the manifest names the error).
+3 solver or construction failure (the manifest names the error).  A
+negative-control ``verify`` run always exits 1; its ``report.json`` says in
+``control_confirmed`` whether the control failed as it should.
 """
 from __future__ import annotations
 
@@ -852,7 +854,8 @@ def _verify_study(config: dict) -> dict:
 def cmd_verify(config: dict, outdir: Path) -> dict:
     doc = _verify_study(config)
     _write_json(outdir / "report.json", doc)
-    return {"passed": doc["passed"]}
+    # a negative control is run to be missed, confirmed or not; its report says which
+    return {"passed": doc["passed"] and not doc["negative_control"]}
 
 
 def cmd_convergence(config: dict, outdir: Path) -> dict:
@@ -896,12 +899,13 @@ HANDLERS = {
 def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> int:
     """Load and validate a config, run its command, write the manifest; return the exit code.
 
-    0: success.  1: a verification or convergence target was missed.
-    2: a config error, including a ValueError from a library input check;
-    the message goes to stderr and no manifest is written.  3: any other
-    ShearWaveError; ``manifest.json`` gets ``status: "error"`` and
-    ``error.{type, message, coordinate}``.  Exits 0, 1 and 3 all leave a
-    manifest.
+    0: success.  1: a verification or convergence target was missed, or
+    a ``verify`` negative control ran (``control_confirmed`` in its report
+    says whether it failed as it should).  2: a config error, including a
+    ValueError from a library input check; the message goes to stderr and
+    no manifest is written.  3: any other ShearWaveError; ``manifest.json``
+    gets ``status: "error"`` and ``error.{type, message, coordinate}``.
+    Exits 0, 1 and 3 all leave a manifest.
     """
     try:
         config = _load_config(config_path)

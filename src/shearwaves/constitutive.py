@@ -151,27 +151,6 @@ class TempleFlux:
         ) / (4.0 * hu * hv)
 
 
-def beta_from_moduli(mu0: float, mu1: float, rho: float, convention: str = "speed") -> float:
-    """Nonlinearity coefficient from the leading moduli.
-
-    With c1 = mu1/rho the coefficient is beta = c1 / (2 c0^2).  Under the
-    default "speed" convention the background speed is c0 = sqrt(mu0/rho),
-    giving beta = mu1 / (2 mu0).  The alternative "squared" convention takes
-    c0 = mu0/rho itself, giving beta = mu1 * rho / (2 mu0^2).
-    """
-    mu0, mu1, rho = float(mu0), float(mu1), float(rho)
-    if mu0 <= 0.0 or rho <= 0.0:
-        raise ValueError("mu0 and rho must be positive")
-    c1 = mu1 / rho
-    if convention == "speed":
-        c0sq = mu0 / rho
-    elif convention == "squared":
-        c0sq = (mu0 / rho) ** 2
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return c1 / (2.0 * c0sq)
-
-
 def solve_level_set(f: TempleFlux, a: float, u, v_bracket):
     """Solve P(u, v) = a for v inside v_bracket, elementwise over u.
 

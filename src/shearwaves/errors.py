@@ -29,10 +29,6 @@ class SingularJacobian(ShearWaveError):
     """A Newton Jacobian is numerically singular (fold / degenerate map)."""
 
 
-class InconsistentField(ShearWaveError):
-    """Quadrature along independent paths disagrees beyond discretization error."""
-
-
 class DegenerateDirection(ShearWaveError):
     """An eigenvector direction is undefined at the requested state."""
 
@@ -43,10 +39,6 @@ class ChartFailure(ShearWaveError):
 
 class DegenerateConstraint(ShearWaveError):
     """The level-set constraint has a vanishing gradient component."""
-
-
-class CoincidenceOfSpeeds(ShearWaveError):
-    """Two characteristic speeds coincide where they must stay separated."""
 
 
 class HyperbolicityLoss(ShearWaveError):

@@ -14,12 +14,11 @@ import numpy as np
 
 from .constitutive import ShearModulus, TempleFlux, eval_Q, solve_level_set
 from .errors import (
-    InconsistentField,
     NoBracket,
     NoConvergence,
     SingularJacobian,
 )
-from .numerics import cumtrapz, rk4_integrate
+from .numerics import rk4_integrate
 from .profiles import ProfileFunction
 
 DISPERSION_RTOL = 1e-12
@@ -29,6 +28,9 @@ HODOGRAPH_TOL = 1e-10
 HODOGRAPH_AGREE = 1e-8
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 20
+# sweeps a point gets in the two array passes of _hodograph_continue; points
+# still iterating after that are marched at the full NEWTON_MAX_ITER
+HODOGRAPH_PASS_MAX_ITER = 10
 
 
 class StrainState(NamedTuple):
@@ -56,11 +58,6 @@ class FullState(NamedTuple):
 
 def strain_to_polar(U, V) -> PolarState:
     return PolarState(np.hypot(U, V), np.arctan2(V, U))
-
-
-def polar_to_strain(rho, theta) -> StrainState:
-    rho = np.asarray(rho, dtype=float)
-    return StrainState(rho * np.cos(theta), rho * np.sin(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +174,23 @@ def eval_asymptotic_linear(beta: float, amplitude: float, theta_profile: Profile
 # plane-polarized simple wave (implicit profile equation)
 
 
-def _damped_newton(residual, newton_step, unknowns, tol):
+def _damped_newton(residual, newton_step, unknowns, tol, max_iter=NEWTON_MAX_ITER):
     """Damped Newton over arrays of independent equations, each element on its own.
 
     residual(u, idx) returns the residual components and their max-norm at
     the elements idx, given their unknowns u; newton_step(u, res, idx)
     returns the full Newton step and a flag per element that cannot step.
     Each element tries the fractions 1, 1/2, ..., 2^-NEWTON_MAX_HALVINGS of
-    its step and takes the first that lowers its norm, until norm <= tol.
-    Returns the unknowns and a code per element: 0 converged, 1 flagged by
-    newton_step, 2 damping exhausted, 3 iteration budget exhausted.
+    its step and takes the first that lowers its norm, until norm <= tol or
+    max_iter sweeps.  Returns the unknowns and a code per element: 0
+    converged, 1 flagged by newton_step, 2 damping exhausted, 3 iteration
+    budget exhausted.
     """
     u = [np.array(a, dtype=float) for a in unknowns]
     act = np.arange(u[0].size)
     res, err = residual(u, act)
     code = np.zeros(act.size, dtype=int)
-    for _ in range(NEWTON_MAX_ITER):
+    for _ in range(max_iter):
         act = act[~(err[act] <= tol)]
         if act.size == 0:
             return u, code
@@ -385,11 +383,12 @@ HODOGRAPH_FAILURES = {
 }
 
 
-def _hodograph_solve(hd, beta, X, tau, theta, rho, check=True):
+def _hodograph_solve(hd, beta, X, tau, theta, rho, check=True, max_iter=NEWTON_MAX_ITER):
     """Invert the forward map at arrays of points, seeded at (theta, rho).
 
-    One damped 2D Newton over all points, with the forward map and its
-    Jacobian evaluated once per sweep over the points still iterating.
+    One damped 2D Newton of at most max_iter sweeps over all points, with
+    the forward map and its Jacobian evaluated once per sweep over the
+    points still iterating.
     Returns (theta, rho), raising at the first failing point; with
     check=False, returns the iterates and the failure codes of
     _damped_newton instead.
@@ -411,7 +410,7 @@ def _hodograph_solve(hd, beta, X, tau, theta, rho, check=True):
         with np.errstate(divide="ignore", invalid="ignore"):
             return [(-res[0] * d + res[1] * b) / det, (-res[1] * a + res[0] * c) / det], fold
 
-    u, code = _damped_newton(residual, newton_step, [theta, rho], HODOGRAPH_TOL)
+    u, code = _damped_newton(residual, newton_step, [theta, rho], HODOGRAPH_TOL, max_iter)
     if not check:
         return u, code
     failure = _first_failure(code, HODOGRAPH_FAILURES, X, tau)
@@ -427,8 +426,9 @@ def _hodograph_continue(hd, beta, X, tau, start):
     (X[k, l], tau[k, l]) from lane l of step k-1, and step -1 is
     start = (theta, rho), each of shape (w,).  Lanes are independent.
     Pass 1 solves every step from start; pass 2 solves step k from pass-1
-    step k-1, the march's own seed graph.  A lane keeps its pass-2 values up
-    to the first step where a pass fails or the passes differ by more than
+    step k-1, the march's own seed graph.  Both passes stop after
+    HODOGRAPH_PASS_MAX_ITER sweeps.  A lane keeps its pass-2 values up to the
+    first step where a pass fails or the passes differ by more than
     HODOGRAPH_AGREE, and is marched one step at a time from there.  Returns
     theta and rho of shape (n, w), and (lane, step, code) of the first
     failure in lane-major order, or None.
@@ -442,12 +442,13 @@ def _hodograph_continue(hd, beta, X, tau, start):
     with np.errstate(all="ignore"):
         (th1, r1), c1 = _hodograph_solve(hd, beta, X.ravel(), tau.ravel(),
                                          *(np.broadcast_to(a, (n, w)).ravel() for a in start),
-                                         check=False)
+                                         check=False, max_iter=HODOGRAPH_PASS_MAX_ITER)
         th1, r1, c1 = (a.reshape(n, w) for a in (th1, r1, c1))
         theta, rho, code = th1.copy(), r1.copy(), c1.copy()
         k, lane = np.nonzero(np.logical_and.accumulate(c1 == 0, axis=0)[1:])
         (theta[k + 1, lane], rho[k + 1, lane]), code[k + 1, lane] = _hodograph_solve(
-            hd, beta, X[k + 1, lane], tau[k + 1, lane], th1[k, lane], r1[k, lane], check=False)
+            hd, beta, X[k + 1, lane], tau[k + 1, lane], th1[k, lane], r1[k, lane], check=False,
+            max_iter=HODOGRAPH_PASS_MAX_ITER)
     # pass 2 runs only where pass 1 converged up to its step, so code holds
     # pass 1's failures and pass 2's
     bad = ((code != 0) | (np.abs(theta - th1) > HODOGRAPH_AGREE)
@@ -634,63 +635,3 @@ def eval_separable(f: Union[TempleFlux, Callable], k: float, phi0: float, dphi0:
         dphi=states[:, 1],
     )
 
-
-# ---------------------------------------------------------------------------
-# potential variable for the polar system
-
-
-@dataclass(frozen=True)
-class PotentialField:
-    """Potential phi with phi_tau = rho, phi_X = beta rho^3 and its path check."""
-
-    phi: np.ndarray
-    path_residual: float
-    X_grid: np.ndarray
-    tau_grid: np.ndarray
-    beta: float
-
-
-def _check_uniform(grid, name):
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) < 2:
-        raise ValueError(f"{name} needs at least two points")
-    d = np.diff(grid)
-    if np.max(np.abs(d - d[0])) > 1e-10 * max(abs(d[0]), 1e-300):
-        raise ValueError(f"{name} must be uniformly spaced")
-    return grid
-
-
-def potential_phi(rho: np.ndarray, X_grid, tau_grid, beta: float,
-                  tol_factor: float = 100.0) -> PotentialField:
-    """Reconstruct the potential phi from an amplitude field rho(X, tau).
-
-    phi is integrated by trapezoid quadrature along tau at fixed X, with the
-    X-offsets supplied by integrating beta*rho^3 along the first tau column.
-    The same construction with the two path orders swapped gives an
-    independent value; their maximum disagreement is the path residual.
-    Raises InconsistentField when the residual exceeds
-    tol_factor * (h_X^2 + h_tau^2) * max(1, |phi|): the field does not carry a
-    single-valued potential at discretization accuracy.
-    """
-    X_grid = _check_uniform(X_grid, "X_grid")
-    tau_grid = _check_uniform(tau_grid, "tau_grid")
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (len(X_grid), len(tau_grid)):
-        raise ValueError("rho must have shape (len(X_grid), len(tau_grid))")
-    flux = beta * rho**3
-    # path A: up the first tau column in X, then across tau
-    offsets_A = cumtrapz(flux[:, 0], X_grid)
-    phi_A = offsets_A[:, None] + cumtrapz(rho, tau_grid, axis=1)
-    # path B: across tau at the first X row, then up in X
-    offsets_B = cumtrapz(rho[0, :], tau_grid)
-    phi_B = offsets_B[None, :] + cumtrapz(flux, X_grid, axis=0)
-    resid = float(np.max(np.abs(phi_A - phi_B)))
-    hX = X_grid[1] - X_grid[0]
-    ht = tau_grid[1] - tau_grid[0]
-    bound = tol_factor * (hX * hX + ht * ht) * max(1.0, float(np.max(np.abs(phi_A))))
-    if resid > bound:
-        raise InconsistentField(
-            f"path integrals disagree by {resid:.3e} > {bound:.3e}; "
-            "rho is not the tau-derivative of a potential for this beta"
-        )
-    return PotentialField(phi_A, resid, X_grid, tau_grid, float(beta))

@@ -1,4 +1,4 @@
-"""Small shared numerical kernels: fixed-step RK4 and cumulative trapezoid."""
+"""Fixed-step RK4 integration."""
 from __future__ import annotations
 
 from typing import Callable
@@ -38,21 +38,3 @@ def rk4_integrate(rhs: Callable, t_grid, y0, substeps: int = 1) -> np.ndarray:
         out[i + 1] = y
     return out
 
-
-def cumtrapz(y: np.ndarray, x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Cumulative trapezoid of samples y over x, zero at the first point."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    dx = np.diff(x)
-    shape = [1] * y.ndim
-    shape[axis] = len(dx)
-    dx = dx.reshape(shape)
-    ya = np.take(y, range(0, y.shape[axis] - 1), axis=axis)
-    yb = np.take(y, range(1, y.shape[axis]), axis=axis)
-    seg = 0.5 * (ya + yb) * dx
-    out_shape = list(y.shape)
-    out = np.zeros(out_shape)
-    idx = [slice(None)] * y.ndim
-    idx[axis] = slice(1, None)
-    out[tuple(idx)] = np.cumsum(seg, axis=axis)
-    return out

@@ -97,12 +97,6 @@ class Trajectory:
         """Cell-sum conserved totals per snapshot/field (times h)."""
         return self.states.sum(axis=2) * self.grid.h
 
-    def gradient_crossing(self, factor: float) -> Optional[float]:
-        """First coordinate where the max gradient exceeded factor * initial."""
-        hits = np.nonzero(self.step_max_gradient > factor * self.initial_gradient)[0]
-        if len(hits) == 0:
-            return None
-        return float(self.step_coords[hits[0]])
 
 
 def cfl_step(max_speed: float, h: float, cfl: float, remaining: float = math.inf) -> float:

@@ -25,7 +25,6 @@ from .profiles import ProfileFunction
 ZERO_FLOOR = 1e-12
 DEFAULT_ORDER_TARGET = 1.8
 DECAY_MIN_ORDER = 1.0
-CONSTRAINT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -337,51 +336,6 @@ class SymmetrySpec:
         comp_theta = (a_theta * theta_tau, a_rho * theta_tau, a + zero, zero)
         comp_rho = (zero, b_rho * rho_tau, zero, b + zero)
         return comp_theta, comp_rho
-
-
-@dataclass(frozen=True)
-class FirstOrderSymmetry:
-    """Symmetry given by a general first-order shift and a radial speed weight.
-
-    ``shift_fn(theta, rho, theta_tau)`` and ``speed_fn(rho)`` must satisfy the
-    compatibility constraint
-
-        (d shift/d rho) rho + (d shift/d theta_tau) theta_tau
-            + speed(rho) theta_tau = 0
-
-    to 1e-8 on a sample lattice, checked at construction.  The characteristic
-    is phi_theta = -shift, phi_rho = speed(rho) rho_tau; under that pairing the
-    constraint is exactly the condition for the pair to solve the linearized
-    system, so construction-time validation doubles as a symmetry check.
-    """
-
-    shift_fn: Callable
-    speed_fn: ProfileFunction
-
-    def __post_init__(self):
-        res = self.constraint_residual()
-        if res > CONSTRAINT_TOL:
-            raise ValueError(
-                f"shift/speed pair violates the first-order compatibility "
-                f"constraint (residual {res:.3e} > {CONSTRAINT_TOL})"
-            )
-
-    def constraint_residual(self, theta=None, rho=None, theta_tau=None) -> float:
-        if theta is None:
-            th, rh, tt = np.meshgrid(np.linspace(0.0, 5.0, 4),
-                                     np.linspace(0.5, 1.5, 4),
-                                     np.linspace(-1.0, 1.0, 5), indexing="ij")
-        else:
-            th, rh, tt = (np.asarray(x, dtype=float) for x in (theta, rho, theta_tau))
-        hr = 1e-6 * np.maximum(1.0, np.abs(rh))
-        ht = 1e-6 * np.maximum(1.0, np.abs(tt))
-        ds_drho = (self.shift_fn(th, rh + hr, tt) - self.shift_fn(th, rh - hr, tt)) / (2.0 * hr)
-        ds_dtt = (self.shift_fn(th, rh, tt + ht) - self.shift_fn(th, rh, tt - ht)) / (2.0 * ht)
-        res = ds_drho * rh + ds_dtt * tt + self.speed_fn(rh) * tt
-        return float(np.max(np.abs(res)))
-
-    def characteristic(self, theta, rho, theta_tau, rho_tau):
-        return -self.shift_fn(theta, rho, theta_tau), self.speed_fn(rho) * rho_tau
 
 
 @dataclass(frozen=True)

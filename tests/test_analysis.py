@@ -1,4 +1,4 @@
-"""Eigenstructure, classification flags, compatibility, and diagonalization."""
+"""Eigenstructure, classification flags, and compatibility."""
 import numpy as np
 import pytest
 
@@ -6,8 +6,6 @@ from shearwaves.analysis import (
     classify,
     compatibility_residuals,
     construct_temple_flux,
-    diagonal_form,
-    symmetry_coefficient_s2,
     temple_eigen,
 )
 from shearwaves.constitutive import (
@@ -22,11 +20,10 @@ from shearwaves.constitutive import (
 )
 from shearwaves.errors import (
     ChartFailure,
-    CoincidenceOfSpeeds,
     DegenerateConstraint,
     DegenerateDirection,
 )
-from shearwaves.profiles import const_profile, linear_profile, poly_profile
+from shearwaves.profiles import linear_profile, poly_profile
 
 
 def _lattice(lo=0.5, hi=1.5, n=5):
@@ -198,47 +195,3 @@ def test_constructed_pair_randomized_weights():
         g4, _ = compatibility_residuals(pair.A, pair.B, pair.phi, u, v)
         assert np.max(np.abs(g4)) <= 1e-10
 
-
-# ---------------------------------------------------------------------------
-# diagonal form and the second symmetry coefficient
-
-
-def test_diagonal_form_product_chart():
-    # P = (uv)^2 = R(alpha) with alpha = uv, R(a) = a^2:
-    # the alpha-speed is 2 alpha R' + R = 5 alpha^2
-    f = poly_flux([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    alpha = product_flux()
-    form = diagonal_form(f, alpha, poly_profile([0.0, 0.0, 1.0]))
-    u, v = 1.2, 0.8
-    a = u * v
-    assert form.alpha_speed(u, v) == pytest.approx(5.0 * a * a, rel=1e-12)
-    assert form.ratio_speed(u, v) == pytest.approx(a * a, rel=1e-12)
-
-
-def test_diagonal_form_rejects_wrong_chart():
-    with pytest.raises(ValueError):
-        diagonal_form(sum_squares_flux(), product_flux(), poly_profile([0.0, 0.0, 1.0]))
-
-
-def test_s2_homogeneous_closed_form():
-    # 2 alpha s2' + s2 = 0 with s2(1) = 1 has s2 = alpha^(-1/2)
-    grid = np.linspace(1.0, 4.0, 61)
-    R = linear_profile(1.0)
-    s2 = symmetry_coefficient_s2(const_profile(0.0), R, lambda a: 3.0 * a, grid,
-                                 s2_init=1.0, substeps=4)
-    np.testing.assert_allclose(s2, grid**-0.5, rtol=1e-8)
-
-
-def test_s2_constant_source_closed_form():
-    grid = np.linspace(1.0, 4.0, 61)
-    R = linear_profile(1.0)
-    s2 = symmetry_coefficient_s2(const_profile(2.0), R, lambda a: 3.0 * a, grid,
-                                 s2_init=3.0, substeps=4)
-    np.testing.assert_allclose(s2, 2.0 + grid**-0.5, rtol=1e-8)
-
-
-def test_s2_coinciding_speeds_raise():
-    grid = np.linspace(1.0, 2.0, 11)
-    R = linear_profile(1.0)
-    with pytest.raises(CoincidenceOfSpeeds):
-        symmetry_coefficient_s2(const_profile(0.0), R, lambda a: a, grid)

@@ -853,6 +853,8 @@ def generated_configs(draw):
     """A small config per command, left valid or broken in one way."""
     command = draw(st.sampled_from(COMMANDS))
     cfg = copy.deepcopy(small_config(command))
+    if command == "verify" and draw(st.booleans()):
+        cfg["negative_control"] = True
     change = draw(st.sampled_from(("none", "value", "extra_key", "drop_key", "levels", "cfl")))
     paths = list(_dict_paths(cfg))
     if change == "value":
@@ -879,6 +881,12 @@ def generated_configs(draw):
 @example(("verify", {**small_config("verify"), "solution": {"kind": {}}}))
 @example(("hodograph", {**small_config("hodograph"), "beta": 0}))
 @example(("verify", {**small_config("verify"), "solution": {"kind": "carroll"}}))
+# a control that the field does not refute: the angle-squared shift is a true
+# symmetry of a constant-amplitude envelope
+@example(("verify", {**small_config("verify"), "study": "linearized_symmetry",
+                     "negative_control": True, "levels": [17, 33, 65],
+                     "symmetry": {"phase": {"kind": "linear", "k": 1.0},
+                                  "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}}}))
 def test_generated_configs_keep_exit_contract(case):
     command, cfg = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -889,6 +897,8 @@ def test_generated_configs_keep_exit_contract(case):
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
         assert code in (0, 1, 2, 3)
+        if command == "verify" and cfg.get("negative_control") is True:
+            assert code != 0  # a negative control never passes
         if code == 2:
             assert err.getvalue().startswith("config error:")
             assert not (out / "manifest.json").exists()

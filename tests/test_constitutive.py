@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from shearwaves.constitutive import (
     ShearModulus,
-    beta_from_moduli,
     cubic_modulus,
     eval_Q,
     flux_from_config,
@@ -107,34 +106,6 @@ def test_fd_modulus_derivative_matches_analytic(s):
     ana = power_modulus(1.5, 2.0)
     num = ShearModulus(q=ana.q, name="power-fd")
     assert abs(num.dq_eval(s) - ana.dq_eval(s)) <= 1e-7 * max(1.0, abs(ana.dq_eval(s)))
-
-
-# ---------------------------------------------------------------------------
-# nonlinearity coefficient
-
-
-def test_beta_examples():
-    # Q = mu0 + mu1 s: the ratio mu1/(2 mu0) under the wave-speed convention
-    assert beta_from_moduli(1.0, 1.0, 1.0) == pytest.approx(0.5)
-    assert beta_from_moduli(2.0, 1.0, 1.0) == pytest.approx(0.25)
-    # linear material has no cubic correction at all
-    assert beta_from_moduli(3.0, 0.0, 2.0) == 0.0
-
-
-def test_beta_conventions_differ():
-    b_speed = beta_from_moduli(2.0, 1.0, 3.0, convention="speed")
-    b_sq = beta_from_moduli(2.0, 1.0, 3.0, convention="squared")
-    assert b_speed == pytest.approx(0.25)
-    assert b_sq == pytest.approx(1.0 * 3.0 / (2.0 * 4.0))
-    with pytest.raises(ValueError):
-        beta_from_moduli(1.0, 1.0, 1.0, convention="other")
-
-
-def test_beta_rejects_bad_moduli():
-    with pytest.raises(ValueError):
-        beta_from_moduli(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        beta_from_moduli(1.0, 1.0, -2.0)
 
 
 # ---------------------------------------------------------------------------

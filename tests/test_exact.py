@@ -16,7 +16,7 @@ from shearwaves.constitutive import (
     ratio_flux,
     sum_squares_flux,
 )
-from shearwaves.errors import InconsistentField, NoConvergence, SingularJacobian
+from shearwaves.errors import NoConvergence, SingularJacobian
 from shearwaves.exact import (
     CarrollWave,
     HodographData,
@@ -32,8 +32,6 @@ from shearwaves.exact import (
     hodograph_forward,
     hodograph_invert,
     hodograph_jacobian,
-    polar_to_strain,
-    potential_phi,
     sample_hodograph,
     sample_simple_wave,
     strain_to_polar,
@@ -155,9 +153,8 @@ def test_polar_conversions_round_trip():
     U = rng.normal(size=50)
     V = rng.normal(size=50)
     rho, theta = strain_to_polar(U, V)
-    U2, V2 = polar_to_strain(rho, theta)
-    np.testing.assert_allclose(U2, U, atol=1e-14)
-    np.testing.assert_allclose(V2, V, atol=1e-14)
+    np.testing.assert_allclose(rho * np.cos(theta), U, atol=1e-14)
+    np.testing.assert_allclose(rho * np.sin(theta), V, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -495,32 +492,3 @@ def test_separable_rejects_non_product_flux():
     with pytest.raises(ValueError):
         eval_separable(ratio_flux(), 1.0, 1.0, 0.0, np.linspace(0.0, 1.0, 5))
 
-
-# ---------------------------------------------------------------------------
-# potential reconstruction
-
-
-def test_potential_affine_for_constant_amplitude():
-    beta, c = 0.5, 1.2
-    X = np.linspace(0.0, 1.0, 21)
-    tau = np.linspace(0.0, 2.0, 41)
-    rho = np.full((21, 41), c)
-    field = potential_phi(rho, X, tau, beta)
-    expected = c * (tau[None, :] - tau[0]) + beta * c**3 * (X[:, None] - X[0])
-    np.testing.assert_allclose(field.phi, expected, atol=1e-12)
-    assert field.path_residual <= 1e-12
-
-
-def test_potential_inconsistent_field_raises():
-    X = np.linspace(0.0, 1.0, 21)
-    tau = np.linspace(0.0, 1.0, 21)
-    T, P = np.meshgrid(X, tau, indexing="ij")
-    rho = 1.0 + T * P * P  # curl of (rho, beta rho^3) is O(1)
-    with pytest.raises(InconsistentField):
-        potential_phi(rho, X, tau, beta=1.0)
-
-
-def test_potential_requires_uniform_grids():
-    rho = np.ones((3, 4))
-    with pytest.raises(ValueError):
-        potential_phi(rho, [0.0, 0.1, 0.3], np.linspace(0, 1, 4), 1.0)

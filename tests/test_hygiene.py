@@ -1,5 +1,6 @@
 """Source hygiene: every import is used, every private module-level name is
-referenced, and every script path the README names exists."""
+referenced, every package export is reached, and every script path the
+README names exists."""
 import ast
 import re
 from pathlib import Path
@@ -10,6 +11,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "shearwaves"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Exports that no command, benchmark or acceptance criterion reads, and why each stays.
+EXPORT_ALLOWLIST = {
+    "construct_temple_flux": "builds the paper's constructed class; its CLI path is ROADMAP item 4",
+    "eval_simple_wave": "one-point reference for sample_simple_wave; the benchmark tracer counts it",
+    "hodograph_invert": "one-point reference for sample_hodograph; the benchmark tracer counts it",
+}
 
 
 def unused_imports(source):
@@ -21,6 +28,20 @@ def unused_imports(source):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(imported - used - {"annotations"})
+
+
+def referenced_names(tree):
+    """Names a parsed module reads: a name loaded anywhere, an attribute
+    ``module.x`` or an import ``from module import x``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used |= {a.name for a in node.names}
+    return used
 
 
 def unreferenced_private_names(sources):
@@ -42,13 +63,7 @@ def unreferenced_private_names(sources):
             else:
                 continue
             defined |= {(module, n) for n in names if n.startswith("_") and not n.endswith("__")}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used |= {a.name for a in node.names}
+        used |= referenced_names(tree)
     return sorted(f"{module}:{name}" for module, name in defined if name not in used)
 
 
@@ -102,6 +117,41 @@ def test_detector_finds_unreferenced_private_names():
 def test_every_private_name_is_referenced():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def export_problems(init_source, sources, allowlist):
+    """Exports that nothing reaches, and allowlist entries gone stale, sorted.
+
+    An export is a name the package ``__init__`` imports; it is reached when
+    one of ``sources`` reads it.  ``unreached:x`` is an export neither read
+    nor allowlisted; ``stale:x`` is an allowlisted name that is read or is no
+    longer exported.
+    """
+    exported = {a.asname or a.name for node in ast.walk(ast.parse(init_source))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    reached = set().union(*(referenced_names(ast.parse(s)) for s in sources))
+    unreached = exported - reached - set(allowlist)
+    stale = {n for n in allowlist if n in reached or n not in exported}
+    return sorted(f"unreached:{n}" for n in unreached) + sorted(f"stale:{n}" for n in stale)
+
+
+def test_detector_finds_unreached_exports():
+    init = ("from .errors import Unraised, Raised\n"
+            "from .core import solve, solve_one as reference, helper, dead\n")
+    sources = [
+        "from shearwaves import solve\nraise errors.Raised()\n",
+        "import shearwaves.core as core\nx = core.helper(1)\n",
+    ]
+    allowlist = {"reference": "kept", "helper": "kept", "gone": "kept"}
+    assert export_problems(init, sources, allowlist) == [
+        "unreached:Unraised", "unreached:dead", "stale:gone", "stale:helper"]
+
+
+def test_every_export_is_reached_or_allowlisted():
+    readers = [*(SRC / m for m in MODULES), *ROOT.glob("benchmarks/*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    sources = [p.read_text() for p in readers]
+    assert export_problems((SRC / "__init__.py").read_text(), sources, EXPORT_ALLOWLIST) == []
 
 
 def script_paths(text):

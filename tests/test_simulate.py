@@ -243,8 +243,8 @@ def test_scalar_evolution_records_blowup_without_raising():
     traj = evolve_scalar(1.0, grid, rho0, cfg)
     assert traj.blowup_coordinate is not None
     assert traj.coords[-1] == pytest.approx(5.0)
-    crossing = traj.gradient_crossing(5.0)
-    assert crossing == pytest.approx(traj.blowup_coordinate)
+    first = np.nonzero(traj.step_max_gradient > 5.0 * traj.initial_gradient)[0][0]
+    assert traj.step_coords[first] == pytest.approx(traj.blowup_coordinate)
 
 
 def test_snapshot_stride_and_final_coordinate():
@@ -285,10 +285,3 @@ def test_breaking_estimate_harmless_data_never_breaks():
     assert breaking_estimate(1.0, poly_profile([2.0, -0.1]), tau) == math.inf
     # flipping the sign of beta makes the same data break
     assert breaking_estimate(-1.0, poly_profile([2.0, -0.1]), tau) < math.inf
-
-
-def test_gradient_crossing_none_before_breaking():
-    grid = Grid1D(n=128, a=0.0, b=TWO_PI)
-    rho0 = 1.0 + 0.2 * np.sin(grid.centers)
-    traj = evolve_scalar(1.0, grid, rho0, SimulationConfig(end=0.1))
-    assert traj.gradient_crossing(10.0) is None

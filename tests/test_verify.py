@@ -30,7 +30,6 @@ from shearwaves.verify import (
     AngleSquaredControl,
     ConservationSpec,
     FieldSample,
-    FirstOrderSymmetry,
     PerturbedRadialControl,
     SymmetrySpec,
     commutator_residual,
@@ -296,34 +295,6 @@ def test_linearized_symmetry_angle_control_fails():
     report = linearized_symmetry_residual(samples, 1.0, AngleSquaredControl(base))
     assert report.order <= 0.5
     assert not report.passed
-
-
-def test_first_order_symmetry_accepts_hydrodynamic_pair():
-    s3 = sine_profile(0.3, 1.0)
-    s4 = poly_profile([0.2, 0.0, 1.0])
-
-    def shift(theta, rho, theta_tau):
-        return (s3(theta) / rho + s4(rho)) * theta_tau
-
-    speed = ProfileFunction(
-        f=lambda r: -(s4.deriv(r) * r + s4(r)),
-        name="hydro-speed",
-    )
-    sym = FirstOrderSymmetry(shift_fn=shift, speed_fn=speed)
-    assert sym.constraint_residual() <= 1e-8
-    phi_th, phi_rh = sym.characteristic(0.5, 1.0, 0.3, 0.7)
-    spec = SymmetrySpec(phase_fn=s3, radial_fn=s4)
-    ref_th, ref_rh = spec.characteristic(0.5, 1.0, 0.3, 0.7)
-    assert phi_th == pytest.approx(ref_th, rel=1e-12)
-    assert phi_rh == pytest.approx(ref_rh, rel=1e-12)
-
-
-def test_first_order_symmetry_rejects_incompatible_pair():
-    with pytest.raises(ValueError):
-        FirstOrderSymmetry(
-            shift_fn=lambda theta, rho, theta_tau: theta_tau**2,
-            speed_fn=const_profile(1.0),
-        )
 
 
 # ---------------------------------------------------------------------------
