@@ -528,6 +528,54 @@ def test_verify_negative_control_exits_one(tmp_path):
     assert report["control_confirmed"] is True
 
 
+NEGATIVE_CONTROL_SYMMETRY = {"phase": {"kind": "linear", "k": 1.0},
+                             "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}}
+NEGATIVE_CONTROL_CONFIGS = {
+    "full": {"beta": 0.5, "levels": [33, 65],
+             "solution": {"kind": "carroll",
+                          "modulus": {"kind": "cubic", "mu0": 1.0, "mu1": 0.5},
+                          "amplitude": 1.0, "wavenumber": 1.0}},
+    "asymptotic": {"beta": 0.5, "levels": [33, 65]},
+    "conservation": {"beta": 0.5, "levels": [33, 65],
+                     "conservation": {"amp_weight": {"kind": "const", "c": 0.0},
+                                      "angle_weight": {"kind": "linear", "k": 1.0}}},
+    "linearized_symmetry": {"beta": 1.0, "levels": [33, 65],
+                            "symmetry": NEGATIVE_CONTROL_SYMMETRY,
+                            "solution": {"kind": "hodograph", **NEGATIVE_CONTROL_SYMMETRY,
+                                         "seed": [0.5, 1.0]},
+                            "rectangle": {"coord": {"min": -0.55, "max": -0.45},
+                                          "point": {"min": -1.7, "max": -1.3}}},
+    "commutator": {"beta": 1.0, "symmetry": NEGATIVE_CONTROL_SYMMETRY},
+}
+
+
+@pytest.mark.parametrize("study", sorted(NEGATIVE_CONTROL_CONFIGS))
+def test_every_negative_control_study_exits_one(tmp_path, study):
+    cfg = {"command": "verify", "study": study, "negative_control": True,
+           "rectangle": {"coord": {"min": 0.0, "max": 1.0},
+                         "point": {"min": 0.0, "max": TWO_PI}},
+           **NEGATIVE_CONTROL_CONFIGS[study]}
+    code, out = run_cli(tmp_path, cfg, "enc")
+    assert code == 1
+    manifest = read_manifest(out)
+    assert manifest["status"] == "ok"
+    assert manifest["passed"] is False
+    assert json.loads((out / "report.json").read_text())["control_confirmed"] is True
+
+
+def test_unconfirmed_negative_control_exits_one(tmp_path):
+    # the angle-squared shift is a true symmetry of a constant-amplitude
+    # envelope, so the control's residual decays and the control is not confirmed
+    cfg = {**small_config("verify"), "study": "linearized_symmetry", "negative_control": True,
+           "levels": [17, 33, 65], "symmetry": NEGATIVE_CONTROL_SYMMETRY}
+    code, out = run_cli(tmp_path, cfg, "unc")
+    assert code == 1
+    assert read_manifest(out)["passed"] is False
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is True
+    assert report["control_confirmed"] is False
+
+
 def test_convergence_missed_target_exits_one(tmp_path):
     cfg = {
         "command": "convergence",

@@ -18,8 +18,13 @@ from shearwaves.constitutive import (
 )
 from shearwaves.errors import NoConvergence, SingularJacobian
 from shearwaves.exact import (
+    HODOGRAPH_PASS_MAX_ITER,
+    NEWTON_MAX_ITER,
     CarrollWave,
     HodographData,
+    _damped_newton,
+    _hodograph_continue,
+    _hodograph_solve,
     carroll_dispersion,
     carroll_full_state,
     eval_asymptotic_linear,
@@ -424,6 +429,84 @@ def test_sample_hodograph_marches_past_a_branch_jump():
     got_rho, got_theta = sample_hodograph(hd, beta, X, tau, seed)
     assert np.max(np.abs(got_rho - rho)) <= 1e-12
     assert np.max(np.abs(got_theta - theta)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Newton sweep budgets
+
+
+def _unit_root_problem(mode):
+    """Residual and Newton step of the scalar equations u = 1, one per element.
+
+    The step of a "half" element covers half the distance to the root, an
+    "away" element steps away from it, and a "flag" element cannot step.
+    """
+    mode = np.asarray(mode)
+
+    def residual(u, idx):
+        res = u[0] - 1.0
+        return [res], np.abs(res)
+
+    def newton_step(u, res, idx):
+        return [np.where(mode[idx] == "away", 1.0, -0.5) * res[0]], mode[idx] == "flag"
+
+    return residual, newton_step
+
+
+def test_damped_newton_codes_each_element_on_its_own():
+    residual, newton_step = _unit_root_problem(["half", "flag", "away", "half"])
+    (u,), code = _damped_newton(residual, newton_step, [[1.0, 0.0, 0.0, 0.0]], 1e-9,
+                                max_iter=10)
+    np.testing.assert_array_equal(code, [0, 1, 2, 3])
+    np.testing.assert_array_equal(u, [1.0, 0.0, 0.0, 1.0 - 2.0**-10])
+
+
+@pytest.mark.parametrize("max_iter", [1, HODOGRAPH_PASS_MAX_ITER])
+def test_damped_newton_takes_max_iter_sweeps(max_iter):
+    residual, newton_step = _unit_root_problem(["half"])
+    (u,), code = _damped_newton(residual, newton_step, [[0.0]], 1e-9, max_iter=max_iter)
+    assert code[0] == 3
+    assert u[0] == 1.0 - 2.0**-max_iter
+
+
+def test_damped_newton_default_budget_converges_a_slow_element():
+    residual, newton_step = _unit_root_problem(["half"])
+    (u,), code = _damped_newton(residual, newton_step, [[0.0]], 1e-9)
+    assert code[0] == 0
+    assert abs(u[0] - 1.0) <= 1e-9
+
+
+# seeded here, the root (theta, rho) = (0.8, 1.2) of the rho^2 hodograph takes
+# more sweeps than an array pass gets, but fewer than the full budget
+SLOW_SEED = (0.1, 0.1)
+
+
+def _slow_hodograph_point():
+    hd = HodographData(phase_fn=linear_profile(1.0),
+                       radial_fn=poly_profile([0.0, 0.0, 1.0]))
+    return hd, *hodograph_forward(hd, 1.0, 0.8, 1.2)
+
+
+def test_hodograph_pass_budget_stops_a_slow_point():
+    hd, X, tau = _slow_hodograph_point()
+    _, code = _hodograph_solve(hd, 1.0, X, tau, *SLOW_SEED, check=False,
+                               max_iter=HODOGRAPH_PASS_MAX_ITER)
+    assert code[0] == 3
+    (theta, rho), code = _hodograph_solve(hd, 1.0, X, tau, *SLOW_SEED, check=False,
+                                          max_iter=NEWTON_MAX_ITER)
+    assert code[0] == 0
+    assert theta[0] == pytest.approx(0.8, abs=1e-9)
+    assert rho[0] == pytest.approx(1.2, abs=1e-9)
+
+
+def test_hodograph_continue_marches_a_point_over_the_pass_budget():
+    hd, X, tau = _slow_hodograph_point()
+    theta, rho, failure = _hodograph_continue(hd, 1.0, np.array([[X]]), np.array([[tau]]),
+                                              (np.array([SLOW_SEED[0]]),
+                                               np.array([SLOW_SEED[1]])))
+    assert failure is None
+    assert theta[0, 0] == pytest.approx(0.8, abs=1e-9)
+    assert rho[0, 0] == pytest.approx(1.2, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

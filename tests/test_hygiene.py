@@ -147,6 +147,12 @@ def test_detector_finds_unreached_exports():
         "unreached:Unraised", "unreached:dead", "stale:gone", "stale:helper"]
 
 
+def test_detector_counts_only_reads_as_reaching_an_export():
+    init = "from .core import stored, quoted, called\n"
+    sources = ["stored = 1\n", "doc = 'quoted'\n", "def f():\n    return called()\n"]
+    assert export_problems(init, sources, {}) == ["unreached:quoted", "unreached:stored"]
+
+
 def test_every_export_is_reached_or_allowlisted():
     readers = [*(SRC / m for m in MODULES), *ROOT.glob("benchmarks/*.py"),
                ROOT / "tests" / "test_acceptance.py"]

@@ -247,6 +247,14 @@ def test_scalar_evolution_records_blowup_without_raising():
     assert traj.step_coords[first] == pytest.approx(traj.blowup_coordinate)
 
 
+def test_scalar_evolution_records_no_blowup_before_breaking():
+    grid = Grid1D(n=128, a=0.0, b=TWO_PI)
+    rho0 = 1.0 + 0.2 * np.sin(grid.centers)
+    traj = evolve_scalar(1.0, grid, rho0, SimulationConfig(end=0.1))
+    assert traj.blowup_coordinate is None
+    assert np.all(traj.step_max_gradient <= 10.0 * traj.initial_gradient)
+
+
 def test_snapshot_stride_and_final_coordinate():
     grid = Grid1D(n=32, a=0.0, b=1.0)
     traj = evolve_scalar(0.5, grid, np.ones(grid.n),
