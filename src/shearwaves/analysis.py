@@ -82,7 +82,8 @@ def temple_eigen(f: TempleFlux, u, v) -> EigenReport:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Tri-state structure flags with the residuals that produced them.
+    """Tri-state structure flags with the residuals that produced them, and
+    the eigenstructure at the samples.
 
     Flags are True when the residual stays <= 1e-8 on all samples, False when
     it reaches >= 1e-4 somewhere, and None (indeterminate) in between.
@@ -92,6 +93,7 @@ class ClassificationReport:
     completely_exceptional: Optional[bool]
     hamiltonian: Optional[bool]
     decouples: Optional[bool]
+    eigen: EigenReport
     residuals: dict = field(default_factory=dict)
     n_samples: int = 0
 
@@ -140,7 +142,8 @@ def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> Clas
     if np.any(u == 0.0) or np.any(v == 0.0):
         raise DegenerateDirection("samples must avoid the axes u = 0 and v = 0")
     # raises DegenerateDirection where P_v = 0
-    res_ce = np.abs(temple_eigen(f, u, v).grad1_dot_d1)
+    eigen = temple_eigen(f, u, v)
+    res_ce = np.abs(eigen.grad1_dot_d1)
     Pu = np.asarray(f.p_u(u, v), dtype=float)
     Pv = np.asarray(f.p_v(u, v), dtype=float)
     res_equal = np.abs(u * Pu + v * Pv)
@@ -167,6 +170,7 @@ def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> Clas
         completely_exceptional=_flag(residuals["completely_exceptional"]),
         hamiltonian=_flag(residuals["hamiltonian"]),
         decouples=dec_flag,
+        eigen=eigen,
         residuals=residuals,
         n_samples=len(u),
     )

@@ -46,7 +46,7 @@ from .exact import (
     sample_simple_wave,
     strain_to_polar,
 )
-from .analysis import classify, temple_eigen
+from .analysis import classify
 from .profiles import profile_from_config
 from .simulate import Grid1D, SimulationConfig, evolve_asymptotic, evolve_full, evolve_scalar
 from .verify import (
@@ -678,7 +678,7 @@ def cmd_classify(config: dict, outdir: Path) -> dict:
 
     alpha = flux_from_config(config["alpha"]) if "alpha" in config else None
     cls = classify(f, pts, alpha=alpha)
-    eig = temple_eigen(f, pts[:, 0], pts[:, 1])
+    eig = cls.eigen
     report = {
         "constant_flux": False,
         "flags": {

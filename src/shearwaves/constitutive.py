@@ -1,20 +1,27 @@
 """Constitutive inputs: shear modulus functions and 2x2 flux families.
 
-The modulus Q acts on the squared strain magnitude s = U^2 + V^2; the flux
-P(u, v) multiplies both components of the reduced 2x2 system, and the same
-TempleFlux type carries its charts and level-set functions.  Both carry
-optional analytic derivatives with central-difference fallbacks
-(step 1e-6 * max(1, |arg|)).
+A shear modulus is a ProfileFunction Q(s) of the squared strain magnitude
+s = U^2 + V^2 with a density rho.  The flux P(u, v) multiplies both
+components of the reduced 2x2 system, and the same TempleFlux type carries
+its charts and level-set functions.  Both carry optional analytic
+derivatives with central-difference fallbacks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NoBracket, NoConvergence, NonPositiveModulus
-from .profiles import FD2_REL_STEP, _fd_step, derivative
+from .profiles import (
+    FD2_REL_STEP,
+    FD_REL_STEP,
+    ProfileFunction,
+    _fd_step,
+    const_profile,
+    poly_profile,
+)
 
 LEVEL_SET_TOL = 1e-12
 LEVEL_SET_MAX_ITER = 100
@@ -24,30 +31,15 @@ LEVEL_SET_MAX_ITER = 100
 class ShearModulus:
     """Shear modulus Q(s), s = squared strain magnitude, with density rho.
 
-    mu0 = Q(0) and mu1 = Q'(0) are derived at construction; Q' falls back to
-    central differences when dq is not supplied.
+    Q' is q.deriv: the analytic q.df, else a central difference of Q.
     """
 
-    q: Callable
-    dq: Optional[Callable] = None
+    q: ProfileFunction
     rho: float = 1.0
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.rho > 0.0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-
-    def dq_eval(self, s):
-        return derivative(self.q, self.dq, s)
-
-    @property
-    def mu0(self) -> float:
-        return float(self.q(0.0))
-
-    @property
-    def mu1(self) -> float:
-        return float(self.dq_eval(0.0))
 
     def qtilde(self, s):
         """Q(s)/rho, the squared slow wave speed."""
@@ -55,7 +47,7 @@ class ShearModulus:
         return q if self.rho == 1.0 else q / self.rho
 
     def dqtilde(self, s):
-        dq = self.dq_eval(s)
+        dq = self.q.deriv(s)
         return dq if self.rho == 1.0 else dq / self.rho
 
 
@@ -74,7 +66,7 @@ def eval_Q(m: ShearModulus, s):
         out = np.broadcast_to(out, s.shape).copy()
     if s.size and np.fmin.reduce(out, axis=None) <= 0.0:
         bad = float(s.flat[int(np.argmax(out <= 0.0))])
-        raise NonPositiveModulus(f"Q({bad!r}) <= 0 for modulus {m.name!r}")
+        raise NonPositiveModulus(f"Q({bad!r}) <= 0 for modulus {m.q.name!r}")
     return out if out.ndim else float(out)
 
 
@@ -84,10 +76,11 @@ class TempleFlux:
 
     It is the flux coefficient of the reduced system u_t = [P u]_x,
     v_t = [P v]_x, and equally a decoupling chart alpha, a level-set function
-    phi or one member of a conservative pair (A, B).  Missing partials fall
-    back to central differences (step 1e-6 * max(1, |arg|)): a second partial
-    differences a supplied first partial, else takes a second difference of p
-    (step 1e-4 * max(1, |arg|)).
+    phi or one member of a conservative pair (A, B).  A missing partial is a
+    central difference of the partial one order lower (for p_uv, an analytic
+    p_u before an analytic p_v).  The step is 1e-6 * max(1, |x|) when that
+    lower partial is analytic, and 1e-4 * max(1, |x|) for both differences
+    when it is itself a difference.
     """
 
     p: Callable
@@ -97,58 +90,44 @@ class TempleFlux:
     puv: Optional[Callable] = None
     pvv: Optional[Callable] = None
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, u, v):
         return self.p(u, v)
 
     def p_u(self, u, v):
-        if self.pu is not None:
-            return self.pu(u, v)
-        h = _fd_step(u)
-        return (self.p(u + h, v) - self.p(u - h, v)) / (2.0 * h)
+        return self._partial("u", u, v)
 
     def p_v(self, u, v):
-        if self.pv is not None:
-            return self.pv(u, v)
-        h = _fd_step(v)
-        return (self.p(u, v + h) - self.p(u, v - h)) / (2.0 * h)
+        return self._partial("v", u, v)
 
     def p_uu(self, u, v):
-        if self.puu is not None:
-            return self.puu(u, v)
-        if self.pu is not None:
-            h = _fd_step(u)
-            return (self.pu(u + h, v) - self.pu(u - h, v)) / (2.0 * h)
-        h = _fd_step(u, FD2_REL_STEP)
-        return (self.p(u + h, v) - 2.0 * self.p(u, v) + self.p(u - h, v)) / (h * h)
-
-    def p_vv(self, u, v):
-        if self.pvv is not None:
-            return self.pvv(u, v)
-        if self.pv is not None:
-            h = _fd_step(v)
-            return (self.pv(u, v + h) - self.pv(u, v - h)) / (2.0 * h)
-        h = _fd_step(v, FD2_REL_STEP)
-        return (self.p(u, v + h) - 2.0 * self.p(u, v) + self.p(u, v - h)) / (h * h)
+        return self._partial("uu", u, v)
 
     def p_uv(self, u, v):
-        if self.puv is not None:
-            return self.puv(u, v)
-        if self.pu is not None:
-            h = _fd_step(v)
-            return (self.pu(u, v + h) - self.pu(u, v - h)) / (2.0 * h)
-        if self.pv is not None:
-            h = _fd_step(u)
-            return (self.pv(u + h, v) - self.pv(u - h, v)) / (2.0 * h)
-        hu = _fd_step(u, FD2_REL_STEP)
-        hv = _fd_step(v, FD2_REL_STEP)
-        return (
-            self.p(u + hu, v + hv)
-            - self.p(u + hu, v - hv)
-            - self.p(u - hu, v + hv)
-            + self.p(u - hu, v - hv)
-        ) / (4.0 * hu * hv)
+        return self._partial("uv", u, v)
+
+    def p_vv(self, u, v):
+        return self._partial("vv", u, v)
+
+    def _partial(self, axes: str, u, v, rel_step: float = FD_REL_STEP):
+        """The partial of P along axes ("" is P, "u" is P_u, "uv" is P_uv, ...)."""
+        given = getattr(self, "p" + axes)
+        if given is not None:
+            return given(u, v)
+        lower, axis = axes[:-1], axes[-1]
+        if axes == "uv" and self.pu is None:
+            lower, axis = "v", "u"
+        if getattr(self, "p" + lower) is None:
+            rel_step = FD2_REL_STEP
+
+        def g(uu, vv):
+            return self._partial(lower, uu, vv, rel_step)
+
+        if axis == "u":
+            h = _fd_step(u, rel_step)
+            return (g(u + h, v) - g(u - h, v)) / (2.0 * h)
+        h = _fd_step(v, rel_step)
+        return (g(u, v + h) - g(u, v - h)) / (2.0 * h)
 
 
 def solve_level_set(f: TempleFlux, a: float, u, v_bracket):
@@ -219,25 +198,17 @@ def mooney_rivlin(mu: float, rho: float = 1.0) -> ShearModulus:
     mu = float(mu)
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    return ShearModulus(
-        q=lambda s: mu * np.ones_like(np.asarray(s, dtype=float)),
-        dq=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        rho=rho,
-        name="mooney_rivlin",
-        params={"mu": mu},
-    )
+    return ShearModulus(const_profile(mu), rho)
 
 
 def cubic_modulus(mu0: float, mu1: float, rho: float = 1.0) -> ShearModulus:
     """Q(s) = mu0 + mu1*s, the leading two-term (cubic-stress) law."""
     mu0, mu1 = float(mu0), float(mu1)
-    return ShearModulus(
-        q=lambda s: mu0 + mu1 * np.asarray(s, dtype=float),
-        dq=lambda s: np.full(np.shape(s), mu1),
-        rho=rho,
+    return ShearModulus(ProfileFunction(
+        f=lambda s: mu0 + mu1 * np.asarray(s, dtype=float),
+        df=lambda s: np.full(np.shape(s), mu1),
         name="cubic",
-        params={"mu0": mu0, "mu1": mu1},
-    )
+    ), rho)
 
 
 def power_modulus(mu: float, n: float, rho: float = 1.0) -> ShearModulus:
@@ -245,27 +216,16 @@ def power_modulus(mu: float, n: float, rho: float = 1.0) -> ShearModulus:
     mu, n = float(mu), float(n)
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    return ShearModulus(
-        q=lambda s: mu * (1.0 + np.asarray(s, dtype=float)) ** n,
-        dq=lambda s: mu * n * (1.0 + np.asarray(s, dtype=float)) ** (n - 1.0),
-        rho=rho,
+    return ShearModulus(ProfileFunction(
+        f=lambda s: mu * (1.0 + np.asarray(s, dtype=float)) ** n,
+        df=lambda s: mu * n * (1.0 + np.asarray(s, dtype=float)) ** (n - 1.0),
         name="power",
-        params={"mu": mu, "n": n},
-    )
+    ), rho)
 
 
 def poly_modulus(coeffs, rho: float = 1.0) -> ShearModulus:
     """Q(s) = sum_k coeffs[k] * s**k."""
-    c = np.asarray(coeffs, dtype=float)
-    dc = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.array([0.0])
-    pv = np.polynomial.polynomial.polyval
-    return ShearModulus(
-        q=lambda s: pv(s, c),
-        dq=lambda s: pv(s, dc),
-        rho=rho,
-        name="poly",
-        params={"coeffs": [float(x) for x in c]},
-    )
+    return ShearModulus(poly_profile(coeffs), rho)
 
 
 MODULUS_BUILTINS = {
@@ -344,7 +304,6 @@ def poly_flux(coeffs) -> TempleFlux:
         puv=lambda u, v: pv2(u, v, cuv),
         pvv=lambda u, v: pv2(u, v, cvv),
         name="poly",
-        params={"coeffs": [[float(x) for x in row] for row in c]},
     )
 
 
@@ -360,7 +319,6 @@ def modulus_flux(m: ShearModulus) -> TempleFlux:
         pu=lambda u, v: 2.0 * u * m.dqtilde(u * u + v * v),
         pv=lambda u, v: 2.0 * v * m.dqtilde(u * u + v * v),
         name="modulus",
-        params={"modulus": m.name, **m.params},
     )
 
 

@@ -183,8 +183,8 @@ def _damped_newton(residual, newton_step, unknowns, tol, max_iter=NEWTON_MAX_ITE
     Each element tries the fractions 1, 1/2, ..., 2^-NEWTON_MAX_HALVINGS of
     its step and takes the first that lowers its norm, until norm <= tol or
     max_iter sweeps.  Returns the unknowns and a code per element: 0
-    converged, 1 flagged by newton_step, 2 damping exhausted, 3 iteration
-    budget exhausted.
+    converged, 1 flagged by newton_step, 2 damping exhausted, 3 still above
+    tol after max_iter sweeps.
     """
     u = [np.array(a, dtype=float) for a in unknowns]
     act = np.arange(u[0].size)
@@ -210,7 +210,7 @@ def _damped_newton(residual, newton_step, unknowns, tol, max_iter=NEWTON_MAX_ITE
                 break
         code[act[left]] = 2
         act = act[code[act] == 0]
-    code[act] = 3
+    code[act[~(err[act] <= tol)]] = 3
     return u, code
 
 

@@ -2,13 +2,14 @@
 
 A ProfileFunction bundles a scalar callable with (optionally analytic)
 first and second derivatives.  When an analytic derivative is missing it
-falls back to central differences with step h = 1e-6 * max(1, |s|).
+falls back to central differences with step h = 1e-6 * max(1, |s|).  A shear
+modulus Q(s) is one of these, with s the squared strain magnitude.
 
 Builtin families: linear, sine, poly, const.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,14 +47,13 @@ class ProfileFunction:
     df, d2f : callable, optional
         Analytic derivatives.  Central differences are used when absent.
     name : str
-        Short label used in manifests.
+        Short label used in error messages and the names of derived fields.
     """
 
     f: Callable
     df: Optional[Callable] = None
     d2f: Optional[Callable] = None
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __call__(self, s):
         return self.f(np.asarray(s, dtype=float)) if np.ndim(s) else float(self.f(s))
@@ -74,7 +74,6 @@ def linear_profile(k: float) -> ProfileFunction:
         df=lambda s: k * np.ones_like(np.asarray(s, dtype=float)),
         d2f=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         name="linear",
-        params={"k": k},
     )
 
 
@@ -86,7 +85,6 @@ def sine_profile(amp: float, freq: float, offset: float = 0.0) -> ProfileFunctio
         df=lambda s: amp * freq * np.cos(freq * s),
         d2f=lambda s: -amp * freq * freq * np.sin(freq * s),
         name="sine",
-        params={"amp": amp, "freq": freq, "offset": offset},
     )
 
 
@@ -101,7 +99,6 @@ def poly_profile(coeffs) -> ProfileFunction:
         df=lambda s: pv(s, dc),
         d2f=lambda s: pv(s, d2c),
         name="poly",
-        params={"coeffs": [float(x) for x in c]},
     )
 
 
@@ -113,7 +110,6 @@ def const_profile(c: float) -> ProfileFunction:
         df=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         d2f=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         name="const",
-        params={"c": c},
     )
 
 

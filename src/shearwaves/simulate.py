@@ -281,7 +281,7 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
     When no analytic Q' is available the speed bound carries a 1.2 safety
     factor.  The gradient monitor raises BlowupDetected.
     """
-    safety = 1.2 if m.dq is None else 1.0
+    safety = 1.2 if m.q.df is None else 1.0
 
     def flux_speed(w, ncells=None):
         s = _strain_sq(w)

@@ -75,18 +75,6 @@ class FieldSample:
             raise KeyError(f"sample is missing field {name!r}; has {sorted(self.values)}")
         return self.values[name]
 
-    @classmethod
-    def from_function(cls, fn: Callable, coords, points, names: Sequence[str]) -> "FieldSample":
-        """Tabulate ``fn(coord_grid, point_grid) -> (field, ...)`` on the product grid."""
-        C, P = np.meshgrid(np.asarray(coords, float), np.asarray(points, float), indexing="ij")
-        out = fn(C, P)
-        if isinstance(out, np.ndarray) and out.ndim == 2:
-            out = (out,)
-        fields = {}
-        for name, arr in zip(names, out):
-            fields[name] = np.broadcast_to(np.asarray(arr, dtype=float), C.shape).copy()
-        return cls(coords=np.asarray(coords, float), points=np.asarray(points, float), values=fields)
-
 
 def _require_layers(sample: FieldSample):
     if len(sample.coords) < 5:
@@ -137,14 +125,6 @@ class ResidualReport:
     target: float
     passed: bool
     details: dict = field(default_factory=dict)
-
-    def __str__(self):
-        lines = [f"levels: {len(self.spacings)}, target order {self.target}"]
-        for h, a, b in zip(self.spacings, self.linf, self.l2):
-            lines.append(f"  h={h:.3e}  Linf={a:.3e}  L2={b:.3e}")
-        lines.append(f"  order Linf={self.order:.3f}  L2={self.order_l2:.3f}  "
-                     f"{'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
 
 
 def _make_report(hs, norms, target, **details) -> ResidualReport:
@@ -482,14 +462,6 @@ class ConvergenceReport:
     target: Optional[float]
     tol: Optional[float]
     passed: bool
-
-    def __str__(self):
-        lines = []
-        for n, h, a, b in zip(self.cells, self.spacings, self.linf, self.l2):
-            lines.append(f"  n={n:6d}  h={h:.3e}  Linf={a:.3e}  L2={b:.3e}")
-        lines.append(f"  order Linf={self.order:.3f}  L2={self.order_l2:.3f}  "
-                     f"{'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
 
 
 def convergence_study(run: Callable, oracle: Callable, levels: Sequence[int],

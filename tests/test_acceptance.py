@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from shearwaves import (
     AngleSquaredControl,

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shearwaves.analysis import construct_temple_flux
 from shearwaves.constitutive import (
     ShearModulus,
+    TempleFlux,
     cubic_modulus,
     eval_Q,
     flux_from_config,
@@ -21,6 +23,7 @@ from shearwaves.constitutive import (
     sum_squares_flux,
 )
 from shearwaves.errors import NoBracket, NonPositiveModulus
+from shearwaves.profiles import ProfileFunction, linear_profile, poly_profile, sine_profile
 
 
 # ---------------------------------------------------------------------------
@@ -32,22 +35,22 @@ def test_mooney_rivlin_is_constant():
     s = np.linspace(0.0, 5.0, 11)
     np.testing.assert_array_equal(eval_Q(m, s), np.full_like(s, 2.0))
     np.testing.assert_array_equal(m.qtilde(s), np.full_like(s, 0.5))
-    assert m.mu0 == 2.0
-    assert m.mu1 == 0.0
+    assert m.q(0.0) == 2.0
+    assert m.q.deriv(0.0) == 0.0
 
 
 def test_cubic_modulus_slope():
     m = cubic_modulus(1.0, 0.5)
-    assert m.mu0 == 1.0
-    assert m.mu1 == 0.5
+    assert m.q(0.0) == 1.0
+    assert m.q.deriv(0.0) == 0.5
     assert eval_Q(m, 2.0) == 2.0
-    assert m.dq_eval(17.0) == 0.5
+    assert m.q.deriv(17.0) == 0.5
 
 
 def test_power_modulus_derivative():
     m = power_modulus(2.0, 3.0)
     s = np.linspace(0.0, 2.0, 9)
-    np.testing.assert_allclose(m.dq_eval(s), 6.0 * (1.0 + s) ** 2)
+    np.testing.assert_allclose(m.q.deriv(s), 6.0 * (1.0 + s) ** 2)
 
 
 def test_poly_modulus_and_config():
@@ -76,13 +79,13 @@ def test_eval_q_error_names_a_plain_float(s):
 def test_eval_q_broadcasts_a_constant_modulus():
     s = np.array([1.0, 2.0])
     with pytest.raises(NonPositiveModulus) as info:
-        eval_Q(ShearModulus(q=lambda s: -1.0), s)
+        eval_Q(ShearModulus(ProfileFunction(lambda s: -1.0)), s)
     assert "Q(1.0)" in str(info.value)
-    out = eval_Q(ShearModulus(q=lambda s: 1.0), s)
+    out = eval_Q(ShearModulus(ProfileFunction(lambda s: 1.0)), s)
     assert isinstance(out, np.ndarray)
     np.testing.assert_array_equal(out, [1.0, 1.0])
-    assert eval_Q(ShearModulus(q=lambda s: 1.0), 2.0) == 1.0
-    assert isinstance(eval_Q(ShearModulus(q=lambda s: 1.0), 2.0), float)
+    assert eval_Q(ShearModulus(ProfileFunction(lambda s: 1.0)), 2.0) == 1.0
+    assert isinstance(eval_Q(ShearModulus(ProfileFunction(lambda s: 1.0)), 2.0), float)
 
 
 def test_eval_q_lets_nan_through_but_flags_the_finite_points():
@@ -97,15 +100,15 @@ def test_eval_q_lets_nan_through_but_flags_the_finite_points():
 
 def test_negative_rho_rejected():
     with pytest.raises(ValueError):
-        ShearModulus(q=lambda s: 1.0 + s, rho=-1.0)
+        ShearModulus(ProfileFunction(lambda s: 1.0 + s), rho=-1.0)
 
 
 @given(s=st.floats(0.0, 4.0))
 @settings(max_examples=60, deadline=None)
 def test_fd_modulus_derivative_matches_analytic(s):
     ana = power_modulus(1.5, 2.0)
-    num = ShearModulus(q=ana.q, name="power-fd")
-    assert abs(num.dq_eval(s) - ana.dq_eval(s)) <= 1e-7 * max(1.0, abs(ana.dq_eval(s)))
+    num = ShearModulus(ProfileFunction(ana.q.f, name="power-fd"))
+    assert abs(num.q.deriv(s) - ana.q.deriv(s)) <= 1e-7 * max(1.0, abs(ana.q.deriv(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +139,53 @@ def test_flux_partials_match_finite_differences(f):
     np.testing.assert_allclose(f.p_uu(U, V), _fd(f.p_u, U, V, 1.0, 0.0), rtol=1e-5, atol=1e-5)
     np.testing.assert_allclose(f.p_uv(U, V), _fd(f.p_u, U, V, 0.0, 1.0), rtol=1e-5, atol=1e-5)
     np.testing.assert_allclose(f.p_vv(U, V), _fd(f.p_v, U, V, 0.0, 1.0), rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [product_flux(), ratio_flux(), poly_flux([[1.0, 0.5, 0.2], [0.25, -0.3, 0.0], [0.4, 0.0, 0.1]])],
+    ids=lambda f: f.name,
+)
+def test_flux_given_only_p_matches_analytic_partials(f):
+    only_p = TempleFlux(p=f.p)
+    np.testing.assert_allclose(only_p.p_u(U, V), f.p_u(U, V), rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(only_p.p_v(U, V), f.p_v(U, V), rtol=1e-6, atol=1e-6)
+    for name in ("p_uu", "p_uv", "p_vv"):
+        np.testing.assert_allclose(getattr(only_p, name)(U, V), getattr(f, name)(U, V),
+                                   rtol=1e-5, atol=1e-5)
+
+
+def _central(g, u, v, axis):
+    """Central difference of g along u (axis 0) or v (axis 1), step 1e-6 * max(1, |x|)."""
+    if axis == 0:
+        h = 1e-6 * np.maximum(1.0, np.abs(u))
+        return (g(u + h, v) - g(u - h, v)) / (2.0 * h)
+    h = 1e-6 * np.maximum(1.0, np.abs(v))
+    return (g(u, v + h) - g(u, v - h)) / (2.0 * h)
+
+
+def _constructed_pair():
+    return construct_temple_flux(poly_profile([1.0, 0.5, 0.2]), sine_profile(0.3, 1.0),
+                                 linear_profile(0.4), product_flux())
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        modulus_flux(mooney_rivlin(2.0)),
+        modulus_flux(cubic_modulus(1.0, 0.4, rho=1.3)),
+        modulus_flux(power_modulus(1.1, 2.5)),
+        modulus_flux(poly_modulus([1.0, 0.3, 0.1], rho=0.7)),
+        _constructed_pair().A,
+        _constructed_pair().B,
+    ],
+    ids=["mooney_rivlin", "cubic", "power", "poly", "pair_A", "pair_B"],
+)
+def test_second_partials_difference_the_analytic_first_partials(f):
+    for u, v in ((U, V), (0.83, 1.27)):
+        np.testing.assert_array_equal(f.p_uu(u, v), _central(f.pu, u, v, 0))
+        np.testing.assert_array_equal(f.p_uv(u, v), _central(f.pu, u, v, 1))
+        np.testing.assert_array_equal(f.p_vv(u, v), _central(f.pv, u, v, 1))
 
 
 def test_sum_squares_values():

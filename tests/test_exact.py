@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from shearwaves.constitutive import (
     cubic_modulus,
-    mooney_rivlin,
-    poly_modulus,
     power_modulus,
     product_flux,
     ratio_flux,
@@ -467,6 +465,14 @@ def test_damped_newton_takes_max_iter_sweeps(max_iter):
     (u,), code = _damped_newton(residual, newton_step, [[0.0]], 1e-9, max_iter=max_iter)
     assert code[0] == 3
     assert u[0] == 1.0 - 2.0**-max_iter
+
+
+def test_damped_newton_last_sweep_reaching_tol_converges():
+    # 30 half steps from 0 leave |u - 1| = 2^-30 = 9.3e-10, under tol
+    residual, newton_step = _unit_root_problem(["half"])
+    (u,), code = _damped_newton(residual, newton_step, [[0.0]], 1e-9, max_iter=30)
+    assert code[0] == 0
+    assert u[0] == 1.0 - 2.0**-30
 
 
 def test_damped_newton_default_budget_converges_a_slow_element():

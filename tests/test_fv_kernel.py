@@ -29,7 +29,7 @@ from shearwaves.errors import (
     ShearWaveError,
 )
 from shearwaves.exact import CarrollWave, FullState, StrainState, carroll_full_state
-from shearwaves.profiles import derivative
+from shearwaves.profiles import ProfileFunction, derivative
 from shearwaves.simulate import (
     STEP_FLOOR_FACTOR,
     Grid1D,
@@ -108,9 +108,9 @@ def test_modulus_evaluations_per_step(scheme, analytic_dq, per_step):
         return 1.0 + 0.4 * s
 
     if analytic_dq:
-        m = ShearModulus(q=q, dq=lambda s: 0.4 * np.ones_like(s))
+        m = ShearModulus(ProfileFunction(q, df=lambda s: 0.4 * np.ones_like(s)))
     else:
-        m = ShearModulus(q=q, rho=1.3)
+        m = ShearModulus(ProfileFunction(q), rho=1.3)
     grid = Grid1D(n=32, a=0.0, b=TWO_PI)
     init = FullState(*carroll_full_state(CarrollWave.from_modulus(m, 0.5, 1.0), grid.centers, 0.0))
     calls.clear()
@@ -233,7 +233,7 @@ def ref_full_law(m, dq):
         return eval_Q(m, s) / m.rho
 
     def dqtilde(s):
-        return derivative(m.q, dq, s) / m.rho
+        return derivative(m.q.f, dq, s) / m.rho
 
     def flux(w):
         qt = qtilde(ref_strain_sq(w))
@@ -280,7 +280,7 @@ def cubic_pair(mu0, mu1):
 
 def fd_pair():
     """A modulus with no analytic Q' and rho != 1: the 1.2 safety factor and the divides."""
-    return ShearModulus(q=lambda s: 1.0 + 0.3 * s + 0.1 * s * s, rho=1.3), None
+    return ShearModulus(ProfileFunction(lambda s: 1.0 + 0.3 * s + 0.1 * s * s), rho=1.3), None
 
 
 def both_kernels(system, w0, grid, config, beta=None, pair=None):
@@ -383,13 +383,13 @@ def test_predictor_face_modulus_is_checked_before_cell_hyperbolicity():
     # whose fast speed is imaginary.  Q = (1 - 2s)^2 - 0.01 is negative for
     # s in (0.45, 0.55); cell 3 (s = 0.4) has Q > 0 but Q + 2sQ' < 0, and its
     # right face reaches s = 0.495.
-    m = ShearModulus(q=lambda s: (1.0 - 2.0 * s) ** 2 - 0.01,
-                     dq=lambda s: -4.0 * (1.0 - 2.0 * s))
+    m = ShearModulus(ProfileFunction(lambda s: (1.0 - 2.0 * s) ** 2 - 0.01,
+                                     df=lambda s: -4.0 * (1.0 - 2.0 * s)))
     U = np.sqrt([0.09, 0.09, 0.09, 0.4, 0.6, 0.6, 0.6, 0.6])
     w0 = np.stack([U, 0 * U, 0 * U, 0 * U])
     grid = Grid1D(n=8, a=0.0, b=1.0, boundary="outflow")
     new, ref = both_kernels("full", w0, grid, SimulationConfig(end=0.1, scheme="muscl_minmod"),
-                            pair=(m, m.dq))
+                            pair=(m, m.q.df))
     assert ref[0] is HyperbolicityLoss
     assert new[0] is NonPositiveModulus
     assert "Q(0.4949" in new[1]

@@ -11,6 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "shearwaves"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# files scanned for unused imports: the package modules and the test files
+IMPORT_CHECKED = {**{m: SRC / m for m in MODULES},
+                  **{f"tests/{p.name}": p for p in (ROOT / "tests").glob("test_*.py")}}
 # Exports that no command, benchmark or acceptance criterion reads, and why each stays.
 EXPORT_ALLOWLIST = {
     "construct_temple_flux": "builds the paper's constructed class; its CLI path is ROADMAP item 4",
@@ -80,9 +83,9 @@ def test_detector_finds_unused_names():
     assert unused_imports(source) == ["field", "os"]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_uses_every_import(module):
-    assert unused_imports((SRC / module).read_text()) == []
+@pytest.mark.parametrize("name", sorted(IMPORT_CHECKED))
+def test_module_uses_every_import(name):
+    assert unused_imports(IMPORT_CHECKED[name].read_text()) == []
 
 
 def test_detector_finds_unreferenced_private_names():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from shearwaves.constitutive import ShearModulus, cubic_modulus, mooney_rivlin
+from shearwaves.constitutive import ShearModulus, cubic_modulus
 from shearwaves.errors import BlowupDetected, HyperbolicityLoss, NoConvergence, NonPositiveModulus
 from shearwaves.exact import (
     CarrollWave,
@@ -13,7 +13,7 @@ from shearwaves.exact import (
     carroll_full_state,
     eval_asymptotic_linear,
 )
-from shearwaves.profiles import linear_profile, poly_profile, sine_profile
+from shearwaves.profiles import ProfileFunction, poly_profile, sine_profile
 from shearwaves.simulate import (
     Grid1D,
     SimulationConfig,
@@ -197,8 +197,8 @@ def test_modulus_turning_non_positive_mid_run_raises(scheme, boundary):
     # Q = 1 below s = 0.25 and -1 above, with Q' = 0 so the fast speed never
     # fails first.  From U = 0, M = sin x the linear wave grows U = cos x sin t,
     # so |U| first reaches 0.5 (s = 0.25) near t = pi/6.
-    m = ShearModulus(q=lambda s: np.where(s < 0.25, 1.0, -1.0),
-                     dq=lambda s: np.zeros_like(s), name="step")
+    m = ShearModulus(ProfileFunction(lambda s: np.where(s < 0.25, 1.0, -1.0),
+                                     df=lambda s: np.zeros_like(s), name="step"))
     grid = Grid1D(n=64, a=0.0, b=TWO_PI, boundary=boundary)
     zero = np.zeros(grid.n)
     init = FullState(zero, zero, np.sin(grid.centers), zero)

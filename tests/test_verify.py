@@ -63,18 +63,6 @@ def test_field_sample_validation():
         good.get("rho")
 
 
-def test_field_sample_from_function():
-    sample = FieldSample.from_function(
-        lambda c, p: (c + p, c * p),
-        np.linspace(0.0, 1.0, 5),
-        np.linspace(0.0, 1.0, 7),
-        names=("a", "b"),
-    )
-    assert sample.get("a").shape == (5, 7)
-    assert sample.get("a")[2, 3] == pytest.approx(0.5 + 0.5)
-    assert sample.get("b")[4, 6] == pytest.approx(1.0)
-
-
 def _flat_sample(n_coords, n_points):
     """Zero fields on the unit square, with rho = 1: enough for every residual."""
     z = np.zeros((n_coords, n_points))
