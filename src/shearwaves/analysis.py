@@ -51,6 +51,11 @@ def temple_eigen(f: TempleFlux, u, v) -> EigenReport:
     returns floats.  Raises DegenerateDirection when P_v = 0 (d2 undefined)
     or u = 0 (d1 undefined) at any state, naming the first such state.
     """
+    return _temple_eigen(f, u, v)[0]
+
+
+def _temple_eigen(f: TempleFlux, u, v):
+    """temple_eigen's report and the partials (P_u, P_v, P_uu, P_uv, P_vv) it evaluated."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     P = np.asarray(f.p(u, v), dtype=float)
     Pu = np.asarray(f.p_u(u, v), dtype=float)
@@ -74,10 +79,11 @@ def temple_eigen(f: TempleFlux, u, v) -> EigenReport:
     ld1 = grad1[0] * d1[0] + grad1[1] * d1[1]
     # grad(lambda2) = (P_u, P_v); the product with d2 cancels exactly
     ld2 = Pu * d2[0] + Pv * d2[1]
+    partials = (Pu, Pv, Puu, Puv, Pvv)
     if u.ndim == 0:
         return EigenReport(float(u), float(v), float(lam1), float(P), (1.0, float(d1[1])),
-                           (1.0, float(d2[1])), float(ld1), float(ld2))
-    return EigenReport(u, v, lam1, P, d1, d2, ld1, ld2)
+                           (1.0, float(d2[1])), float(ld1), float(ld2)), partials
+    return EigenReport(u, v, lam1, P, d1, d2, ld1, ld2), partials
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,9 @@ def _flag(residual_max: float) -> Optional[bool]:
     return None
 
 
-def _decoupling_residual(alpha: TempleFlux, u, v):
-    """Residual of d(alpha_u u + alpha_v v)/d(u/v) = 0 in the (alpha, u/v) chart."""
-    au = alpha.p_u(u, v)
-    av = alpha.p_v(u, v)
+def _decoupling_residual(u, v, au, av, auu, auv, avv):
+    """Residual of d(alpha_u u + alpha_v v)/d(u/v) = 0 in the (alpha, u/v)
+    chart, from the chart's partials at (u, v)."""
     bu = 1.0 / v
     bv = -u / (v * v)
     det = au * bv - av * bu
@@ -118,8 +123,8 @@ def _decoupling_residual(alpha: TempleFlux, u, v):
         raise ChartFailure("(alpha, u/v) change of variables is singular at a sample")
     du_db = -av / det
     dv_db = au / det
-    Eu = alpha.p_uu(u, v) * u + alpha.p_u(u, v) + alpha.p_uv(u, v) * v
-    Ev = alpha.p_uv(u, v) * u + alpha.p_vv(u, v) * v + alpha.p_v(u, v)
+    Eu = auu * u + au + auv * v
+    Ev = auv * u + avv * v + av
     return du_db * Eu + dv_db * Ev
 
 
@@ -142,15 +147,16 @@ def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> Clas
     if np.any(u == 0.0) or np.any(v == 0.0):
         raise DegenerateDirection("samples must avoid the axes u = 0 and v = 0")
     # raises DegenerateDirection where P_v = 0
-    eigen = temple_eigen(f, u, v)
+    eigen, partials = _temple_eigen(f, u, v)
     res_ce = np.abs(eigen.grad1_dot_d1)
-    Pu = np.asarray(f.p_u(u, v), dtype=float)
-    Pv = np.asarray(f.p_v(u, v), dtype=float)
+    Pu, Pv = partials[:2]
     res_equal = np.abs(u * Pu + v * Pv)
     res_ham = np.abs(v * Pv - u * Pu)
-    chart = alpha if alpha is not None else f
+    # the default chart alpha = P reuses the partials of P
+    chart = partials if alpha is None else [getattr(alpha, "p_" + axes)(u, v)
+                                            for axes in ("u", "v", "uu", "uv", "vv")]
     try:
-        dec_max = float(np.max(np.abs(_decoupling_residual(chart, u, v))))
+        dec_max = float(np.max(np.abs(_decoupling_residual(u, v, *chart))))
         dec_flag = _flag(dec_max)
     except ChartFailure:
         if alpha is not None:

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -38,7 +39,6 @@ from .exact import (
     HodographData,
     StrainState,
     carroll_full_state,
-    eval_asymptotic_linear,
     eval_overdetermined,
     eval_separable,
     generalized_carroll_full_state,
@@ -148,14 +148,47 @@ RUN = {
     "additionalProperties": False,
 }
 COMMAND_PROP = {"enum": list(COMMANDS)}
+PAIR = {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2}
 
+# each block kind's own parameters (properties, required), written once; a
+# context adds what else it reads from the block: see _block
+KIND_PARAMS = {
+    "carroll": ({"amplitude": POS_NUM, "wavenumber": POS_NUM, "polarization": SIGN},
+                ["amplitude", "wavenumber"]),
+    "generalized": ({"amplitude": POS_NUM, "profile": PROFILE, "direction": SIGN,
+                     "polarization": SIGN}, ["amplitude", "profile"]),
+    "zero": ({}, []),
+    "constant_amplitude": ({"amplitude": POS_NUM, "profile": PROFILE}, ["amplitude", "profile"]),
+    "plane": ({"profile": PROFILE}, ["profile"]),
+    "profile": ({"profile": PROFILE}, ["profile"]),
+    "simple_wave": ({"profile": PROFILE}, ["profile"]),
+    "separable": ({"flux": FLUX, "k": NUM, "phi0": NUM, "dphi0": NUM},
+                  ["flux", "k", "phi0", "dphi0"]),
+    "overdetermined": ({"flux": FLUX, "level": POS_NUM, "profile": PROFILE, "direction": SIGN,
+                        "v_bracket": PAIR}, ["flux", "level", "profile"]),
+    "hodograph": ({"phase": PROFILE, "radial": PROFILE, "seed": PAIR}, ["phase", "radial", "seed"]),
+}
+WITH_MODULUS, WITH_BETA = {"modulus": MODULUS}, {"beta": NUM}
+
+
+def _block(kind, lead=None, axes=(), omit=()):
+    """The schema of a ``kind`` block in one context: the ``lead`` properties
+    (the modulus or beta the block carries there), the kind's own parameters
+    less ``omit``, then its sample ``axes``; all required but the optional
+    parameters."""
+    props, required = KIND_PARAMS[kind]
+    lead = lead or {}
+    own = {name: value for name, value in props.items() if name not in omit}
+    return _kind(kind, {**lead, **own, **dict.fromkeys(axes, AXIS)}, [*lead, *required, *axes])
+
+
+# the properties that simulate and convergence configs open with
+SYSTEM_HEAD = {"command": COMMAND_PROP, "system": {"enum": ["full", "asymptotic", "scalar"]},
+               "modulus": MODULUS, "beta": NUM}
 SIMULATE_SCHEMA = {
     "type": "object",
     "properties": {
-        "command": COMMAND_PROP,
-        "system": {"enum": ["full", "asymptotic", "scalar"]},
-        "modulus": MODULUS,
-        "beta": NUM,
+        **SYSTEM_HEAD,
         "grid": GRID,
         "run": RUN,
         "init": {"type": "object"},
@@ -164,21 +197,10 @@ SIMULATE_SCHEMA = {
     "required": ["system", "grid", "run", "init"],
     "additionalProperties": False,
 }
-CARROLL_BLOCK = _kind("carroll", {"amplitude": POS_NUM, "wavenumber": POS_NUM,
-                                  "polarization": SIGN}, ["amplitude", "wavenumber"])
-CONSTANT_AMPLITUDE_BLOCK = _kind("constant_amplitude", {"amplitude": POS_NUM, "profile": PROFILE},
-                                 ["amplitude", "profile"])
 INIT_SCHEMAS = {
-    "full": {"oneOf": [CARROLL_BLOCK, _kind("zero", {})]},
-    "asymptotic": {
-        "oneOf": [
-            CONSTANT_AMPLITUDE_BLOCK,
-            _kind("plane", {"profile": PROFILE}, ["profile"]),
-        ]
-    },
-    "scalar": {
-        "oneOf": [_kind("profile", {"profile": PROFILE}, ["profile"])]
-    },
+    "full": {"oneOf": [_block("carroll"), _block("zero")]},
+    "asymptotic": {"oneOf": [_block("constant_amplitude"), _block("plane")]},
+    "scalar": {"oneOf": [_block("profile")]},
 }
 
 EXACT_SCHEMA = {
@@ -187,29 +209,12 @@ EXACT_SCHEMA = {
         "command": COMMAND_PROP,
         "solution": {
             "oneOf": [
-                _kind("carroll", {"modulus": MODULUS, "amplitude": POS_NUM,
-                                  "wavenumber": POS_NUM, "polarization": SIGN,
-                                  "x": AXIS, "t": AXIS},
-                      ["modulus", "amplitude", "wavenumber", "x", "t"]),
-                _kind("generalized", {"modulus": MODULUS, "amplitude": POS_NUM,
-                                      "profile": PROFILE, "direction": SIGN,
-                                      "polarization": SIGN, "x": AXIS, "t": AXIS},
-                      ["modulus", "amplitude", "profile", "x", "t"]),
-                _kind("constant_amplitude", {"beta": NUM, "amplitude": POS_NUM,
-                                             "profile": PROFILE, "X": AXIS, "tau": AXIS},
-                      ["beta", "amplitude", "profile", "X", "tau"]),
-                _kind("simple_wave", {"beta": NUM, "profile": PROFILE,
-                                      "X": AXIS, "tau": AXIS},
-                      ["beta", "profile", "X", "tau"]),
-                _kind("separable", {"flux": FLUX, "k": NUM, "phi0": NUM, "dphi0": NUM,
-                                    "x": AXIS, "t": AXIS},
-                      ["flux", "k", "phi0", "dphi0", "x", "t"]),
-                _kind("overdetermined", {"flux": FLUX, "level": POS_NUM,
-                                         "profile": PROFILE, "direction": SIGN,
-                                         "v_bracket": {"type": "array", "items": NUM,
-                                                       "minItems": 2, "maxItems": 2},
-                                         "x": AXIS, "t": AXIS},
-                      ["flux", "level", "profile", "x", "t"]),
+                _block("carroll", WITH_MODULUS, ("x", "t")),
+                _block("generalized", WITH_MODULUS, ("x", "t")),
+                _block("constant_amplitude", WITH_BETA, ("X", "tau")),
+                _block("simple_wave", WITH_BETA, ("X", "tau")),
+                _block("separable", axes=("x", "t")),
+                _block("overdetermined", axes=("x", "t")),
             ]
         },
     },
@@ -243,7 +248,7 @@ HODOGRAPH_SCHEMA = {
         "radial": PROFILE,
         "X": AXIS,
         "tau": AXIS,
-        "seed": {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2},
+        "seed": PAIR,
     },
     "required": ["beta", "phase", "radial", "X", "tau", "seed"],
     "additionalProperties": False,
@@ -285,23 +290,17 @@ VERIFY_SCHEMA = {
     "required": ["study"],
     "additionalProperties": False,
 }
+# the full study verifies the Carroll wave of polarization 1 only
 VERIFY_SOLUTION_SCHEMAS = {
-    "carroll": _kind("carroll", {"modulus": MODULUS, "amplitude": POS_NUM,
-                                 "wavenumber": POS_NUM}, ["modulus", "amplitude", "wavenumber"]),
-    "constant_amplitude": CONSTANT_AMPLITUDE_BLOCK,
-    "hodograph": _kind("hodograph", {"phase": PROFILE, "radial": PROFILE,
-                                     "seed": {"type": "array", "items": NUM,
-                                              "minItems": 2, "maxItems": 2}},
-                       ["phase", "radial", "seed"]),
+    "carroll": _block("carroll", WITH_MODULUS, omit=("polarization",)),
+    "constant_amplitude": _block("constant_amplitude"),
+    "hodograph": _block("hodograph"),
 }
 
 CONVERGENCE_SCHEMA = {
     "type": "object",
     "properties": {
-        "command": COMMAND_PROP,
-        "system": {"enum": ["full", "asymptotic", "scalar"]},
-        "modulus": MODULUS,
-        "beta": NUM,
+        **SYSTEM_HEAD,
         "grid": {
             "type": "object",
             "properties": {"a": NUM, "b": NUM, "boundary": {"enum": ["periodic", "outflow"]}},
@@ -318,9 +317,9 @@ CONVERGENCE_SCHEMA = {
     "additionalProperties": False,
 }
 ORACLE_SCHEMAS = {
-    "full": CARROLL_BLOCK,
-    "asymptotic": CONSTANT_AMPLITUDE_BLOCK,
-    "scalar": _kind("simple_wave", {"profile": PROFILE}, ["profile"]),
+    "full": _block("carroll"),
+    "asymptotic": _block("constant_amplitude"),
+    "scalar": _block("simple_wave"),
 }
 
 SCHEMAS = {
@@ -343,10 +342,20 @@ def _reject_constant(literal: str):
     raise ConfigError(f"config is not valid JSON: {literal} is not a JSON number")
 
 
+def _finite(literal: str) -> str:
+    # json reads a numeral out of a double's range as inf, or as an int no
+    # double holds; either would reach the solvers
+    if not math.isfinite(float(literal)):
+        raise ConfigError(f"config is not valid JSON: {literal} overflows a double")
+    return literal
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            config = json.load(f, parse_constant=_reject_constant)
+            config = json.load(f, parse_constant=_reject_constant,
+                               parse_float=lambda s: float(_finite(s)),
+                               parse_int=lambda s: int(_finite(s)))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -486,71 +495,114 @@ def _grid(grid_cfg: dict, n: int) -> Grid1D:
 
 
 # ---------------------------------------------------------------------------
+# exact solution families: one builder serves every command
+
+
+def _mesh(coord_axis, point_axis):
+    """The (coordinate, point) mesh as read-only broadcast views, indexed [coordinate, point]."""
+    coords = np.asarray(coord_axis, dtype=float)
+    points = np.asarray(point_axis, dtype=float)
+    shape = (coords.size, points.size)
+    return np.broadcast_to(coords[:, None], shape), np.broadcast_to(points, shape)
+
+
+def _polar(rho, theta) -> dict:
+    """Polar fields with their strains U = rho cos(theta), V = rho sin(theta)."""
+    return {"theta": theta, "rho": rho, "U": rho * np.cos(theta), "V": rho * np.sin(theta)}
+
+
+def _solution(kind: str, params: dict) -> Callable:
+    """``fields(coords, points)``: the named arrays of the exact family ``kind``
+    on the mesh of a coordinate axis (t or X) and a point axis (x or tau).
+
+    ``params`` is the block merged over its enclosing config, which holds the
+    modulus or beta.  The family's profiles, flux or modulus, and a Carroll
+    wave, are built here; every family evaluates, and fails, inside ``fields``.
+    """
+    if kind == "zero":
+        return lambda t, x: dict.fromkeys(FullState._fields, np.zeros((len(t), len(x))))
+    if kind == "simple_wave":
+        prof = profile_from_config(params["profile"])
+        return lambda X, tau: {"rho": sample_simple_wave(params["beta"], prof, X, tau)}
+    if kind == "hodograph":
+        data = HodographData(phase_fn=profile_from_config(params["phase"]),
+                             radial_fn=profile_from_config(params["radial"]))
+        return lambda X, tau: _polar(*sample_hodograph(data, params["beta"], X, tau,
+                                                       tuple(params["seed"])))
+    if kind == "separable":
+        f = flux_from_config(params["flux"])
+        def separable(t, x):
+            solution = eval_separable(f, params["k"], params["phi0"], params["dphi0"], t)
+            # phi depends on t alone: a view the CSV writer formats once per t
+            return {"phi": np.broadcast_to(solution.phi[:, None], (len(t), len(x))),
+                    "u": solution.u_field(x), "v": solution.v_field(x)}
+        return separable
+    # the closed-form families, on the mesh's broadcast views
+    if kind == "carroll":
+        wave = CarrollWave.from_modulus(modulus_from_config(params["modulus"]),
+                                        params["amplitude"], params["wavenumber"],
+                                        params.get("polarization", 1))
+        closed = lambda T, X: carroll_full_state(wave, X, T)._asdict()
+    elif kind == "generalized":
+        m, prof = modulus_from_config(params["modulus"]), profile_from_config(params["profile"])
+        closed = lambda T, X: generalized_carroll_full_state(
+            m, params["amplitude"], prof, X, T,
+            params.get("direction", -1), params.get("polarization", 1))._asdict()
+    elif kind == "constant_amplitude":
+        prof = profile_from_config(params["profile"])
+        beta, amp = params["beta"], params["amplitude"]
+        closed = lambda X, tau: _polar(np.full(X.shape, float(amp)), prof(beta * amp**2 * X + tau))
+    else:
+        f, prof = flux_from_config(params["flux"]), profile_from_config(params["profile"])
+        closed = lambda T, X: eval_overdetermined(
+            f, params["level"], prof, X, T, params.get("direction", 1),
+            tuple(params.get("v_bracket", (1e-8, 10.0))))._asdict()
+    return lambda coords, points: closed(*_mesh(coords, points))
+
+
+# ---------------------------------------------------------------------------
 # systems: each pairs one evolution with the exact family it reproduces
 
 
-class System(NamedTuple):
-    """One of the three systems, wired from a config and an init/oracle block.
+def _system(config: dict, block: dict):
+    """``(evolve, oracle)`` of the config's system and an init or oracle block.
 
-    ``evolve(grid, run)`` evolves the block's initial state from the grid's
-    cell centers and returns the Trajectory.  ``oracle(centers, coordinate)``
-    evaluates the exact fields at that coordinate, stacked like the
-    trajectory's states; it is None when the block names no exact family.
+    ``evolve(grid, run)`` returns the Trajectory from the block's initial state
+    on the grid's cell centers.  ``oracle(centers, coordinate)`` stacks the
+    block's exact fields like the trajectory's states, or is None.
     """
-
-    evolve: Callable
-    oracle: Optional[Callable]
-
-
-def _beta(config: dict, system: str) -> float:
-    if "beta" not in config:
+    system, kind = config["system"], block["kind"]
+    params = {**config, **block}
+    if system == "full":
+        if "modulus" not in config:
+            raise ConfigError("system 'full' requires a 'modulus' block")
+        m = modulus_from_config(config["modulus"])
+        names = FullState._fields
+        evolve = lambda grid, run, w: evolve_full(m, grid, FullState(*w), run)
+    elif "beta" not in config:
         raise ConfigError(f"system {system!r} requires 'beta'")
-    return float(config["beta"])
-
-
-def _full_system(config: dict, block: dict) -> System:
-    if "modulus" not in config:
-        raise ConfigError("system 'full' requires a 'modulus' block")
-    m = modulus_from_config(config["modulus"])
-    if block["kind"] == "zero":
-        oracle = lambda x, t: np.zeros((4, len(x)))
+    elif system == "asymptotic":
+        beta = params["beta"] = float(config["beta"])
+        names = StrainState._fields
+        evolve = lambda grid, run, w: evolve_asymptotic(beta, grid, StrainState(*w), run)
     else:
-        wave = CarrollWave.from_modulus(m, block["amplitude"], block["wavenumber"],
-                                        block.get("polarization", 1))
-        oracle = lambda x, t: np.stack(carroll_full_state(wave, x, t))
-    return System(
-        lambda grid, run: evolve_full(m, grid, FullState(*oracle(grid.centers, 0.0)), run),
-        oracle)
-
-
-def _asymptotic_system(config: dict, block: dict) -> System:
-    beta = _beta(config, "asymptotic")
-    prof = profile_from_config(block["profile"])
-    if block["kind"] == "plane":
-        oracle = None
-        initial = lambda x: StrainState(np.asarray(prof(x), dtype=float), np.zeros_like(x))
+        beta = float(config["beta"])
+        names, evolve = ("rho",), lambda grid, run, w: evolve_scalar(beta, grid, w[0], run)
+        # evolve_scalar solves rho_X = beta (rho^3)_tau, whose simple wave
+        # rho = Phi(tau + 3 beta X rho^2) is the family sample_simple_wave
+        # builds with -beta
+        kind, params["beta"] = "simple_wave", -beta
+    oracle = None
+    if kind != "plane":
+        fields = _solution(kind, params)
+        oracle = lambda x, c: np.stack([v[0] for v in map(fields([c], x).get, names)])
+    if kind in ("plane", "simple_wave"):
+        # a plane wave or a scalar profile starts from prof(x) itself
+        prof = profile_from_config(block["profile"])
+        initial = lambda x: [np.asarray(prof(x), dtype=float), *np.zeros((len(names) - 1, len(x)))]
     else:
-        amp = block["amplitude"]
-        oracle = lambda x, X: np.stack(eval_asymptotic_linear(beta, amp, prof, X, x))
-        initial = lambda x: eval_asymptotic_linear(beta, amp, prof, 0.0, x)
-    return System(lambda grid, run: evolve_asymptotic(beta, grid, initial(grid.centers), run),
-                  oracle)
-
-
-def _scalar_system(config: dict, block: dict) -> System:
-    beta = _beta(config, "scalar")
-    prof = profile_from_config(block["profile"])
-    # evolve_scalar solves rho_X = beta (rho^3)_tau, whose simple wave
-    # rho = Phi(tau + 3 beta X rho^2) is the family sample_simple_wave builds
-    # with -beta
-    oracle = lambda x, X: sample_simple_wave(-beta, prof, [X], x)
-    return System(
-        lambda grid, run: evolve_scalar(beta, grid, np.asarray(prof(grid.centers), dtype=float),
-                                        run),
-        oracle)
-
-
-SYSTEMS = {"full": _full_system, "asymptotic": _asymptotic_system, "scalar": _scalar_system}
+        initial = lambda x: oracle(x, 0.0)
+    return lambda grid, run: evolve(grid, run, initial(grid.centers)), oracle
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +614,10 @@ def cmd_simulate(config: dict, outdir: Path) -> dict:
     _validate(config["init"], INIT_SCHEMAS[config["system"]], where="init block")
     grid = _grid(config["grid"], config["grid"]["n"])
     run_cfg = SimulationConfig(**config["run"])
-    system = SYSTEMS[config["system"]](config, config["init"])
-    if config.get("oracle_check") and system.oracle is None:
+    evolve, oracle = _system(config, config["init"])
+    if config.get("oracle_check") and oracle is None:
         raise ConfigError("oracle_check is not available for this init family")
-    traj = system.evolve(grid, run_cfg)
+    traj = evolve(grid, run_cfg)
 
     _write_csv(outdir / "snapshots.csv", ["coordinate", "cell_center", *traj.field_names],
                [*_mesh(traj.coords, grid.centers), *traj.states.transpose(1, 0, 2)])
@@ -582,72 +634,33 @@ def cmd_simulate(config: dict, outdir: Path) -> dict:
     }
     extra = {"grid": {**config["grid"], "h": grid.h}, "diagnostics": diagnostics}
     if config.get("oracle_check"):
-        ref = system.oracle(grid.centers, float(traj.coords[-1]))
+        ref = oracle(grid.centers, float(traj.coords[-1]))
         extra["oracle_error_linf"] = float(np.max(np.abs(traj.final - ref)))
     return extra
 
 
-def _mesh(coord_axis, point_axis):
-    """The (coordinate, point) mesh as read-only broadcast views, indexed [coordinate, point]."""
-    coords = np.asarray(coord_axis, dtype=float)
-    points = np.asarray(point_axis, dtype=float)
-    shape = (coords.size, points.size)
-    return np.broadcast_to(coords[:, None], shape), np.broadcast_to(points, shape)
-
-
 def _sample_exact(sol: dict):
-    kind = sol["kind"]
-    if kind == "carroll":
-        m = modulus_from_config(sol["modulus"])
-        wave = CarrollWave.from_modulus(m, sol["amplitude"], sol["wavenumber"],
-                                        sol.get("polarization", 1))
-        T, X = _mesh(_axis(sol["t"]), _axis(sol["x"]))
-        U, V, M, N = carroll_full_state(wave, X, T)
-        return ["t", "x", "U", "V", "M", "N"], [T, X, U, V, M, N]
-    if kind == "generalized":
-        m = modulus_from_config(sol["modulus"])
-        prof = profile_from_config(sol["profile"])
-        T, X = _mesh(_axis(sol["t"]), _axis(sol["x"]))
-        U, V, M, N = generalized_carroll_full_state(
-            m, sol["amplitude"], prof, X, T,
-            sol.get("direction", -1), sol.get("polarization", 1))
-        return ["t", "x", "U", "V", "M", "N"], [T, X, U, V, M, N]
-    if kind == "constant_amplitude":
-        prof = profile_from_config(sol["profile"])
-        Xc, Tau = _mesh(_axis(sol["X"]), _axis(sol["tau"]))
-        U, V = eval_asymptotic_linear(sol["beta"], sol["amplitude"], prof, Xc, Tau)
-        rho, theta = strain_to_polar(U, V)
-        return ["X", "tau", "U", "V", "rho", "theta"], [Xc, Tau, U, V, rho, theta]
-    if kind == "simple_wave":
-        prof = profile_from_config(sol["profile"])
-        Xg = _axis(sol["X"])
-        taug = _axis(sol["tau"])
-        rho = sample_simple_wave(sol["beta"], prof, Xg, taug)
-        Xc, Tau = _mesh(Xg, taug)
-        return ["X", "tau", "rho"], [Xc, Tau, rho]
-    if kind == "separable":
-        f = flux_from_config(sol["flux"])
-        t = _axis(sol["t"])
-        x = _axis(sol["x"])
-        solution = eval_separable(f, sol["k"], sol["phi0"], sol["dphi0"], t)
-        T, X = _mesh(t, x)
-        u = solution.u_field(x)
-        v = solution.v_field(x)
-        phi = np.broadcast_to(solution.phi[:, None], T.shape)
-        return ["t", "x", "phi", "u", "v"], [T, X, phi, u, v]
-    f = flux_from_config(sol["flux"])
-    prof = profile_from_config(sol["profile"])
-    T, X = _mesh(_axis(sol["t"]), _axis(sol["x"]))
-    bracket = tuple(sol.get("v_bracket", (1e-8, 10.0)))
-    U, V = eval_overdetermined(f, sol["level"], prof, X, T,
-                               sol.get("direction", 1), bracket)
-    return ["t", "x", "U", "V"], [T, X, U, V]
+    """The header and columns of an exact solution block: its two axes, then its fields."""
+    fields = _solution(sol["kind"], sol)
+    axes = ("t", "x") if "t" in sol else ("X", "tau")
+    coords, points = _axis(sol[axes[0]]), _axis(sol[axes[1]])
+    values = fields(coords, points)
+    if sol["kind"] == "constant_amplitude":
+        # the rho and theta columns have always been read back from (U, V);
+        # the family's own rho and theta differ from them in the last bits
+        values = {"U": values["U"], "V": values["V"],
+                  **strain_to_polar(values["U"], values["V"])._asdict()}
+    return [*axes, *values], [*_mesh(coords, points), *values.values()]
 
 
 def cmd_exact(config: dict, outdir: Path) -> dict:
     header, columns = _sample_exact(config["solution"])
     _write_csv(outdir / "samples.csv", header, columns)
     return {"rows": int(np.asarray(columns[0]).size), "columns": header}
+
+
+# the structure flags of a classify report
+FLAGS = ("equal_eigenvalues", "completely_exceptional", "hamiltonian", "decouples")
 
 
 def cmd_classify(config: dict, outdir: Path) -> dict:
@@ -666,10 +679,8 @@ def cmd_classify(config: dict, outdir: Path) -> dict:
     if float(np.max(np.abs(Pu))) <= 1e-12 * scale and float(np.max(np.abs(Pv))) <= 1e-12 * scale:
         report = {
             "constant_flux": True,
-            "flags": {"equal_eigenvalues": True, "completely_exceptional": True,
-                      "hamiltonian": True, "decouples": True},
-            "residuals": {"equal_eigenvalues": 0.0, "completely_exceptional": 0.0,
-                          "hamiltonian": 0.0, "decouples": 0.0},
+            "flags": dict.fromkeys(FLAGS, True),
+            "residuals": dict.fromkeys(FLAGS, 0.0),
             "n_samples": int(pts.shape[0]),
             "note": "constant flux: the system is linear and every family is degenerate",
         }
@@ -681,12 +692,7 @@ def cmd_classify(config: dict, outdir: Path) -> dict:
     eig = cls.eigen
     report = {
         "constant_flux": False,
-        "flags": {
-            "equal_eigenvalues": cls.equal_eigenvalues,
-            "completely_exceptional": cls.completely_exceptional,
-            "hamiltonian": cls.hamiltonian,
-            "decouples": cls.decouples,
-        },
+        "flags": {name: getattr(cls, name) for name in FLAGS},
         "residuals": cls.residuals,
         "n_samples": cls.n_samples,
         "eigen": {
@@ -700,48 +706,21 @@ def cmd_classify(config: dict, outdir: Path) -> dict:
 
 
 def cmd_hodograph(config: dict, outdir: Path) -> dict:
-    data = HodographData(phase_fn=profile_from_config(config["phase"]),
-                         radial_fn=profile_from_config(config["radial"]))
-    X = _axis(config["X"])
-    tau = _axis(config["tau"])
-    rho, theta = sample_hodograph(data, config["beta"], X, tau, tuple(config["seed"]))
-    Xc, Tau = _mesh(X, tau)
-    _write_csv(outdir / "samples.csv", ["X", "tau", "theta", "rho"], [Xc, Tau, theta, rho])
+    fields = _solution("hodograph", config)
+    X, tau = _axis(config["X"]), _axis(config["tau"])
+    theta, rho = map(fields(X, tau).get, ("theta", "rho"))
+    _write_csv(outdir / "samples.csv", ["X", "tau", "theta", "rho"], [*_mesh(X, tau), theta, rho])
     return {"rho_range": [float(rho.min()), float(rho.max())],
             "theta_range": [float(theta.min()), float(theta.max())]}
 
 
 def _rectangle_samples(config: dict, fields: Callable) -> list:
-    """The study's fields on every refinement level of the rectangle, coarsest first.
-
-    ``fields(C, P)`` returns the named fields on one level's (coordinate,
-    point) mesh, given as broadcast views.
-    """
+    """The study's ``fields(coords, points)`` on every refinement level of the
+    rectangle, coarsest first."""
     rect = config["rectangle"]
-    samples = []
-    for n in config["levels"]:
-        coords = np.linspace(rect["coord"]["min"], rect["coord"]["max"], n)
-        points = np.linspace(rect["point"]["min"], rect["point"]["max"], n)
-        samples.append(FieldSample(coords, points, fields(*_mesh(coords, points))))
-    return samples
-
-
-def _polar_fields(config: dict, control: bool) -> Callable:
-    """``fields(C, P)`` of (theta, rho) from the solution block, or the non-solution
-    theta = sin(2 tau), rho = 1 for a negative control of a residual or conservation study."""
-    if control and config["study"] in ("asymptotic", "conservation"):
-        return lambda C, P: {"theta": np.sin(2.0 * P) + 0.0 * C, "rho": np.ones(C.shape)}
-    sol, beta = config["solution"], config["beta"]
-    if sol["kind"] == "constant_amplitude":
-        prof = profile_from_config(sol["profile"])
-        amp = sol["amplitude"]
-        return lambda C, P: {"theta": prof(beta * amp**2 * C + P),
-                             "rho": np.full(C.shape, float(amp))}
-    data = HodographData(phase_fn=profile_from_config(sol["phase"]),
-                         radial_fn=profile_from_config(sol["radial"]))
-    # the hodograph is sampled on the mesh's two axes
-    return lambda C, P: dict(zip(("rho", "theta"),
-                                 sample_hodograph(data, beta, C[:, 0], P[0], tuple(sol["seed"]))))
+    levels = [[np.linspace(rect[axis]["min"], rect[axis]["max"], n) for axis in ("coord", "point")]
+              for n in config["levels"]]
+    return [FieldSample(coords, points, fields(coords, points)) for coords, points in levels]
 
 
 def _order_report(study: str, report, target: float, control: bool, **extra) -> dict:
@@ -764,14 +743,8 @@ def _commutator_study(config: dict, control: bool) -> dict:
         spec = PerturbedRadialControl(spec)
     rng = np.random.default_rng(config.get("seed", 0))
     n = config.get("jets", 100)
-    jets = np.column_stack([
-        rng.uniform(0.0, 2.0 * np.pi, n),
-        rng.uniform(0.5, 1.5, n),
-        rng.uniform(-1.0, 1.0, n),
-        rng.uniform(-1.0, 1.0, n),
-        rng.uniform(-1.0, 1.0, n),
-        rng.uniform(-1.0, 1.0, n),
-    ])
+    jets = np.column_stack([rng.uniform(lo, hi, n) for lo, hi in
+                            [(0.0, 2.0 * np.pi), (0.5, 1.5)] + [(-1.0, 1.0)] * 4])
     beta = config.get("beta", 1.0)
     worst = commutator_residual(spec, beta, jets)
     phi = spec.characteristic(jets[:, 0], jets[:, 1], jets[:, 2], jets[:, 3])
@@ -794,37 +767,38 @@ def _verify_study(config: dict) -> dict:
         return _commutator_study(config, control)
     if "rectangle" not in config or "levels" not in config:
         raise ConfigError(f"study {study!r} requires 'rectangle' and 'levels'")
-    sol = config.get("solution")
-
-    if study == "full":
-        if sol is None or sol.get("kind") != "carroll":
-            raise ConfigError("study 'full' requires a 'carroll' solution block")
-        _validate(sol, VERIFY_SOLUTION_SCHEMAS["carroll"], where="solution block")
-        m = modulus_from_config(sol["modulus"])
-        wave = CarrollWave.from_modulus(m, sol["amplitude"], sol["wavenumber"])
-        if control:
-            rng = np.random.default_rng(config.get("seed", 0))
-            fields = lambda C, P: {k: rng.standard_normal(C.shape) for k in ("U", "V", "M", "N")}
-        else:
-            fields = lambda C, P: dict(zip(("U", "V", "M", "N"), carroll_full_state(wave, P, C)))
-        report = residual_full(_rectangle_samples(config, fields), m, order_target=target)
-        return _order_report(study, report, target, control)
-
-    if "beta" not in config:
+    sol, full = config.get("solution"), study == "full"
+    if not full and "beta" not in config:
         raise ConfigError(f"study {study!r} requires 'beta'")
-    beta = config["beta"]
     # a negative control of the residual and conservation studies samples its
     # own non-solution, but a solution block it is given must still be valid
-    if sol is not None or not control or study == "linearized_symmetry":
-        if sol is None or sol.get("kind") not in ("constant_amplitude", "hodograph"):
+    non_solution = control and study in ("asymptotic", "conservation")
+    if sol is not None or not non_solution:
+        if full and (sol is None or sol.get("kind") != "carroll"):
+            raise ConfigError("study 'full' requires a 'carroll' solution block")
+        if not full and (sol is None or sol.get("kind") not in ("constant_amplitude", "hodograph")):
             raise ConfigError(f"study {study!r} requires a solution block "
                               f"(constant_amplitude or hodograph)")
         _validate(sol, VERIFY_SOLUTION_SCHEMAS[sol["kind"]], where="solution block")
     block = {"conservation": "conservation", "linearized_symmetry": "symmetry"}.get(study)
     if block is not None and block not in config:
         raise ConfigError(f"{study} study requires a {block!r} block")
-    samples = _rectangle_samples(config, _polar_fields(config, control))
+    if non_solution:
+        def fields(coords, points):
+            # theta = sin(2 tau), rho = 1 solves neither study
+            C, P = _mesh(coords, points)
+            return {"theta": np.sin(2.0 * P) + 0.0 * C, "rho": np.ones(C.shape)}
+    else:
+        fields = _solution(sol["kind"], {**config, **sol})
+    if full and control:
+        rng = np.random.default_rng(config.get("seed", 0))
+        fields = lambda t, x: {k: rng.standard_normal((len(t), len(x))) for k in FullState._fields}
+    samples = _rectangle_samples(config, fields)
 
+    if full:
+        report = residual_full(samples, modulus_from_config(sol["modulus"]), order_target=target)
+        return _order_report(study, report, target, control)
+    beta = config["beta"]
     if study == "asymptotic":
         report = residual_asymptotic(samples, beta, order_target=target)
         return _order_report(study, report, target, control)
@@ -861,9 +835,9 @@ def cmd_verify(config: dict, outdir: Path) -> dict:
 def cmd_convergence(config: dict, outdir: Path) -> dict:
     _validate(config["oracle"], ORACLE_SCHEMAS[config["system"]], where="oracle block")
     run_cfg = SimulationConfig(**config["run"])
-    system = SYSTEMS[config["system"]](config, config["oracle"])
-    report = convergence_study(lambda n: system.evolve(_grid(config["grid"], n), run_cfg),
-                               system.oracle, config["levels"],
+    evolve, oracle = _system(config, config["oracle"])
+    report = convergence_study(lambda n: evolve(_grid(config["grid"], n), run_cfg),
+                               oracle, config["levels"],
                                order_target=config.get("order_target"),
                                order_tol=config.get("order_tol"))
     doc = {
@@ -902,9 +876,10 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
     0: success.  1: a verification or convergence target was missed, or
     a ``verify`` negative control ran (``control_confirmed`` in its report
     says whether it failed as it should).  2: a config error, including a
-    ValueError from a library input check; the message goes to stderr and
-    no manifest is written.  3: any other ShearWaveError; ``manifest.json``
-    gets ``status: "error"`` and ``error.{type, message, coordinate}``.
+    ValueError from a library input check or a parameter's OverflowError;
+    the message goes to stderr and no manifest is written.  3: any other
+    ShearWaveError; ``manifest.json`` gets ``status: "error"`` and
+    ``error.{type, message, coordinate}``.
     Exits 0, 1 and 3 all leave a manifest.
     """
     try:
@@ -916,6 +891,9 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
         extra = HANDLERS[command](config, outdir)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"config error: a parameter overflows a double: {exc.args[-1]}", file=sys.stderr)
         return 2
     except ShearWaveError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}

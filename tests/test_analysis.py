@@ -1,4 +1,6 @@
 """Eigenstructure, classification flags, and compatibility."""
+import collections
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,31 @@ def test_classify_hand_built_chart_matches_analytic_chart():
 def test_classify_rejects_axis_samples():
     with pytest.raises(DegenerateDirection):
         classify(product_flux(), [(0.0, 1.0)])
+
+
+@pytest.fixture
+def partial_calls(monkeypatch):
+    """Counts of TempleFlux._partial calls, keyed by (flux name, axes)."""
+    calls = collections.Counter()
+    partial = TempleFlux._partial
+
+    def spy(self, axes, u, v, *args):
+        calls[self.name, axes] += 1
+        return partial(self, axes, u, v, *args)
+
+    monkeypatch.setattr(TempleFlux, "_partial", spy)
+    return calls
+
+
+def test_classify_evaluates_each_partial_once(partial_calls):
+    every = ("u", "v", "uu", "uv", "vv")
+    # the product flux's own chart is regular, so its decoupling residual runs
+    classify(product_flux(), _lattice())
+    assert dict(partial_calls) == {("product", axes): 1 for axes in every}
+    partial_calls.clear()
+    classify(product_flux(), _lattice(), alpha=sum_squares_flux())
+    assert dict(partial_calls) == {**{("product", axes): 1 for axes in every},
+                                   **{("poly", axes): 1 for axes in every}}
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,12 @@ EXACT_SOLUTIONS = {
 }
 
 
+def exact_config(kind, **changes):
+    """An exact config of one EXACT_SOLUTIONS kind, on its own copy of the axes."""
+    return {"command": "exact",
+            "solution": {"kind": kind, **copy.deepcopy(EXACT_SOLUTIONS[kind]), **changes}}
+
+
 def csv_data_lines(path):
     lines = path.read_bytes().split(b"\r\n")
     assert lines[-1] == b""
@@ -327,6 +333,57 @@ def test_exact_fields_on_mesh_views_match_meshgrid_copies(monkeypatch, kind):
     _, copies = cli._sample_exact(sol)
     for name, view, copy_ in zip(header, views, copies):
         assert np.ascontiguousarray(view).tobytes() == copy_.tobytes(), name
+
+
+# every init kind with an exact family, and its system
+ORACLE_INITS = {
+    "carroll": ({"system": "full", "modulus": CUBIC},
+                {"kind": "carroll", "amplitude": 0.8, "wavenumber": 2.0, "polarization": -1}),
+    "zero": ({"system": "full", "modulus": CUBIC}, {"kind": "zero"}),
+    "constant_amplitude": ({"system": "asymptotic", "beta": 0.5},
+                           {"kind": "constant_amplitude", "amplitude": 0.7, "profile": SINE}),
+    "profile": ({"system": "scalar", "beta": 1.0},
+                {"kind": "profile", "profile": {**SINE, "amp": 0.2, "offset": 1.0}}),
+}
+
+
+def end_zero_config(kind):
+    system, init = ORACLE_INITS[kind]
+    return {"command": "simulate", **system, "grid": {"n": 16, "a": 0.0, "b": TWO_PI},
+            "run": {"end": 0.0}, "init": init, "oracle_check": True}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_INITS))
+def test_oracle_at_end_zero_is_the_initial_state(tmp_path, kind):
+    code, out = run_cli(tmp_path, end_zero_config(kind), kind)
+    assert code == 0
+    assert read_manifest(out)["oracle_error_linf"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["carroll", "constant_amplitude"])
+def test_initial_snapshot_is_the_exact_row_at_zero(tmp_path, kind):
+    cfg = end_zero_config(kind)
+    code, out = run_cli(tmp_path, cfg, "sim")
+    assert code == 0
+    header, snapshot = read_csv_columns(out / "snapshots.csv")
+    centers = snapshot[:, 1]
+    # the cell centers as an exact axis; linspace may differ from them in the last bit
+    points = {"min": float(centers[0]), "max": float(centers[-1]), "n": len(centers)}
+    zero_first = {"min": 0.0, "max": 1.0, "n": 2}
+    if kind == "carroll":
+        sol = {**cfg["init"], "modulus": cfg["modulus"], "x": points, "t": zero_first}
+    else:
+        sol = {**cfg["init"], "beta": cfg["beta"], "X": zero_first, "tau": points}
+    code, out = run_cli(tmp_path, {"command": "exact", "solution": sol}, "exact")
+    assert code == 0
+    exact_header, exact = read_csv_columns(out / "samples.csv")
+    row = exact[:len(centers)]
+    assert np.all(row[:, 0] == 0.0)
+    np.testing.assert_allclose(row[:, 1], centers, rtol=0.0, atol=1e-14)
+    for name in header[2:]:
+        np.testing.assert_allclose(row[:, exact_header.index(name)],
+                                   snapshot[:, header.index(name)], rtol=0.0, atol=1e-14,
+                                   err_msg=name)
 
 
 def test_exact_constant_amplitude_rho_column_constant(tmp_path):
@@ -650,6 +707,35 @@ def test_non_json_number_literals_exit_two(tmp_path, capsys, literal, config, pa
     assert not (out / "manifest.json").exists()
 
 
+BIG_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("config, path, literal", [
+    (_carroll_exact_config, ("solution", "amplitude"), "1e400"),
+    (carroll_simulate_config, ("run", "end"), "1e400"),
+    (lambda: {"command": "verify", "study": "commutator", "beta": 1.0, "jets": 5,
+              "symmetry": {"phase": {"kind": "linear", "k": 1.0},
+                           "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}}},
+     ("beta",), "1e400"),
+    (lambda: small_config("hodograph"), ("X", "max"), BIG_INT),
+    (_carroll_exact_config, ("solution", "amplitude"), BIG_INT),
+    (lambda: exact_config("constant_amplitude"), ("solution", "beta"), "-" + BIG_INT),
+], ids=["exact_amplitude", "run_end", "commutator_beta", "axis_int", "amplitude_int", "beta_int"])
+def test_out_of_range_numerals_exit_two(tmp_path, capsys, config, path, literal):
+    # json reads such a numeral as inf, or as an int no double can hold
+    cfg = config()
+    _get(cfg, path[:-1])[path[-1]] = 12345.5
+    text = json.dumps(cfg).replace("12345.5", literal)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    code = main([cfg["command"], "--config", str(cfg_path), "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: config is not valid JSON: {literal} overflows a double\n"
+    assert not out.exists()
+
+
 def test_missing_oracle_exits_two(tmp_path):
     cfg = {
         "command": "convergence",
@@ -855,6 +941,107 @@ def test_negative_control_validates_its_solution_block(tmp_path, capsys, study, 
     assert not (out / "manifest.json").exists()
 
 
+def _one_of(where, block):
+    return f"config error: invalid {where}: {block!r} is not valid under any of the given schemas\n"
+
+
+HODOGRAPH_SOLUTION = {"kind": "hodograph", "phase": {"kind": "linear", "k": 1.0},
+                      "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}, "seed": [0.5, 1.0]}
+CARROLL_SOLUTION = {"kind": "carroll", "modulus": CUBIC, "amplitude": 1.0, "wavenumber": 1.0}
+CONSTANT_AMPLITUDE_SOLUTION = {"kind": "constant_amplitude", "amplitude": 1.0, "profile": SINE}
+
+
+def _without(block, key):
+    return {k: v for k, v in block.items() if k != key}
+
+
+# what each system reads from the top level of its config
+SYSTEM_COEFFICIENTS = {"full": {"modulus": CUBIC}, "asymptotic": {"beta": 0.5},
+                       "scalar": {"beta": 1.0}}
+
+
+def _invalid_init(system, block):
+    return ("simulate", {"system": system, **SYSTEM_COEFFICIENTS[system],
+                         "grid": {"n": 16, "a": 0.0, "b": TWO_PI}, "run": {"end": 0.1},
+                         "init": block},
+            _one_of("init block at <root>", block))
+
+
+def _invalid_oracle(system, block, message):
+    return ("convergence", {"system": system, **SYSTEM_COEFFICIENTS[system],
+                            "grid": {"a": 0.0, "b": TWO_PI}, "run": {"end": 0.1},
+                            "levels": [16, 32], "oracle": block},
+            f"config error: invalid oracle block at {message}\n")
+
+
+def _invalid_verify(study, block, message):
+    cfg = {"study": study, "solution": block, "levels": [9, 17],
+           "rectangle": {"coord": {"min": 0.0, "max": 1.0}, "point": {"min": 0.0, "max": 1.0}}}
+    if study != "full":
+        cfg["beta"] = 0.5
+    return "verify", cfg, f"config error: {message}\n"
+
+
+def _invalid_exact(block):
+    return "exact", {"solution": block}, _one_of("config at solution", block)
+
+
+def _invalid_hodograph(cfg, message):
+    return "hodograph", cfg, f"config error: invalid config at {message}\n"
+
+
+INVALID_BLOCKS = {
+    "init_missing_key": _invalid_init("full", {"kind": "carroll", "amplitude": 1.0}),
+    "init_extra_key": _invalid_init("full", {"kind": "zero", "amplitude": 1.0}),
+    "init_wrong_kind": _invalid_init("asymptotic",
+                                     {"kind": "carroll", "amplitude": 1.0, "wavenumber": 1.0}),
+    "oracle_missing_key": _invalid_oracle("full", {"kind": "carroll", "amplitude": 1.0},
+                                          "<root>: 'wavenumber' is a required property"),
+    "oracle_extra_key": _invalid_oracle(
+        "asymptotic", {**CONSTANT_AMPLITUDE_SOLUTION, "beta": 1.0},
+        "<root>: Additional properties are not allowed ('beta' was unexpected)"),
+    "oracle_wrong_kind": _invalid_oracle("scalar", {"kind": "profile", "profile": SINE},
+                                         "kind: 'simple_wave' was expected"),
+    "verify_missing_key": _invalid_verify(
+        "asymptotic", _without(HODOGRAPH_SOLUTION, "seed"),
+        "invalid solution block at <root>: 'seed' is a required property"),
+    "verify_missing_modulus": _invalid_verify(
+        "full", _without(CARROLL_SOLUTION, "modulus"),
+        "invalid solution block at <root>: 'modulus' is a required property"),
+    "verify_extra_key": _invalid_verify(
+        "conservation", {**CONSTANT_AMPLITUDE_SOLUTION, "beta": 0.5},
+        "invalid solution block at <root>: Additional properties are not allowed "
+        "('beta' was unexpected)"),
+    "verify_carroll_polarization": _invalid_verify(
+        "full", {**CARROLL_SOLUTION, "polarization": 1},
+        "invalid solution block at <root>: Additional properties are not allowed "
+        "('polarization' was unexpected)"),
+    "verify_wrong_kind": _invalid_verify("full", CONSTANT_AMPLITUDE_SOLUTION,
+                                         "study 'full' requires a 'carroll' solution block"),
+    "exact_missing_key": _invalid_exact(
+        _without(exact_config("carroll")["solution"], "wavenumber")),
+    "exact_extra_key": _invalid_exact(exact_config("carroll", bogus=1)["solution"]),
+    "exact_wrong_kind": _invalid_exact(
+        {**exact_config("simple_wave")["solution"], **HODOGRAPH_SOLUTION}),
+    "hodograph_missing_key": _invalid_hodograph(_without(small_config("hodograph"), "seed"),
+                                                "<root>: 'seed' is a required property"),
+    "hodograph_extra_key": _invalid_hodograph(
+        {**small_config("hodograph"), "kind": "hodograph"},
+        "<root>: Additional properties are not allowed ('kind' was unexpected)"),
+    "hodograph_wrong_seed": _invalid_hodograph({**small_config("hodograph"), "seed": [1.0]},
+                                               "seed: [1.0] is too short"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_BLOCKS))
+def test_invalid_block_exits_two_with_its_message(tmp_path, capsys, case):
+    command, cfg, message = INVALID_BLOCKS[case]
+    code, out = run_cli(tmp_path, {"command": command, **cfg}, case)
+    assert code == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_oracle_check_without_oracle_exits_two(tmp_path):
     cfg = {
         "command": "simulate",
@@ -928,6 +1115,22 @@ def generated_configs(draw):
                                    "v": {"min": 0.5, "max": 2.0, "n": 2.0}}}))
 @example(("verify", {**small_config("verify"), "solution": {"kind": {}}}))
 @example(("hodograph", {**small_config("hodograph"), "beta": 0}))
+# finite parameters whose squares or frequencies overflow a double
+@example(("exact", exact_config("carroll", wavenumber=1e200)))
+@example(("exact", exact_config("carroll", modulus={"kind": "mooney_rivlin", "mu": 1e300},
+                                wavenumber=1e100)))
+@example(("exact", exact_config("carroll", amplitude=1.5e154)))
+@example(("simulate", {**small_config("simulate"),
+                       "init": {"kind": "carroll", "amplitude": 1.5e154, "wavenumber": 1.0}}))
+@example(("convergence", {"command": "convergence", "system": "full", "modulus": CUBIC,
+                          "grid": {"a": 0.0, "b": TWO_PI}, "run": {"end": 0.1}, "levels": [8, 16],
+                          "oracle": {"kind": "carroll", "amplitude": 1.5e154, "wavenumber": 1.0}}))
+@example(("exact", exact_config("generalized", amplitude=1e200)))
+@example(("exact", exact_config("constant_amplitude", amplitude=1e200)))
+@example(("convergence", {**small_config("convergence"),
+                          "oracle": {**small_config("convergence")["oracle"], "amplitude": 1e200}}))
+@example(("verify", {**small_config("verify"),
+                     "solution": {**small_config("verify")["solution"], "amplitude": 1e200}}))
 @example(("verify", {**small_config("verify"), "solution": {"kind": "carroll"}}))
 # a control that the field does not refute: the angle-squared shift is a true
 # symmetry of a constant-amplitude envelope

@@ -1,11 +1,14 @@
 """Source hygiene: every import is used, every private module-level name is
-referenced, every package export is reached, and every script path the
-README names exists."""
+referenced, every package export is reached, every script path the README
+names exists, and the README's solution-block table matches the CLI's schemas."""
 import ast
+import collections
 import re
 from pathlib import Path
 
 import pytest
+
+from shearwaves import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "shearwaves"
@@ -180,3 +183,61 @@ def test_readme_names_only_existing_scripts():
     named = script_paths((ROOT / "README.md").read_text())
     assert named
     assert [p for p in named if not (ROOT / p).exists()] == []
+
+
+def solution_block_table(text):
+    """``{kind: (required, optional, contexts)}`` from the README's "Solution blocks" table.
+
+    The parameters cell lists the required names, then ``optional`` and the
+    optional ones.  A context is ``(command, system)``: "full `init`" is
+    ``("init", "full")`` and "`exact`" is ``("exact", None)``.
+    """
+    section = text.split("\n## Solution blocks\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not cells[0].startswith("`"):
+            continue
+        required, _, optional = cells[2].partition("optional")
+        contexts = {(command, system or None)
+                    for system, command in re.findall(r"(?:(\w+) )?`(\w+)`", cells[3])}
+        table[cells[0].strip("`")] = (re.findall(r"`(\w+)`", required),
+                                      re.findall(r"`(\w+)`", optional), contexts)
+    return table
+
+
+def test_detector_reads_solution_block_table():
+    text = ("# Tool\n\n## Solution blocks\n\n| kind | fields | parameters | accepted in |\n"
+            "| ---- | ------ | ---------- | ----------- |\n"
+            "| `wave` | `U` | `a`, `b`; optional `c` | `exact`, full `init`, `verify` |\n"
+            "| `flat` | initial `U` only | none | scalar `oracle` |\n\n"
+            "## Next\n| `x` | 1 | 2 | 3 |\n")
+    assert solution_block_table(text) == {
+        "wave": (["a", "b"], ["c"], {("exact", None), ("init", "full"), ("verify", None)}),
+        "flat": ([], [], {("oracle", "scalar")}),
+    }
+
+
+def schema_block_kinds():
+    """``{kind: contexts}`` of every block kind that a CLI schema accepts."""
+    kinds = collections.defaultdict(set)
+    for block in cli.EXACT_SCHEMA["properties"]["solution"]["oneOf"]:
+        kinds[block["properties"]["kind"]["const"]].add(("exact", None))
+    for system, schema in cli.INIT_SCHEMAS.items():
+        for block in schema["oneOf"]:
+            kinds[block["properties"]["kind"]["const"]].add(("init", system))
+    for system, block in cli.ORACLE_SCHEMAS.items():
+        kinds[block["properties"]["kind"]["const"]].add(("oracle", system))
+    for kind in cli.VERIFY_SOLUTION_SCHEMAS:
+        kinds[kind].add(("verify", None))
+    # the hodograph command samples the hodograph family from its top level
+    kinds["hodograph"].add(("hodograph", None))
+    return dict(kinds)
+
+
+def test_readme_solution_blocks_match_the_schemas():
+    table = solution_block_table((ROOT / "README.md").read_text())
+    assert {kind: contexts for kind, (_, _, contexts) in table.items()} == schema_block_kinds()
+    for kind, (required, optional, _) in table.items():
+        props, needed = cli.KIND_PARAMS[kind]
+        assert (required, optional) == (needed, [p for p in props if p not in needed]), kind
