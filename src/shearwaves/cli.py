@@ -10,7 +10,11 @@ with CRLF line ends; every value is printed with ``%.17g`` (so ``float()`` gives
 back the exact double), and the special values as ``nan``, ``inf``, ``-inf``, ``-0``.
 The rows are the sample mesh in row-major order, first column slowest.  The
 mesh axes come as broadcast views, and the writer formats such a column once
-per distinct value, not once per row; the bytes are the same either way.
+per distinct value, not once per row; the bytes are the same either way.  A
+large CSV is formatted by up to one process per available CPU, each taking a
+contiguous range of outer rows, with the bytes of a serial write; a small
+one, one on a platform without ``fork`` and one written while another thread
+runs are formatted in this process.
 
 Every command goes through ``run``.  Exit codes: 0 success, 1 a
 verification or convergence target missed, 2 config error (no manifest),
@@ -23,7 +27,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
+import signal
 import sys
+import tempfile
+import threading
 from pathlib import Path
 from typing import Callable
 
@@ -68,6 +77,12 @@ COMMANDS = ("simulate", "exact", "classify", "hodograph", "verify", "convergence
 # or one outer row's share of a longer inner axis; one block at a time bounds
 # the writer's memory
 CSV_BLOCK_ROWS = 2048
+# the fewest full-column values worth one more writer process.  On a 2-vCPU
+# Xeon (Python 3.11) a fork, exit and wait of the ~42 MB CLI process take
+# 3.9 ms, about 6 ms with the temporary file and its copy, and the writer
+# formats a full value in about 1 us (80k values in 77 ms): so a child gets
+# at least twice its cost in formatting
+PER_WORKER = 12_000
 
 # ---------------------------------------------------------------------------
 # schema building blocks
@@ -406,7 +421,10 @@ def _write_csv(path: Path, header, columns):
 
     Each column is read in row-major order.  Columns that all share one 2-D
     shape, some of them broadcast views, are a mesh: see `_write_mesh_rows`.
-    Any other columns are written as one mesh row.
+    Any other columns are written as one mesh row.  The outer rows are split
+    into `_csv_workers` contiguous ranges, formatted in parallel by
+    `_write_ranges`; a row's text does not depend on which block holds it,
+    so the bytes are those of one serial pass.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c, dtype=float) for c in columns]
@@ -419,12 +437,91 @@ def _write_csv(path: Path, header, columns):
             return
         if columns[0].ndim != 2 or any(c.shape != columns[0].shape for c in columns):
             columns = [c.reshape(1, -1) for c in columns]
-        _write_mesh_rows(f, columns)
+        m = columns[0].shape[0]
+        w = min(m, _csv_workers(columns))
+        _write_ranges(f, path.parent, [[c[m * i // w:m * (i + 1) // w] for c in columns]
+                                       for i in range(w)])
+
+
+def _write_ranges(f, tmpdir: Path, ranges):
+    """Write the mesh row ranges to ``f`` in order: the first in this process,
+    each other one in a forked child that formats it into a temporary file in
+    ``tmpdir``, appended once the child has succeeded.
+
+    A range whose fork fails or whose child exits non-zero is formatted here,
+    so the bytes are the same, and a real error such as a full disk raises
+    here.  No child outlives the call: if this process raises while children
+    run, those not yet reaped are killed and reaped.
+    """
+    tmps, pids = [], {}  # pids: range index -> child not yet reaped
+    try:
+        for i, rows in enumerate(ranges[1:], 1):
+            tmps.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=tmpdir))
+            f.flush()  # a child must not inherit unwritten bytes of f
+            try:
+                pid = os.fork()
+            except OSError:
+                continue
+            if pid == 0:
+                _write_child(tmps[-1], rows)
+            pids[i] = pid
+        _write_mesh_rows(f, ranges[0])
+        for i, (tmp, rows) in enumerate(zip(tmps, ranges[1:]), 1):
+            done = i in pids and os.waitstatus_to_exitcode(os.waitpid(pids[i], 0)[1]) == 0
+            pids.pop(i, None)
+            if done:
+                tmp.seek(0)
+                f.flush()
+                shutil.copyfileobj(tmp.buffer, f.buffer)
+            else:
+                _write_mesh_rows(f, rows)
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for tmp in tmps:
+            tmp.close()
+
+
+def _write_child(tmp, columns):
+    """In a forked child: write the mesh rows into ``tmp`` and exit, 0 on success.
+
+    The child leaves through ``os._exit`` only, so it never returns into the
+    parent's code, flushes the buffers it inherited or prints a traceback.
+    """
+    try:
+        _write_mesh_rows(tmp, columns)
+        tmp.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _csv_workers(columns) -> int:
+    """How many processes format a mesh's rows: one per available CPU, but no
+    more than one per `PER_WORKER` values of its full columns (see
+    `_column_kinds`).  1, formatting in this process, where ``fork`` is
+    unavailable or another thread is alive, as a fork would copy that
+    thread's locks but not the thread."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    full = _column_kinds(columns).count("full") * columns[0].size
+    return max(1, min(len(os.sched_getaffinity(0)), full // PER_WORKER))
 
 
 def _row_major(columns) -> tuple:
     """The values of equal-shape columns as one flat tuple, row by row."""
     return tuple(np.stack(columns, axis=-1).ravel().tolist()) if columns else ()
+
+
+def _column_kinds(columns) -> list:
+    """Each 2-D mesh column's kind, from its strides alone: ``outer`` is
+    constant along axis 1, ``inner`` along axis 0 with an inner axis of at
+    most `CSV_BLOCK_ROWS`, and ``full`` is formatted value by value."""
+    inner_fits = columns[0].shape[1] <= CSV_BLOCK_ROWS  # one template holds every inner index
+    return ["outer" if c.strides[1] == 0 else
+            "inner" if c.strides[0] == 0 and inner_fits else "full" for c in columns]
 
 
 def _write_mesh_rows(f, columns):
@@ -442,9 +539,7 @@ def _write_mesh_rows(f, columns):
     bounded.
     """
     m, k = columns[0].shape
-    inner_fits = k <= CSV_BLOCK_ROWS  # one template holds every inner index
-    kinds = ["outer" if c.strides[1] == 0 else
-             "inner" if c.strides[0] == 0 and inner_fits else "full" for c in columns]
+    kinds = _column_kinds(columns)
     outer = [c[:, 0] for c, kind in zip(columns, kinds) if kind == "outer"]
     inner = [c[0] for c, kind in zip(columns, kinds) if kind == "inner"]
     full = [c for c, kind in zip(columns, kinds) if kind == "full"]
@@ -870,15 +965,26 @@ HANDLERS = {
 # entry point
 
 
+def _check_outdir(outdir: Path):
+    """Reject an output directory that cannot be made, before any work is done:
+    it, or its nearest existing ancestor, exists and is not a directory."""
+    for path in (outdir, *outdir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output directory {outdir}: {path} is not a directory")
+            return
+
+
 def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> int:
     """Load and validate a config, run its command, write the manifest; return the exit code.
 
     0: success.  1: a verification or convergence target was missed, or
     a ``verify`` negative control ran (``control_confirmed`` in its report
     says whether it failed as it should).  2: a config error, including a
-    ValueError from a library input check or a parameter's OverflowError;
-    the message goes to stderr and no manifest is written.  3: any other
-    ShearWaveError; ``manifest.json`` gets ``status: "error"`` and
+    ValueError from a library input check, a parameter's OverflowError or an
+    ``outdir`` that is, or lies under, an existing path other than a
+    directory; the message goes to stderr and no manifest is written.  3:
+    any other ShearWaveError; ``manifest.json`` gets ``status: "error"`` and
     ``error.{type, message, coordinate}``.
     Exits 0, 1 and 3 all leave a manifest.
     """
@@ -888,6 +994,7 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
         if declared is not None and declared != command:
             raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked")
         _validate(config, SCHEMAS[command])
+        _check_outdir(outdir)
         extra = HANDLERS[command](config, outdir)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

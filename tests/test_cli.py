@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shearwaves import cli
-from shearwaves.cli import CSV_BLOCK_ROWS, _mesh, _write_csv, main
+from shearwaves.cli import CSV_BLOCK_ROWS, PER_WORKER, _mesh, _write_csv, main
 
 TWO_PI = 2.0 * math.pi
 
@@ -252,6 +254,161 @@ def test_write_csv_rejects_mismatched_views(tmp_path):
         _write_csv(tmp_path / "t.csv", ["t"], [T, X])
 
 
+# ---------------------------------------------------------------------------
+# the CSV writer's forked row ranges against its serial path
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Each os.fork call; after the test, no child of this process is left."""
+    calls = []
+    fork = os.fork
+
+    def spy():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def force_workers(monkeypatch, w):
+    monkeypatch.setattr(cli, "_csv_workers", lambda columns: w)
+
+
+def lone_csv(tmp_path, header, columns):
+    """written_csv's bytes, once the output directory is seen to hold the CSV alone."""
+    data = written_csv(tmp_path, header, columns)
+    assert os.listdir(tmp_path / "out") == ["t.csv"]
+    return data
+
+
+def mesh_columns(m, k):
+    """Both mesh axes, a field of each axis alone and two full fields, each
+    axis and field holding NaN, +-inf and -0.0."""
+    rng = np.random.default_rng(m * k)
+    T, X = _mesh(axis_values(m, rng), axis_values(k, rng))
+    phi = np.broadcast_to(axis_values(m, rng)[::-1, None], (m, k))
+    psi = np.broadcast_to(axis_values(k, rng)[::-1], (m, k))
+    u, v = rng.standard_normal((2, m, k))
+    u.flat[:len(EDGE_VALUES)] = EDGE_VALUES[:u.size]
+    v.flat[-len(EDGE_VALUES):] = EDGE_VALUES[-v.size:]
+    return ["t", "x", "phi", "u", "psi", "v"], [T, X, phi, u, psi, v]
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("m, k", [
+    (7, 5), (2, 9), (1, 4), (CSV_BLOCK_ROWS - 1, 1), (CSV_BLOCK_ROWS + 1, 1),
+    (5, CSV_BLOCK_ROWS + 3),
+], ids=["rows_not_divisible", "fewer_rows_than_workers", "one_row", "block_minus_one",
+        "block_plus_one", "inner_above_block"])
+def test_forked_csv_matches_serial_and_reference(tmp_path, monkeypatch, forks, w, m, k):
+    header, columns = mesh_columns(m, k)
+    force_workers(monkeypatch, 1)
+    serial = lone_csv(tmp_path, header, columns)
+    assert forks == []
+    force_workers(monkeypatch, w)
+    assert lone_csv(tmp_path, header, columns) == serial == expected_csv(header, columns)
+    assert len(forks) == min(m, w) - 1
+    # each column kind alone: outer only, inner only, full only
+    for picked in ([0, 2], [1, 4], [3, 5]):
+        names, cols = [header[i] for i in picked], [columns[i] for i in picked]
+        assert lone_csv(tmp_path, names, cols) == expected_csv(names, cols)
+
+
+def test_failed_child_range_is_formatted_in_process(tmp_path, monkeypatch, forks):
+    header, columns = mesh_columns(CSV_BLOCK_ROWS + 1, 3)
+    parent, write_rows = os.getpid(), cli._write_mesh_rows
+
+    def fail_in_child(f, cols):
+        if os.getpid() != parent:
+            raise OSError("no space left on device")
+        write_rows(f, cols)
+
+    monkeypatch.setattr(cli, "_write_mesh_rows", fail_in_child)
+    force_workers(monkeypatch, 3)
+    assert lone_csv(tmp_path, header, columns) == expected_csv(header, columns)
+    assert len(forks) == 2
+
+
+def test_failed_fork_range_is_formatted_in_process(tmp_path, monkeypatch):
+    header, columns = mesh_columns(CSV_BLOCK_ROWS + 1, 3)
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    force_workers(monkeypatch, 3)
+    assert lone_csv(tmp_path, header, columns) == expected_csv(header, columns)
+
+
+def test_error_in_parent_kills_and_reaps_running_children(tmp_path, monkeypatch, forks):
+    header, columns = mesh_columns(9, 3)
+    parent, write_rows = os.getpid(), cli._write_mesh_rows
+
+    def stall_child_fail_parent(f, cols):
+        if os.getpid() != parent:
+            threading.Event().wait(60)  # a child still running when the parent fails
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_write_mesh_rows", stall_child_fail_parent)
+    force_workers(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        _write_csv(tmp_path / "out" / "t.csv", header, columns)
+    assert len(forks) == 2
+    assert os.listdir(tmp_path / "out") == ["t.csv"]
+
+
+def test_csv_workers_counts_cpus_and_full_values(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    T, X = _mesh(np.zeros(100), np.zeros(2 * PER_WORKER // 100))
+    u = np.zeros(T.shape)
+    assert cli._csv_workers([T, X]) == 1  # axes cost one format per distinct value
+    assert cli._csv_workers([T, X, u]) == 2
+    assert cli._csv_workers([T, X, u, u]) == 3  # one process per CPU at most
+    T, X = _mesh(np.zeros(100), np.zeros(2 * PER_WORKER // 100 - 1))
+    assert cli._csv_workers([T, X, np.zeros(T.shape)]) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli._csv_workers([T, X, u, u]) == 1
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert cli._csv_workers([T, X, u, u]) == 1
+
+
+def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    header, columns = mesh_columns(64, PER_WORKER // 16)  # two full columns of 4 PER_WORKER
+    data = lone_csv(tmp_path, header, columns)
+    assert len(forks) == 2  # one per CPU
+    forks.clear()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert lone_csv(tmp_path, header, columns) == data
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_artifacts_match_with_two_workers(tmp_path, monkeypatch, path):
+    command = json.loads(path.read_text())["command"]
+    outs = []
+    for w in (1, 2):
+        force_workers(monkeypatch, w)
+        outs.append(tmp_path / f"w{w}")
+        assert main([command, "--config", str(path), "--out", str(outs[-1]), "--quiet"]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 # one small config of every exact family
 SINE = {"kind": "sine", "amp": 1.0, "freq": 1.0}
 CUBIC = {"kind": "cubic", "mu0": 1.0, "mu1": 0.5}
@@ -281,6 +438,14 @@ def exact_config(kind, **changes):
             "solution": {"kind": kind, **copy.deepcopy(EXACT_SOLUTIONS[kind]), **changes}}
 
 
+@pytest.fixture(autouse=True)
+def exact_solutions_unchanged():
+    """Every test leaves the shared EXACT_SOLUTIONS as it found them."""
+    snapshot = copy.deepcopy(EXACT_SOLUTIONS)
+    yield
+    assert EXACT_SOLUTIONS == snapshot, "the test changed the shared EXACT_SOLUTIONS"
+
+
 def csv_data_lines(path):
     lines = path.read_bytes().split(b"\r\n")
     assert lines[-1] == b""
@@ -303,7 +468,7 @@ def csv_sizes(monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(EXACT_SOLUTIONS))
 def test_exact_rows_count_csv_lines(tmp_path, csv_sizes, kind):
-    cfg = {"command": "exact", "solution": {"kind": kind, **EXACT_SOLUTIONS[kind]}}
+    cfg = exact_config(kind)
     code, out = run_cli(tmp_path, cfg, kind)
     assert code == 0
     rows = csv_data_lines(out / "samples.csv")
@@ -326,7 +491,7 @@ def test_simulate_snapshot_rows_count_csv_lines(tmp_path, csv_sizes):
 
 @pytest.mark.parametrize("kind", sorted(EXACT_SOLUTIONS))
 def test_exact_fields_on_mesh_views_match_meshgrid_copies(monkeypatch, kind):
-    sol = {"kind": kind, **EXACT_SOLUTIONS[kind]}
+    sol = exact_config(kind)["solution"]
     header, views = cli._sample_exact(sol)
     assert views[0].strides[1] == 0 and views[1].strides[0] == 0
     monkeypatch.setattr(cli, "_mesh", lambda c, p: np.meshgrid(c, p, indexing="ij"))
@@ -685,7 +850,7 @@ def test_malformed_json_exits_two(tmp_path):
 
 
 def _carroll_exact_config():
-    return {"command": "exact", "solution": {"kind": "carroll", **EXACT_SOLUTIONS["carroll"]}}
+    return exact_config("carroll")
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -734,6 +899,25 @@ def test_out_of_range_numerals_exit_two(tmp_path, capsys, config, path, literal)
     err = capsys.readouterr().err
     assert err == f"config error: config is not valid JSON: {literal} overflows a double\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, below", [("simulate", ""), ("exact", "sub")],
+                         ids=["out_is_a_file", "out_under_a_file"])
+def test_unusable_out_exits_two_before_running(tmp_path, capsys, monkeypatch, command, below):
+    ran = []
+    monkeypatch.setitem(cli.HANDLERS, command, lambda config, outdir: ran.append(command))
+    blocker = tmp_path / "F"
+    blocker.write_text("kept")
+    out = blocker / below if below else blocker
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(small_config(command)))
+    code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: output directory {out}: {blocker} is not a directory\n"
+    assert ran == []
+    assert blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "c.json"]
 
 
 def test_missing_oracle_exits_two(tmp_path):
