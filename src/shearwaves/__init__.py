@@ -58,8 +58,6 @@ from .exact import (
     carroll_dispersion,
     carroll_full_state,
     eval_asymptotic_linear,
-    eval_carroll,
-    eval_generalized_carroll,
     eval_overdetermined,
     eval_separable,
     eval_simple_wave,

@@ -42,20 +42,17 @@ class EigenReport:
     d2: tuple
     grad1_dot_d1: Union[float, np.ndarray]
     grad2_dot_d2: Union[float, np.ndarray]
+    partials: tuple
 
 
 def temple_eigen(f: TempleFlux, u, v) -> EigenReport:
     """Eigenstructure of the 2x2 flux Jacobian at (u, v), elementwise over arrays.
 
-    One evaluation of P and its partials covers every state; a scalar state
-    returns floats.  Raises DegenerateDirection when P_v = 0 (d2 undefined)
-    or u = 0 (d1 undefined) at any state, naming the first such state.
+    One evaluation of P and its partials covers every state; the report keeps
+    them as ``partials = (P_u, P_v, P_uu, P_uv, P_vv)``.  A scalar state gives
+    floats (0-d arrays in ``partials``).  Raises DegenerateDirection when P_v = 0
+    (d2 undefined) or u = 0 (d1 undefined) at any state, naming the first one.
     """
-    return _temple_eigen(f, u, v)[0]
-
-
-def _temple_eigen(f: TempleFlux, u, v):
-    """temple_eigen's report and the partials (P_u, P_v, P_uu, P_uv, P_vv) it evaluated."""
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     P = np.asarray(f.p(u, v), dtype=float)
     Pu = np.asarray(f.p_u(u, v), dtype=float)
@@ -82,8 +79,8 @@ def _temple_eigen(f: TempleFlux, u, v):
     partials = (Pu, Pv, Puu, Puv, Pvv)
     if u.ndim == 0:
         return EigenReport(float(u), float(v), float(lam1), float(P), (1.0, float(d1[1])),
-                           (1.0, float(d2[1])), float(ld1), float(ld2)), partials
-    return EigenReport(u, v, lam1, P, d1, d2, ld1, ld2), partials
+                           (1.0, float(d2[1])), float(ld1), float(ld2), partials)
+    return EigenReport(u, v, lam1, P, d1, d2, ld1, ld2, partials)
 
 
 @dataclass(frozen=True)
@@ -147,14 +144,14 @@ def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> Clas
     if np.any(u == 0.0) or np.any(v == 0.0):
         raise DegenerateDirection("samples must avoid the axes u = 0 and v = 0")
     # raises DegenerateDirection where P_v = 0
-    eigen, partials = _temple_eigen(f, u, v)
+    eigen = temple_eigen(f, u, v)
     res_ce = np.abs(eigen.grad1_dot_d1)
-    Pu, Pv = partials[:2]
+    Pu, Pv = eigen.partials[:2]
     res_equal = np.abs(u * Pu + v * Pv)
     res_ham = np.abs(v * Pv - u * Pu)
     # the default chart alpha = P reuses the partials of P
-    chart = partials if alpha is None else [getattr(alpha, "p_" + axes)(u, v)
-                                            for axes in ("u", "v", "uu", "uv", "vv")]
+    chart = eigen.partials if alpha is None else [getattr(alpha, "p_" + axes)(u, v)
+                                                  for axes in ("u", "v", "uu", "uv", "vv")]
     try:
         dec_max = float(np.max(np.abs(_decoupling_residual(u, v, *chart))))
         dec_flag = _flag(dec_max)
@@ -245,19 +242,15 @@ def construct_temple_flux(H: ProfileFunction, Phi: ProfileFunction, Psi: Profile
             s = phi(u, v)
             return H(s) * w + extra(s)
 
-        def d_u(u, v):
+        def partial(axis, u, v):
             w = u if carrier == "u" else v
             s = phi(u, v)
-            base = H.deriv(s) * phi.p_u(u, v) * w + extra.deriv(s) * phi.p_u(u, v)
-            return base + (H(s) if carrier == "u" else 0.0)
+            dphi = getattr(phi, "p_" + axis)(u, v)
+            base = H.deriv(s) * dphi * w + extra.deriv(s) * dphi
+            return base + (H(s) if carrier == axis else 0.0)
 
-        def d_v(u, v):
-            w = u if carrier == "u" else v
-            s = phi(u, v)
-            base = H.deriv(s) * phi.p_v(u, v) * w + extra.deriv(s) * phi.p_v(u, v)
-            return base + (H(s) if carrier == "v" else 0.0)
-
-        return TempleFlux(p=value, pu=d_u, pv=d_v, name=f"H*{carrier}+{extra.name}")
+        return TempleFlux(p=value, pu=lambda u, v: partial("u", u, v),
+                          pv=lambda u, v: partial("v", u, v), name=f"H*{carrier}+{extra.name}")
 
     A = make_field(Phi, "u")
     B = make_field(Psi, "v")

@@ -14,12 +14,14 @@ per distinct value, not once per row; the bytes are the same either way.  A
 large CSV is formatted by up to one process per available CPU, each taking a
 contiguous range of outer rows, with the bytes of a serial write; a small
 one, one on a platform without ``fork`` and one written while another thread
-runs are formatted in this process.
+runs are formatted in this process.  A JSON artifact writes a non-finite
+number (a NaN residual, an infinite fitted order) as ``null``.
 
-Every command goes through ``run``.  Exit codes: 0 success, 1 a
-verification or convergence target missed, 2 config error (no manifest),
-3 solver or construction failure (the manifest names the error).  A
-negative-control ``verify`` run always exits 1; its ``report.json`` says in
+Every command goes through ``run``.  Exit codes: 0 success, 1 a verification
+or convergence target missed, 2 config error (no manifest; also a size that
+does not fit in memory, or an output directory at or under a dangling
+symlink), 3 solver or construction failure (the manifest names the error).
+A negative-control ``verify`` run always exits 1; its ``report.json`` says in
 ``control_confirmed`` whether the control failed as it should.
 """
 from __future__ import annotations
@@ -254,18 +256,12 @@ CLASSIFY_SCHEMA = {
     "additionalProperties": False,
 }
 
+# a hodograph config is a hodograph block at the root, with beta and its axes
 HODOGRAPH_SCHEMA = {
     "type": "object",
-    "properties": {
-        "command": COMMAND_PROP,
-        "beta": NUM,
-        "phase": PROFILE,
-        "radial": PROFILE,
-        "X": AXIS,
-        "tau": AXIS,
-        "seed": PAIR,
-    },
-    "required": ["beta", "phase", "radial", "X", "tau", "seed"],
+    "properties": {"command": COMMAND_PROP, **WITH_BETA, **KIND_PARAMS["hodograph"][0],
+                   "X": AXIS, "tau": AXIS},
+    "required": [*WITH_BETA, *KIND_PARAMS["hodograph"][1], "X", "tau"],
     "additionalProperties": False,
 }
 
@@ -402,17 +398,24 @@ def _axis(cfg: dict) -> np.ndarray:
     return np.linspace(cfg["min"], cfg["max"], cfg["n"])
 
 
-def _numpy_to_json(obj):
-    """numpy arrays and scalars as the equivalent plain JSON values."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+def _json_value(obj):
+    """obj with numpy values as plain ones and non-finite floats as None (JSON null)."""
+    if isinstance(obj, dict):
+        return {key: _json_value(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(value) for value in obj]
+    if isinstance(obj, np.ndarray):
+        # a finite array needs no walk over its elements
+        finite = obj.dtype.kind != "f" or np.isfinite(obj).all()
+        return obj.tolist() if finite else _json_value(obj.tolist())
+    obj = obj.item() if isinstance(obj, np.generic) else obj
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _write_json(path: Path, obj: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, default=_numpy_to_json)
+        json.dump(_json_value(obj), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -967,9 +970,10 @@ HANDLERS = {
 
 def _check_outdir(outdir: Path):
     """Reject an output directory that cannot be made, before any work is done:
-    it, or its nearest existing ancestor, exists and is not a directory."""
+    it, or its nearest existing ancestor, exists and is not a directory (a
+    dangling symlink counts as existing)."""
     for path in (outdir, *outdir.parents):
-        if path.exists():
+        if os.path.lexists(path):
             if not path.is_dir():
                 raise ConfigError(f"output directory {outdir}: {path} is not a directory")
             return
@@ -981,9 +985,10 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
     0: success.  1: a verification or convergence target was missed, or
     a ``verify`` negative control ran (``control_confirmed`` in its report
     says whether it failed as it should).  2: a config error, including a
-    ValueError from a library input check, a parameter's OverflowError or an
-    ``outdir`` that is, or lies under, an existing path other than a
-    directory; the message goes to stderr and no manifest is written.  3:
+    ValueError from a library input check, a parameter's OverflowError, a
+    size whose arrays do not fit in memory (MemoryError) or an ``outdir``
+    that is, or lies under, a dangling symlink or an existing path other
+    than a directory; the message goes to stderr and no manifest is written.  3:
     any other ShearWaveError; ``manifest.json`` gets ``status: "error"`` and
     ``error.{type, message, coordinate}``.
     Exits 0, 1 and 3 all leave a manifest.
@@ -996,7 +1001,7 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
         _validate(config, SCHEMAS[command])
         _check_outdir(outdir)
         extra = HANDLERS[command](config, outdir)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -280,22 +280,11 @@ def poly_flux(coeffs) -> TempleFlux:
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 2:
         raise ValueError("coeffs must be a 2D array [i][j] -> u**i v**j")
-    pv2 = np.polynomial.polynomial.polyval2d
-    cu = np.zeros_like(c)
-    if c.shape[0] > 1:
-        cu[:-1, :] = c[1:, :] * np.arange(1, c.shape[0])[:, None]
-    cv = np.zeros_like(c)
-    if c.shape[1] > 1:
-        cv[:, :-1] = c[:, 1:] * np.arange(1, c.shape[1])[None, :]
-    cuu = np.zeros_like(c)
-    if c.shape[0] > 1:
-        cuu[:-1, :] = cu[1:, :] * np.arange(1, c.shape[0])[:, None]
-    cvv = np.zeros_like(c)
-    if c.shape[1] > 1:
-        cvv[:, :-1] = cv[:, 1:] * np.arange(1, c.shape[1])[None, :]
-    cuv = np.zeros_like(c)
-    if c.shape[1] > 1:
-        cuv[:, :-1] = cu[:, 1:] * np.arange(1, c.shape[1])[None, :]
+    pv2, polyder = np.polynomial.polynomial.polyval2d, np.polynomial.polynomial.polyder
+    # a constant's derivative is +0 (polyder gives c[:1]*0, which is -0 where c < 0)
+    der = lambda a, axis: polyder(a, axis=axis) if a.shape[axis] > 1 else np.zeros_like(a)
+    cu, cv = der(c, 0), der(c, 1)
+    cuu, cuv, cvv = der(cu, 0), der(cu, 1), der(cv, 1)
     return TempleFlux(
         p=lambda u, v: pv2(u, v, c),
         pu=lambda u, v: pv2(u, v, cu),

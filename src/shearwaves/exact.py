@@ -113,29 +113,26 @@ def carroll_dispersion(m: ShearModulus, amplitude: float, wavenumber: float) -> 
     return float(wavenumber) * math.sqrt(eval_Q(m, float(amplitude) ** 2) / m.rho)
 
 
-def eval_carroll(w: CarrollWave, x, t) -> StrainState:
-    phase = w.wavenumber * np.asarray(x, dtype=float) - w.omega * np.asarray(t, dtype=float)
-    return StrainState(
-        w.amplitude * np.cos(phase),
-        w.polarization * w.amplitude * np.sin(phase),
-    )
-
-
 def carroll_full_state(w: CarrollWave, x, t=0.0) -> FullState:
-    """Strains plus the matching velocities M = -(omega/k) U, N = -(omega/k) V."""
-    U, V = eval_carroll(w, x, t)
+    """The circular wave U = A cos(kx - omega t), V = polarization * A sin(kx - omega t),
+    with the matching velocities M = -(omega/k) U, N = -(omega/k) V."""
+    phase = w.wavenumber * np.asarray(x, dtype=float) - w.omega * np.asarray(t, dtype=float)
+    U = w.amplitude * np.cos(phase)
+    V = w.polarization * w.amplitude * np.sin(phase)
     c = w.omega / w.wavenumber
     return FullState(U, V, -c * U, -c * V)
 
 
-def eval_generalized_carroll(m: ShearModulus, amplitude: float, theta_profile: ProfileFunction,
-                             x, t, direction: int = -1, polarization: int = 1) -> StrainState:
-    """Constant-amplitude wave with arbitrary phase profile.
+def generalized_carroll_full_state(m: ShearModulus, amplitude: float,
+                                   theta_profile: ProfileFunction, x, t,
+                                   direction: int = -1, polarization: int = 1) -> FullState:
+    """Constant-amplitude wave with arbitrary phase profile, and its velocities.
 
     theta = F(x + direction * c * t) with c = sqrt(Q(A^2)/rho); the strain is
-    (A cos theta, polarization * A sin theta).  direction and polarization are
+    (A cos theta, polarization * A sin theta) and the velocities are
+    M = direction*c*U, N = direction*c*V.  direction and polarization are
     independent sign choices; F(xi) = k*xi with direction=-1 reproduces
-    eval_carroll with polarization +1.
+    carroll_full_state with polarization +1.
     """
     if direction not in (-1, 1) or polarization not in (-1, 1):
         raise ValueError("direction and polarization must be +1 or -1")
@@ -144,15 +141,7 @@ def eval_generalized_carroll(m: ShearModulus, amplitude: float, theta_profile: P
     c = math.sqrt(eval_Q(m, amplitude**2) / m.rho)
     xi = np.asarray(x, dtype=float) + direction * c * np.asarray(t, dtype=float)
     theta = theta_profile(xi)
-    return StrainState(amplitude * np.cos(theta), polarization * amplitude * np.sin(theta))
-
-
-def generalized_carroll_full_state(m: ShearModulus, amplitude: float,
-                                   theta_profile: ProfileFunction, x, t,
-                                   direction: int = -1, polarization: int = 1) -> FullState:
-    """Generalized wave with velocities M = direction*c*U, N = direction*c*V."""
-    U, V = eval_generalized_carroll(m, amplitude, theta_profile, x, t, direction, polarization)
-    c = math.sqrt(eval_Q(m, amplitude**2) / m.rho)
+    U, V = amplitude * np.cos(theta), polarization * amplitude * np.sin(theta)
     return FullState(U, V, direction * c * U, direction * c * V)
 
 

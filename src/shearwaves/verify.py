@@ -96,6 +96,12 @@ def _d_transverse(a: np.ndarray, h: float) -> np.ndarray:
     return (a[:, 2:] - a[:, :-2]) / (2.0 * h)
 
 
+def _balance(a: np.ndarray, b: np.ndarray, sample: FieldSample) -> np.ndarray:
+    """D_coord a - D_point b on the interior, two boundary layers dropped on each axis."""
+    return (_d_evolution(a, sample.d_coord)[1:-1, 2:-2]
+            - _d_transverse(b, sample.d_point)[2:-2, 1:-1])
+
+
 def _norms(residuals: Sequence[np.ndarray]) -> tuple:
     flat = np.concatenate([np.ravel(r) for r in residuals])
     return float(np.max(np.abs(flat))), float(np.sqrt(np.mean(flat**2)))
@@ -169,17 +175,10 @@ def residual_full(samples: Sequence[FieldSample], m: ShearModulus,
     sampled with the evolution axis t and transverse axis x.
     """
     def level(sample):
-        dt, dx = sample.d_coord, sample.d_point
-        U, V = sample.get("U"), sample.get("V")
-        M, N = sample.get("M"), sample.get("N")
+        U, V, M, N = (sample.get(name) for name in "UVMN")
         qt = m.qtilde(U * U + V * V)
-        res = [
-            _d_evolution(U, dt)[:, 1:-1] - _d_transverse(M, dx)[1:-1, :],
-            _d_evolution(V, dt)[:, 1:-1] - _d_transverse(N, dx)[1:-1, :],
-            _d_evolution(M, dt)[:, 1:-1] - _d_transverse(qt * U, dx)[1:-1, :],
-            _d_evolution(N, dt)[:, 1:-1] - _d_transverse(qt * V, dx)[1:-1, :],
-        ]
-        return ([r[1:-1, 1:-1] for r in res],)
+        return ([_balance(U, M, sample), _balance(V, N, sample),
+                 _balance(M, qt * U, sample), _balance(N, qt * V, sample)],)
 
     hs, norms = _level_norms(samples, level)
     return _make_report(hs, norms[0], order_target)
@@ -252,13 +251,10 @@ def conservation_residual(samples: Sequence[FieldSample], beta: float,
     beta = float(beta)
 
     def level(sample):
-        dX, dtau = sample.d_coord, sample.d_point
         th, rh = sample.get("theta"), sample.get("rho")
         dens = spec.density(th, rh)
         flx = spec.flux(th, rh, beta)
-        fwd = _d_evolution(dens, dX)[:, 1:-1] - _d_transverse(flx, dtau)[1:-1, :]
-        swp = _d_evolution(flx, dX)[:, 1:-1] - _d_transverse(dens, dtau)[1:-1, :]
-        return [fwd[1:-1, 1:-1]], [swp[1:-1, 1:-1]]
+        return [_balance(dens, flx, sample)], [_balance(flx, dens, sample)]
 
     hs, norm_pairs = _level_norms(samples, level)
     norms = dict(zip(("forward", "swapped"), norm_pairs))

@@ -4,6 +4,7 @@ import collections
 import numpy as np
 import pytest
 
+from shearwaves import analysis
 from shearwaves.analysis import (
     classify,
     compatibility_residuals,
@@ -73,6 +74,34 @@ def test_eigen_array_matches_scalar_calls(flux):
             assert getattr(one, name) == getattr(rep, name)[i]
         assert one.d1 == (rep.d1[0][i], rep.d1[1][i])
         assert one.d2 == (rep.d2[0][i], rep.d2[1][i])
+
+
+def test_eigen_report_keeps_the_partials_it_evaluated():
+    f = poly_flux([[0.5, 0.2, 0.1], [0.3, 0.4, 0.0], [0.7, 0.0, 0.0]])
+    pts = _lattice(0.4, 1.8, 7)
+    u, v = pts[:, 0], pts[:, 1]
+    rep = temple_eigen(f, u, v)
+    want = (f.p_u(u, v), f.p_v(u, v), f.p_uu(u, v), f.p_uv(u, v), f.p_vv(u, v))
+    assert len(rep.partials) == 5
+    for got, expected in zip(rep.partials, want):
+        assert np.array_equal(got, expected)
+    one = temple_eigen(f, 0.9, 1.1)
+    assert [float(p) for p in one.partials] == [float(g(0.9, 1.1)) for g in
+                                                 (f.p_u, f.p_v, f.p_uu, f.p_uv, f.p_vv)]
+
+
+def test_classify_goes_through_temple_eigen(monkeypatch):
+    # one eigen analysis, looked up in the module, so a wrapper there sees it
+    calls = []
+    original = analysis.temple_eigen
+
+    def spy(f, u, v):
+        calls.append(len(u))
+        return original(f, u, v)
+
+    monkeypatch.setattr(analysis, "temple_eigen", spy)
+    classify(product_flux(), _lattice())
+    assert calls == [25]
 
 
 def test_exceptionality_identity_randomized():
@@ -222,3 +251,21 @@ def test_constructed_pair_randomized_weights():
         g4, _ = compatibility_residuals(pair.A, pair.B, pair.phi, u, v)
         assert np.max(np.abs(g4)) <= 1e-10
 
+
+def test_constructed_pair_evaluates_each_phi_partial_once_per_call(partial_calls):
+    # phi is given by p alone, so each of its partials is a central difference
+    phi = TempleFlux(p=lambda u, v: u * v, name="phi")
+    H, Phi, Psi = poly_profile([1.0, 0.5]), poly_profile([0.0, 0.3]), poly_profile([0.2, 0.1])
+    pair = construct_temple_flux(H, Phi, Psi, phi, check_points=[(1.0, 1.2)])
+    u, v = np.array([0.7, 1.3]), np.array([0.9, 1.1])
+    partial_calls.clear()
+    for field in (pair.A, pair.B):
+        field.p_u(u, v)
+        field.p_v(u, v)
+    assert partial_calls["phi", "u"] == partial_calls["phi", "v"] == 2
+    # the chain rule for A = H(phi) u + Phi(phi)
+    s = u * v
+    np.testing.assert_allclose(pair.A.p_u(u, v), H.deriv(s) * v * u + Phi.deriv(s) * v + H(s),
+                               rtol=1e-8)
+    np.testing.assert_allclose(pair.A.p_v(u, v), H.deriv(s) * u * u + Phi.deriv(s) * u,
+                               rtol=1e-8)

@@ -920,6 +920,75 @@ def test_unusable_out_exits_two_before_running(tmp_path, capsys, monkeypatch, co
     assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "c.json"]
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["out_is_dangling", "out_under_dangling"])
+def test_out_at_a_dangling_symlink_exits_two_before_running(tmp_path, capsys, monkeypatch, below):
+    ran = []
+    monkeypatch.setitem(cli.HANDLERS, "classify", lambda config, outdir: ran.append(1))
+    link = tmp_path / "L"
+    link.symlink_to(tmp_path / "gone")
+    out = link / below if below else link
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(small_config("classify")))
+    code = main(["classify", "--config", str(path), "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: output directory {out}: {link} is not a directory\n"
+    assert ran == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["L", "c.json"]
+
+
+# each size asks numpy for at least 10**12 doubles, which it refuses at once
+IMPOSSIBLE_SIZES = {
+    "exact_axis": (lambda: small_config("exact"), ("solution", "X", "n")),
+    "simulate_grid": (lambda: small_config("simulate"), ("grid", "n")),
+    "verify_jets": (lambda: {"command": "verify", "study": "commutator", "beta": 1.0,
+                             "symmetry": {"phase": {"kind": "linear", "k": 1.0},
+                                          "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}},
+                             "jets": 5}, ("jets",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPOSSIBLE_SIZES))
+def test_size_that_does_not_fit_in_memory_exits_two(tmp_path, capsys, name):
+    config, path = IMPOSSIBLE_SIZES[name]
+    cfg = config()
+    _get(cfg, path[:-1])[path[-1]] = 10**12
+    code, out = run_cli(tmp_path, cfg, name)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _strict_json(path):
+    def reject(literal):
+        raise ValueError(f"{path.name} holds the non-JSON number {literal}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+# every residual of this study lies under the zero floor, so its fitted order is infinite
+ZERO_RESIDUAL_STUDY = {"command": "verify", "study": "asymptotic", "beta": 0.5,
+                       "solution": {"kind": "constant_amplitude", "amplitude": 1.0,
+                                    "profile": {"kind": "linear", "k": 1.0}},
+                       "rectangle": {"coord": {"min": 0.0, "max": 1.0},
+                                     "point": {"min": 0.0, "max": TWO_PI}},
+                       "levels": [9, 17]}
+
+
+@pytest.mark.parametrize("config", [*SHIPPED_CONFIGS, ZERO_RESIDUAL_STUDY],
+                         ids=[*(p.stem for p in SHIPPED_CONFIGS), "zero_residual_study"])
+def test_json_artifacts_are_strict_json(tmp_path, config):
+    if isinstance(config, Path):
+        config = json.loads(config.read_text())
+    code, out = run_cli(tmp_path, config, "strict")
+    assert code == 0
+    docs = {p.name: _strict_json(p) for p in sorted(out.glob("*.json"))}
+    assert "manifest.json" in docs
+    if config is ZERO_RESIDUAL_STUDY:
+        assert docs["report.json"]["order"] is None
+
+
 def test_missing_oracle_exits_two(tmp_path):
     cfg = {
         "command": "convergence",

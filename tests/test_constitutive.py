@@ -155,6 +155,48 @@ def test_flux_given_only_p_matches_analytic_partials(f):
                                    rtol=1e-5, atol=1e-5)
 
 
+def zero_padded_partial_coeffs(c):
+    """poly_flux's coefficient arrays as first written: every derivative
+    zero-padded back to the shape of c, row by row with np.arange."""
+    cu = np.zeros_like(c)
+    if c.shape[0] > 1:
+        cu[:-1, :] = c[1:, :] * np.arange(1, c.shape[0])[:, None]
+    cv = np.zeros_like(c)
+    if c.shape[1] > 1:
+        cv[:, :-1] = c[:, 1:] * np.arange(1, c.shape[1])[None, :]
+    cuu = np.zeros_like(c)
+    if c.shape[0] > 1:
+        cuu[:-1, :] = cu[1:, :] * np.arange(1, c.shape[0])[:, None]
+    cvv = np.zeros_like(c)
+    if c.shape[1] > 1:
+        cvv[:, :-1] = cv[:, 1:] * np.arange(1, c.shape[1])[None, :]
+    cuv = np.zeros_like(c)
+    if c.shape[1] > 1:
+        cuv[:, :-1] = cu[:, 1:] * np.arange(1, c.shape[1])[None, :]
+    return c, cu, cv, cuu, cuv, cvv
+
+
+def test_poly_flux_partials_match_zero_padded_coefficients_bit_for_bit():
+    # polyder drops the top row where the padded arrays keep a zero row; on
+    # finite points the values agree to the bit, signed zeros included
+    rng = np.random.default_rng(5)
+    pv2 = np.polynomial.polynomial.polyval2d
+    names = ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv")
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 5, size=2))
+        c = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        c[rng.random(shape) < 0.3] = 0.0
+        c[rng.random(shape) < 0.15] = -0.0
+        f = poly_flux(c)
+        u, v = rng.normal(scale=3.0, size=(2, 50))
+        u[:3], v[:3] = [0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]
+        for name, coeffs in zip(names, zero_padded_partial_coeffs(c)):
+            for uu, vv in ((u, v), (0.5, -0.0)):
+                want, got = pv2(uu, vv, coeffs), getattr(f, name)(uu, vv)
+                assert np.array_equal(got, want) and np.shape(got) == np.shape(want), name
+                assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
 def _central(g, u, v, axis):
     """Central difference of g along u (axis 0) or v (axis 1), step 1e-6 * max(1, |x|)."""
     if axis == 0:

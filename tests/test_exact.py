@@ -26,8 +26,6 @@ from shearwaves.exact import (
     carroll_dispersion,
     carroll_full_state,
     eval_asymptotic_linear,
-    eval_carroll,
-    eval_generalized_carroll,
     eval_overdetermined,
     eval_separable,
     eval_simple_wave,
@@ -76,7 +74,7 @@ def test_carroll_amplitude_invariant():
     m = power_modulus(2.0, 1.5)
     w = CarrollWave.from_modulus(m, 0.7, 2.0)
     x = np.linspace(-5.0, 5.0, 101)
-    U, V = eval_carroll(w, x, 0.3)
+    U, V = carroll_full_state(w, x, 0.3)[:2]
     np.testing.assert_allclose(U * U + V * V, 0.49, rtol=1e-14)
 
 
@@ -122,8 +120,8 @@ def test_generalized_reduces_to_carroll():
     w = CarrollWave.from_modulus(m, 1.0, 2.0)
     x = np.linspace(-1.0, 1.0, 17)
     t = 0.37
-    U0, V0 = eval_carroll(w, x, t)
-    U1, V1 = eval_generalized_carroll(m, 1.0, linear_profile(2.0), x, t, direction=-1)
+    U0, V0 = carroll_full_state(w, x, t)[:2]
+    U1, V1 = generalized_carroll_full_state(m, 1.0, linear_profile(2.0), x, t, direction=-1)[:2]
     np.testing.assert_allclose(U1, U0, atol=1e-14)
     np.testing.assert_allclose(V1, V0, atol=1e-14)
 
