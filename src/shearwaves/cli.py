@@ -18,9 +18,11 @@ runs are formatted in this process.  A JSON artifact writes a non-finite
 number (a NaN residual, an infinite fitted order) as ``null``.
 
 Every command goes through ``run``.  Exit codes: 0 success, 1 a verification
-or convergence target missed, 2 config error (no manifest; also a size that
-does not fit in memory, or an output directory at or under a dangling
-symlink), 3 solver or construction failure (the manifest names the error).
+or convergence target missed, 2 config error (no manifest; also a config
+file that cannot be read or is nested too deeply for ``json``, an axis or
+grid whose width overflows a double, a size that does not fit in memory, or
+an output directory at or under a dangling symlink), 3 solver or
+construction failure (the manifest names the error).
 A negative-control ``verify`` run always exits 1; its ``report.json`` says in
 ``control_confirmed`` whether the control failed as it should.
 """
@@ -89,32 +91,27 @@ PER_WORKER = 12_000
 # ---------------------------------------------------------------------------
 # schema building blocks
 
+
+def _object(props, required=()):
+    """A closed config object: a key it does not list is an error."""
+    return {"type": "object", "properties": props, "required": list(required),
+            "additionalProperties": False}
+
+
+def _kind(kind, props, required=()):
+    return _object({"kind": {"const": kind}, **props}, ["kind", *required])
+
+
 NUM = {"type": "number"}
 POS_NUM = {"type": "number", "exclusiveMinimum": 0}
 SIGN = {"type": "integer", "enum": [-1, 1]}
 NUM_LIST = {"type": "array", "items": NUM, "minItems": 1}
-AXIS = {
-    "type": "object",
-    "properties": {"min": NUM, "max": NUM, "n": {"type": "integer", "minimum": 2}},
-    "required": ["min", "max", "n"],
-    "additionalProperties": False,
-}
-SPAN = {
-    "type": "object",
-    "properties": {"min": NUM, "max": NUM},
-    "required": ["min", "max"],
-    "additionalProperties": False,
-}
-
-
-def _kind(kind, props, required=()):
-    return {
-        "type": "object",
-        "properties": {"kind": {"const": kind}, **props},
-        "required": ["kind", *required],
-        "additionalProperties": False,
-    }
-
+AXIS = _object({"min": NUM, "max": NUM, "n": {"type": "integer", "minimum": 2}},
+               ["min", "max", "n"])
+SPAN = _object({"min": NUM, "max": NUM}, ["min", "max"])
+# a block whose schema depends on its context: the handler validates it
+# against its own table (INIT_SCHEMAS, ORACLE_SCHEMAS, VERIFY_SOLUTION_SCHEMAS)
+BLOCK = {"type": "object"}
 
 PROFILE = {
     "oneOf": [
@@ -141,29 +138,14 @@ FLUX = {
         _kind("modulus", {"modulus": MODULUS}, ["modulus"]),
     ]
 }
-GRID = {
-    "type": "object",
-    "properties": {
-        "n": {"type": "integer", "minimum": 8},
-        "a": NUM,
-        "b": NUM,
-        "boundary": {"enum": ["periodic", "outflow"]},
-    },
-    "required": ["n", "a", "b"],
-    "additionalProperties": False,
-}
-RUN = {
-    "type": "object",
-    "properties": {
-        "end": {"type": "number", "minimum": 0},
-        "scheme": {"enum": ["lax_friedrichs", "muscl_minmod"]},
-        "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.9},
-        "snapshot_stride": {"type": "integer", "minimum": 0},
-        "blowup_factor": {"type": "number", "exclusiveMinimum": 1},
-    },
-    "required": ["end"],
-    "additionalProperties": False,
-}
+BOUNDARY = {"enum": ["periodic", "outflow"]}
+GRID = _object({"n": {"type": "integer", "minimum": 8}, "a": NUM, "b": NUM, "boundary": BOUNDARY},
+               ["n", "a", "b"])
+RUN = _object({"end": {"type": "number", "minimum": 0},
+               "scheme": {"enum": ["lax_friedrichs", "muscl_minmod"]},
+               "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.9},
+               "snapshot_stride": {"type": "integer", "minimum": 0},
+               "blowup_factor": {"type": "number", "exclusiveMinimum": 1}}, ["end"])
 COMMAND_PROP = {"enum": list(COMMANDS)}
 PAIR = {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2}
 
@@ -202,105 +184,48 @@ def _block(kind, lead=None, axes=(), omit=()):
 # the properties that simulate and convergence configs open with
 SYSTEM_HEAD = {"command": COMMAND_PROP, "system": {"enum": ["full", "asymptotic", "scalar"]},
                "modulus": MODULUS, "beta": NUM}
-SIMULATE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        **SYSTEM_HEAD,
-        "grid": GRID,
-        "run": RUN,
-        "init": {"type": "object"},
-        "oracle_check": {"type": "boolean"},
-    },
-    "required": ["system", "grid", "run", "init"],
-    "additionalProperties": False,
-}
+SIMULATE_SCHEMA = _object({**SYSTEM_HEAD, "grid": GRID, "run": RUN, "init": BLOCK,
+                           "oracle_check": {"type": "boolean"}}, ["system", "grid", "run", "init"])
 INIT_SCHEMAS = {
     "full": {"oneOf": [_block("carroll"), _block("zero")]},
     "asymptotic": {"oneOf": [_block("constant_amplitude"), _block("plane")]},
     "scalar": {"oneOf": [_block("profile")]},
 }
 
-EXACT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": COMMAND_PROP,
-        "solution": {
-            "oneOf": [
-                _block("carroll", WITH_MODULUS, ("x", "t")),
-                _block("generalized", WITH_MODULUS, ("x", "t")),
-                _block("constant_amplitude", WITH_BETA, ("X", "tau")),
-                _block("simple_wave", WITH_BETA, ("X", "tau")),
-                _block("separable", axes=("x", "t")),
-                _block("overdetermined", axes=("x", "t")),
-            ]
-        },
-    },
-    "required": ["solution"],
-    "additionalProperties": False,
-}
+EXACT_SCHEMA = _object({"command": COMMAND_PROP, "solution": {"oneOf": [
+    _block("carroll", WITH_MODULUS, ("x", "t")),
+    _block("generalized", WITH_MODULUS, ("x", "t")),
+    _block("constant_amplitude", WITH_BETA, ("X", "tau")),
+    _block("simple_wave", WITH_BETA, ("X", "tau")),
+    _block("separable", axes=("x", "t")),
+    _block("overdetermined", axes=("x", "t")),
+]}}, ["solution"])
 
-CLASSIFY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": COMMAND_PROP,
-        "flux": FLUX,
-        "samples": {
-            "type": "object",
-            "properties": {"u": AXIS, "v": AXIS},
-            "required": ["u", "v"],
-            "additionalProperties": False,
-        },
-        "alpha": FLUX,
-    },
-    "required": ["flux", "samples"],
-    "additionalProperties": False,
-}
+CLASSIFY_SCHEMA = _object({"command": COMMAND_PROP, "flux": FLUX,
+                           "samples": _object({"u": AXIS, "v": AXIS}, ["u", "v"]),
+                           "alpha": FLUX}, ["flux", "samples"])
 
 # a hodograph config is a hodograph block at the root, with beta and its axes
-HODOGRAPH_SCHEMA = {
-    "type": "object",
-    "properties": {"command": COMMAND_PROP, **WITH_BETA, **KIND_PARAMS["hodograph"][0],
-                   "X": AXIS, "tau": AXIS},
-    "required": [*WITH_BETA, *KIND_PARAMS["hodograph"][1], "X", "tau"],
-    "additionalProperties": False,
-}
+HODOGRAPH_SCHEMA = _object(
+    {"command": COMMAND_PROP, **WITH_BETA, **KIND_PARAMS["hodograph"][0], "X": AXIS, "tau": AXIS},
+    [*WITH_BETA, *KIND_PARAMS["hodograph"][1], "X", "tau"])
 
-VERIFY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": COMMAND_PROP,
-        "study": {"enum": ["full", "asymptotic", "conservation",
-                           "linearized_symmetry", "commutator"]},
-        "beta": NUM,
-        "solution": {"type": "object"},
-        "rectangle": {
-            "type": "object",
-            "properties": {"coord": SPAN, "point": SPAN},
-            "required": ["coord", "point"],
-            "additionalProperties": False,
-        },
-        "levels": {"type": "array", "items": {"type": "integer", "minimum": 5}, "minItems": 2},
-        "order_target": NUM,
-        "negative_control": {"type": "boolean"},
-        "conservation": {
-            "type": "object",
-            "properties": {"amp_weight": PROFILE, "angle_weight": PROFILE},
-            "required": ["amp_weight", "angle_weight"],
-            "additionalProperties": False,
-        },
-        "symmetry": {
-            "type": "object",
-            "properties": {"phase": PROFILE, "radial": PROFILE},
-            "required": ["phase", "radial"],
-            "additionalProperties": False,
-        },
-        "jets": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "tol_factor": POS_NUM,
-    },
-    "required": ["study"],
-    "additionalProperties": False,
-}
+VERIFY_SCHEMA = _object({
+    "command": COMMAND_PROP,
+    "study": {"enum": ["full", "asymptotic", "conservation", "linearized_symmetry", "commutator"]},
+    "beta": NUM,
+    "solution": BLOCK,
+    "rectangle": _object({"coord": SPAN, "point": SPAN}, ["coord", "point"]),
+    "levels": {"type": "array", "items": {"type": "integer", "minimum": 5}, "minItems": 2},
+    "order_target": NUM,
+    "negative_control": {"type": "boolean"},
+    "conservation": _object({"amp_weight": PROFILE, "angle_weight": PROFILE},
+                            ["amp_weight", "angle_weight"]),
+    "symmetry": _object({"phase": PROFILE, "radial": PROFILE}, ["phase", "radial"]),
+    "jets": {"type": "integer", "minimum": 1},
+    "seed": {"type": "integer", "minimum": 0},
+    "tol_factor": POS_NUM,
+}, ["study"])
 # the full study verifies the Carroll wave of polarization 1 only
 VERIFY_SOLUTION_SCHEMAS = {
     "carroll": _block("carroll", WITH_MODULUS, omit=("polarization",)),
@@ -308,25 +233,15 @@ VERIFY_SOLUTION_SCHEMAS = {
     "hodograph": _block("hodograph"),
 }
 
-CONVERGENCE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        **SYSTEM_HEAD,
-        "grid": {
-            "type": "object",
-            "properties": {"a": NUM, "b": NUM, "boundary": {"enum": ["periodic", "outflow"]}},
-            "required": ["a", "b"],
-            "additionalProperties": False,
-        },
-        "run": RUN,
-        "levels": {"type": "array", "items": {"type": "integer", "minimum": 8}, "minItems": 2},
-        "oracle": {"type": "object"},
-        "order_target": NUM,
-        "order_tol": POS_NUM,
-    },
-    "required": ["system", "grid", "run", "levels", "oracle"],
-    "additionalProperties": False,
-}
+CONVERGENCE_SCHEMA = _object({
+    **SYSTEM_HEAD,
+    "grid": _object({"a": NUM, "b": NUM, "boundary": BOUNDARY}, ["a", "b"]),
+    "run": RUN,
+    "levels": {"type": "array", "items": {"type": "integer", "minimum": 8}, "minItems": 2},
+    "oracle": BLOCK,
+    "order_target": NUM,
+    "order_tol": POS_NUM,
+}, ["system", "grid", "run", "levels", "oracle"])
 ORACLE_SCHEMAS = {
     "full": _block("carroll"),
     "asymptotic": _block("constant_amplitude"),
@@ -369,8 +284,12 @@ def _load_config(path: str) -> dict:
                                parse_int=lambda s: int(_finite(s)))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError("config is not valid JSON: nested too deeply")
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     return config
@@ -395,6 +314,8 @@ def _validate(config: dict, schema: dict, where: str = "config"):
 def _axis(cfg: dict) -> np.ndarray:
     if not cfg["max"] > cfg["min"]:
         raise ConfigError("axis needs max > min")
+    if not math.isfinite(cfg["max"] - cfg["min"]):
+        raise ConfigError("axis width max - min overflows a double")
     return np.linspace(cfg["min"], cfg["max"], cfg["n"])
 
 
@@ -985,10 +906,12 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
     0: success.  1: a verification or convergence target was missed, or
     a ``verify`` negative control ran (``control_confirmed`` in its report
     says whether it failed as it should).  2: a config error, including a
-    ValueError from a library input check, a parameter's OverflowError, a
-    size whose arrays do not fit in memory (MemoryError) or an ``outdir``
-    that is, or lies under, a dangling symlink or an existing path other
-    than a directory; the message goes to stderr and no manifest is written.  3:
+    config file that cannot be read or is nested too deeply, a ValueError
+    from a library input check (a grid whose width overflows a double among
+    them), a parameter's OverflowError, a size whose arrays do not fit in
+    memory (MemoryError) or an ``outdir`` that is, or lies under, a dangling
+    symlink or an existing path other than a directory; the message goes to
+    stderr and no manifest is written.  3:
     any other ShearWaveError; ``manifest.json`` gets ``status: "error"`` and
     ``error.{type, message, coordinate}``.
     Exits 0, 1 and 3 all leave a manifest.

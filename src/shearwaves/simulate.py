@@ -40,6 +40,8 @@ class Grid1D:
             raise ValueError("grid needs at least 8 cells")
         if not self.b > self.a:
             raise ValueError("need b > a")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError("grid width b - a overflows a double")
         if self.boundary not in ("periodic", "outflow"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 

@@ -849,8 +849,51 @@ def test_malformed_json_exits_two(tmp_path):
     assert code == 2
 
 
+def test_directory_as_config_exits_two(tmp_path, capsys):
+    # a directory, like a file this process may not read, fails to open
+    out = tmp_path / "out"
+    code = main(["exact", "--config", str(tmp_path), "--out", str(out), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {tmp_path}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_too_deeply_nested_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out"
+    code = main(["exact", "--config", str(path), "--out", str(out), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: config is not valid JSON: nested too deeply\n"
+    assert not out.exists()
+
+
 def _carroll_exact_config():
     return exact_config("carroll")
+
+
+# an axis or grid whose width overflows a double, though both of its ends are finite
+WIDE_AXIS = {"min": -1e308, "max": 1e308, "n": 3}
+WIDE_GRID = {"a": -1e308, "b": 1e308}
+
+
+@pytest.mark.parametrize("config, path, value, message", [
+    (_carroll_exact_config, ("solution", "x"), WIDE_AXIS, "axis width max - min"),
+    (lambda: small_config("hodograph"), ("X",), WIDE_AXIS, "axis width max - min"),
+    (lambda: small_config("classify"), ("samples", "u"), WIDE_AXIS, "axis width max - min"),
+    (lambda: carroll_simulate_config(init={"kind": "zero"}), ("grid",), {"n": 16, **WIDE_GRID},
+     "grid width b - a"),
+    (lambda: small_config("convergence"), ("grid",), WIDE_GRID, "grid width b - a"),
+], ids=["exact", "hodograph", "classify", "simulate", "convergence"])
+def test_width_that_overflows_a_double_exits_two(tmp_path, capsys, config, path, value, message):
+    cfg = config()
+    _get(cfg, path[:-1])[path[-1]] = value
+    code, out = run_cli(tmp_path, cfg, "wide")
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message} overflows a double\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

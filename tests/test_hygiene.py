@@ -1,6 +1,7 @@
 """Source hygiene: every import is used, every private module-level name is
 referenced, every package export is reached, every script path the README
-names exists, and the README's solution-block table matches the CLI's schemas."""
+names exists, the README's solution-block table matches the CLI's schemas,
+and every config object in those schemas is closed."""
 import ast
 import collections
 import re
@@ -241,3 +242,58 @@ def test_readme_solution_blocks_match_the_schemas():
     for kind, (required, optional, _) in table.items():
         props, needed = cli.KIND_PARAMS[kind]
         assert (required, optional) == (needed, [p for p in props if p not in needed]), kind
+
+
+# the second-stage blocks: their schema depends on the config's system, study
+# or block kind, and the handler validates each against its own table
+OPEN_PLACEHOLDERS = {"simulate/init", "convergence/oracle", "verify/solution"}
+
+
+def open_objects(schema, path):
+    """Paths of the object schemas under ``schema`` that accept unknown keys.
+
+    An object schema has ``"type": "object"`` or ``properties``; it is closed
+    when it has both and ``"additionalProperties": False``.  A property adds
+    its name to the path, a ``oneOf``/``anyOf``/``allOf`` branch its keyword
+    and index, any other nested schema (``items``) its keyword.
+    """
+    found = []
+    if schema.get("type") == "object" or "properties" in schema:
+        if not (schema.get("type") == "object" and "properties" in schema
+                and schema.get("additionalProperties") is False):
+            found.append(path)
+    for key, value in schema.items():
+        if key == "properties":
+            for name, sub in value.items():
+                found += open_objects(sub, f"{path}/{name}")
+        elif key in ("oneOf", "anyOf", "allOf"):
+            for i, sub in enumerate(value):
+                found += open_objects(sub, f"{path}/{key}[{i}]")
+        elif isinstance(value, dict):
+            found += open_objects(value, f"{path}/{key}")
+    return found
+
+
+def test_detector_finds_open_objects():
+    closed = {"type": "object", "properties": {"n": {"type": "integer"}}, "required": [],
+              "additionalProperties": False}
+    schema = {
+        "type": "object",
+        "properties": {
+            "a": {"type": "object", "properties": {"b": closed, "c": {"type": "object"}}},
+            "d": {"oneOf": [closed, {"type": "object", "properties": {},
+                                     "additionalProperties": True}]},
+            "e": {"type": "array", "items": {"properties": {}, "additionalProperties": False}},
+            "f": closed,
+        },
+        "additionalProperties": False,
+    }
+    assert open_objects(schema, "demo") == ["demo/a", "demo/a/c", "demo/d/oneOf[1]", "demo/e/items"]
+
+
+def test_every_config_object_is_closed():
+    tables = {"": cli.SCHEMAS, "init/": cli.INIT_SCHEMAS, "oracle/": cli.ORACLE_SCHEMAS,
+              "solution/": cli.VERIFY_SOLUTION_SCHEMAS}
+    found = [path for prefix, table in tables.items() for name, schema in table.items()
+             for path in open_objects(schema, prefix + name)]
+    assert sorted(found) == sorted(OPEN_PLACEHOLDERS)
