@@ -9,14 +9,9 @@ __version__ = "0.1.0"
 
 from .errors import (
     BlowupDetected,
-    ChartFailure,
     ConfigError,
-    DegenerateConstraint,
-    DegenerateDirection,
     HyperbolicityLoss,
-    InsufficientSnapshots,
     NeitherOrientationDecays,
-    NoBracket,
     NoConvergence,
     NonPositiveModulus,
     OracleFailure,

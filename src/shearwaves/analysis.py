@@ -15,11 +15,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .constitutive import TempleFlux
-from .errors import (
-    ChartFailure,
-    DegenerateConstraint,
-    DegenerateDirection,
-)
+from .errors import SingularJacobian, point_error
 from .profiles import ProfileFunction
 
 FLAG_SET_TOL = 1e-8
@@ -45,26 +41,31 @@ class EigenReport:
     partials: tuple
 
 
+def _require_regular(singular, message, u, v):
+    """Raise SingularJacobian at the first (u, v) sample, in row-major order, where
+    ``singular`` holds; ``u`` and ``v`` share a shape that ``singular`` broadcasts to."""
+    bad = np.flatnonzero(np.broadcast_to(singular, u.shape))
+    if bad.size:
+        k = bad[0]
+        raise point_error(SingularJacobian, message, (u.flat[k], v.flat[k]), "(u, v)")
+
+
 def temple_eigen(f: TempleFlux, u, v) -> EigenReport:
     """Eigenstructure of the 2x2 flux Jacobian at (u, v), elementwise over arrays.
 
     One evaluation of P and its partials covers every state; the report keeps
     them as ``partials = (P_u, P_v, P_uu, P_uv, P_vv)``.  A scalar state gives
-    floats (0-d arrays in ``partials``).  Raises DegenerateDirection when P_v = 0
-    (d2 undefined) or u = 0 (d1 undefined) at any state, naming the first one.
+    floats (0-d arrays in ``partials``).  Raises SingularJacobian when P_v = 0
+    (d2 undefined) or u = 0 (d1 undefined) at any state, naming the first one
+    in row-major order in the message and coordinate.
     """
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     P = np.asarray(f.p(u, v), dtype=float)
     Pu = np.asarray(f.p_u(u, v), dtype=float)
     Pv = np.asarray(f.p_v(u, v), dtype=float)
     scale = np.maximum(1.0, np.maximum(np.abs(P), np.abs(Pu)))
-    flat = np.flatnonzero(np.abs(Pv) <= DIRECTION_TOL * scale)
-    if flat.size:
-        k = flat[0]
-        raise DegenerateDirection(
-            f"P_v = {float(Pv.flat[k])!r} at ({u.flat[k]}, {v.flat[k]}): d2 undefined")
-    if np.any(u == 0.0):
-        raise DegenerateDirection("u = 0: d1 = (1, v/u) undefined")
+    _require_regular(np.abs(Pv) <= DIRECTION_TOL * scale, "P_v = 0: d2 undefined", u, v)
+    _require_regular(u == 0.0, "u = 0: d1 = (1, v/u) undefined", u, v)
     lam1 = P + u * Pu + v * Pv
     one = np.ones_like(u)
     d1 = (one, v / u)
@@ -111,13 +112,14 @@ def _flag(residual_max: float) -> Optional[bool]:
 
 def _decoupling_residual(u, v, au, av, auu, auv, avv):
     """Residual of d(alpha_u u + alpha_v v)/d(u/v) = 0 in the (alpha, u/v)
-    chart, from the chart's partials at (u, v)."""
+    chart, from the chart's partials at (u, v).  Raises SingularJacobian at the
+    first sample where the change of variables is singular."""
     bu = 1.0 / v
     bv = -u / (v * v)
     det = au * bv - av * bu
     scale = np.abs(au * bv) + np.abs(av * bu)
-    if np.any(np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300)):
-        raise ChartFailure("(alpha, u/v) change of variables is singular at a sample")
+    _require_regular(np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300),
+                     "(alpha, u/v) change of variables is singular", u, v)
     du_db = -av / det
     dv_db = au / det
     Eu = auu * u + au + auv * v
@@ -132,18 +134,18 @@ def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> Clas
     (alpha, u/v) chart; when no chart is supplied, alpha = P itself is used
     (a valid Riemann-invariant chart wherever the change of variables is
     regular).  An explicitly supplied chart that degenerates at a sample
-    raises ChartFailure; if the default chart degenerates (e.g. any
-    P = P(u/v)) the decoupling flag is left indeterminate instead.  Raises
-    DegenerateDirection if any sample has u = 0 or P_v = 0.
+    raises SingularJacobian; if the default chart degenerates (e.g. any
+    P = P(u/v)) the decoupling flag is left indeterminate instead.  A sample
+    with u = 0, v = 0 or P_v = 0 raises SingularJacobian too.  Each names the
+    first failing sample in row-major order, (u, v), in its message and
+    coordinate.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("samples must have shape (n, 2)")
     u = pts[:, 0]
     v = pts[:, 1]
-    if np.any(u == 0.0) or np.any(v == 0.0):
-        raise DegenerateDirection("samples must avoid the axes u = 0 and v = 0")
-    # raises DegenerateDirection where P_v = 0
+    _require_regular((u == 0.0) | (v == 0.0), "sample on the axis u = 0 or v = 0", u, v)
     eigen = temple_eigen(f, u, v)
     res_ce = np.abs(eigen.grad1_dot_d1)
     Pu, Pv = eigen.partials[:2]
@@ -153,14 +155,13 @@ def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> Clas
     chart = eigen.partials if alpha is None else [getattr(alpha, "p_" + axes)(u, v)
                                                   for axes in ("u", "v", "uu", "uv", "vv")]
     try:
-        dec_max = float(np.max(np.abs(_decoupling_residual(u, v, *chart))))
-        dec_flag = _flag(dec_max)
-    except ChartFailure:
+        dec = _decoupling_residual(u, v, *chart)
+    except SingularJacobian:
         if alpha is not None:
             # the caller asked for this chart explicitly
             raise
-        dec_max = float("nan")
-        dec_flag = None
+        dec = np.nan
+    dec_max = float(np.max(np.abs(dec)))
 
     residuals = {
         "equal_eigenvalues": float(np.max(res_equal)),
@@ -172,7 +173,7 @@ def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> Clas
         equal_eigenvalues=_flag(residuals["equal_eigenvalues"]),
         completely_exceptional=_flag(residuals["completely_exceptional"]),
         hamiltonian=_flag(residuals["hamiltonian"]),
-        decouples=dec_flag,
+        decouples=_flag(dec_max),
         eigen=eigen,
         residuals=residuals,
         n_samples=len(u),
@@ -199,14 +200,14 @@ def compatibility_residuals(A: TempleFlux, B: TempleFlux, phi: TempleFlux,
 
     pointwise, and the reduced speed k = A_u - A_v phi_u/phi_v must be
     constant on the level set; g5 is the variance of k over the samples.
-    Raises DegenerateConstraint when phi_v vanishes at a sample.
+    Raises SingularJacobian when phi_v vanishes at a sample, naming the
+    first one in row-major order in the message and coordinate.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     pu = np.asarray(phi.p_u(u, v), dtype=float)
     pv = np.asarray(phi.p_v(u, v), dtype=float)
-    if np.any(np.abs(pv) <= 1e-14 * np.maximum(1.0, np.abs(pu))):
-        raise DegenerateConstraint("phi_v = 0 at a sample: level set is not a v-graph")
+    _require_regular(np.abs(pv) <= 1e-14 * np.maximum(1.0, np.abs(pu)),
+                     "phi_v = 0: level set is not a v-graph", u, v)
     Au = np.asarray(A.p_u(u, v), dtype=float)
     Av = np.asarray(A.p_v(u, v), dtype=float)
     Bu = np.asarray(B.p_u(u, v), dtype=float)
@@ -227,13 +228,12 @@ class FluxPair:
 
 
 def construct_temple_flux(H: ProfileFunction, Phi: ProfileFunction, Psi: ProfileFunction,
-                          phi: TempleFlux, check_points=None) -> FluxPair:
+                          phi: TempleFlux) -> FluxPair:
     """Build the compatible pair A = H(phi) u + Phi(phi), B = H(phi) v + Psi(phi).
 
-    The constructed pair satisfies the g4 compatibility residual identically;
-    this is verified numerically at construction on a small lattice of states
-    (or the provided check_points).  With Phi = Psi = 0 and H the flux
-    coefficient seen through phi, the pair reduces to (P u, P v).
+    The constructed pair satisfies the g4 compatibility residual identically.
+    With Phi = Psi = 0 and H the flux coefficient seen through phi, the pair
+    reduces to (P u, P v).
     """
 
     def make_field(extra: ProfileFunction, carrier: str) -> TempleFlux:
@@ -252,17 +252,5 @@ def construct_temple_flux(H: ProfileFunction, Phi: ProfileFunction, Psi: Profile
         return TempleFlux(p=value, pu=lambda u, v: partial("u", u, v),
                           pv=lambda u, v: partial("v", u, v), name=f"H*{carrier}+{extra.name}")
 
-    A = make_field(Phi, "u")
-    B = make_field(Psi, "v")
-    pair = FluxPair(A, B, phi)
-    if check_points is None:
-        g = np.linspace(0.6, 1.4, 5)
-        uu, vv = np.meshgrid(g, g, indexing="ij")
-        check_points = np.column_stack([uu.ravel(), vv.ravel()])
-    pts = np.asarray(check_points, dtype=float)
-    g4, _ = compatibility_residuals(A, B, phi, pts[:, 0], pts[:, 1])
-    worst = float(np.max(np.abs(g4)))
-    if worst > 1e-10:
-        raise AssertionError(f"constructed pair failed its own compatibility check: {worst:.3e}")
-    return pair
+    return FluxPair(make_field(Phi, "u"), make_field(Psi, "v"), phi)
 

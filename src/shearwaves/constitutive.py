@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoBracket, NoConvergence, NonPositiveModulus
+from .errors import NoConvergence, NonPositiveModulus
 from .profiles import (
     FD2_REL_STEP,
     FD_REL_STEP,
@@ -134,12 +134,13 @@ def solve_level_set(f: TempleFlux, a: float, u, v_bracket):
     """Solve P(u, v) = a for v inside v_bracket, elementwise over u.
 
     Bisection-safeguarded Newton with a bracket per element: the bracket must
-    enclose a sign change of P(u, .) - a (else NoBracket); Newton steps that
-    leave an element's bracket or stall are replaced by bisection.  An
-    element converges when |P(u, v) - a| <= 1e-12 * max(1, |a|) within 100
-    iterations (else NoConvergence).  A scalar u returns a float, an array
-    u an array of its shape.  A failure is raised for the first failing
-    element in row-major order, and the error's coordinate is its flat index.
+    enclose a sign change of P(u, .) - a; Newton steps that leave an
+    element's bracket or stall are replaced by bisection.  An element
+    converges when |P(u, v) - a| <= 1e-12 * max(1, |a|) within 100
+    iterations.  A scalar u returns a float, an array u an array of its
+    shape.  An element with no sign change in its bracket, or one that does
+    not converge, raises NoConvergence for the first such element in
+    row-major order; the error's coordinate is its flat index.
     """
     lo0, hi0 = float(v_bracket[0]), float(v_bracket[1])
     if lo0 > hi0:
@@ -179,11 +180,9 @@ def solve_level_set(f: TempleFlux, a: float, u, v_bracket):
     bad = np.flatnonzero(code)
     if bad.size:
         k = int(bad[0])
-        if code[k] == 1:
-            raise NoBracket(
-                f"P(u,.)-a has no sign change on [{lo0}, {hi0}] "
-                f"(values {glo[k]:.3e}, {ghi[k]:.3e})", coordinate=k)
         raise NoConvergence(
+            f"P(u,.)-a has no sign change on [{lo0}, {hi0}] "
+            f"(values {glo[k]:.3e}, {ghi[k]:.3e})" if code[k] == 1 else
             f"level-set solve did not reach {tol:.1e} in {LEVEL_SET_MAX_ITER} iterations",
             coordinate=k)
     return v.reshape(u_in.shape) if u_in.ndim else float(v[0])

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every error raised by library code derives from ShearWaveError so callers
-(and the CLI) can map failures to a single exit path.
+A computation that fails raises a ShearWaveError subclass, so callers (and
+the CLI, which maps them to exit 3) have one failure path; a bad argument
+to a library function raises ValueError instead.  Where the failure has a
+place, ``coordinate`` holds it: a sample point, or an evolution coordinate.
 """
 
 
@@ -17,28 +19,12 @@ class NonPositiveModulus(ShearWaveError):
     """The shear modulus evaluated to a non-positive value."""
 
 
-class NoBracket(ShearWaveError):
-    """A bracketing interval does not enclose a sign change."""
-
-
 class NoConvergence(ShearWaveError):
-    """An iterative solve exhausted its iteration budget."""
+    """An iterative solve failed: its bracket has no sign change, or it ran out of iterations."""
 
 
 class SingularJacobian(ShearWaveError):
-    """A Newton Jacobian is numerically singular (fold / degenerate map)."""
-
-
-class DegenerateDirection(ShearWaveError):
-    """An eigenvector direction is undefined at the requested state."""
-
-
-class ChartFailure(ShearWaveError):
-    """A change of variables is singular at a sample point."""
-
-
-class DegenerateConstraint(ShearWaveError):
-    """The level-set constraint has a vanishing gradient component."""
+    """A Jacobian or change of variables is singular at a sample (a fold, or a degenerate map)."""
 
 
 class HyperbolicityLoss(ShearWaveError):
@@ -46,11 +32,7 @@ class HyperbolicityLoss(ShearWaveError):
 
 
 class BlowupDetected(ShearWaveError):
-    """A time integrator produced a non-finite state, or the gradient monitor tripped."""
-
-
-class InsufficientSnapshots(ShearWaveError):
-    """Not enough snapshots to form centered stencils."""
+    """An integrator went non-finite or below its step floor, or the gradient monitor tripped."""
 
 
 class NeitherOrientationDecays(ShearWaveError):
@@ -63,3 +45,9 @@ class OracleFailure(ShearWaveError):
 
 class ConfigError(ShearWaveError):
     """A run configuration failed validation."""
+
+
+def point_error(cls, message, point, names="(X, tau)"):
+    """A ``cls`` error whose message and coordinate name the sample point where it failed."""
+    point = tuple(float(c) for c in point)
+    return cls(f"{message} at {names} = {point}", coordinate=point)

@@ -13,11 +13,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .constitutive import ShearModulus, TempleFlux, eval_Q, solve_level_set
-from .errors import (
-    NoBracket,
-    NoConvergence,
-    SingularJacobian,
-)
+from .errors import NoConvergence, SingularJacobian, point_error
 from .numerics import rk4_integrate
 from .profiles import ProfileFunction
 
@@ -203,19 +199,13 @@ def _damped_newton(residual, newton_step, unknowns, tol, max_iter=NEWTON_MAX_ITE
     return u, code
 
 
-def _point_error(cls, message, point, names="(X, tau)"):
-    """A solver error whose message and coordinate name the sample point where it failed."""
-    point = tuple(float(c) for c in point)
-    return cls(f"{message} at {names} = {point}", coordinate=point)
-
-
 def _first_failure(code, failures, X, tau):
     """(k, error) for the first element k with a nonzero code, or None."""
     bad = np.flatnonzero(code)
     if bad.size == 0:
         return None
     k = bad[0]
-    return k, _point_error(*failures[code[k]], (np.broadcast_to(X, code.shape)[k], tau[k]))
+    return k, point_error(*failures[code[k]], (np.broadcast_to(X, code.shape)[k], tau[k]))
 
 
 SIMPLE_WAVE_FAILURES = {
@@ -269,7 +259,7 @@ def _track_branch(beta, profile, X, tau) -> np.ndarray:
         todo = todo[~np.isin(todo, idx)]
         if todo.size == 0:
             return rho
-    raise _point_error(NoConvergence, "simple-wave branch tracking failed", (X, tau[todo[0]]))
+    raise point_error(NoConvergence, "simple-wave branch tracking failed", (X, tau[todo[0]]))
 
 
 def eval_simple_wave(beta: float, profile: ProfileFunction, X: float, tau: float,
@@ -506,13 +496,13 @@ def sample_hodograph(hd: HodographData, beta: float, X_grid, tau_grid, seed) -> 
     if fail is not None:
         _, step, code = fail
         rows = step + 1
-        failure = _point_error(*HODOGRAPH_FAILURES[code], (X_grid[rows], tau_grid[0]))
+        failure = point_error(*HODOGRAPH_FAILURES[code], (X_grid[rows], tau_grid[0]))
     th, r, fail = _hodograph_continue(hd, beta, X_grid[:rows], tau_grid[1:, None],
                                       (theta[:rows, 0], rho[:rows, 0]))
     theta[:rows, 1:], rho[:rows, 1:] = th.T, r.T
     if fail is not None:
         lane, step, code = fail
-        failure = _point_error(*HODOGRAPH_FAILURES[code], (X_grid[lane], tau_grid[step + 1]))
+        failure = point_error(*HODOGRAPH_FAILURES[code], (X_grid[lane], tau_grid[step + 1]))
     if failure is not None:
         raise failure
     return PolarState(rho, theta)
@@ -528,9 +518,8 @@ def eval_overdetermined(f: TempleFlux, level: float, profile: ProfileFunction,
 
     U = F(x + direction*sqrt(level)*t) and V solves P(U, V) = level inside
     v_bracket, by one array solve over every point.  A failure raises the
-    NoBracket or NoConvergence of the first failing point in row-major
-    order, naming its (x, t) in the message and coordinate.  Requires
-    level > 0.
+    NoConvergence of the first failing point in row-major order, naming its
+    (x, t) in the message and coordinate.  Requires level > 0.
     """
     if level <= 0.0:
         raise ValueError("level must be positive (it is a squared speed)")
@@ -541,9 +530,9 @@ def eval_overdetermined(f: TempleFlux, level: float, profile: ProfileFunction,
     U = np.asarray(profile(x + direction * c * t), dtype=float)
     try:
         V = solve_level_set(f, level, U, v_bracket)
-    except (NoBracket, NoConvergence) as exc:
+    except NoConvergence as exc:
         k = exc.coordinate
-        raise _point_error(type(exc), str(exc), (x.flat[k], t.flat[k]), "(x, t)") from exc
+        raise point_error(NoConvergence, str(exc), (x.flat[k], t.flat[k]), "(x, t)") from exc
     return StrainState(float(U) if U.ndim == 0 else U, V)
 
 

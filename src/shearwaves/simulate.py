@@ -124,7 +124,8 @@ class ConservationLaw:
     column.  A MUSCL step evaluates it twice: on the cells with the stacked
     predictor faces (cell speeds, face fluxes), then on the stacked
     interface states.  ``raise_on_blowup`` says whether the gradient monitor
-    raises or only records.
+    raises or only records; a step below ``STEP_FLOOR_FACTOR * (b - a)``
+    raises for every law, unless it is the last one, cut short by the end.
     """
 
     flux_speed: Callable
@@ -221,7 +222,8 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
     t = 0.0
     n_steps = 0
     while t < end - 1e-14 * max(1.0, abs(end)):
-        w, dt, amax = stepper(w, law, h, grid.boundary, config.cfl, end - t)
+        remaining = end - t
+        w, dt, amax = stepper(w, law, h, grid.boundary, config.cfl, remaining)
         if not np.isfinite(w).all():
             raise BlowupDetected(f"non-finite state at coordinate {t + dt!r}", coordinate=t + dt)
         t += dt
@@ -230,15 +232,16 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
         step_coords.append(t)
         step_speed.append(amax)
         step_grad.append(g)
-        tripped = g > config.blowup_factor * g0 or dt < step_floor
-        if tripped and blowup_at is None:
+        steep = g > config.blowup_factor * g0
+        # a last step cut short by the end of the run is not a collapsed step
+        if dt < min(step_floor, remaining) or (steep and law.raise_on_blowup):
+            raise BlowupDetected(
+                f"gradient monitor tripped at coordinate {t!r} "
+                f"(gradient {g:.3e} vs initial {g0:.3e}, step {dt:.3e})",
+                coordinate=t,
+            )
+        if steep and blowup_at is None:
             blowup_at = t
-            if law.raise_on_blowup:
-                raise BlowupDetected(
-                    f"gradient monitor tripped at coordinate {t!r} "
-                    f"(gradient {g:.3e} vs initial {g0:.3e}, step {dt:.3e})",
-                    coordinate=t,
-                )
         if config.snapshot_stride > 0 and n_steps % config.snapshot_stride == 0 and t < end:
             coords.append(t)
             states.append(w.copy())
@@ -326,8 +329,9 @@ def evolve_scalar(beta: float, grid: Grid1D, rho0,
                   config: SimulationConfig) -> Trajectory:
     """Shock-capturing evolution of the scalar cubic law rho_X = beta (rho^3)_tau.
 
-    Weak solutions continue past breaking, so the blowup monitor only records
-    the crossing coordinate in the diagnostics and never raises.
+    Weak solutions continue past breaking, so the gradient monitor only
+    records the crossing coordinate in the diagnostics; a step below the
+    floor still raises BlowupDetected.
     """
     beta = float(beta)
 

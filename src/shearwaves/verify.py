@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from .constitutive import ShearModulus
-from .errors import InsufficientSnapshots, NeitherOrientationDecays, OracleFailure
+from .errors import NeitherOrientationDecays, OracleFailure
 from .profiles import ProfileFunction
 
 ZERO_FLOOR = 1e-12
@@ -78,10 +78,8 @@ class FieldSample:
 
 def _require_layers(sample: FieldSample):
     if len(sample.coords) < 5:
-        raise InsufficientSnapshots(
-            f"need at least 5 evolution layers for centered stencils with two "
-            f"dropped boundary layers, got {len(sample.coords)}"
-        )
+        raise ValueError(f"need at least 5 evolution layers for centered stencils with two "
+                         f"dropped boundary layers, got {len(sample.coords)}")
     if len(sample.points) < 5:
         raise ValueError("need at least 5 transverse points for interior stencils")
 

@@ -21,12 +21,8 @@ from shearwaves.constitutive import (
     ratio_flux,
     sum_squares_flux,
 )
-from shearwaves.errors import (
-    ChartFailure,
-    DegenerateConstraint,
-    DegenerateDirection,
-)
-from shearwaves.profiles import linear_profile, poly_profile
+from shearwaves.errors import SingularJacobian
+from shearwaves.profiles import const_profile, linear_profile, poly_profile, sine_profile
 
 
 def _lattice(lo=0.5, hi=1.5, n=5):
@@ -56,10 +52,14 @@ def test_eigen_ratio_flux_speeds_coincide():
 
 
 def test_eigen_degenerate_directions():
-    with pytest.raises(DegenerateDirection):
+    with pytest.raises(SingularJacobian, match="d2 undefined"):
         temple_eigen(modulus_flux(mooney_rivlin(2.0)), 1.0, 1.0)  # P_v = 0
-    with pytest.raises(DegenerateDirection):
-        temple_eigen(product_flux(), 0.0, 1.0)  # d1 undefined
+    # P = u^2 + v^2 keeps P_v = 2v away from zero on the axis u = 0
+    with pytest.raises(SingularJacobian, match=r"d1 = \(1, v/u\) undefined") as info:
+        temple_eigen(sum_squares_flux(), [[1.0, 0.0], [0.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]])
+    # the first failing state in row-major order
+    assert info.value.coordinate == (0.0, 2.0)
+    assert "at (u, v) = (0.0, 2.0)" in str(info.value)
 
 
 @pytest.mark.parametrize("flux", [product_flux(), ratio_flux(), sum_squares_flux()],
@@ -152,7 +152,7 @@ def test_classify_sum_squares_not_hamiltonian():
 
 def test_classify_explicit_singular_chart_raises():
     chart = ratio_flux()
-    with pytest.raises(ChartFailure):
+    with pytest.raises(SingularJacobian, match="change of variables is singular"):
         classify(ratio_flux(), _lattice(), alpha=chart)
 
 
@@ -166,7 +166,7 @@ def test_classify_hand_built_chart_matches_analytic_chart():
 
 
 def test_classify_rejects_axis_samples():
-    with pytest.raises(DegenerateDirection):
+    with pytest.raises(SingularJacobian, match="axis u = 0 or v = 0"):
         classify(product_flux(), [(0.0, 1.0)])
 
 
@@ -225,8 +225,9 @@ def test_compatibility_squares_reference_value():
 def test_compatibility_degenerate_constraint():
     A = _field(lambda u, v: u, lambda u, v: 1.0, lambda u, v: 0.0)
     phi = _field(lambda u, v: u, lambda u, v: 1.0, lambda u, v: 0.0)  # phi_v = 0
-    with pytest.raises(DegenerateConstraint):
-        compatibility_residuals(A, A, phi, 1.0, 1.0)
+    with pytest.raises(SingularJacobian, match="not a v-graph") as info:
+        compatibility_residuals(A, A, phi, [2.0, 1.0], 1.0)
+    assert info.value.coordinate == (2.0, 1.0)
 
 
 def test_constructed_pair_passes_compatibility():
@@ -252,11 +253,25 @@ def test_constructed_pair_randomized_weights():
         assert np.max(np.abs(g4)) <= 1e-10
 
 
+def test_constructed_pair_with_large_weights_builds():
+    # g4 cancels identically; at weights of 1e6 its rounding alone is about
+    # 5e-10, so an absolute bound of 1e-10 would reject this correct pair
+    H, Phi = linear_profile(1e6), sine_profile(1e6, 1.0)
+    pair = construct_temple_flux(H, Phi, const_profile(0.0), product_flux())
+    pts = _lattice(0.6, 1.4, 5)
+    u, v = pts[:, 0], pts[:, 1]
+    g4, _ = compatibility_residuals(pair.A, pair.B, pair.phi, u, v)
+    Au, Av, Bu, Bv = (getattr(f, "p_" + axis)(u, v) for f in (pair.A, pair.B) for axis in "uv")
+    # phi = u v: phi_u = v, phi_v = u
+    scale = np.abs(Bu * u * u) + np.abs((Au - Bv) * v * u) + np.abs(Av * v * v)
+    assert np.all(np.abs(g4) <= 1e-14 * scale)
+
+
 def test_constructed_pair_evaluates_each_phi_partial_once_per_call(partial_calls):
     # phi is given by p alone, so each of its partials is a central difference
     phi = TempleFlux(p=lambda u, v: u * v, name="phi")
     H, Phi, Psi = poly_profile([1.0, 0.5]), poly_profile([0.0, 0.3]), poly_profile([0.2, 0.1])
-    pair = construct_temple_flux(H, Phi, Psi, phi, check_points=[(1.0, 1.2)])
+    pair = construct_temple_flux(H, Phi, Psi, phi)
     u, v = np.array([0.7, 1.3]), np.array([0.9, 1.1])
     partial_calls.clear()
     for field in (pair.A, pair.B):

@@ -644,7 +644,11 @@ def test_classify_singular_chart_exits_three(tmp_path):
     assert code == 3
     manifest = read_manifest(out)
     assert manifest["status"] == "error"
-    assert manifest["error"]["type"] == "ChartFailure"
+    error = manifest["error"]
+    assert error["type"] == "SingularJacobian"
+    # the ratio chart is singular everywhere, so the first sample fails first
+    assert error["coordinate"] == [0.5, 0.5]
+    assert "change of variables is singular at (u, v) = (0.5, 0.5)" in error["message"]
 
 
 def test_verify_positive_study(tmp_path):
@@ -1171,7 +1175,8 @@ def test_level_set_failure_names_its_point(tmp_path):
     code, out = run_cli(tmp_path, cfg, "lsfail")
     assert code == 3
     error = read_manifest(out)["error"]
-    assert error["type"] == "NoBracket"
+    assert error["type"] == "NoConvergence"
+    assert "no sign change" in error["message"]
     assert error["coordinate"] == [3.0, 0.0]
     assert "at (x, t) = (3.0, 0.0)" in error["message"]
 

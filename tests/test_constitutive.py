@@ -22,7 +22,7 @@ from shearwaves.constitutive import (
     solve_level_set,
     sum_squares_flux,
 )
-from shearwaves.errors import NoBracket, NonPositiveModulus
+from shearwaves.errors import NoConvergence, NonPositiveModulus
 from shearwaves.profiles import ProfileFunction, linear_profile, poly_profile, sine_profile
 
 
@@ -276,7 +276,7 @@ def test_level_set_round_trip(a, u):
 
 def test_level_set_requires_sign_change():
     f = sum_squares_flux()
-    with pytest.raises(NoBracket):
+    with pytest.raises(NoConvergence, match="no sign change"):
         solve_level_set(f, 100.0, 0.5, (0.0, 1.0))
 
 

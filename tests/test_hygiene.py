@@ -1,7 +1,8 @@
 """Source hygiene: every import is used, every private module-level name is
 referenced, every package export is reached, every script path the README
 names exists, the README's solution-block table matches the CLI's schemas,
-and every config object in those schemas is closed."""
+its failure-type table matches the error classes, and every config object in
+those schemas is closed."""
 import ast
 import collections
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from shearwaves import cli
+from shearwaves import cli, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "shearwaves"
@@ -20,6 +21,7 @@ IMPORT_CHECKED = {**{m: SRC / m for m in MODULES},
                   **{f"tests/{p.name}": p for p in (ROOT / "tests").glob("test_*.py")}}
 # Exports that no command, benchmark or acceptance criterion reads, and why each stays.
 EXPORT_ALLOWLIST = {
+    "compatibility_residuals": "g4/g5 check of a constructed pair; its CLI path is ROADMAP item 4",
     "construct_temple_flux": "builds the paper's constructed class; its CLI path is ROADMAP item 4",
     "eval_simple_wave": "one-point reference for sample_simple_wave; the benchmark tracer counts it",
     "hodograph_invert": "one-point reference for sample_hodograph; the benchmark tracer counts it",
@@ -242,6 +244,26 @@ def test_readme_solution_blocks_match_the_schemas():
     for kind, (required, optional, _) in table.items():
         props, needed = cli.KIND_PARAMS[kind]
         assert (required, optional) == (needed, [p for p in props if p not in needed]), kind
+
+
+def failure_type_table(text):
+    """The type names of the README's "Failure types" table, in order."""
+    section = text.split("\n### Failure types\n", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+
+
+def test_detector_reads_failure_type_table():
+    text = ("## Command line\n\n### Failure types\n\n| type | meaning |\n| ---- | ---- |\n"
+            "| `Fold` | the map folds, see `Other` |\n| `Stall` | no root |\n\n"
+            "## Next\n| `Later` | 1 |\n")
+    assert failure_type_table(text) == ["Fold", "Stall"]
+
+
+def test_readme_failure_types_match_the_error_classes():
+    # every ShearWaveError subclass, in the order errors.py defines them
+    subclasses = [name for name, obj in vars(errors).items() if isinstance(obj, type)
+                  and issubclass(obj, errors.ShearWaveError) and obj is not errors.ShearWaveError]
+    assert failure_type_table((ROOT / "README.md").read_text()) == subclasses
 
 
 # the second-stage blocks: their schema depends on the config's system, study

@@ -255,6 +255,27 @@ def test_scalar_evolution_records_no_blowup_before_breaking():
     assert np.all(traj.step_max_gradient <= 10.0 * traj.initial_gradient)
 
 
+def test_scalar_step_below_floor_raises():
+    # speeds near 1e300 give steps near 1e-302, far below the floor: the run
+    # stops at its first step instead of running on to max_steps
+    grid = Grid1D(n=64, a=0.0, b=TWO_PI)
+    rho0 = 1.0 + 0.2 * np.sin(grid.centers)
+    with pytest.raises(BlowupDetected, match="gradient monitor tripped") as info:
+        evolve_scalar(1e300, grid, rho0, SimulationConfig(end=1.0, max_steps=10))
+    assert 0.0 < info.value.coordinate < 1e-290
+    assert f"at coordinate {info.value.coordinate!r}" in str(info.value)
+
+
+def test_last_step_cut_short_below_floor_is_not_a_blowup():
+    grid = Grid1D(n=64, a=0.0, b=TWO_PI)
+    rho0 = 1.0 + 0.2 * np.sin(grid.centers)
+    third = evolve_scalar(1.0, grid, rho0, SimulationConfig(end=0.5)).step_coords[2]
+    # the fourth step is the 1e-12 left before the end, far below the floor
+    traj = evolve_scalar(1.0, grid, rho0, SimulationConfig(end=third + 1e-12))
+    assert len(traj.step_coords) == 4
+    assert traj.blowup_coordinate is None
+
+
 def test_snapshot_stride_and_final_coordinate():
     grid = Grid1D(n=32, a=0.0, b=1.0)
     traj = evolve_scalar(0.5, grid, np.ones(grid.n),

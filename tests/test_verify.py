@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from shearwaves.constitutive import cubic_modulus
-from shearwaves.errors import (
-    InsufficientSnapshots,
-    NeitherOrientationDecays,
-    OracleFailure,
-)
+from shearwaves.errors import NeitherOrientationDecays, OracleFailure
 from shearwaves.exact import (
     CarrollWave,
     HodographData,
@@ -80,7 +76,7 @@ RESIDUALS = {
 }
 LEVEL_GUARDS = {
     "too_few_snapshots": ([_flat_sample(3, 9), _flat_sample(3, 17)],
-                          InsufficientSnapshots, "at least 5 evolution layers"),
+                          ValueError, "at least 5 evolution layers"),
     "single_level": ([_flat_sample(9, 9)], ValueError, "at least 2 refinement levels"),
     "equal_spacing": ([_flat_sample(9, 9), _flat_sample(17, 9)], ValueError,
                       "strictly decreasing spacing"),
