@@ -1,9 +1,10 @@
 """Command-line entry point: JSON config in, CSV/JSON artifacts out.
 
 Subcommands: simulate, exact, classify, hodograph, verify, convergence.
-Every run validates its config against a closed schema (unknown keys are
-rejected), computes, and writes a deterministic artifact set into the output
-directory: a ``manifest.json`` that echoes the config and records
+Every run validates its config against a closed schema, in a JSON Schema
+subset that this module checks itself with JSON Schema's messages (unknown
+keys are rejected), computes, and writes a deterministic artifact set into the
+output directory: a ``manifest.json`` that echoes the config and records
 diagnostics, plus ``snapshots.csv`` / ``samples.csv`` / ``report.json``
 depending on the command.  A CSV is one header line, then comma-separated rows
 with CRLF line ends; every value is printed with ``%.17g`` (so ``float()`` gives
@@ -17,14 +18,8 @@ one, one on a platform without ``fork`` and one written while another thread
 runs are formatted in this process.  A JSON artifact writes a non-finite
 number (a NaN residual, an infinite fitted order) as ``null``.
 
-Every command goes through ``run``.  Exit codes: 0 success, 1 a verification
-or convergence target missed, 2 config error (no manifest; also a config
-file that cannot be read or is nested too deeply for ``json``, an axis or
-grid whose width overflows a double, a size that does not fit in memory, or
-an output directory at or under a dangling symlink), 3 solver or
-construction failure (the manifest names the error).
-A negative-control ``verify`` run always exits 1; its ``report.json`` says in
-``control_confirmed`` whether the control failed as it should.
+Every command goes through ``run``, whose docstring gives the exit codes:
+0 success, 1 a target missed, 2 a config error, 3 a solver failure.
 """
 from __future__ import annotations
 
@@ -40,7 +35,6 @@ import threading
 from pathlib import Path
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -295,20 +289,68 @@ def _load_config(path: str) -> dict:
     return config
 
 
-# JSON has one number type and JSON Schema lets 2.0 pass as an integer, but
-# the grid sizes and counts go to numpy, which takes Python ints only
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
+# JSON Schema's types, but 2.0 is no integer: numpy takes Python ints only
+_TYPES = {"object": dict, "array": list, "boolean": bool, "number": (int, float), "integer": int}
+
+
+def _is(value, name: str) -> bool:
+    return isinstance(value, _TYPES[name]) and (name == "boolean" or not isinstance(value, bool))
+
+
+def _equal(value, scalar) -> bool:  # JSON Schema's: true is not 1, but 1 is 1.0
+    return value == scalar and isinstance(value, bool) == isinstance(scalar, bool)
+
+
+def _extras(value: dict, schema: dict, path: tuple):
+    extras = sorted((key for key in value if key not in schema.get("properties", ())), key=str)
+    return extras and (path, "Additional properties are not allowed (%s %s unexpected)" % (
+        ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"))
+
+
+def _first(errors):
+    return next(filter(None, errors), None)
+
+
+# keyword -> (value, rule, schema, path) -> the rule's first (path, message), or falsy
+_KEYWORDS = {
+    "type": lambda v, r, s, p: not _is(v, r) and (p, f"{v!r} is not of type {r!r}"),
+    "properties": lambda v, r, s, p: _is(v, "object") and _first(
+        _schema_error(v[name], r[name], (*p, name)) for name in r if name in v),
+    "required": lambda v, r, s, p: _is(v, "object") and _first(
+        (p, f"{name!r} is a required property") for name in r if name not in v),
+    "additionalProperties": lambda v, r, s, p: _is(v, "object") and _extras(v, s, p),
+    "const": lambda v, r, s, p: not _equal(v, r) and (p, f"{r!r} was expected"),
+    "enum": lambda v, r, s, p: not any(_equal(v, e) for e in r)
+    and (p, f"{v!r} is not one of {r!r}"),
+    "oneOf": lambda v, r, s, p: all(_schema_error(v, branch) for branch in r)
+    and (p, f"{v!r} is not valid under any of the given schemas"),
+    "items": lambda v, r, s, p: _is(v, "array") and _first(
+        _schema_error(item, r, (*p, i)) for i, item in enumerate(v)),
+    "minItems": lambda v, r, s, p: _is(v, "array") and len(v) < r
+    and (p, f"{v!r} {'should be non-empty' if r == 1 else 'is too short'}"),
+    "maxItems": lambda v, r, s, p: _is(v, "array") and len(v) > r
+    and (p, f"{v!r} {'is expected to be empty' if r == 0 else 'is too long'}"),
+    "minimum": lambda v, r, s, p: _is(v, "number") and v < r
+    and (p, f"{v!r} is less than the minimum of {r!r}"),
+    "exclusiveMinimum": lambda v, r, s, p: _is(v, "number") and v <= r
+    and (p, f"{v!r} is less than or equal to the minimum of {r!r}"),
+    "maximum": lambda v, r, s, p: _is(v, "number") and v > r
+    and (p, f"{v!r} is greater than the maximum of {r!r}"),
+}
+
+
+def _schema_error(value, schema: dict, path: tuple = ()):
+    """The first ``(path, message)`` by which ``value`` breaks ``schema``, or None: the
+    `_KEYWORDS` in the schema's order, with jsonschema 4.26's messages (any other keyword
+    raises KeyError).  Each ``oneOf`` branch is a ``_kind`` of its own kind: one at most matches."""
+    return _first(_KEYWORDS[key](value, rule, schema, path) for key, rule in schema.items())
 
 
 def _validate(config: dict, schema: dict, where: str = "config"):
-    try:
-        _Validator(schema).validate(config)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"invalid {where} at {path}: {exc.message}")
+    error = _schema_error(config, schema)
+    if error:
+        path = "/".join(map(str, error[0])) or "<root>"
+        raise ConfigError(f"invalid {where} at {path}: {error[1]}")
 
 
 def _axis(cfg: dict) -> np.ndarray:

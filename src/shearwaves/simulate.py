@@ -223,7 +223,11 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
     n_steps = 0
     while t < end - 1e-14 * max(1.0, abs(end)):
         remaining = end - t
-        w, dt, amax = stepper(w, law, h, grid.boundary, config.cfl, remaining)
+        try:
+            w, dt, amax = stepper(w, law, h, grid.boundary, config.cfl, remaining)
+        except HyperbolicityLoss as exc:  # the state at t is not hyperbolic
+            exc.coordinate = t
+            raise
         if not np.isfinite(w).all():
             raise BlowupDetected(f"non-finite state at coordinate {t + dt!r}", coordinate=t + dt)
         t += dt
@@ -234,7 +238,10 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
         step_grad.append(g)
         steep = g > config.blowup_factor * g0
         # a last step cut short by the end of the run is not a collapsed step
-        if dt < min(step_floor, remaining) or (steep and law.raise_on_blowup):
+        if dt < min(step_floor, remaining):
+            raise BlowupDetected(f"step collapsed to {dt:.3e}, below the floor {step_floor:.3e}, "
+                                 f"at coordinate {t!r}", coordinate=t)
+        if steep and law.raise_on_blowup:
             raise BlowupDetected(
                 f"gradient monitor tripped at coordinate {t!r} "
                 f"(gradient {g:.3e} vs initial {g0:.3e}, step {dt:.3e})",
@@ -246,7 +253,8 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
             coords.append(t)
             states.append(w.copy())
         if n_steps >= config.max_steps:
-            raise NoConvergence(f"exceeded max_steps = {config.max_steps} at coordinate {t!r}")
+            raise NoConvergence(f"exceeded max_steps = {config.max_steps} at coordinate {t!r}",
+                                coordinate=t)
     if coords[-1] != t:
         coords.append(t)
         states.append(w.copy())

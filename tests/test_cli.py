@@ -13,6 +13,7 @@ import threading
 import warnings
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -1066,6 +1067,20 @@ def test_simulate_blowup_exits_three(tmp_path):
     assert 0.0 < manifest["error"]["coordinate"] < 5.0
 
 
+def test_hyperbolicity_loss_names_its_coordinate(tmp_path):
+    # Q = 1 - 0.4 s: the Carroll wave's strain s = 1.5 has Q > 0 but
+    # Q + 2 s Q' < 0, so the state fails the first step, from coordinate 0
+    cfg = {"command": "simulate", "system": "full",
+           "modulus": {"kind": "cubic", "mu0": 1.0, "mu1": -0.4},
+           "grid": {"n": 128, "a": 0.0, "b": TWO_PI}, "run": {"end": 0.5},
+           "init": {"kind": "carroll", "amplitude": math.sqrt(1.5), "wavenumber": 1.0}}
+    code, out = run_cli(tmp_path, cfg, "hyp")
+    assert code == 3
+    error = read_manifest(out)["error"]
+    assert error["type"] == "HyperbolicityLoss"
+    assert error["coordinate"] == 0.0
+
+
 def test_non_finite_initial_state_exits_three_with_strict_json_manifest(tmp_path):
     # freq * tau overflows to inf, and sin(inf) is NaN
     cfg = {
@@ -1457,6 +1472,72 @@ def test_generated_configs_keep_exit_contract(case):
         else:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["status"] == ("error" if code == 3 else "ok")
+
+
+# ---------------------------------------------------------------------------
+# the config validator against jsonschema, JSON Schema's reference validator
+
+# jsonschema with the CLI's integer rule: a Python int, not 2.0 or true
+REFERENCE_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
+SCHEMA_TABLES = {"config": cli.SCHEMAS, "init": cli.INIT_SCHEMAS, "oracle": cli.ORACLE_SCHEMAS,
+                 "solution": cli.VERIFY_SOLUTION_SCHEMAS}
+REFERENCES = {f"{table}/{name}": (schema, REFERENCE_VALIDATOR(schema))
+              for table, schemas in SCHEMA_TABLES.items() for name, schema in schemas.items()}
+
+
+def assert_validators_agree(config):
+    """Under every schema of the four tables, the CLI's validator finds the
+    first error that jsonschema finds, path and message, in the config and in
+    each of its second-stage blocks; or both find none."""
+    values = [config, *(config[key] for key in ("init", "oracle", "solution")
+                        if isinstance(config.get(key), dict))]
+    for value in values:
+        for name, (schema, reference) in REFERENCES.items():
+            error = next(reference.iter_errors(value), None)
+            expected = None if error is None else (tuple(error.absolute_path), error.message)
+            assert cli._schema_error(value, schema) == expected, (name, value)
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(generated_configs())
+def test_validator_agrees_with_jsonschema_on_generated_configs(case):
+    assert_validators_agree(case[1])
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_BLOCKS))
+def test_validator_agrees_with_jsonschema_on_invalid_blocks(case):
+    command, cfg, _ = INVALID_BLOCKS[case]
+    assert_validators_agree({"command": command, **cfg})
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_validator_agrees_with_jsonschema_on_shipped_configs(path):
+    assert_validators_agree(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("value, rule, message", [
+    (True, {"const": 1}, "1 was expected"),
+    (1.0, {"const": 1}, None),
+    (True, {"enum": [-1, 1]}, "True is not one of [-1, 1]"),
+    (2.0, {"type": "integer"}, "2.0 is not of type 'integer'"),
+    (False, {"type": "number"}, "False is not of type 'number'"),
+    ([], {"minItems": 1}, "[] should be non-empty"),
+    ([1], {"maxItems": 0}, "[1] is expected to be empty"),
+    ({"b": 1, "a": 2}, {"properties": {}, "additionalProperties": False},
+     "Additional properties are not allowed ('a', 'b' were unexpected)"),
+])
+def test_validator_keeps_json_schema_equality_and_words(value, rule, message):
+    assert cli._schema_error(value, rule) == (message and ((), message))
+    error = next(REFERENCE_VALIDATOR(rule).iter_errors(value), None)
+    assert (error and error.message) == message
+
+
+def test_validator_rejects_a_keyword_outside_its_subset():
+    with pytest.raises(KeyError, match="pattern"):
+        cli._schema_error({"a": "x"}, {"properties": {"a": {"pattern": "^x$"}}})
 
 
 # ---------------------------------------------------------------------------

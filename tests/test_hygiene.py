@@ -1,11 +1,16 @@
 """Source hygiene: every import is used, every private module-level name is
 referenced, every package export is reached, every script path the README
 names exists, the README's solution-block table matches the CLI's schemas,
-its failure-type table matches the error classes, and every config object in
-those schemas is closed."""
+its failure-type table matches the error classes, every config object in
+those schemas is closed and uses only keywords the CLI's validator checks, and
+the CLI runs without jsonschema."""
 import ast
 import collections
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -313,9 +318,101 @@ def test_detector_finds_open_objects():
     assert open_objects(schema, "demo") == ["demo/a", "demo/a/c", "demo/d/oneOf[1]", "demo/e/items"]
 
 
+# every table of CLI schemas, by the path prefix of its schemas
+SCHEMA_TABLES = {"": cli.SCHEMAS, "init/": cli.INIT_SCHEMAS, "oracle/": cli.ORACLE_SCHEMAS,
+                 "solution/": cli.VERIFY_SOLUTION_SCHEMAS}
+
+
 def test_every_config_object_is_closed():
-    tables = {"": cli.SCHEMAS, "init/": cli.INIT_SCHEMAS, "oracle/": cli.ORACLE_SCHEMAS,
-              "solution/": cli.VERIFY_SOLUTION_SCHEMAS}
-    found = [path for prefix, table in tables.items() for name, schema in table.items()
+    found = [path for prefix, table in SCHEMA_TABLES.items() for name, schema in table.items()
              for path in open_objects(schema, prefix + name)]
     assert sorted(found) == sorted(OPEN_PLACEHOLDERS)
+
+
+# the keywords that cli._schema_error checks
+VALIDATOR_KEYWORDS = {*cli._KEYWORDS, "properties", "items"}
+
+
+def _scalar(value):
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def _kind_const(branch):
+    """The ``kind`` const of a branch that requires it, or None."""
+    kind = branch.get("properties", {}).get("kind", {})
+    required = "kind" in branch.get("required", ()) and kind.keys() == {"const"}
+    return kind["const"] if required else None
+
+
+def unchecked_schema_parts(schema, path):
+    """What under ``schema`` the CLI's validator would not check as JSON Schema does.
+
+    ``path:key`` is a keyword outside the validator's subset, a ``type`` it
+    does not know, an ``additionalProperties`` other than false, or a
+    ``const``/``enum`` value that is not a string or an int.  ``path/oneOf``
+    is a ``oneOf`` whose branches are not ``_kind`` objects of pairwise
+    distinct kinds, so that more than one branch could match.  Nested schemas
+    extend the path as in `open_objects`.
+    """
+    found = [f"{path}:{key}" for key in schema if key not in VALIDATOR_KEYWORDS]
+    if "type" in schema and not (isinstance(schema["type"], str) and schema["type"] in cli._TYPES):
+        found.append(f"{path}:type")
+    if schema.get("additionalProperties", False) is not False:
+        found.append(f"{path}:additionalProperties")
+    if "const" in schema and not _scalar(schema["const"]):
+        found.append(f"{path}:const")
+    if not all(map(_scalar, schema.get("enum", ()))):
+        found.append(f"{path}:enum")
+    if "oneOf" in schema:
+        kinds = [_kind_const(branch) for branch in schema["oneOf"]]
+        if None in kinds or len(set(kinds)) < len(kinds):
+            found.append(f"{path}/oneOf")
+    for key, value in schema.items():
+        if key == "properties":
+            for name, sub in value.items():
+                found += unchecked_schema_parts(sub, f"{path}/{name}")
+        elif key == "oneOf":
+            for i, sub in enumerate(value):
+                found += unchecked_schema_parts(sub, f"{path}/{key}[{i}]")
+        elif isinstance(value, dict):
+            found += unchecked_schema_parts(value, f"{path}/{key}")
+    return found
+
+
+def test_detector_finds_unchecked_schema_parts():
+    def kind(name):
+        return {"type": "object", "properties": {"kind": {"const": name}}, "required": ["kind"],
+                "additionalProperties": False}
+    schema = {"type": "object", "properties": {
+        "name": {"type": "string", "pattern": "^[a-z]+$"},
+        "twins": {"oneOf": [kind("a"), kind("a")]},
+        "distinct": {"oneOf": [kind("a"), kind("b")]},
+        "loose": {"oneOf": [{"type": "object"}, kind("c")]},
+        "open": {"type": "object", "additionalProperties": {"type": "number"}},
+        "flag": {"enum": [True, 1]},
+    }}
+    assert unchecked_schema_parts(schema, "demo") == [
+        "demo/name:pattern", "demo/name:type", "demo/twins/oneOf", "demo/loose/oneOf",
+        "demo/open:additionalProperties", "demo/flag:enum"]
+
+
+def test_validator_checks_every_schema_part():
+    assert [path for prefix, table in SCHEMA_TABLES.items() for name, schema in table.items()
+            for path in unchecked_schema_parts(schema, prefix + name)] == []
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    # jsonschema and what it imports cost a CLI process about 64 ms and 4 MB
+    # at start-up; the CLI validates its configs itself
+    script = (
+        "import json, sys\n"
+        "from shearwaves.cli import main\n"
+        f"code = main(['classify', '--config', {str(ROOT / 'scripts/configs/classify.json')!r},\n"
+        f"             '--out', {str(tmp_path / 'out')!r}, '--quiet'])\n"
+        "roots = {name.partition('.')[0] for name in sys.modules}\n"
+        "print(json.dumps([code, sorted(roots & {'jsonschema', 'referencing', 'rpds',\n"
+        "                                       'attr', 'attrs'})]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert json.loads(proc.stdout) == [0, []]

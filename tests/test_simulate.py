@@ -260,7 +260,9 @@ def test_scalar_step_below_floor_raises():
     # stops at its first step instead of running on to max_steps
     grid = Grid1D(n=64, a=0.0, b=TWO_PI)
     rho0 = 1.0 + 0.2 * np.sin(grid.centers)
-    with pytest.raises(BlowupDetected, match="gradient monitor tripped") as info:
+    # the floor is 1e-9 (b - a)
+    message = r"step collapsed to \S+, below the floor 6\.283e-09, at coordinate"
+    with pytest.raises(BlowupDetected, match=message) as info:
         evolve_scalar(1e300, grid, rho0, SimulationConfig(end=1.0, max_steps=10))
     assert 0.0 < info.value.coordinate < 1e-290
     assert f"at coordinate {info.value.coordinate!r}" in str(info.value)
