@@ -11,12 +11,13 @@ with CRLF line ends; every value is printed with ``%.17g`` (so ``float()`` gives
 back the exact double), and the special values as ``nan``, ``inf``, ``-inf``, ``-0``.
 The rows are the sample mesh in row-major order, first column slowest.  The
 mesh axes come as broadcast views, and the writer formats such a column once
-per distinct value, not once per row; the bytes are the same either way.  A
-large CSV is formatted by up to one process per available CPU, each taking a
-contiguous range of outer rows, with the bytes of a serial write; a small
-one, one on a platform without ``fork`` and one written while another thread
-runs are formatted in this process.  A JSON artifact writes a non-finite
-number (a NaN residual, an infinite fitted order) as ``null``.
+per distinct value, not once per row; the bytes are the same either way.  The
+writer runs in this process alone.  It builds each block of rows as one numpy
+byte matrix: a zero or a value of magnitude in [1e-4, 1e16) gets its exact
+``%.17g`` digits from integer arithmetic, and any other value (NaN, the
+infinities, tiny or huge magnitudes) is formatted with ``%``.  A JSON artifact
+writes a non-finite number (a NaN residual, an infinite fitted order) as
+``null``.
 
 Every command goes through ``run``, whose docstring gives the exit codes:
 0 success, 1 a target missed, 2 a config error, 3 a solver failure.
@@ -27,11 +28,7 @@ import argparse
 import json
 import math
 import os
-import shutil
-import signal
 import sys
-import tempfile
-import threading
 from pathlib import Path
 from typing import Callable
 
@@ -71,16 +68,12 @@ from .verify import (
 )
 
 COMMANDS = ("simulate", "exact", "classify", "hodograph", "verify", "convergence")
-# about this many rows per `%` format and write: a mesh block is whole outer rows,
-# or one outer row's share of a longer inner axis; one block at a time bounds
-# the writer's memory
-CSV_BLOCK_ROWS = 2048
-# the fewest full-column values worth one more writer process.  On a 2-vCPU
-# Xeon (Python 3.11) a fork, exit and wait of the ~42 MB CLI process take
-# 3.9 ms, about 6 ms with the temporary file and its copy, and the writer
-# formats a full value in about 1 us (80k values in 77 ms): so a child gets
-# at least twice its cost in formatting
-PER_WORKER = 12_000
+# about this many rows per CSV block: whole outer rows of a mesh, or one outer
+# row's share of a longer inner axis.  One block at a time bounds the writer's
+# memory.  At 2048 rows the allocator handed each block's temporaries back to
+# the system, and the next block page-faulted them in again (330-430 minor
+# faults a block on the benchmark's artifact_write jobs; under one at 1024 rows)
+CSV_BLOCK_ROWS = 1024
 
 # ---------------------------------------------------------------------------
 # schema building blocks
@@ -382,160 +375,161 @@ def _write_json(path: Path, obj: dict):
         f.write("\n")
 
 
+# `_format17` builds each value's text in a slot of five 8-byte words: a sign,
+# "0.000", then each of 17 digits with a "." after it; any %.17g text (24 bytes
+# at most) also fits.  The words are only moved and masked, never read as
+# numbers, so the byte order of the machine does not matter.
+_U = np.uint64
+_POW5 = _U(5) ** np.arange(22, dtype=_U)
+
+
+def _digit_tables():
+    """The word "d.d.d.d." of each group of four digits 0000..9999, then the
+    slot's first word "-0.000d." of each leading digit d at 10000 + d; and the
+    trailing zeros of each group."""
+    digits = (np.arange(10_000, dtype=np.uint16)[:, None]
+              // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10).astype(np.uint8)
+    groups = np.full((10_000, 8), ord("."), dtype=np.uint8)
+    groups[:, ::2] = digits + ord("0")
+    lead = np.tile(np.frombuffer(b"-0.0000.", dtype=np.uint8), (10, 1))
+    lead[:, 6] += np.arange(10, dtype=np.uint8)
+    zeros = np.argmax(digits[:, ::-1] != 0, axis=1) + 4 * (digits == 0).all(axis=1)
+    return np.concatenate([groups, lead]).view(_U).ravel(), zeros.astype(np.uint8)
+
+
+_WORDS, _TZ4 = _digit_tables()
+_COMMA = np.frombuffer(b"\0" * 7 + b",", dtype=_U)[0]  # the slot's last byte is never text
+_CRLF = np.frombuffer(b"\r\n" + b"\0" * 6, dtype=_U)[0]
+
+
+def _keep_masks() -> np.ndarray:
+    """Each slot byte that the text keeps, as 0xFF, the others 0: one row per
+    (sign, E, significant digits k), E in -4..15 then a row for zero, k in 1..17."""
+    pos = np.arange(40)
+    digit, j = (pos >= 6) & (pos % 2 == 0), (pos - 6) // 2  # digit j, then its "."
+    E, k = np.arange(-4, 16)[:, None, None], np.arange(1, 18)[None, :, None]
+    below_one = (pos == 1) | (pos == 2) | ((pos >= 7 + E) & (pos < 6)) | (digit & (j < k))
+    above_one = (digit & (j < np.maximum(k, E + 1))) | ((pos == 7 + 2 * E) & (k > E + 1))
+    keep = np.concatenate([np.where(E < 0, below_one, above_one).reshape(-1, 40),
+                           np.tile(pos == 1, (17, 1))])
+    keep = np.stack([keep, keep | (pos == 0)])
+    return (keep * np.uint8(0xFF)).view(_U).reshape(-1, 5)
+
+
+_KEEP = _keep_masks()
+
+
 def _write_csv(path: Path, header, columns):
     """Write equal-size columns, one per header name, at full double precision.
 
     Each column is read in row-major order.  Columns that all share one 2-D
-    shape, some of them broadcast views, are a mesh: see `_write_mesh_rows`.
-    Any other columns are written as one mesh row.  The outer rows are split
-    into `_csv_workers` contiguous ranges, formatted in parallel by
-    `_write_ranges`; a row's text does not depend on which block holds it,
-    so the bytes are those of one serial pass.
+    shape, some of them broadcast views, are a mesh; any other columns are
+    written as one mesh row.  A mesh is written in blocks of about
+    `CSV_BLOCK_ROWS` rows (whole outer rows, or one outer row's share of a
+    longer inner axis), so memory stays bounded; see `_csv_lines`.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [np.asarray(c, dtype=float) for c in columns]
     n = columns[0].size
     if len(header) != len(columns) or any(c.size != n for c in columns):
         raise ValueError("CSV needs one header name per column and columns of equal length")
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        if n == 0:
-            return
-        if columns[0].ndim != 2 or any(c.shape != columns[0].shape for c in columns):
-            columns = [c.reshape(1, -1) for c in columns]
-        m = columns[0].shape[0]
-        w = min(m, _csv_workers(columns))
-        _write_ranges(f, path.parent, [[c[m * i // w:m * (i + 1) // w] for c in columns]
-                                       for i in range(w)])
-
-
-def _write_ranges(f, tmpdir: Path, ranges):
-    """Write the mesh row ranges to ``f`` in order: the first in this process,
-    each other one in a forked child that formats it into a temporary file in
-    ``tmpdir``, appended once the child has succeeded.
-
-    A range whose fork fails or whose child exits non-zero is formatted here,
-    so the bytes are the same, and a real error such as a full disk raises
-    here.  No child outlives the call: if this process raises while children
-    run, those not yet reaped are killed and reaped.
-    """
-    tmps, pids = [], {}  # pids: range index -> child not yet reaped
-    try:
-        for i, rows in enumerate(ranges[1:], 1):
-            tmps.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=tmpdir))
-            f.flush()  # a child must not inherit unwritten bytes of f
-            try:
-                pid = os.fork()
-            except OSError:
-                continue
-            if pid == 0:
-                _write_child(tmps[-1], rows)
-            pids[i] = pid
-        _write_mesh_rows(f, ranges[0])
-        for i, (tmp, rows) in enumerate(zip(tmps, ranges[1:]), 1):
-            done = i in pids and os.waitstatus_to_exitcode(os.waitpid(pids[i], 0)[1]) == 0
-            pids.pop(i, None)
-            if done:
-                tmp.seek(0)
-                f.flush()
-                shutil.copyfileobj(tmp.buffer, f.buffer)
-            else:
-                _write_mesh_rows(f, rows)
-    finally:
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for tmp in tmps:
-            tmp.close()
-
-
-def _write_child(tmp, columns):
-    """In a forked child: write the mesh rows into ``tmp`` and exit, 0 on success.
-
-    The child leaves through ``os._exit`` only, so it never returns into the
-    parent's code, flushes the buffers it inherited or prints a traceback.
-    """
-    try:
-        _write_mesh_rows(tmp, columns)
-        tmp.flush()
-        os._exit(0)
-    finally:
-        os._exit(1)
-
-
-def _csv_workers(columns) -> int:
-    """How many processes format a mesh's rows: one per available CPU, but no
-    more than one per `PER_WORKER` values of its full columns (see
-    `_column_kinds`).  1, formatting in this process, where ``fork`` is
-    unavailable or another thread is alive, as a fork would copy that
-    thread's locks but not the thread."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
-            or threading.active_count() > 1:
-        return 1
-    full = _column_kinds(columns).count("full") * columns[0].size
-    return max(1, min(len(os.sched_getaffinity(0)), full // PER_WORKER))
-
-
-def _row_major(columns) -> tuple:
-    """The values of equal-shape columns as one flat tuple, row by row."""
-    return tuple(np.stack(columns, axis=-1).ravel().tolist()) if columns else ()
-
-
-def _column_kinds(columns) -> list:
-    """Each 2-D mesh column's kind, from its strides alone: ``outer`` is
-    constant along axis 1, ``inner`` along axis 0 with an inner axis of at
-    most `CSV_BLOCK_ROWS`, and ``full`` is formatted value by value."""
-    inner_fits = columns[0].shape[1] <= CSV_BLOCK_ROWS  # one template holds every inner index
-    return ["outer" if c.strides[1] == 0 else
-            "inner" if c.strides[0] == 0 and inner_fits else "full" for c in columns]
-
-
-def _write_mesh_rows(f, columns):
-    """Write the rows of equal-shape 2-D columns, formatting each broadcast column once.
-
-    A column with stride 0 along axis 1 is constant along each outer row (the
-    outer mesh axis, or a field of the outer coordinate alone): its value is
-    formatted once per outer index and joined into that row's template.  A
-    column with stride 0 along axis 0 is the inner mesh axis: it is formatted
-    once, into the template of one outer row's lines that every outer row
-    reuses.  Only the other columns go through ``%`` value by value.  The
-    stride test reads no values, so NaN or signed-zero axes cannot be taken
-    for constant columns.  Blocks hold about `CSV_BLOCK_ROWS` rows; an inner
-    axis longer than that is formatted with the full columns, so memory stays
-    bounded.
-    """
+    if columns[0].ndim != 2 or any(c.shape != columns[0].shape for c in columns):
+        columns = [c.reshape(1, -1) for c in columns]
     m, k = columns[0].shape
-    kinds = _column_kinds(columns)
-    outer = [c[:, 0] for c, kind in zip(columns, kinds) if kind == "outer"]
-    inner = [c[0] for c, kind in zip(columns, kinds) if kind == "inner"]
-    full = [c for c, kind in zip(columns, kinds) if kind == "full"]
-    marks = [f"\0{r}\0" for r in range(len(outer))]  # no formatted number holds a NUL
-    next_mark = iter(marks).__next__
-    row = ",".join(next_mark() if kind == "outer" else "%.17g" if kind == "inner" else "%%.17g"
-                   for kind in kinds) + "\r\n"
-    if inner:
-        template = (row * k) % _row_major(inner)
-    group = max(1, CSV_BLOCK_ROWS // k)  # outer rows per block
-    for i0 in range(0, m, group):
-        texts = [["%.17g" % v for v in c[i0:i0 + group].tolist()] for c in outer]
-        for j0 in range(0, k, CSV_BLOCK_ROWS):
-            if not inner:
-                template = (row % ()) * (min(k, j0 + CSV_BLOCK_ROWS) - j0)
-            lines = _fill_outer(template, marks, texts) if outer \
-                else template * (min(m, i0 + group) - i0)
-            f.write(lines % _row_major([c[i0:i0 + group, j0:j0 + CSV_BLOCK_ROWS] for c in full]))
+    group = max(1, CSV_BLOCK_ROWS // max(k, 1))  # outer rows per block
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\r\n").encode())
+        for i0 in range(0, m, group):
+            for j0 in range(0, k, CSV_BLOCK_ROWS):
+                f.write(_csv_lines([c[i0:i0 + group, j0:j0 + CSV_BLOCK_ROWS] for c in columns]))
 
 
-def _fill_outer(template: str, marks, texts) -> str:
-    """`template` once per outer row, each mark replaced by that row's formatted value."""
-    parts = template.split(marks[0])
-    lines = []
-    for values in zip(*texts):
-        line = values[0].join(parts)
-        for mark, value in zip(marks[1:], values[1:]):
-            line = line.replace(mark, value)
-        lines.append(line)
-    return "".join(lines)
+def _csv_lines(block) -> bytes:
+    """The CSV lines of equal-shape 2-D columns, from one `_format17` call.
+
+    A column with stride 0 along an axis (a broadcast mesh axis, or a field
+    of one axis alone) is formatted once per distinct value; the stride test
+    reads no values, so NaN or signed-zero axes cannot pass for constant.
+    The slots fill a (rows, columns, slot) matrix with the separators, and
+    its NUL pad bytes are then deleted.
+    """
+    distinct = [c[:1 if c.strides[0] == 0 else None, :1 if c.strides[1] == 0 else None]
+                for c in block]
+    text = _format17(np.concatenate([d.ravel() for d in distinct]))
+    text[:len(text) - distinct[-1].size, -1] |= _COMMA  # after every column but the last
+    lines = np.empty((*block[0].shape, 5 * len(block) + 1), dtype=_U)
+    start = 0
+    for i, d in enumerate(distinct):
+        lines[:, :, 5 * i:5 * i + 5] = text[start:start + d.size].reshape(*d.shape, 5)
+        start += d.size
+    lines[:, :, -1] = _CRLF
+    return lines.tobytes().translate(None, b"\0")
+
+
+def _format17(values) -> np.ndarray:
+    """The ``%.17g`` text of each double, NUL-padded in five 8-byte words.
+
+    A finite |x| in [1e-4, 1e16), where ``%.17g`` uses fixed notation, and
+    +-0 are formatted by integer arithmetic.  Write |x| = M 2^e with M in
+    [2^62, 2^63) (the significand shifted left by 10 bits) and let
+    E = floor(log10 |x|).  The 17 significant digits are then
+    M 5^p / 2^s with p = 16 - E <= 21 and 7 <= s <= 57, rounded half to
+    even; one product of M and 5^p in 32-bit limbs holds it exactly in two
+    words.  E comes from ``log10`` and is corrected by one where the scaled
+    value falls outside [10^16, 10^17).  No double in the range rounds up
+    to a power of ten: the largest double below 10^k is at least
+    8.7e-17 10^k from it, more than half a unit of the 17th digit.  The
+    mask `_KEEP` of (sign, E, significant digits) keeps the bytes of the
+    text in the slot.  Every other value (NaN, +-inf, tiny or huge) is
+    formatted with ``%``.
+    """
+    v = np.ravel(values)
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    w = np.where(fast, a, 1.0)
+    bits = w.view(_U)
+    M = ((bits & _U(2**52 - 1)) | _U(2**52)) << _U(10)
+    e = (bits >> _U(52)).astype(np.int64) - 1085
+    E = np.floor(np.log10(w)).astype(np.int64)
+    scaled, up = _scaled17(M, e, E)
+    off = np.flatnonzero((scaled < _U(10**16)) | (scaled >= _U(10**17)))
+    if off.size:
+        E[off] += np.where(scaled[off] < _U(10**16), -1, 1)
+        scaled[off], up[off] = _scaled17(M[off], e[off], E[off])
+    digits = (scaled + up).astype(np.int64)
+    high = digits // 10**8
+    low = digits - high * 10**8
+    words = np.empty((v.size, 5), dtype=np.int64)  # into _WORDS: leading digit, then 4 groups
+    np.floor_divide(high, 10**8, out=words[:, 0])
+    high -= words[:, 0] * 10**8
+    words[:, 0] += 10_000
+    np.floor_divide(high, 10**4, out=words[:, 1])
+    np.subtract(high, words[:, 1] * 10**4, out=words[:, 2])
+    np.floor_divide(low, 10**4, out=words[:, 3])
+    np.subtract(low, words[:, 3] * 10**4, out=words[:, 4])
+    z = _TZ4[words[:, 1:].T]  # the trailing zeros of the 17 digits; the first is never 0
+    zeros = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0]))
+    out = np.take(_WORDS, words)
+    out &= np.take(_KEEP, (np.where(a == 0, 20, E + 4) + 21 * np.signbit(v)) * 17 + 16 - zeros,
+                   axis=0)
+    other = np.flatnonzero(~fast & (a != 0))
+    if other.size:
+        text = b"".join(("%.17g" % x).encode().ljust(40, b"\0") for x in v[other].tolist())
+        out[other] = np.frombuffer(text, dtype=_U).reshape(-1, 5)
+    return out
+
+
+def _scaled17(M, e, E):
+    """floor(M 2^e 10^(16 - E)) and whether it rounds up, half to even."""
+    f, s = _POW5[16 - E], (E - 16 - e).astype(_U)  # the scaled value is M f / 2^s
+    m0, m1, f0, f1 = M & _U(0xFFFFFFFF), M >> _U(32), f & _U(0xFFFFFFFF), f >> _U(32)
+    low0 = m0 * f0
+    mid = m1 * f0 + m0 * f1
+    low = low0 + (mid << _U(32))
+    high = m1 * f1 + (mid >> _U(32)) + (low < low0)  # carry out of the low word
+    scaled = (low >> s) | (high << (_U(64) - s))
+    rest, half = low & ((_U(1) << s) - _U(1)), _U(1) << (s - _U(1))
+    return scaled, (rest > half) | ((rest == half) & (scaled & _U(1) == _U(1)))
 
 
 def _manifest(outdir: Path, command: str, config: dict, status: str, **extra):

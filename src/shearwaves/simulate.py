@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constitutive import ShearModulus
-from .errors import BlowupDetected, HyperbolicityLoss, NoConvergence
+from .errors import BlowupDetected, HyperbolicityLoss, NoConvergence, NonPositiveModulus
 from .exact import FullState, StrainState
 from .profiles import ProfileFunction
 
@@ -225,7 +225,7 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
         remaining = end - t
         try:
             w, dt, amax = stepper(w, law, h, grid.boundary, config.cfl, remaining)
-        except HyperbolicityLoss as exc:  # the state at t is not hyperbolic
+        except (HyperbolicityLoss, NonPositiveModulus) as exc:  # the state at t fails its step
             exc.coordinate = t
             raise
         if not np.isfinite(w).all():
@@ -290,7 +290,8 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
 
     U_t = M_x, V_t = N_x, M_t = [Qt(s) U]_x, N_t = [Qt(s) V]_x with
     Qt = Q/rho and s = U^2 + V^2.  Squared wave speeds are Qt and
-    Qt + 2 s Qt'(s); both must stay positive (else HyperbolicityLoss).
+    Qt + 2 s Qt'(s); both must stay positive (else NonPositiveModulus for
+    Q itself, HyperbolicityLoss for the fast speed).
     When no analytic Q' is available the speed bound carries a 1.2 safety
     factor.  The gradient monitor raises BlowupDetected.
     """

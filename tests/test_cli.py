@@ -9,8 +9,8 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shearwaves import cli
-from shearwaves.cli import CSV_BLOCK_ROWS, PER_WORKER, _mesh, _write_csv, main
+from shearwaves.cli import CSV_BLOCK_ROWS, _mesh, _write_csv, main
 
 TWO_PI = 2.0 * math.pi
 
@@ -256,34 +256,103 @@ def test_write_csv_rejects_mismatched_views(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the CSV writer's forked row ranges against its serial path
+# the CSV writer's exact %.17g digits against format(v, ".17g"), and its one process
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Each os.fork call; after the test, no child of this process is left."""
-    calls = []
+def exact_ties(rng, n):
+    """Doubles m 2^-k whose exact decimal has 18 significant digits, the last a 5:
+    the 17th digit is an exact tie, so round half to even decides it."""
+    values = []
+    for k in rng.integers(2, 26, n).tolist():
+        lo, hi = -(-10**17 // 5**k), min((10**18 - 1) // 5**k, 2**53 - 1)
+        m = int(rng.integers(lo, hi)) | 1  # odd, so the last digit of m 5^k is a 5
+        assert len(str(m * 5**k)) == 18 and (m * 5**k) % 10 == 5
+        values.append(m / 2**k)
+    return np.array(values)
+
+
+def formatter_edges():
+    """10^k and its neighbours, the fixed-notation range edges and their
+    neighbours, exact ties, signed zeros, the smallest subnormal, non-finite
+    values, and doubles below 10^k whose 17 digits round up to it."""
+    powers = 10.0 ** np.arange(-5, 18)
+    edges = np.array([1e-4, 1e16])
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
+        exact_ties(np.random.default_rng(17), 200),
+        [0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 1e-14, 1e98]])
+    for x, power in ((1e-14, Fraction(1, 10**14)), (1e98, Fraction(10**98))):
+        assert Fraction(x) < power and Fraction(format(x, ".17g")) == power
+    return np.concatenate([values, -values])
+
+
+def bit_patterns(rng, n):
+    """Doubles from uniform 64-bit patterns: every exponent, NaN payloads, subnormals."""
+    return rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(float)
+
+
+def assert_one_column_and_mesh_match(tmp, values):
+    """`values` written as one column, and as the field of a mesh whose broadcast
+    axes hold them too, give the reference bytes."""
+    values = np.asarray(values, dtype=float)
+    assert written_csv(tmp, ["v"], [values]) == expected_csv(["v"], [values])
+    k = 7
+    m = -(-values.size // k)
+    axis = np.resize(values, m * k)
+    T, X = _mesh(axis[:m], axis[-k:])
+    phi = np.broadcast_to(axis[::-1][:m, None], (m, k))
+    columns, header = [T, X, phi, axis.reshape(m, k)], ["t", "x", "phi", "u"]
+    assert written_csv(tmp, header, columns) == expected_csv(header, columns)
+
+
+def test_write_csv_formats_edge_values_as_format(tmp_path):
+    assert_one_column_and_mesh_match(tmp_path, formatter_edges())
+
+
+def test_write_csv_formats_many_doubles_as_format(tmp_path):
+    rng = np.random.default_rng(20)
+    n = CSV_BLOCK_ROWS + 17
+    log_uniform = np.exp(rng.uniform(math.log(1e-8), math.log(1e20), n)) * rng.choice([-1, 1], n)
+    for values in (rng.standard_normal(n), log_uniform, bit_patterns(rng, n),
+                   exact_ties(rng, n)):
+        assert_one_column_and_mesh_match(tmp_path, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_write_csv_formats_hypothesis_floats_as_format(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_one_column_and_mesh_match(Path(tmp), values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_write_csv_formats_raw_bit_patterns_as_format(bits):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_one_column_and_mesh_match(Path(tmp), np.array(bits, dtype=np.uint64).view(float))
+
+
+def test_large_write_stays_in_one_process(tmp_path, monkeypatch):
+    forks = []
     fork = os.fork
 
     def spy():
-        calls.append(os.getpid())
+        forks.append(1)
         return fork()
 
     monkeypatch.setattr(os, "fork", spy)
-    yield calls
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def force_workers(monkeypatch, w):
-    monkeypatch.setattr(cli, "_csv_workers", lambda columns: w)
-
-
-def lone_csv(tmp_path, header, columns):
-    """written_csv's bytes, once the output directory is seen to hold the CSV alone."""
-    data = written_csv(tmp_path, header, columns)
+    rng = np.random.default_rng(50)
+    T, X = _mesh(np.linspace(0.0, 1.0, 100), np.linspace(-1.0, 1.0, 300))
+    u, v = rng.standard_normal((2, 100, 300))  # 60,000 full values
+    header, columns = ["t", "x", "u", "v"], [T, X, u, v]
+    assert written_csv(tmp_path, header, columns) == expected_csv(header, columns)
+    assert forks == []
     assert os.listdir(tmp_path / "out") == ["t.csv"]
-    return data
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer's blocks: each column kind, and bytes that do not depend on the block size
 
 
 def mesh_columns(m, k):
@@ -299,110 +368,38 @@ def mesh_columns(m, k):
     return ["t", "x", "phi", "u", "psi", "v"], [T, X, phi, u, psi, v]
 
 
-@pytest.mark.parametrize("w", [2, 3])
 @pytest.mark.parametrize("m, k", [
     (7, 5), (2, 9), (1, 4), (CSV_BLOCK_ROWS - 1, 1), (CSV_BLOCK_ROWS + 1, 1),
     (5, CSV_BLOCK_ROWS + 3),
-], ids=["rows_not_divisible", "fewer_rows_than_workers", "one_row", "block_minus_one",
-        "block_plus_one", "inner_above_block"])
-def test_forked_csv_matches_serial_and_reference(tmp_path, monkeypatch, forks, w, m, k):
+], ids=["rows_not_divisible", "two_rows", "one_row", "block_minus_one", "block_plus_one",
+        "inner_above_block"])
+def test_write_csv_column_kinds_match_reference(tmp_path, m, k):
     header, columns = mesh_columns(m, k)
-    force_workers(monkeypatch, 1)
-    serial = lone_csv(tmp_path, header, columns)
-    assert forks == []
-    force_workers(monkeypatch, w)
-    assert lone_csv(tmp_path, header, columns) == serial == expected_csv(header, columns)
-    assert len(forks) == min(m, w) - 1
-    # each column kind alone: outer only, inner only, full only
+    assert written_csv(tmp_path, header, columns) == expected_csv(header, columns)
+    # each column kind alone, so the last column of a line is broadcast or full:
+    # outer only, inner only, full only
     for picked in ([0, 2], [1, 4], [3, 5]):
         names, cols = [header[i] for i in picked], [columns[i] for i in picked]
-        assert lone_csv(tmp_path, names, cols) == expected_csv(names, cols)
+        assert written_csv(tmp_path, names, cols) == expected_csv(names, cols)
 
 
-def test_failed_child_range_is_formatted_in_process(tmp_path, monkeypatch, forks):
-    header, columns = mesh_columns(CSV_BLOCK_ROWS + 1, 3)
-    parent, write_rows = os.getpid(), cli._write_mesh_rows
-
-    def fail_in_child(f, cols):
-        if os.getpid() != parent:
-            raise OSError("no space left on device")
-        write_rows(f, cols)
-
-    monkeypatch.setattr(cli, "_write_mesh_rows", fail_in_child)
-    force_workers(monkeypatch, 3)
-    assert lone_csv(tmp_path, header, columns) == expected_csv(header, columns)
-    assert len(forks) == 2
-
-
-def test_failed_fork_range_is_formatted_in_process(tmp_path, monkeypatch):
-    header, columns = mesh_columns(CSV_BLOCK_ROWS + 1, 3)
-
-    def no_fork():
-        raise BlockingIOError("fork: resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    force_workers(monkeypatch, 3)
-    assert lone_csv(tmp_path, header, columns) == expected_csv(header, columns)
-
-
-def test_error_in_parent_kills_and_reaps_running_children(tmp_path, monkeypatch, forks):
-    header, columns = mesh_columns(9, 3)
-    parent, write_rows = os.getpid(), cli._write_mesh_rows
-
-    def stall_child_fail_parent(f, cols):
-        if os.getpid() != parent:
-            threading.Event().wait(60)  # a child still running when the parent fails
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(cli, "_write_mesh_rows", stall_child_fail_parent)
-    force_workers(monkeypatch, 3)
-    with pytest.raises(KeyboardInterrupt):
-        _write_csv(tmp_path / "out" / "t.csv", header, columns)
-    assert len(forks) == 2
-    assert os.listdir(tmp_path / "out") == ["t.csv"]
-
-
-def test_csv_workers_counts_cpus_and_full_values(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    T, X = _mesh(np.zeros(100), np.zeros(2 * PER_WORKER // 100))
-    u = np.zeros(T.shape)
-    assert cli._csv_workers([T, X]) == 1  # axes cost one format per distinct value
-    assert cli._csv_workers([T, X, u]) == 2
-    assert cli._csv_workers([T, X, u, u]) == 3  # one process per CPU at most
-    T, X = _mesh(np.zeros(100), np.zeros(2 * PER_WORKER // 100 - 1))
-    assert cli._csv_workers([T, X, np.zeros(T.shape)]) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert cli._csv_workers([T, X, u, u]) == 1
-    monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert cli._csv_workers([T, X, u, u]) == 1
-
-
-def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    header, columns = mesh_columns(64, PER_WORKER // 16)  # two full columns of 4 PER_WORKER
-    data = lone_csv(tmp_path, header, columns)
-    assert len(forks) == 2  # one per CPU
-    forks.clear()
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert lone_csv(tmp_path, header, columns) == data
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert forks == []
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 13])
+def test_write_csv_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, block):
+    header, columns = mesh_columns(11, 6)
+    wide_header, wide = mesh_columns(2, 17)  # inner axis longer than the block
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    assert written_csv(tmp_path, header, columns) == expected_csv(header, columns)
+    assert written_csv(tmp_path, wide_header, wide) == expected_csv(wide_header, wide)
+    assert written_csv(tmp_path, ["u"], [columns[3]]) == expected_csv(["u"], [columns[3]])
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
-def test_shipped_config_artifacts_match_with_two_workers(tmp_path, monkeypatch, path):
+def test_shipped_config_artifacts_match_with_small_blocks(tmp_path, monkeypatch, path):
     command = json.loads(path.read_text())["command"]
     outs = []
-    for w in (1, 2):
-        force_workers(monkeypatch, w)
-        outs.append(tmp_path / f"w{w}")
+    for block in (CSV_BLOCK_ROWS, 7):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        outs.append(tmp_path / f"block{block}")
         assert main([command, "--config", str(path), "--out", str(outs[-1]), "--quiet"]) == 0
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
@@ -1079,6 +1076,28 @@ def test_hyperbolicity_loss_names_its_coordinate(tmp_path):
     error = read_manifest(out)["error"]
     assert error["type"] == "HyperbolicityLoss"
     assert error["coordinate"] == 0.0
+
+
+@pytest.mark.parametrize("modulus, init", [
+    # the zero plateau has Q(0) = mu0 = 0, so the first step fails, from 0
+    ({"kind": "cubic", "mu0": 0.0, "mu1": -1.0}, {"kind": "zero"}),
+    # Q = 2 s - 1 > 0 on the wave, but Lax-Friedrichs damps an unresolved
+    # wave until s < 1/2, some steps in
+    ({"kind": "cubic", "mu0": -1.0, "mu1": 2.0},
+     {"kind": "carroll", "amplitude": math.sqrt(0.55), "wavenumber": 3.0}),
+], ids=["zero_plateau", "damped_wave"])
+def test_non_positive_modulus_names_its_coordinate(tmp_path, modulus, init):
+    cfg = {"command": "simulate", "system": "full", "modulus": modulus,
+           "grid": {"n": 16, "a": 0.0, "b": TWO_PI},
+           "run": {"end": 5.0, "scheme": "lax_friedrichs"}, "init": init}
+    code, out = run_cli(tmp_path, cfg, "npm")
+    assert code == 3
+    error = read_manifest(out)["error"]
+    assert error["type"] == "NonPositiveModulus"
+    if init["kind"] == "zero":
+        assert error["coordinate"] == 0.0
+    else:
+        assert 0.0 < error["coordinate"] < 1.0
 
 
 def test_non_finite_initial_state_exits_three_with_strict_json_manifest(tmp_path):

@@ -376,7 +376,7 @@ def test_kernel_raises_as_earlier_kernel(name, scheme):
     with np.errstate(all="ignore"):
         new, ref = both_kernels(system, w0, grid, config, **law_args)
     assert isinstance(new, tuple) and new[0] is error, new
-    if name == "hyperbolicity_loss":
+    if name in ("non_positive_modulus", "hyperbolicity_loss"):
         # the earlier kernel named no coordinate; the plateau fails the first step, from 0
         assert new[:2] == ref[:2] and ref[2] is None and new[2] == 0.0
     elif name == "max_steps":
