@@ -52,7 +52,8 @@ from .exact import (
 )
 from .analysis import classify
 from .profiles import profile_from_config
-from .simulate import Grid1D, SimulationConfig, evolve_asymptotic, evolve_full, evolve_scalar
+from .simulate import (STEPPERS, Grid1D, SimulationConfig, evolve_asymptotic, evolve_full,
+                       evolve_scalar)
 from .verify import (
     AngleSquaredControl,
     ConservationSpec,
@@ -129,7 +130,7 @@ BOUNDARY = {"enum": ["periodic", "outflow"]}
 GRID = _object({"n": {"type": "integer", "minimum": 8}, "a": NUM, "b": NUM, "boundary": BOUNDARY},
                ["n", "a", "b"])
 RUN = _object({"end": {"type": "number", "minimum": 0},
-               "scheme": {"enum": ["lax_friedrichs", "muscl_minmod"]},
+               "scheme": {"enum": list(STEPPERS)},
                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.9},
                "snapshot_stride": {"type": "integer", "minimum": 0},
                "blowup_factor": {"type": "number", "exclusiveMinimum": 1}}, ["end"])

@@ -154,7 +154,7 @@ def solve_level_set(f: TempleFlux, a: float, u, v_bracket):
     ghi = np.asarray(f.p(u, hi), dtype=float) - a
     at_lo = np.abs(glo) <= tol
     at_hi = ~at_lo & (np.abs(ghi) <= tol)
-    no_bracket = ~(at_lo | at_hi) & (glo * ghi > 0.0)
+    no_bracket = ~(at_lo | at_hi) & ~(glo * ghi <= 0.0)
     v = 0.5 * (lo + hi)
     v[at_lo], v[at_hi] = lo0, hi0
     code = no_bracket.astype(int)

@@ -1,14 +1,14 @@
 """Conservative finite-volume evolution for the three 1D systems.
 
-Two schemes share one kernel: first-order local Lax-Friedrichs (Rusanov
-interface flux) and second-order MUSCL-Hancock with minmod-limited slopes.
-All systems are advanced in conservation form w_t + f(w)_x = 0 with local
-wave-speed bounds feeding the CFL step; a gradient monitor watches for loss
-of smoothness.  Each evolve_* function hands the kernel its system as one
-ConservationLaw, whose flux and wave speed come from one coefficient
-evaluation: a Lax-Friedrichs step evaluates the coefficients once, on the
-cells; a MUSCL step twice, on the cells with the stacked predictor faces,
-then on the stacked interface states.
+Two schemes share one kernel, and ``STEPPERS``, the one table of schemes,
+names them: first-order local Lax-Friedrichs (Rusanov interface flux) and
+second-order MUSCL-Hancock with minmod-limited slopes.  All systems are
+advanced in conservation form w_t + f(w)_x = 0 with local wave-speed bounds
+feeding the CFL step; a gradient monitor watches for loss of smoothness.
+Each evolve_* function hands the kernel its system as one ConservationLaw.
+Two law builders serve the three systems: the full law, and the polar law
+w_X = beta (s w)_tau, s the sum of the rows' squares, whose rows (U, V) are
+the asymptotic system and whose one row rho is the scalar cubic law.
 """
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ class SimulationConfig:
     def __post_init__(self):
         if not self.end >= 0.0:
             raise ValueError("end coordinate must be nonnegative")
-        if self.scheme not in ("lax_friedrichs", "muscl_minmod"):
+        if self.scheme not in STEPPERS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.cfl <= 0.9:
             raise ValueError("cfl must lie in (0, 0.9]")
@@ -190,6 +190,9 @@ def _step_muscl(w, law, h, boundary, cfl, remaining):
     return w - (dt / h) * (F[:, 1:] - F[:, :-1]), dt, amax
 
 
+STEPPERS = {"lax_friedrichs": _step_lf, "muscl_minmod": _step_muscl}
+
+
 def _max_gradient(w: np.ndarray, h: float) -> float:
     if w.shape[1] < 2:
         return 0.0
@@ -203,14 +206,14 @@ def _total_variation(w: np.ndarray, boundary: str) -> np.ndarray:
     return tv
 
 
-def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
+def _evolve(w0, grid: Grid1D, config: SimulationConfig,
             law: ConservationLaw) -> Trajectory:
     w = np.array(w0, dtype=float)
     if not np.isfinite(w).all():
         raise BlowupDetected("non-finite initial state", coordinate=0.0)
     h = grid.h
     end = config.end
-    stepper = _step_lf if config.scheme == "lax_friedrichs" else _step_muscl
+    stepper = STEPPERS[config.scheme]
     g0 = max(_max_gradient(w, h), 1e-8)
     step_floor = STEP_FLOOR_FACTOR * (grid.b - grid.a)
 
@@ -275,13 +278,24 @@ def _evolve(w0: np.ndarray, grid: Grid1D, config: SimulationConfig,
 
 
 # ---------------------------------------------------------------------------
-# the three systems
+# the three systems: the full law and the polar law
 
 
-def _strain_sq(w):
-    """s = U^2 + V^2 of the first two rows, shape (1, n)."""
+def _sum_sq(w):
+    """s = U^2 + V^2 of the first two rows, or rho^2 of a single row, shape (1, n)."""
     U, V = w[:1], w[1:2]
-    return U * U + V * V
+    return U * U + V * V if len(w) > 1 else U * U
+
+
+def _polar_law(beta, field_names, raise_on_blowup) -> ConservationLaw:
+    """w_X = beta (s w)_tau on rows (U, V) or one row rho: flux -beta s w, speed bound 3|beta| s."""
+    beta = float(beta)
+
+    def flux_speed(w, ncells=None):
+        s = _sum_sq(w)
+        return -beta * (s[:, ncells:] * w[:, ncells:]), 3.0 * abs(beta) * s[:, :ncells]
+
+    return ConservationLaw(flux_speed, field_names, raise_on_blowup)
 
 
 def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
@@ -298,7 +312,7 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
     safety = 1.2 if m.q.df is None else 1.0
 
     def flux_speed(w, ncells=None):
-        s = _strain_sq(w)
+        s = _sum_sq(w)
         qt = m.qtilde(s)
         sc, qc = s[:, :ncells], qt[:, :ncells]
         fast = qc + 2.0 * sc * m.dqtilde(sc)
@@ -310,9 +324,8 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
         wf, qf = w[:, ncells:], qt[:, ncells:]
         return -np.concatenate([wf[2:], qf * wf[:2]]), (c if safety == 1.0 else safety * c)
 
-    w0 = np.stack([np.asarray(c, dtype=float) for c in (init.U, init.V, init.M, init.N)])
     law = ConservationLaw(flux_speed, ("U", "V", "M", "N"), raise_on_blowup=True)
-    return _evolve(w0, grid, config, law)
+    return _evolve((init.U, init.V, init.M, init.N), grid, config, law)
 
 
 def evolve_asymptotic(beta: float, grid: Grid1D, init: StrainState,
@@ -323,15 +336,7 @@ def evolve_asymptotic(beta: float, grid: Grid1D, init: StrainState,
     data (V = 0) reduces to the scalar cubic law.  The gradient monitor
     raises BlowupDetected when smoothness is lost.
     """
-    beta = float(beta)
-
-    def flux_speed(w, ncells=None):
-        s = _strain_sq(w)
-        return -beta * (s[:, ncells:] * w[:, ncells:]), 3.0 * abs(beta) * s[:, :ncells]
-
-    w0 = np.stack([np.asarray(c, dtype=float) for c in (init.U, init.V)])
-    law = ConservationLaw(flux_speed, ("U", "V"), raise_on_blowup=True)
-    return _evolve(w0, grid, config, law)
+    return _evolve((init.U, init.V), grid, config, _polar_law(beta, ("U", "V"), True))
 
 
 def evolve_scalar(beta: float, grid: Grid1D, rho0,
@@ -342,15 +347,7 @@ def evolve_scalar(beta: float, grid: Grid1D, rho0,
     records the crossing coordinate in the diagnostics; a step below the
     floor still raises BlowupDetected.
     """
-    beta = float(beta)
-
-    def flux_speed(w, ncells=None):
-        wf, wc = w[:, ncells:], w[:, :ncells]
-        return -beta * wf**3, 3.0 * abs(beta) * wc * wc
-
-    w0 = np.asarray(rho0, dtype=float)[None, :]
-    law = ConservationLaw(flux_speed, ("rho",), raise_on_blowup=False)
-    return _evolve(w0, grid, config, law)
+    return _evolve((rho0,), grid, config, _polar_law(beta, ("rho",), False))
 
 
 def breaking_estimate(beta: float, rho0: ProfileFunction, tau_grid) -> float:

@@ -274,10 +274,14 @@ def test_level_set_round_trip(a, u):
     assert abs(f.p(u, v) - target) <= 1e-12 * max(1.0, abs(target))
 
 
-def test_level_set_requires_sign_change():
-    f = sum_squares_flux()
-    with pytest.raises(NoConvergence, match="no sign change"):
-        solve_level_set(f, 100.0, 0.5, (0.0, 1.0))
+@pytest.mark.parametrize("flux, level, u", [
+    pytest.param(sum_squares_flux, 100.0, 0.5, id="same-sign"),
+    # P(0, 0) = 0/0: a NaN at a bracket end is no sign change either
+    pytest.param(ratio_flux, 1.0, 0.0, id="nan-end"),
+])
+def test_level_set_requires_sign_change(flux, level, u):
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="no sign change"):
+        solve_level_set(flux(), level, u, (0.0, 1.0))
 
 
 def test_level_set_array_matches_scalar_solves():

@@ -10,7 +10,9 @@ schemes is meant to move the trajectories.
 A transcription of that earlier kernel (separate flux and flux_speed
 closures, three coefficient evaluations per MUSCL step, dt set outside the
 steppers) is kept below as a second reference: on any host the kernel must
-reproduce it bit for bit, errors included.
+reproduce it bit for bit, errors included.  Its scalar law writes the cube
+as (w * w) * w, as the kernel now does; the earlier w**3 is kept too, and
+the kernel stays within rounding of it.
 """
 import json
 import math
@@ -34,6 +36,7 @@ from shearwaves.exact import CarrollWave, FullState, StrainState, carroll_full_s
 from shearwaves.profiles import ProfileFunction, derivative
 from shearwaves.simulate import (
     STEP_FLOOR_FACTOR,
+    STEPPERS,
     Grid1D,
     SimulationConfig,
     cfl_step,
@@ -267,6 +270,17 @@ def ref_asymptotic_law(beta):
 
 def ref_scalar_law(beta):
     def flux(w):
+        return -beta * ((w * w) * w)
+
+    def flux_speed(w):
+        return flux(w), 3.0 * abs(beta) * (w * w)
+
+    return {"flux": flux, "flux_speed": flux_speed, "raise_on_blowup": False}
+
+
+def ref_scalar_law_pow(beta):
+    """The scalar law as the earlier kernel wrote it, with w**3."""
+    def flux(w):
         return -beta * w**3
 
     def flux_speed(w):
@@ -334,6 +348,23 @@ def test_kernel_reproduces_earlier_kernel_bit_for_bit(case):
     for name in ("coords", "states", "step_coords", "step_max_speed", "step_max_gradient"):
         assert np.array_equal(getattr(new, name), ref[name]), name
     assert new.blowup_coordinate == ref["blowup_coordinate"]
+
+
+@pytest.mark.parametrize("case", [c for c in IDENTITY_CASES if c[0] == "scalar"],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_scalar_kernel_stays_within_rounding_of_pow_flux(case):
+    # the scalar flux moved from w**3 to (w * w) * w; on the scalar identity
+    # cases the states of the two differ by at most 5.6e-16
+    _, scheme, boundary, n = case
+    rng = np.random.default_rng(n)
+    grid = Grid1D(n=n, a=0.0, b=TWO_PI, boundary=boundary)
+    config = SimulationConfig(end=10.0 * grid.h, scheme=scheme, snapshot_stride=7,
+                              blowup_factor=1e6)
+    w0 = rng.uniform(0.3, 0.8, size=(1, n))
+    new = evolve_scalar(-1.0, grid, w0[0], config)
+    old = ref_evolve(w0, grid, config, ref_scalar_law_pow(-1.0))
+    assert new.states.shape == old["states"].shape
+    assert np.max(np.abs(new.states - old["states"])) <= 2e-15
 
 
 def plateau(x, base, top):
@@ -410,7 +441,7 @@ def test_predictor_face_modulus_is_checked_before_cell_hyperbolicity():
 # schemes are in conservation form, so these maps of the data commute with them
 
 SYM_N = 96
-SCHEMES = ("lax_friedrichs", "muscl_minmod")
+SCHEMES = tuple(STEPPERS)
 BOUNDARIES = ("periodic", "outflow")
 
 
@@ -506,9 +537,7 @@ def test_muscl_departs_from_rotation_known_defect(boundary):
 
 @settings(max_examples=6, deadline=None)
 @given(coeffs=coefficients(1))
-def test_scalar_kernel_is_odd_to_rounding(coeffs):
-    # not bit for bit: the flux's w**3 is libm pow, which is not exactly odd
-    # (ROADMAP 7a asks for w*w*w and the bit-for-bit form)
+def test_scalar_kernel_is_odd_bit_for_bit(coeffs):
     for scheme in SCHEMES:
         for boundary in BOUNDARIES:
             grid = Grid1D(n=SYM_N, a=0.0, b=TWO_PI, boundary=boundary)
@@ -516,7 +545,7 @@ def test_scalar_kernel_is_odd_to_rounding(coeffs):
             config = SimulationConfig(end=0.3, scheme=scheme)
             states = evolve_scalar(-1.0, grid, rho0, config).states
             flipped = evolve_scalar(-1.0, grid, -rho0, config).states
-            assert np.max(np.abs(flipped + states)) <= 1e-14
+            assert np.array_equal(flipped, -states)
 
 
 if __name__ == "__main__":

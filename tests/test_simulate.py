@@ -15,6 +15,7 @@ from shearwaves.exact import (
 )
 from shearwaves.profiles import ProfileFunction, poly_profile, sine_profile
 from shearwaves.simulate import (
+    STEPPERS,
     Grid1D,
     SimulationConfig,
     breaking_estimate,
@@ -85,7 +86,7 @@ def test_cfl_step_arithmetic():
 # exact conservation and trivial evolutions
 
 
-@pytest.mark.parametrize("scheme", ["lax_friedrichs", "muscl_minmod"])
+@pytest.mark.parametrize("scheme", list(STEPPERS))
 def test_periodic_mass_conservation_full(scheme):
     m = cubic_modulus(1.0, 0.5)
     w = CarrollWave.from_modulus(m, 1.0, 1.0)
@@ -97,7 +98,7 @@ def test_periodic_mass_conservation_full(scheme):
     assert drift <= 1e-12
 
 
-@pytest.mark.parametrize("scheme", ["lax_friedrichs", "muscl_minmod"])
+@pytest.mark.parametrize("scheme", list(STEPPERS))
 def test_periodic_mass_conservation_scalar(scheme):
     grid = Grid1D(n=128, a=0.0, b=TWO_PI)
     rho0 = 1.0 + 0.2 * np.sin(grid.centers)
