@@ -85,7 +85,6 @@ from .simulate import (
 from .verify import (
     AngleSquaredControl,
     ConservationSpec,
-    ConvergenceReport,
     FieldSample,
     PerturbedRadialControl,
     ResidualReport,
@@ -94,6 +93,7 @@ from .verify import (
     conservation_residual,
     convergence_study,
     linearized_symmetry_residual,
+    oracle_error,
     residual_asymptotic,
     residual_full,
 )

@@ -57,6 +57,7 @@ from .simulate import (STEPPERS, Grid1D, SimulationConfig, evolve_asymptotic, ev
 from .verify import (
     AngleSquaredControl,
     ConservationSpec,
+    DEFAULT_ORDER_TARGET,
     FieldSample,
     PerturbedRadialControl,
     SymmetrySpec,
@@ -64,6 +65,7 @@ from .verify import (
     conservation_residual,
     convergence_study,
     linearized_symmetry_residual,
+    oracle_error,
     residual_asymptotic,
     residual_full,
 )
@@ -690,8 +692,7 @@ def cmd_simulate(config: dict, outdir: Path) -> dict:
     }
     extra = {"grid": {**config["grid"], "h": grid.h}, "diagnostics": diagnostics}
     if config.get("oracle_check"):
-        ref = oracle(grid.centers, float(traj.coords[-1]))
-        extra["oracle_error_linf"] = float(np.max(np.abs(traj.final - ref)))
+        extra["oracle_error_linf"] = float(np.max(np.abs(oracle_error(traj, oracle))))
     return extra
 
 
@@ -817,7 +818,7 @@ def _commutator_study(config: dict, control: bool) -> dict:
 def _verify_study(config: dict) -> dict:
     """Run the configured study and return its report; ``passed`` holds the verdict."""
     study = config["study"]
-    target = config.get("order_target", 1.8)
+    target = config.get("order_target", DEFAULT_ORDER_TARGET)
     control = bool(config.get("negative_control", False))
     if study == "commutator":
         return _commutator_study(config, control)
@@ -896,18 +897,10 @@ def cmd_convergence(config: dict, outdir: Path) -> dict:
                                oracle, config["levels"],
                                order_target=config.get("order_target"),
                                order_tol=config.get("order_tol"))
-    doc = {
-        "system": config["system"],
-        "cells": report.cells,
-        "spacings": report.spacings,
-        "linf": report.linf,
-        "l2": report.l2,
-        "order": report.order,
-        "order_l2": report.order_l2,
-        "order_target": report.target,
-        "order_tol": report.tol,
-        "passed": report.passed,
-    }
+    doc = {"system": config["system"], "cells": config["levels"], "spacings": report.spacings,
+           "linf": report.linf, "l2": report.l2, "order": report.order, "order_l2": report.order_l2,
+           "order_target": report.target, "order_tol": config.get("order_tol"),
+           "passed": report.passed}
     _write_json(outdir / "report.json", doc)
     return {"passed": report.passed}
 
@@ -948,9 +941,9 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
     them), a parameter's OverflowError, a size whose arrays do not fit in
     memory (MemoryError) or an ``outdir`` that is, or lies under, a dangling
     symlink or an existing path other than a directory; the message goes to
-    stderr and no manifest is written.  3:
-    any other ShearWaveError; ``manifest.json`` gets ``status: "error"`` and
-    ``error.{type, message, coordinate}``.
+    stderr and no manifest is written.  3: any other ShearWaveError, such as
+    the OracleFailure of a ``simulate`` oracle check or a ``convergence`` study;
+    ``manifest.json`` gets ``status: "error"`` and ``error.{type, message, coordinate}``.
     Exits 0, 1 and 3 all leave a manifest.
     """
     try:

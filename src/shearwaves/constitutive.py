@@ -18,8 +18,8 @@ from .profiles import (
     FD2_REL_STEP,
     FD_REL_STEP,
     ProfileFunction,
-    _fd_step,
     const_profile,
+    derivative,
     poly_profile,
 )
 
@@ -120,14 +120,9 @@ class TempleFlux:
         if getattr(self, "p" + lower) is None:
             rel_step = FD2_REL_STEP
 
-        def g(uu, vv):
-            return self._partial(lower, uu, vv, rel_step)
-
         if axis == "u":
-            h = _fd_step(u, rel_step)
-            return (g(u + h, v) - g(u - h, v)) / (2.0 * h)
-        h = _fd_step(v, rel_step)
-        return (g(u, v + h) - g(u, v - h)) / (2.0 * h)
+            return derivative(lambda x: self._partial(lower, x, v, rel_step), None, u, rel_step)
+        return derivative(lambda x: self._partial(lower, u, x, rel_step), None, v, rel_step)
 
 
 def solve_level_set(f: TempleFlux, a: float, u, v_bracket):

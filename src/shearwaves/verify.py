@@ -9,6 +9,9 @@ Solutions decay at the stencil order; non-solutions do not decay at all.
 The module also carries the conservation-law densities and symmetry
 characteristics of the weakly nonlinear polar system, including a purely
 algebraic commutator check that needs no field at all.
+
+Solver runs are checked the same way: ``convergence_study`` fits the order of
+``oracle_error``, a trajectory's error against its exact family, over cell counts.
 """
 from __future__ import annotations
 
@@ -119,25 +122,32 @@ def _fit_order(hs: np.ndarray, norms: np.ndarray) -> float:
 
 @dataclass
 class ResidualReport:
-    """Residual norms per refinement level and their fitted decay order."""
+    """Error or residual norms per refinement level and their fitted decay order."""
 
     spacings: np.ndarray
     linf: np.ndarray
     l2: np.ndarray
     order: float
     order_l2: float
-    target: float
+    target: Optional[float]
     passed: bool
     details: dict = field(default_factory=dict)
 
 
-def _make_report(hs, norms, target, **details) -> ResidualReport:
-    """Report of one residual's (Linf, L2) norms over the spacings ``hs``."""
+def _make_report(hs, norms, target, tol=None, **details) -> ResidualReport:
+    """Report of one residual's (Linf, L2) norms over the spacings ``hs``: it passes
+    with no ``target``, with the Linf order within ``tol`` of it when a ``tol`` is
+    given, and otherwise when both orders reach it."""
     linf, l2 = norms
     order, order_l2 = _fit_order(hs, linf), _fit_order(hs, l2)
+    if target is None:
+        passed = True
+    elif tol is None:
+        passed = min(order, order_l2) >= target
+    else:
+        passed = abs(order - target) <= tol
     return ResidualReport(spacings=hs, linf=linf, l2=l2, order=order, order_l2=order_l2,
-                          target=target, passed=min(order, order_l2) >= target,
-                          details=details)
+                          target=target, passed=passed, details=details)
 
 
 def _level_norms(samples: Sequence[FieldSample], level_residuals: Callable):
@@ -443,65 +453,43 @@ def commutator_residual(spec, beta: float, jet_samples) -> float:
 # solver convergence
 
 
-@dataclass
-class ConvergenceReport:
-    """Solver errors against an oracle across nested resolutions."""
+def oracle_error(traj, oracle: Callable) -> np.ndarray:
+    """``traj.final`` minus ``oracle(centers, coord)`` at the trajectory's cell
+    centers and final coordinate.
 
-    cells: np.ndarray
-    spacings: np.ndarray
-    linf: np.ndarray
-    l2: np.ndarray
-    order: float
-    order_l2: float
-    target: Optional[float]
-    tol: Optional[float]
-    passed: bool
+    An oracle that raises, or returns non-finite values, raises OracleFailure
+    naming the cell count; a cause's ``coordinate`` (the failing sample point)
+    is kept.
+    """
+    n = traj.grid.n
+    try:
+        ref = np.asarray(oracle(traj.grid.centers, float(traj.coords[-1])), dtype=float)
+    except Exception as exc:
+        raise OracleFailure(f"oracle evaluation failed at n={n}: {exc}",
+                            coordinate=getattr(exc, "coordinate", None)) from exc
+    ref = np.broadcast_to(ref, traj.final.shape)
+    if not np.all(np.isfinite(ref)):
+        raise OracleFailure(f"oracle returned non-finite values at n={n}")
+    return traj.final - ref
 
 
 def convergence_study(run: Callable, oracle: Callable, levels: Sequence[int],
                       order_target: Optional[float] = None,
-                      order_tol: Optional[float] = None) -> ConvergenceReport:
+                      order_tol: Optional[float] = None) -> ResidualReport:
     """Errors of ``run(n).final`` against ``oracle(centers, coord)`` over levels.
 
-    ``run`` maps a cell count to a finished Trajectory; ``oracle`` evaluates
-    the reference fields at the trajectory's cell centers and final
-    coordinate.  The fitted order passes when it reaches ``order_target``
-    (or lands within ``order_tol`` of it when a tolerance is given).
-    Oracle evaluation problems surface as OracleFailure.
+    ``run`` maps a cell count to a finished Trajectory; ``oracle_error``
+    compares it with the oracle.  The fitted order passes when it reaches
+    ``order_target`` (or lands within ``order_tol`` of it when a tolerance is
+    given), and always when there is no target.
     """
     if len(levels) < 2:
         raise ValueError("need at least 2 resolutions")
     if len({int(n) for n in levels}) < len(levels):
         raise ValueError(f"resolutions must be distinct, got {[int(n) for n in levels]}")
-    cells, hs, linfs, l2s = [], [], [], []
+    hs, norms = [], []
     for n in levels:
         traj = run(int(n))
-        x = traj.grid.centers
-        coord = float(traj.coords[-1])
-        try:
-            ref = np.asarray(oracle(x, coord), dtype=float)
-        except Exception as exc:
-            raise OracleFailure(f"oracle evaluation failed at n={n}: {exc}") from exc
-        ref = np.broadcast_to(ref, traj.final.shape)
-        if not np.all(np.isfinite(ref)):
-            raise OracleFailure(f"oracle returned non-finite values at n={n}")
-        err = traj.final - ref
-        a, b = _norms([err])
-        cells.append(int(n))
         hs.append(traj.grid.h)
-        linfs.append(a)
-        l2s.append(b)
-    hs = np.asarray(hs)
-    linfs = np.asarray(linfs)
-    l2s = np.asarray(l2s)
-    order = _fit_order(hs, linfs)
-    order_l2 = _fit_order(hs, l2s)
-    if order_target is None:
-        passed = True
-    elif order_tol is None:
-        passed = min(order, order_l2) >= order_target
-    else:
-        passed = abs(order - order_target) <= order_tol
-    return ConvergenceReport(cells=np.asarray(cells), spacings=hs, linf=linfs,
-                             l2=l2s, order=order, order_l2=order_l2,
-                             target=order_target, tol=order_tol, passed=passed)
+        norms.append(_norms([oracle_error(traj, oracle)]))
+    return _make_report(np.asarray(hs), np.transpose(norms), order_target, order_tol)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from shearwaves import cli
 from shearwaves.cli import CSV_BLOCK_ROWS, _mesh, _write_csv, main
+from shearwaves.simulate import Grid1D
 
 TWO_PI = 2.0 * math.pi
 
@@ -1222,6 +1223,37 @@ def test_scalar_convergence_past_breaking_exits_three(tmp_path):
     assert manifest["status"] == "error"
     assert manifest["error"]["type"] == "OracleFailure"
     assert "simple-wave" in manifest["error"]["message"]
+    # the simple wave's own failing point, on the finest level's cell centers
+    assert manifest["error"]["coordinate"] == [1.0, float(Grid1D(256, 0.0, TWO_PI).centers[136])]
+
+
+def test_oracle_check_past_breaking_is_an_oracle_failure(tmp_path):
+    # the same simple-wave failure as a convergence study's, with its point
+    cfg = json.loads(next(p for p in SHIPPED_CONFIGS if p.name == "breaking.json").read_text())
+    cfg["oracle_check"] = True
+    code, out = run_cli(tmp_path, cfg, "brk")
+    assert code == 3
+    error = read_manifest(out)["error"]
+    assert error["type"] == "OracleFailure"
+    assert "at n=1024" in error["message"] and "simple-wave" in error["message"]
+    point = [cfg["run"]["end"], float(Grid1D(1024, 0.0, TWO_PI).centers[455])]
+    assert error["coordinate"] == point
+
+
+def test_oracle_check_non_finite_oracle_exits_three(tmp_path):
+    # rho = 1 stays finite, but the oracle's angle 1e306 (X + tau)^3 overflows
+    cfg = {"command": "simulate", "system": "asymptotic", "beta": 1.0,
+           "grid": {"n": 8, "a": 0.0, "b": 1.0}, "run": {"end": 5.0, "scheme": "lax_friedrichs"},
+           "init": {"kind": "constant_amplitude", "amplitude": 1.0,
+                    "profile": {"kind": "poly", "coeffs": [0.0, 0.0, 0.0, 1e306]}},
+           "oracle_check": True}
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, cfg, "ovf")
+    assert code == 3
+    manifest = read_manifest(out)
+    assert manifest["error"]["type"] == "OracleFailure"
+    assert "non-finite" in manifest["error"]["message"]
+    assert "oracle_error_linf" not in manifest
 
 
 def test_verify_descending_levels_exits_two(tmp_path, capsys):

@@ -2,8 +2,9 @@
 referenced, every package export is reached, every script path the README
 names exists, the README's solution-block table matches the CLI's schemas,
 its failure-type table matches the error classes, every config object in
-those schemas is closed and uses only keywords the CLI's validator checks, and
-the CLI runs without jsonschema."""
+those schemas is closed and uses only keywords the CLI's validator checks,
+the CLI runs without jsonschema, and the repo's pytest settings let a failing
+property report its falsifying example."""
 import ast
 import collections
 import json
@@ -416,3 +417,19 @@ def test_cli_runs_without_jsonschema(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
     assert json.loads(proc.stdout) == [0, []]
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # on a failure hypothesis imports libcst, whose import-time
+    # DeprecationWarning the settings' "error::DeprecationWarning" would turn
+    # into an INTERNALERROR (exit 3) that hides the example
+    (tmp_path / "test_prop.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+                           "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q",
+                           "test_prop.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout

@@ -346,7 +346,7 @@ def _asymptotic_runner(beta, A, prof, end, scheme="muscl_minmod"):
 def test_convergence_study_reports_scheme_order():
     run, oracle = _asymptotic_runner(0.5, 1.0, sine_profile(1.0, 1.0), end=0.5)
     report = convergence_study(run, oracle, [32, 64, 128], order_target=1.0)
-    assert len(report.cells) == 3
+    assert len(report.linf) == 3
     assert report.linf[0] > report.linf[-1]
     assert report.order > 1.0
     assert report.passed
@@ -359,6 +359,9 @@ def test_convergence_study_order_band():
                                order_target=1.0, order_tol=0.35)
     assert abs(report.order - 1.0) <= 0.35
     assert report.passed
+    # with no target any order passes
+    untargeted = convergence_study(run, oracle, [32, 64, 128], order_target=None)
+    assert untargeted.passed and untargeted.order == report.order
 
 
 def test_convergence_study_oracle_failure():
