@@ -3,21 +3,19 @@
 Subcommands: simulate, exact, classify, hodograph, verify, convergence.
 Every run validates its config against a closed schema, in a JSON Schema
 subset that this module checks itself with JSON Schema's messages (unknown
-keys are rejected), computes, and writes a deterministic artifact set into the
-output directory: a ``manifest.json`` that echoes the config and records
-diagnostics, plus ``snapshots.csv`` / ``samples.csv`` / ``report.json``
-depending on the command.  A CSV is one header line, then comma-separated rows
-with CRLF line ends; every value is printed with ``%.17g`` (so ``float()`` gives
-back the exact double), and the special values as ``nan``, ``inf``, ``-inf``, ``-0``.
-The rows are the sample mesh in row-major order, first column slowest.  The
-mesh axes come as broadcast views, and the writer formats such a column once
-per distinct value, not once per row; the bytes are the same either way.  The
-writer runs in this process alone.  It builds each block of rows as one numpy
-byte matrix: a zero or a value of magnitude in [1e-4, 1e16) gets its exact
-``%.17g`` digits from integer arithmetic, and any other value (NaN, the
-infinities, tiny or huge magnitudes) is formatted with ``%``.  A JSON artifact
-writes a non-finite number (a NaN residual, an infinite fitted order) as
-``null``.
+keys are rejected).  The command's handler ``cmd_<command>(config)`` computes
+and returns its artifacts by file name with its manifest entries, and writes
+nothing.  Only then does ``run`` write the deterministic artifact set into the
+output directory: ``snapshots.csv`` / ``samples.csv`` / ``report.json``
+depending on the command, then a ``manifest.json`` that echoes the config and
+records diagnostics; a failed run writes the manifest alone.  A CSV is one
+header line, then comma-separated rows with CRLF line ends; every value is
+printed with ``%.17g`` (so ``float()`` gives back the exact double), and the
+special values as ``nan``, ``inf``, ``-inf``, ``-0``.  The rows are the sample
+mesh in row-major order, first column slowest.  The writer runs in this process
+alone, a block of rows at a time, and formats a broadcast mesh axis once per
+distinct value; `_csv_lines` and `_format17` say how.  A JSON artifact writes a
+non-finite number (a NaN residual, an infinite fitted order) as ``null``.
 
 Every command goes through ``run``, whose docstring gives the exit codes:
 0 success, 1 a target missed, 2 a config error, 3 a solver failure.
@@ -177,7 +175,7 @@ SYSTEM_HEAD = {"command": COMMAND_PROP, "system": {"enum": ["full", "asymptotic"
 SIMULATE_SCHEMA = _object({**SYSTEM_HEAD, "grid": GRID, "run": RUN, "init": BLOCK,
                            "oracle_check": {"type": "boolean"}}, ["system", "grid", "run", "init"])
 INIT_SCHEMAS = {
-    "full": {"oneOf": [_block("carroll"), _block("zero")]},
+    "full": {"oneOf": [_block("carroll"), _block("generalized"), _block("zero")]},
     "asymptotic": {"oneOf": [_block("constant_amplitude"), _block("plane")]},
     "scalar": {"oneOf": [_block("profile")]},
 }
@@ -233,7 +231,7 @@ CONVERGENCE_SCHEMA = _object({
     "order_tol": POS_NUM,
 }, ["system", "grid", "run", "levels", "oracle"])
 ORACLE_SCHEMAS = {
-    "full": _block("carroll"),
+    "full": {"oneOf": [_block("carroll"), _block("generalized")]},
     "asymptotic": _block("constant_amplitude"),
     "scalar": _block("simple_wave"),
 }
@@ -535,18 +533,6 @@ def _scaled17(M, e, E):
     return scaled, (rest > half) | ((rest == half) & (scaled & _U(1) == _U(1)))
 
 
-def _manifest(outdir: Path, command: str, config: dict, status: str, **extra):
-    doc = {
-        "package": "shearwaves",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "status": status,
-        **extra,
-    }
-    _write_json(outdir / "manifest.json", doc)
-
-
 def _grid(grid_cfg: dict, n: int) -> Grid1D:
     return Grid1D(n=n, a=grid_cfg["a"], b=grid_cfg["b"],
                   boundary=grid_cfg.get("boundary", "periodic"))
@@ -660,15 +646,21 @@ def _system(config: dict, block: dict):
         initial = lambda x: [np.asarray(prof(x), dtype=float), *np.zeros((len(names) - 1, len(x)))]
     else:
         initial = lambda x: oracle(x, 0.0)
-    return lambda grid, run: evolve(grid, run, initial(grid.centers)), oracle
+
+    def start(grid, run):
+        with np.errstate(all="ignore"):  # evolve_* raises on a non-finite initial state
+            w = initial(grid.centers)
+        return evolve(grid, run, w)
+    return start, oracle
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each computes, writes its artifacts and returns the
-# manifest entries it adds; run() owns validation, errors and exit codes
+# command handlers: each computes and returns ``(artifacts, extra)``, the files
+# it makes by name and the manifest entries it adds; run() owns validation,
+# errors, exit codes and every write
 
 
-def cmd_simulate(config: dict, outdir: Path) -> dict:
+def cmd_simulate(config: dict) -> tuple[dict, dict]:
     _validate(config["init"], INIT_SCHEMAS[config["system"]], where="init block")
     grid = _grid(config["grid"], config["grid"]["n"])
     run_cfg = SimulationConfig(**config["run"])
@@ -676,10 +668,6 @@ def cmd_simulate(config: dict, outdir: Path) -> dict:
     if config.get("oracle_check") and oracle is None:
         raise ConfigError("oracle_check is not available for this init family")
     traj = evolve(grid, run_cfg)
-
-    _write_csv(outdir / "snapshots.csv", ["coordinate", "cell_center", *traj.field_names],
-               [*_mesh(traj.coords, grid.centers), *traj.states.transpose(1, 0, 2)])
-
     diagnostics = {
         "n_steps": int(len(traj.step_coords)),
         "initial_gradient": traj.initial_gradient,
@@ -693,7 +681,9 @@ def cmd_simulate(config: dict, outdir: Path) -> dict:
     extra = {"grid": {**config["grid"], "h": grid.h}, "diagnostics": diagnostics}
     if config.get("oracle_check"):
         extra["oracle_error_linf"] = float(np.max(np.abs(oracle_error(traj, oracle))))
-    return extra
+    snapshots = (["coordinate", "cell_center", *traj.field_names],
+                 [*_mesh(traj.coords, grid.centers), *traj.states.transpose(1, 0, 2)])
+    return {"snapshots.csv": snapshots}, extra
 
 
 def _sample_exact(sol: dict):
@@ -710,17 +700,17 @@ def _sample_exact(sol: dict):
     return [*axes, *values], [*_mesh(coords, points), *values.values()]
 
 
-def cmd_exact(config: dict, outdir: Path) -> dict:
+def cmd_exact(config: dict) -> tuple[dict, dict]:
     header, columns = _sample_exact(config["solution"])
-    _write_csv(outdir / "samples.csv", header, columns)
-    return {"rows": int(np.asarray(columns[0]).size), "columns": header}
+    return ({"samples.csv": (header, columns)},
+            {"rows": int(np.asarray(columns[0]).size), "columns": header})
 
 
 # the structure flags of a classify report
 FLAGS = ("equal_eigenvalues", "completely_exceptional", "hamiltonian", "decouples")
 
 
-def cmd_classify(config: dict, outdir: Path) -> dict:
+def cmd_classify(config: dict) -> tuple[dict, dict]:
     f = flux_from_config(config["flux"])
     u = _axis(config["samples"]["u"])
     v = _axis(config["samples"]["v"])
@@ -734,20 +724,18 @@ def cmd_classify(config: dict, outdir: Path) -> dict:
     Pv = np.asarray(f.p_v(U, V), dtype=float)
     scale = max(1.0, float(np.max(np.abs(P))))
     if float(np.max(np.abs(Pu))) <= 1e-12 * scale and float(np.max(np.abs(Pv))) <= 1e-12 * scale:
-        report = {
+        return {"report.json": {
             "constant_flux": True,
             "flags": dict.fromkeys(FLAGS, True),
             "residuals": dict.fromkeys(FLAGS, 0.0),
             "n_samples": int(pts.shape[0]),
             "note": "constant flux: the system is linear and every family is degenerate",
-        }
-        _write_json(outdir / "report.json", report)
-        return {}
+        }}, {}
 
     alpha = flux_from_config(config["alpha"]) if "alpha" in config else None
     cls = classify(f, pts, alpha=alpha)
     eig = cls.eigen
-    report = {
+    return {"report.json": {
         "constant_flux": False,
         "flags": {name: getattr(cls, name) for name in FLAGS},
         "residuals": cls.residuals,
@@ -757,18 +745,16 @@ def cmd_classify(config: dict, outdir: Path) -> dict:
             "lambda1_range": [float(eig.lambda1.min()), float(eig.lambda1.max())],
             "lambda2_range": [float(eig.lambda2.min()), float(eig.lambda2.max())],
         },
-    }
-    _write_json(outdir / "report.json", report)
-    return {}
+    }}, {}
 
 
-def cmd_hodograph(config: dict, outdir: Path) -> dict:
+def cmd_hodograph(config: dict) -> tuple[dict, dict]:
     fields = _solution("hodograph", config)
     X, tau = _axis(config["X"]), _axis(config["tau"])
     theta, rho = map(fields(X, tau).get, ("theta", "rho"))
-    _write_csv(outdir / "samples.csv", ["X", "tau", "theta", "rho"], [*_mesh(X, tau), theta, rho])
-    return {"rho_range": [float(rho.min()), float(rho.max())],
-            "theta_range": [float(theta.min()), float(theta.max())]}
+    return ({"samples.csv": (["X", "tau", "theta", "rho"], [*_mesh(X, tau), theta, rho])},
+            {"rho_range": [float(rho.min()), float(rho.max())],
+             "theta_range": [float(theta.min()), float(theta.max())]})
 
 
 def _rectangle_samples(config: dict, fields: Callable) -> list:
@@ -882,14 +868,13 @@ def _verify_study(config: dict) -> dict:
     return _order_report(study, report, target, control)
 
 
-def cmd_verify(config: dict, outdir: Path) -> dict:
+def cmd_verify(config: dict) -> tuple[dict, dict]:
     doc = _verify_study(config)
-    _write_json(outdir / "report.json", doc)
     # a negative control is run to be missed, confirmed or not; its report says which
-    return {"passed": doc["passed"] and not doc["negative_control"]}
+    return {"report.json": doc}, {"passed": doc["passed"] and not doc["negative_control"]}
 
 
-def cmd_convergence(config: dict, outdir: Path) -> dict:
+def cmd_convergence(config: dict) -> tuple[dict, dict]:
     _validate(config["oracle"], ORACLE_SCHEMAS[config["system"]], where="oracle block")
     run_cfg = SimulationConfig(**config["run"])
     evolve, oracle = _system(config, config["oracle"])
@@ -901,8 +886,7 @@ def cmd_convergence(config: dict, outdir: Path) -> dict:
            "linf": report.linf, "l2": report.l2, "order": report.order, "order_l2": report.order_l2,
            "order_target": report.target, "order_tol": config.get("order_tol"),
            "passed": report.passed}
-    _write_json(outdir / "report.json", doc)
-    return {"passed": report.passed}
+    return {"report.json": doc}, {"passed": report.passed}
 
 
 HANDLERS = {
@@ -931,7 +915,11 @@ def _check_outdir(outdir: Path):
 
 
 def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> int:
-    """Load and validate a config, run its command, write the manifest; return the exit code.
+    """Load and validate a config, run its command, write its files; return the exit code.
+
+    The handler returns ``(artifacts, extra)``: its files by name (a ``.csv`` as
+    ``(header, columns)``, a ``.json`` as a dict) and its manifest entries.  Only
+    then is anything written: the artifacts, then ``manifest.json``.
 
     0: success.  1: a verification or convergence target was missed, or
     a ``verify`` negative control ran (``control_confirmed`` in its report
@@ -941,10 +929,10 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
     them), a parameter's OverflowError, a size whose arrays do not fit in
     memory (MemoryError) or an ``outdir`` that is, or lies under, a dangling
     symlink or an existing path other than a directory; the message goes to
-    stderr and no manifest is written.  3: any other ShearWaveError, such as
+    stderr and nothing is written.  3: any other ShearWaveError, such as
     the OracleFailure of a ``simulate`` oracle check or a ``convergence`` study;
-    ``manifest.json`` gets ``status: "error"`` and ``error.{type, message, coordinate}``.
-    Exits 0, 1 and 3 all leave a manifest.
+    ``manifest.json``, the only file written, gets ``status: "error"`` and
+    ``error.{type, message, coordinate}``.  Exits 0, 1 and 3 all leave a manifest.
     """
     try:
         config = _load_config(config_path)
@@ -953,7 +941,8 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
             raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked")
         _validate(config, SCHEMAS[command])
         _check_outdir(outdir)
-        extra = HANDLERS[command](config, outdir)
+        artifacts, extra = HANDLERS[command](config)
+        status = "ok"
     except (ConfigError, ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -961,14 +950,21 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
         print(f"config error: a parameter overflows a double: {exc.args[-1]}", file=sys.stderr)
         return 2
     except ShearWaveError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        coordinate = getattr(exc, "coordinate", None)
-        if coordinate is not None:
-            error["coordinate"] = coordinate
-        _manifest(outdir, command, config, "error", error=error)
-        print(f"{command} failed: {error['type']}: {exc} (manifest in {outdir})", file=sys.stderr)
+        error = {"type": type(exc).__name__, "message": str(exc), "coordinate": exc.coordinate}
+        error = {key: value for key, value in error.items() if value is not None}
+        artifacts, extra, status = {}, {"error": error}, "error"
+    for name, artifact in artifacts.items():
+        if name.endswith(".csv"):
+            _write_csv(outdir / name, *artifact)
+        else:
+            _write_json(outdir / name, artifact)
+    _write_json(outdir / "manifest.json", {"package": "shearwaves", "version": __version__,
+                                           "command": command, "config": config,
+                                           "status": status, **extra})
+    if status == "error":
+        print(f"{command} failed: {error['type']}: {error['message']} (manifest in {outdir})",
+              file=sys.stderr)
         return 3
-    _manifest(outdir, command, config, "ok", **extra)
     passed = extra.get("passed", True)
     if not quiet:
         print(f"wrote {outdir}" if passed else f"wrote {outdir} (target missed)")

@@ -463,7 +463,8 @@ def oracle_error(traj, oracle: Callable) -> np.ndarray:
     """
     n = traj.grid.n
     try:
-        ref = np.asarray(oracle(traj.grid.centers, float(traj.coords[-1])), dtype=float)
+        with np.errstate(all="ignore"):  # non-finite values raise below
+            ref = np.asarray(oracle(traj.grid.centers, float(traj.coords[-1])), dtype=float)
     except Exception as exc:
         raise OracleFailure(f"oracle evaluation failed at n={n}: {exc}",
                             coordinate=getattr(exc, "coordinate", None)) from exc

@@ -704,6 +704,17 @@ def test_scalar_oracle_matches_solver(tmp_path):
     assert read_manifest(out)["oracle_error_linf"] < 1e-2
 
 
+def test_simulate_generalized_wave_matches_its_oracle(tmp_path):
+    # a right-moving member of the generalized Carroll family, of the other polarization
+    init = {"kind": "generalized", "amplitude": 0.5, "direction": 1, "polarization": -1,
+            "profile": {"kind": "sine", "amp": 2.0, "freq": 1.0}}
+    cfg = carroll_simulate_config(grid={"n": 128, "a": 0.0, "b": TWO_PI},
+                                  run={"end": 1.0, "scheme": "muscl_minmod"}, init=init)
+    code, out = run_cli(tmp_path, cfg, "gen")
+    assert code == 0
+    assert read_manifest(out)["oracle_error_linf"] < 2e-2
+
+
 def test_scalar_convergence_below_breaking(tmp_path):
     # breaking sets in near X = 0.83 for this profile
     code, out = run_cli(tmp_path, scalar_convergence_config(0.3), "scc")
@@ -1240,20 +1251,82 @@ def test_oracle_check_past_breaking_is_an_oracle_failure(tmp_path):
     assert error["coordinate"] == point
 
 
+# rho = 1 stays finite, but the angle 1e306 (X + tau)^3 overflows once X + tau > 1
+OVERFLOWING_ENVELOPE = {"kind": "constant_amplitude", "amplitude": 1.0,
+                        "profile": {"kind": "poly", "coeffs": [0.0, 0.0, 0.0, 1e306]}}
+
+
+def overflowing_config(command, b=1.0, oracle=True):
+    """An asymptotic run on [0, b] to X = 5 from OVERFLOWING_ENVELOPE; with
+    b = 1 its state at X = 0 is finite and its oracle at X = 5 is not."""
+    cfg = {"command": command, "system": "asymptotic", "beta": 1.0,
+           "run": {"end": 5.0, "scheme": "lax_friedrichs"}}
+    if command == "convergence":
+        return {**cfg, "grid": {"a": 0.0, "b": b}, "levels": [8, 16],
+                "oracle": OVERFLOWING_ENVELOPE}
+    cfg.update(grid={"n": 8, "a": 0.0, "b": b}, init=OVERFLOWING_ENVELOPE)
+    if oracle:
+        cfg["oracle_check"] = True
+    return cfg
+
+
 def test_oracle_check_non_finite_oracle_exits_three(tmp_path):
-    # rho = 1 stays finite, but the oracle's angle 1e306 (X + tau)^3 overflows
-    cfg = {"command": "simulate", "system": "asymptotic", "beta": 1.0,
-           "grid": {"n": 8, "a": 0.0, "b": 1.0}, "run": {"end": 5.0, "scheme": "lax_friedrichs"},
-           "init": {"kind": "constant_amplitude", "amplitude": 1.0,
-                    "profile": {"kind": "poly", "coeffs": [0.0, 0.0, 0.0, 1e306]}},
-           "oracle_check": True}
-    with np.errstate(all="ignore"):
-        code, out = run_cli(tmp_path, cfg, "ovf")
+    code, out = run_cli(tmp_path, overflowing_config("simulate"), "ovf")
     assert code == 3
     manifest = read_manifest(out)
     assert manifest["error"]["type"] == "OracleFailure"
     assert "non-finite" in manifest["error"]["message"]
     assert "oracle_error_linf" not in manifest
+
+
+@pytest.mark.parametrize("cfg, failure", [
+    (overflowing_config("simulate"), "OracleFailure: oracle returned non-finite values at n=8"),
+    (overflowing_config("convergence"),
+     "OracleFailure: oracle returned non-finite values at n=8"),
+    (overflowing_config("simulate", b=6.3, oracle=False),
+     "BlowupDetected: non-finite initial state"),
+], ids=["simulate_oracle", "convergence_oracle", "simulate_init"])
+def test_overflow_prints_only_the_failure_line(tmp_path, cfg, failure):
+    # numpy's overflow warnings would reach stderr ahead of the failure line
+    path, out = tmp_path / "c.json", tmp_path / "o"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run([sys.executable, "-m", "shearwaves", cfg["command"], "--config",
+                           str(path), "--out", str(out), "--quiet"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == f"{cfg['command']} failed: {failure} (manifest in {out})\n"
+
+
+# the hodograph family of test_hodograph_fold_seed_exits_three, with its seed on the fold
+FOLD = {"phase": {"kind": "linear", "k": 1.0},
+        "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}, "seed": [0.0, 1.0]}
+# one failing run of each command
+FAILING_RUNS = {
+    "simulate": overflowing_config("simulate"),
+    "convergence": overflowing_config("convergence"),
+    "hodograph": {"command": "hodograph", "beta": 1.0, **FOLD,
+                  "X": {"min": -1.1, "max": -0.9, "n": 5},
+                  "tau": {"min": -0.1, "max": 0.1, "n": 5}},
+    "verify": {"command": "verify", "study": "asymptotic", "beta": 1.0,
+               "solution": {"kind": "hodograph", **FOLD},
+               "rectangle": {"coord": {"min": -1.1, "max": -0.9},
+                             "point": {"min": -0.1, "max": 0.1}}, "levels": [5, 9]},
+    "exact": {"command": "exact", "solution": {
+        "kind": "simple_wave", "beta": 1.0,
+        "profile": {"kind": "sine", "amp": 0.2, "freq": 1.0, "offset": 1.0},
+        "X": {"min": 0.0, "max": 2.0, "n": 5}, "tau": {"min": 0.0, "max": TWO_PI, "n": 9}}},
+    "classify": {"command": "classify", "flux": {"kind": "poly", "coeffs": [[0.0], [1.0]]},
+                 "samples": {"u": {"min": 0.5, "max": 1.5, "n": 3},
+                             "v": {"min": 0.5, "max": 1.5, "n": 3}}},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_failed_run_leaves_only_its_manifest(tmp_path, command):
+    code, out = run_cli(tmp_path, FAILING_RUNS[command], command)
+    assert code == 3
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+    assert read_manifest(out)["status"] == "error"
 
 
 def test_verify_descending_levels_exits_two(tmp_path, capsys):
@@ -1362,8 +1435,10 @@ INVALID_BLOCKS = {
     "init_extra_key": _invalid_init("full", {"kind": "zero", "amplitude": 1.0}),
     "init_wrong_kind": _invalid_init("asymptotic",
                                      {"kind": "carroll", "amplitude": 1.0, "wavenumber": 1.0}),
-    "oracle_missing_key": _invalid_oracle("full", {"kind": "carroll", "amplitude": 1.0},
-                                          "<root>: 'wavenumber' is a required property"),
+    "oracle_missing_key": _invalid_oracle(
+        "full", {"kind": "carroll", "amplitude": 1.0},
+        "<root>: {'kind': 'carroll', 'amplitude': 1.0} is not valid under any of the given "
+        "schemas"),
     "oracle_extra_key": _invalid_oracle(
         "asymptotic", {**CONSTANT_AMPLITUDE_SOLUTION, "beta": 1.0},
         "<root>: Additional properties are not allowed ('beta' was unexpected)"),

@@ -235,8 +235,10 @@ def schema_block_kinds():
     for system, schema in cli.INIT_SCHEMAS.items():
         for block in schema["oneOf"]:
             kinds[block["properties"]["kind"]["const"]].add(("init", system))
-    for system, block in cli.ORACLE_SCHEMAS.items():
-        kinds[block["properties"]["kind"]["const"]].add(("oracle", system))
+    for system, schema in cli.ORACLE_SCHEMAS.items():
+        # a system with one oracle family takes its block alone, not in a oneOf
+        for block in schema.get("oneOf", [schema]):
+            kinds[block["properties"]["kind"]["const"]].add(("oracle", system))
     for kind in cli.VERIFY_SOLUTION_SCHEMAS:
         kinds[kind].add(("verify", None))
     # the hodograph command samples the hodograph family from its top level
