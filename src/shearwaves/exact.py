@@ -20,12 +20,14 @@ from .profiles import ProfileFunction
 DISPERSION_RTOL = 1e-12
 SIMPLE_WAVE_TOL = 1e-12
 HODOGRAPH_TOL = 1e-10
-# converged hodograph roots scatter by about 1e-13; distinct branches are O(1) apart
+# converged roots of either sampler scatter by about 1e-13; distinct branches
+# are O(1) apart
 HODOGRAPH_AGREE = 1e-8
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 20
-# sweeps a point gets in the two array passes of _hodograph_continue; points
-# still iterating after that are marched at the full NEWTON_MAX_ITER
+# sweeps a point seeded from another point's pass-1 value gets in an array
+# pass of _continue; points still iterating after that are marched at the full
+# NEWTON_MAX_ITER
 HODOGRAPH_PASS_MAX_ITER = 10
 
 
@@ -199,13 +201,72 @@ def _damped_newton(residual, newton_step, unknowns, tol, max_iter=NEWTON_MAX_ITE
     return u, code
 
 
-def _first_failure(code, failures, X, tau):
-    """(k, error) for the first element k with a nonzero code, or None."""
+def _raise_first_failure(code, failures, X, tau):
+    """Raise the error of the first element with a nonzero code, if any."""
     bad = np.flatnonzero(code)
-    if bad.size == 0:
-        return None
-    k = bad[0]
-    return k, point_error(*failures[code[k]], (np.broadcast_to(X, code.shape)[k], tau[k]))
+    if bad.size:
+        k = bad[0]
+        raise point_error(*failures[code[k]], (X[k], tau[k]))
+
+
+def _continue(solve, pred, lead, start):
+    """Solve every point of a flattened rectangle along its seed graph.
+
+    The seed graph marches point p from the solution at point pred[p] < p,
+    or from start[:, p] where pred[p] < 0; solve(idx, seeds, max_iter)
+    returns the unknowns and the _damped_newton codes at the points idx,
+    with seeds and unknowns of shape (k, len(idx)).  Pass 1 solves the
+    points with lead < 0, which include every point with pred < 0, from
+    start at the full NEWTON_MAX_ITER, so it solves those as the march does;
+    it then solves every other point from the pass-1 value at lead[p], and
+    pass 2 each point from the pass-1 value at pred[p], both within
+    HODOGRAPH_PASS_MAX_ITER sweeps.  A point keeps its pass-2 value where
+    both passes converged and agree within HODOGRAPH_AGREE at it and at
+    every point of its seed chain: pass 2 then had the march's seed to that
+    bound, and Newton contracts the difference to rounding.  Every other
+    point is marched in seed-graph order, one array solve per level of the
+    graph, up to the first failing point in row-major order.  Returns the
+    unknowns, shaped as start, and a code per point, nonzero first at that
+    failure.
+    """
+    def run(idx, seeds, max_iter):
+        if idx.size == 0:
+            return seeds, np.zeros(0, dtype=int)
+        vals, code = solve(idx, seeds, max_iter)
+        return np.reshape(vals, seeds.shape), code
+
+    # seeds far from a root may overflow the map; such a trial is rejected by
+    # the damping, and every failure is reported by its code
+    with np.errstate(all="ignore"):
+        # no pass solves a point from a pass-1 value that failed (code 1 until solved)
+        u1, c1 = start.copy(), np.ones(pred.size, dtype=int)
+        idx = np.flatnonzero(lead < 0)
+        u1[:, idx], c1[idx] = run(idx, start[:, idx], NEWTON_MAX_ITER)
+        idx = np.flatnonzero((lead >= 0) & (c1[lead] == 0))
+        u1[:, idx], c1[idx] = run(idx, u1.take(lead[idx], axis=1), HODOGRAPH_PASS_MAX_ITER)
+        u, code = u1.copy(), c1.copy()
+        idx = np.flatnonzero((pred >= 0) & (c1[pred] == 0))
+        u[:, idx], code[idx] = run(idx, u1.take(pred[idx], axis=1), HODOGRAPH_PASS_MAX_ITER)
+        good = (c1 == 0) & (code == 0) & np.all(np.abs(u - u1) <= HODOGRAPH_AGREE, axis=0)
+        # pointer doubling ANDs good over each seed chain and sums its length
+        anc, depth = np.where(pred < 0, np.arange(pred.size), pred), (pred >= 0).astype(int)
+        for _ in range(pred.size.bit_length()):
+            good &= good[anc]
+            depth += depth[anc]
+            anc = anc[anc]
+        code = np.where(pred < 0, c1, 0)  # pass 1 solved these as the march does
+        failed = np.flatnonzero(code)
+        first = failed[0] if failed.size else code.size
+        todo = np.flatnonzero(~good[:first] & (pred[:first] >= 0))
+        todo = todo[np.argsort(depth[todo], kind="stable")]
+        # level by level: a point's predecessor is one level up
+        for ready in np.split(todo, np.flatnonzero(np.diff(depth[todo])) + 1):
+            ready = ready[ready < first]
+            u[:, ready], code[ready] = run(ready, u.take(pred[ready], axis=1), NEWTON_MAX_ITER)
+            failed = ready[code[ready] != 0]
+            if failed.size:
+                first = min(first, failed[0])
+    return u, code
 
 
 SIMPLE_WAVE_FAILURES = {
@@ -216,29 +277,38 @@ SIMPLE_WAVE_FAILURES = {
 BRANCH_SUBSTEPS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
-def _simple_wave_solve(beta, profile, X, tau, rho, check=True):
-    """Newton for g(rho) = rho - Phi(tau - 3 beta X rho^2) = 0 at one X over an array of tau.
+def _simple_wave_coefficients(beta, X):
+    """3 beta X and 6 beta X, raising OverflowError where either is not finite."""
+    with np.errstate(all="ignore"):
+        c3, c6 = 3.0 * beta * X, 6.0 * beta * X
+    if not (np.all(np.isfinite(c3)) and np.all(np.isfinite(c6))):
+        raise OverflowError(f"3 beta X or 6 beta X is not finite at beta = {beta!r}")
+    return c3, c6
 
-    Returns the roots, raising at the first failing tau; with check=False,
-    returns the iterates and the failure codes of _damped_newton instead.
+
+def _simple_wave_solve(beta, profile, X, tau, rho, check=True, max_iter=NEWTON_MAX_ITER):
+    """Newton for g(rho) = rho - Phi(tau - 3 beta X rho^2) = 0 at points (X, tau).
+
+    X is one coordinate or an array shaped as tau.  Returns the roots,
+    raising at the first failing point; with check=False, returns the
+    iterates and the failure codes of _damped_newton instead.
     """
-    c3, c6 = 3.0 * beta * X, 6.0 * beta * X
+    X, tau = np.broadcast_arrays(X, tau)
+    c3, c6 = _simple_wave_coefficients(beta, X)
 
     def residual(u, idx):
-        g = u[0] - profile(tau[idx] - c3 * u[0] * u[0])
+        g = u[0] - profile(tau[idx] - c3[idx] * u[0] * u[0])
         return [g], np.abs(g)
 
     def newton_step(u, res, idx):
-        dg = 1.0 + c6 * u[0] * profile.deriv(tau[idx] - c3 * u[0] * u[0])
+        dg = 1.0 + c6[idx] * u[0] * profile.deriv(tau[idx] - c3[idx] * u[0] * u[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             return [-(res[0] / dg)], (dg == 0.0) | ~np.isfinite(dg)
 
-    (rho,), code = _damped_newton(residual, newton_step, [rho], SIMPLE_WAVE_TOL)
+    (rho,), code = _damped_newton(residual, newton_step, [rho], SIMPLE_WAVE_TOL, max_iter)
     if not check:
         return rho, code
-    failure = _first_failure(code, SIMPLE_WAVE_FAILURES, X, tau)
-    if failure is not None:
-        raise failure[1]
+    _raise_first_failure(code, SIMPLE_WAVE_FAILURES, X, tau)
     return rho
 
 
@@ -281,23 +351,32 @@ def eval_simple_wave(beta: float, profile: ProfileFunction, X: float, tau: float
 def sample_simple_wave(beta: float, profile: ProfileFunction, X_grid, tau_grid) -> np.ndarray:
     """Simple-wave amplitude on a rectangle, shape (len(X_grid), len(tau_grid)).
 
-    Seed graph: row i is warm-started from row i-1, so each X row is one
-    array Newton over tau.  The first row starts from rho = Phi(tau), with
-    the branch-tracking substeps of _track_branch when its X is not 0, per
-    element on the points not yet resolved.  A failure raises NoConvergence
-    naming the first failing point (X, tau) in row-major order, in its
-    message and coordinate.
+    Seed graph: point (i, j) is warm-started from (i-1, j), and row 0 from
+    rho = Phi(tau), with the branch-tracking substeps of _track_branch when
+    its X is not 0, per element on the points not yet resolved.  The
+    rectangle is then solved by _continue: pass 1 solves every row from row
+    0 at the full sweep budget, pass 2 each row from the pass-1 row before
+    it, and from the first point of a column where a pass fails or the two
+    disagree, the column is marched row by row as the seed graph says.  A
+    failure raises NoConvergence naming the first failing point (X, tau) in
+    row-major order, in its message and coordinate; OverflowError where
+    3 beta X or 6 beta X is not finite.
     """
     X_grid = np.asarray(X_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    out = np.empty((len(X_grid), len(tau_grid)))
-    for i, X in enumerate(X_grid.tolist()):
-        if i == 0 and X != 0.0:
-            out[0] = _track_branch(beta, profile, X, tau_grid)
-        else:
-            out[i] = _simple_wave_solve(beta, profile, X, tau_grid,
-                                        out[i - 1] if i else profile(tau_grid))
-    return out
+    _simple_wave_coefficients(beta, X_grid)
+    X, tau = (a.ravel() for a in np.meshgrid(X_grid, tau_grid, indexing="ij"))
+    if X.size == 0:
+        return np.empty((len(X_grid), len(tau_grid)))
+    row0 = _track_branch(beta, profile, X[0], tau_grid) if X[0] != 0.0 else profile(tau_grid)
+    p = np.arange(X.size)
+    (rho,), code = _continue(
+        lambda idx, seeds, it: _simple_wave_solve(beta, profile, X[idx], tau[idx], *seeds,
+                                                  check=False, max_iter=it),
+        pred=p - len(tau_grid), lead=np.full(p.size, -1),
+        start=np.tile(row0, len(X_grid))[None])
+    _raise_first_failure(code, SIMPLE_WAVE_FAILURES, X, tau)
+    return rho.reshape(len(X_grid), len(tau_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +424,8 @@ def hodograph_jacobian(hd: HodographData, beta: float, theta, rho) -> np.ndarray
     ds = hd.phase_fn.deriv(theta)
     dr = hd.radial_fn.deriv(rho)
     d2r = hd.radial_fn.deriv2(rho)
-    # float_power is libm pow per element, the same bits as a Python float
-    # power; numpy's ** on arrays may differ from it in the last place
-    rho2, rho3, rho4 = (np.float_power(rho, k) for k in (2, 3, 4))
+    rho2 = rho * rho
+    rho3, rho4 = rho2 * rho, rho2 * rho2
     X_theta = ds / (2.0 * beta * rho3)
     X_rho = -3.0 * s / (2.0 * beta * rho4) - d2r / (2.0 * beta * rho) + dr / (2.0 * beta * rho2)
     tau_theta = -3.0 * ds / (2.0 * rho)
@@ -362,15 +440,13 @@ HODOGRAPH_FAILURES = {
 }
 
 
-def _hodograph_solve(hd, beta, X, tau, theta, rho, check=True, max_iter=NEWTON_MAX_ITER):
+def _hodograph_solve(hd, beta, X, tau, theta, rho, max_iter=NEWTON_MAX_ITER):
     """Invert the forward map at arrays of points, seeded at (theta, rho).
 
     One damped 2D Newton of at most max_iter sweeps over all points, with
     the forward map and its Jacobian evaluated once per sweep over the
-    points still iterating.
-    Returns (theta, rho), raising at the first failing point; with
-    check=False, returns the iterates and the failure codes of
-    _damped_newton instead.
+    points still iterating.  Returns the iterates (theta, rho) and the
+    failure codes of _damped_newton.
     """
     if beta == 0.0 or np.any(np.asarray(rho) == 0.0):
         raise ValueError("the hodograph map needs beta != 0 and a seed with rho != 0")
@@ -389,62 +465,7 @@ def _hodograph_solve(hd, beta, X, tau, theta, rho, check=True, max_iter=NEWTON_M
         with np.errstate(divide="ignore", invalid="ignore"):
             return [(-res[0] * d + res[1] * b) / det, (-res[1] * a + res[0] * c) / det], fold
 
-    u, code = _damped_newton(residual, newton_step, [theta, rho], HODOGRAPH_TOL, max_iter)
-    if not check:
-        return u, code
-    failure = _first_failure(code, HODOGRAPH_FAILURES, X, tau)
-    if failure is not None:
-        raise failure[1]
-    return u
-
-
-def _hodograph_continue(hd, beta, X, tau, start):
-    """Continue solved lanes over n steps, each step warm-started from the one before.
-
-    X and tau broadcast to shape (n, w): step k solves lane l at
-    (X[k, l], tau[k, l]) from lane l of step k-1, and step -1 is
-    start = (theta, rho), each of shape (w,).  Lanes are independent.
-    Pass 1 solves every step from start; pass 2 solves step k from pass-1
-    step k-1, the march's own seed graph.  Both passes stop after
-    HODOGRAPH_PASS_MAX_ITER sweeps.  A lane keeps its pass-2 values up to the
-    first step where a pass fails or the passes differ by more than
-    HODOGRAPH_AGREE, and is marched one step at a time from there.  Returns
-    theta and rho of shape (n, w), and (lane, step, code) of the first
-    failure in lane-major order, or None.
-    """
-    X, tau = np.broadcast_arrays(X, tau)
-    n, w = X.shape
-    if X.size == 0:
-        return np.empty((n, w)), np.empty((n, w)), None
-    # seeds far from the root may overflow the forward map; such a trial is
-    # rejected by the damping, and its step marched below
-    with np.errstate(all="ignore"):
-        (th1, r1), c1 = _hodograph_solve(hd, beta, X.ravel(), tau.ravel(),
-                                         *(np.broadcast_to(a, (n, w)).ravel() for a in start),
-                                         check=False, max_iter=HODOGRAPH_PASS_MAX_ITER)
-        th1, r1, c1 = (a.reshape(n, w) for a in (th1, r1, c1))
-        theta, rho, code = th1.copy(), r1.copy(), c1.copy()
-        k, lane = np.nonzero(np.logical_and.accumulate(c1 == 0, axis=0)[1:])
-        (theta[k + 1, lane], rho[k + 1, lane]), code[k + 1, lane] = _hodograph_solve(
-            hd, beta, X[k + 1, lane], tau[k + 1, lane], th1[k, lane], r1[k, lane], check=False,
-            max_iter=HODOGRAPH_PASS_MAX_ITER)
-    # pass 2 runs only where pass 1 converged up to its step, so code holds
-    # pass 1's failures and pass 2's
-    bad = ((code != 0) | (np.abs(theta - th1) > HODOGRAPH_AGREE)
-           | (np.abs(rho - r1) > HODOGRAPH_AGREE))
-    march = np.where(bad.any(axis=0), bad.argmax(axis=0), n)
-    # a failure in lane l comes before every point of the lanes after it
-    alive, failure = np.arange(w), None
-    for k in range(march.min(), n):
-        lane = alive[march[alive] <= k]
-        prev = (theta[k - 1, lane], rho[k - 1, lane]) if k else (start[0][lane], start[1][lane])
-        (theta[k, lane], rho[k, lane]), c = _hodograph_solve(hd, beta, X[k, lane], tau[k, lane],
-                                                             *prev, check=False)
-        if c.any():
-            f = np.flatnonzero(c)[0]
-            failure = (lane[f], k, c[f])
-            alive = alive[alive < lane[f]]
-    return theta, rho, failure
+    return _damped_newton(residual, newton_step, [theta, rho], HODOGRAPH_TOL, max_iter)
 
 
 def hodograph_invert(hd: HodographData, beta: float, X: float, tau: float,
@@ -467,45 +488,28 @@ def sample_hodograph(hd: HodographData, beta: float, X_grid, tau_grid, seed) -> 
 
     Seed graph: point (i, j) is warm-started from (i, j-1), and the first
     column from (i-1, 0), starting at seed, so no point can change branch.
-    Point (0, 0) is solved alone and raises at once if it fails.  Column 0
-    is then continued down X one point per step, and the later tau columns
-    along tau, one vector over the rows per step, each in two array Newton
-    solves: pass 1 seeds every step from the first, pass 2 seeds step k
-    from pass-1 step k-1.  Where pass 1 agrees with pass 2 to within
-    HODOGRAPH_AGREE, pass 2 had the march's seed to that bound, and Newton
-    contracts the difference to rounding, so pass 2 is kept.  From the
-    first step where a pass fails or the two disagree, the row or column is
-    marched one step at a time as the seed graph says.  A failure raises
-    the error of the first failing point in row-major order, naming its
-    (X, tau) in the message and coordinate.
+    The rectangle is solved by _continue: pass 1 solves column 0 from seed
+    at the full sweep budget and every later point from its row's pass-1
+    column-0 value, pass 2 each point from the pass-1 value of its
+    seed-graph predecessor, and from the first point of a seed chain where a
+    pass fails or the two disagree, the points are marched one seed-graph
+    step at a time.  A failure raises the error of the first failing point
+    in row-major order, naming its (X, tau) in the message and coordinate.
     Returns (rho, theta) arrays of shape (len(X_grid), len(tau_grid)).
     """
-    X_grid = np.asarray(X_grid, dtype=float)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    nX, nt = len(X_grid), len(tau_grid)
-    rho = np.empty((nX, nt))
-    theta = np.empty((nX, nt))
-    if nX == 0 or nt == 0:
-        return PolarState(rho, theta)
-    theta[0, :1], rho[0, :1] = _hodograph_solve(hd, beta, X_grid[0], tau_grid[0], seed[0], seed[1])
-    th, r, fail = _hodograph_continue(hd, beta, X_grid[1:, None], tau_grid[0],
-                                      (theta[0, :1], rho[0, :1]))
-    theta[1:, 0], rho[1:, 0] = th[:, 0], r[:, 0]
-    # a failure at row k puts every later row after it in row-major order
-    rows, failure = nX, None
-    if fail is not None:
-        _, step, code = fail
-        rows = step + 1
-        failure = point_error(*HODOGRAPH_FAILURES[code], (X_grid[rows], tau_grid[0]))
-    th, r, fail = _hodograph_continue(hd, beta, X_grid[:rows], tau_grid[1:, None],
-                                      (theta[:rows, 0], rho[:rows, 0]))
-    theta[:rows, 1:], rho[:rows, 1:] = th.T, r.T
-    if fail is not None:
-        lane, step, code = fail
-        failure = point_error(*HODOGRAPH_FAILURES[code], (X_grid[lane], tau_grid[step + 1]))
-    if failure is not None:
-        raise failure
-    return PolarState(rho, theta)
+    shape = (len(X_grid), len(tau_grid))
+    X, tau = (a.ravel() for a in np.meshgrid(np.asarray(X_grid, dtype=float),
+                                             np.asarray(tau_grid, dtype=float), indexing="ij"))
+    if X.size == 0:
+        return PolarState(np.empty(shape), np.empty(shape))
+    p = np.arange(X.size)
+    j = p % shape[1]
+    (theta, rho), code = _continue(
+        lambda idx, seeds, it: _hodograph_solve(hd, beta, X[idx], tau[idx], *seeds, max_iter=it),
+        pred=p - np.where(j, 1, shape[1]), lead=np.where(j, p - j, -1),
+        start=np.broadcast_to(np.asarray(seed, dtype=float).reshape(2, 1), (2, p.size)))
+    _raise_first_failure(code, HODOGRAPH_FAILURES, X, tau)
+    return PolarState(rho.reshape(shape), theta.reshape(shape))
 
 
 # ---------------------------------------------------------------------------

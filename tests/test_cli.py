@@ -138,8 +138,8 @@ def test_artifacts_deterministic(tmp_path, command):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs")
-                         .glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 def test_every_command_has_a_shipped_config():
@@ -1210,6 +1210,20 @@ def test_simple_wave_failure_names_its_point(tmp_path):
     assert f"at (X, tau) = ({point[0]!r}, {point[1]!r})" in error["message"]
 
 
+def test_simple_wave_beta_that_overflows_exits_two(tmp_path, capsys):
+    # 3 beta X is inf * 0 = NaN even on the row X = 0, whose answer is Phi(tau)
+    sine = {"kind": "sine", "amp": 0.2, "freq": 1.0, "offset": 1.0}
+    cfg = {"command": "exact",
+           "solution": {"kind": "simple_wave", "beta": 1e308, "profile": sine,
+                        "X": {"min": 0.0, "max": 0.5, "n": 5},
+                        "tau": {"min": 0.0, "max": TWO_PI, "n": 9}}}
+    code, out = run_cli(tmp_path, cfg, "swbeta")
+    assert code == 2
+    assert capsys.readouterr().err == ("config error: a parameter overflows a double: "
+                                       "3 beta X or 6 beta X is not finite at beta = 1e+308\n")
+    assert not out.exists()
+
+
 def test_level_set_failure_names_its_point(tmp_path):
     # U = sin(x) on the row t = 0: u v = 2 has no root v <= 10 once u < 0.2,
     # first at x = 3.0
@@ -1279,13 +1293,19 @@ def test_oracle_check_non_finite_oracle_exits_three(tmp_path):
     assert "oracle_error_linf" not in manifest
 
 
+# scripts/configs/hodograph.json with a beta whose map overflows at the seed
+OVERFLOWING_HODOGRAPH = {**json.loads((CONFIG_DIR / "hodograph.json").read_text()), "beta": 1e300}
+
+
 @pytest.mark.parametrize("cfg, failure", [
     (overflowing_config("simulate"), "OracleFailure: oracle returned non-finite values at n=8"),
     (overflowing_config("convergence"),
      "OracleFailure: oracle returned non-finite values at n=8"),
     (overflowing_config("simulate", b=6.3, oracle=False),
      "BlowupDetected: non-finite initial state"),
-], ids=["simulate_oracle", "convergence_oracle", "simulate_init"])
+    (OVERFLOWING_HODOGRAPH,
+     "NoConvergence: hodograph Newton damping exhausted at (X, tau) = (-0.55, -1.7)"),
+], ids=["simulate_oracle", "convergence_oracle", "simulate_init", "hodograph_beta"])
 def test_overflow_prints_only_the_failure_line(tmp_path, cfg, failure):
     # numpy's overflow warnings would reach stderr ahead of the failure line
     path, out = tmp_path / "c.json", tmp_path / "o"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shearwaves import exact
 from shearwaves.constitutive import (
     cubic_modulus,
     power_modulus,
@@ -21,8 +22,9 @@ from shearwaves.exact import (
     CarrollWave,
     HodographData,
     _damped_newton,
-    _hodograph_continue,
     _hodograph_solve,
+    _simple_wave_solve,
+    _track_branch,
     carroll_dispersion,
     carroll_full_state,
     eval_asymptotic_linear,
@@ -226,6 +228,100 @@ def test_simple_wave_pde_after_sign_flip():
     assert r2 < r1 / 3.0
 
 
+def _simple_wave_march(beta, profile, X, tau):
+    """The row-by-row march over sample_simple_wave's seed graph.
+
+    Row 0 is tracked from rho = Phi(tau) by _track_branch when its X is not
+    0, and each later row is one _simple_wave_solve from the row before.
+    Returns rho, or the error of the first failing point.
+    """
+    rho = np.empty((len(X), len(tau)))
+    try:
+        for i, x in enumerate(X):
+            if i:
+                rho[i] = _simple_wave_solve(beta, profile, x, tau, rho[i - 1])
+            elif x != 0.0:
+                rho[0] = _track_branch(beta, profile, x, tau)
+            else:
+                rho[0] = _simple_wave_solve(beta, profile, x, tau, profile(tau))
+    except NoConvergence as exc:
+        return exc
+    return rho
+
+
+def _simple_wave_cases(n=200, seed=2):
+    """Random sine profiles, signs of beta and rectangles around breaking.
+
+    x_star = 1 / (6 |beta| amp freq (offset + amp)) bounds 1 + 6 beta X rho
+    Phi' away from 0 for |X| < x_star.  A rectangle has 1 to 7 rows, starting
+    at X = 0 in about a third of the cases and elsewhere in (-0.8, 0.8)
+    x_star, and spans up to 2 x_star either way, so that many run past
+    breaking and some of those fail.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        beta = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.5)
+        amp, freq, offset = rng.uniform(0.1, 0.6), rng.uniform(0.5, 2.0), rng.uniform(0.8, 1.5)
+        x_star = 1.0 / (6.0 * abs(beta) * amp * freq * (offset + amp))
+        X0 = 0.0 if rng.random() < 0.35 else rng.uniform(-0.8, 0.8) * x_star
+        X = X0 + np.linspace(0.0, rng.uniform(-2.0, 2.0) * x_star, rng.integers(1, 8))
+        tau0 = rng.uniform(0.0, 2.0 * math.pi)
+        tau = np.linspace(tau0, tau0 + rng.uniform(0.5, 2.0 * math.pi), rng.integers(1, 10))
+        cases.append((beta, sine_profile(amp, freq, offset), X, tau))
+    return cases
+
+
+SIMPLE_WAVE_CASES = _simple_wave_cases()
+
+
+def _assert_same_outcome(got, ref, k):
+    """The same error type, coordinate and message, or values within 1e-12."""
+    if isinstance(ref, Exception):
+        assert isinstance(got, Exception), (k, ref)
+        assert type(got) is type(ref), (k, ref, got)
+        assert got.coordinate == ref.coordinate, (k, ref, got)
+        assert str(got) == str(ref), (k, ref, got)
+    else:
+        assert not isinstance(got, Exception), (k, got)
+        assert np.max(np.abs(np.subtract(got, ref)), initial=0.0) <= 1e-12, k
+
+
+def _sample_or_error(sampler, *args):
+    try:
+        return sampler(*args)
+    except (NoConvergence, SingularJacobian) as exc:
+        return exc
+
+
+def test_sample_simple_wave_matches_reference_march():
+    failed = 0
+    for k, (beta, prof, X, tau) in enumerate(SIMPLE_WAVE_CASES):
+        ref = _simple_wave_march(beta, prof, X, tau)
+        failed += isinstance(ref, Exception)
+        _assert_same_outcome(_sample_or_error(sample_simple_wave, beta, prof, X, tau), ref, k)
+    assert 0 < failed < len(SIMPLE_WAVE_CASES)
+    # first rows at X = 0 and away from it, on both sides
+    firsts = [X[0] for _, _, X, _ in SIMPLE_WAVE_CASES]
+    assert min(firsts) < 0.0 < max(firsts) and 0.0 in firsts
+
+
+@pytest.mark.parametrize("X", [[0.0], [0.3], [-0.2], [0.0, 0.1, 0.2, 0.3], [0.3, 0.2, 0.1]],
+                         ids=["1x_at_0", "1x_off_0", "1x_negative", "rows_from_0", "rows_off_0"])
+@pytest.mark.parametrize("n_tau", [1, 7])
+def test_sample_simple_wave_degenerate_rectangles(X, n_tau):
+    beta, prof = 0.4, sine_profile(0.5, 2.0, offset=1.0)
+    tau = np.linspace(0.3, 5.0, n_tau)
+    ref = _simple_wave_march(beta, prof, np.array(X), tau)
+    _assert_same_outcome(_sample_or_error(sample_simple_wave, beta, prof, X, tau), ref, X)
+
+
+def test_simple_wave_beta_overflow_raises_overflow_error():
+    # 3 beta X is inf * 0 = NaN on the row X = 0, whose answer is Phi(tau)
+    with pytest.raises(OverflowError, match="3 beta X"):
+        sample_simple_wave(1e308, sine_profile(0.2, 1.0, offset=1.0), [0.0, 0.1], [0.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # hodograph family
 
@@ -427,6 +523,51 @@ def test_sample_hodograph_marches_past_a_branch_jump():
     assert np.max(np.abs(got_theta - theta)) <= 1e-12
 
 
+HODOGRAPH_FAMILY = HodographData(phase_fn=linear_profile(1.0),
+                                  radial_fn=poly_profile([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("nX, ntau", [(1, 1), (1, 6), (6, 1)])
+def test_sample_hodograph_degenerate_rectangles(nX, ntau):
+    # the window of scripts/configs/hodograph.json, one row, one column or both
+    X = np.linspace(-0.55, -0.45, nX)
+    tau = np.linspace(-1.7, -1.3, ntau)
+    ref = _march_reference(HODOGRAPH_FAMILY, 1.0, X, tau, (0.5, 1.0))
+    got = _sample_or_error(sample_hodograph, HODOGRAPH_FAMILY, 1.0, X, tau, (0.5, 1.0))
+    _assert_same_outcome(got, ref, (nX, ntau))
+    # the first point is one damped Newton from the seed at the full budget
+    (theta, rho), code = _hodograph_solve(HODOGRAPH_FAMILY, 1.0, X[0], tau[0], 0.5, 1.0)
+    assert code[0] == 0
+    assert (got.rho[0, 0], got.theta[0, 0]) == (rho[0], theta[0])
+
+
+def _count_hodograph_solves(monkeypatch):
+    """Record the sweep budget of every _hodograph_solve call from here on."""
+    budgets = []
+
+    def counted(*args, max_iter):
+        budgets.append(max_iter)
+        return _hodograph_solve(*args, max_iter=max_iter)
+
+    monkeypatch.setattr(exact, "_hodograph_solve", counted)
+    return budgets
+
+
+@pytest.mark.parametrize("nX, ntau", [(1, 1), (1, 5), (5, 1), (5, 5)])
+def test_sample_hodograph_seed_on_a_fold_fails_at_the_first_point(monkeypatch, nX, ntau):
+    # the fold job of the benchmark: det J vanishes at the seed theta = 0, and
+    # the one array solve of column 0 from the seed is the march's own there
+    X = np.linspace(-1.1, -0.9, nX)
+    tau = np.linspace(-0.1, 0.1, ntau)
+    ref = _march_reference(HODOGRAPH_FAMILY, 1.0, X, tau, (0.0, 1.0))
+    budgets = _count_hodograph_solves(monkeypatch)
+    got = _sample_or_error(sample_hodograph, HODOGRAPH_FAMILY, 1.0, X, tau, (0.0, 1.0))
+    assert isinstance(got, SingularJacobian)
+    assert got.coordinate == (X[0], tau[0])
+    _assert_same_outcome(got, ref, (nX, ntau))
+    assert budgets == [NEWTON_MAX_ITER]
+
+
 # ---------------------------------------------------------------------------
 # Newton sweep budgets
 
@@ -493,24 +634,32 @@ def _slow_hodograph_point():
 
 def test_hodograph_pass_budget_stops_a_slow_point():
     hd, X, tau = _slow_hodograph_point()
-    _, code = _hodograph_solve(hd, 1.0, X, tau, *SLOW_SEED, check=False,
-                               max_iter=HODOGRAPH_PASS_MAX_ITER)
+    _, code = _hodograph_solve(hd, 1.0, X, tau, *SLOW_SEED, max_iter=HODOGRAPH_PASS_MAX_ITER)
     assert code[0] == 3
-    (theta, rho), code = _hodograph_solve(hd, 1.0, X, tau, *SLOW_SEED, check=False,
-                                          max_iter=NEWTON_MAX_ITER)
+    (theta, rho), code = _hodograph_solve(hd, 1.0, X, tau, *SLOW_SEED, max_iter=NEWTON_MAX_ITER)
     assert code[0] == 0
     assert theta[0] == pytest.approx(0.8, abs=1e-9)
     assert rho[0] == pytest.approx(1.2, abs=1e-9)
 
 
-def test_hodograph_continue_marches_a_point_over_the_pass_budget():
+def test_sample_hodograph_solves_a_slow_first_point_at_the_full_budget():
     hd, X, tau = _slow_hodograph_point()
-    theta, rho, failure = _hodograph_continue(hd, 1.0, np.array([[X]]), np.array([[tau]]),
-                                              (np.array([SLOW_SEED[0]]),
-                                               np.array([SLOW_SEED[1]])))
-    assert failure is None
+    rho, theta = sample_hodograph(hd, 1.0, [X], [tau], SLOW_SEED)
     assert theta[0, 0] == pytest.approx(0.8, abs=1e-9)
     assert rho[0, 0] == pytest.approx(1.2, abs=1e-9)
+
+
+def test_sample_hodograph_from_a_slow_seed_marches_nothing(monkeypatch):
+    # from SLOW_SEED the first point of this window takes more sweeps than a
+    # pass gets; pass 1 solves column 0 from the seed at the full budget, so
+    # no chain fails and the rectangle costs its three array solves
+    X = np.linspace(-0.55, -0.45, 6)
+    tau = np.linspace(-1.7, -1.3, 6)
+    ref = _march_reference(HODOGRAPH_FAMILY, 1.0, X, tau, SLOW_SEED)
+    budgets = _count_hodograph_solves(monkeypatch)
+    got = sample_hodograph(HODOGRAPH_FAMILY, 1.0, X, tau, SLOW_SEED)
+    assert budgets == [NEWTON_MAX_ITER, HODOGRAPH_PASS_MAX_ITER, HODOGRAPH_PASS_MAX_ITER]
+    _assert_same_outcome(got, ref, "slow seed")
 
 
 # ---------------------------------------------------------------------------
