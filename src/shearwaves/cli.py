@@ -1,9 +1,12 @@
 """Command-line entry point: JSON config in, CSV/JSON artifacts out.
 
 Subcommands: simulate, exact, classify, hodograph, verify, convergence.
-Every run validates its config against a closed schema, in a JSON Schema
-subset that this module checks itself with JSON Schema's messages (unknown
-keys are rejected).  The command's handler ``cmd_<command>(config)`` computes
+Every run validates its whole config, blocks included, in one pass against
+one closed schema of `SCHEMAS`: its command's, or the one of the ``system``
+(simulate, convergence) or ``study`` (verify) that it names.  A key that
+this variant does not read is rejected.  The schemas are in a JSON Schema
+subset that this module checks itself with JSON Schema's messages.  The
+command's handler ``cmd_<command>(config)`` computes
 and returns its artifacts by file name with its manifest entries, and writes
 nothing.  Only then does ``run`` write the deterministic artifact set into the
 output directory: ``snapshots.csv`` / ``samples.csv`` / ``report.json``
@@ -97,9 +100,8 @@ NUM_LIST = {"type": "array", "items": NUM, "minItems": 1}
 AXIS = _object({"min": NUM, "max": NUM, "n": {"type": "integer", "minimum": 2}},
                ["min", "max", "n"])
 SPAN = _object({"min": NUM, "max": NUM}, ["min", "max"])
-# a block whose schema depends on its context: the handler validates it
-# against its own table (INIT_SCHEMAS, ORACLE_SCHEMAS, VERIFY_SOLUTION_SCHEMAS)
-BLOCK = {"type": "object"}
+BOOL = {"type": "boolean"}
+SEED = {"type": "integer", "minimum": 0}
 
 PROFILE = {
     "oneOf": [
@@ -134,6 +136,9 @@ RUN = _object({"end": {"type": "number", "minimum": 0},
                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.9},
                "snapshot_stride": {"type": "integer", "minimum": 0},
                "blowup_factor": {"type": "number", "exclusiveMinimum": 1}}, ["end"])
+# a convergence study compares final states alone: it keeps no snapshots
+CONVERGENCE_RUN = _object({key: value for key, value in RUN["properties"].items()
+                           if key != "snapshot_stride"}, ["end"])
 COMMAND_PROP = {"enum": list(COMMANDS)}
 PAIR = {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2}
 
@@ -169,16 +174,37 @@ def _block(kind, lead=None, axes=(), omit=()):
     return _kind(kind, {**lead, **own, **dict.fromkeys(axes, AXIS)}, [*lead, *required, *axes])
 
 
-# the properties that simulate and convergence configs open with
-SYSTEM_HEAD = {"command": COMMAND_PROP, "system": {"enum": ["full", "asymptotic", "scalar"]},
-               "modulus": MODULUS, "beta": NUM}
-SIMULATE_SCHEMA = _object({**SYSTEM_HEAD, "grid": GRID, "run": RUN, "init": BLOCK,
-                           "oracle_check": {"type": "boolean"}}, ["system", "grid", "run", "init"])
-INIT_SCHEMAS = {
-    "full": {"oneOf": [_block("carroll"), _block("generalized"), _block("zero")]},
-    "asymptotic": {"oneOf": [_block("constant_amplitude"), _block("plane")]},
-    "scalar": {"oneOf": [_block("profile")]},
+def _one_of(*blocks):
+    """The schema of a position that takes these blocks: one alone, or their oneOf."""
+    return blocks[0] if len(blocks) == 1 else {"oneOf": list(blocks)}
+
+
+def _variants(key, table):
+    """The configs of a command's variants by the value of ``key`` (system or
+    study), from each variant's properties and required keys."""
+    return {name: _object({"command": COMMAND_PROP, key: {"const": name}, **props},
+                          [key, *required]) for name, (props, required) in table.items()}
+
+
+# each system: the coefficient it reads from the top level of its config, then
+# the block kinds of its simulate init and of its convergence oracle
+SYSTEMS = {
+    "full": (WITH_MODULUS, ("carroll", "generalized", "zero"), ("carroll", "generalized")),
+    "asymptotic": (WITH_BETA, ("constant_amplitude", "plane"), ("constant_amplitude",)),
+    "scalar": (WITH_BETA, ("profile",), ("simple_wave",)),
 }
+SIMULATE_SCHEMAS = _variants("system", {
+    system: ({**coef, "grid": GRID, "run": RUN, "init": _one_of(*map(_block, inits)),
+              "oracle_check": BOOL}, [*coef, "grid", "run", "init"])
+    for system, (coef, inits, _) in SYSTEMS.items()})
+CONVERGENCE_SCHEMAS = _variants("system", {
+    system: ({**coef, "grid": _object({"a": NUM, "b": NUM, "boundary": BOUNDARY}, ["a", "b"]),
+              "run": CONVERGENCE_RUN,
+              "levels": {"type": "array", "items": {"type": "integer", "minimum": 8},
+                         "minItems": 2},
+              "oracle": _one_of(*map(_block, oracles)), "order_target": NUM, "order_tol": POS_NUM},
+             [*coef, "grid", "run", "levels", "oracle"])
+    for system, (coef, _, oracles) in SYSTEMS.items()})
 
 EXACT_SCHEMA = _object({"command": COMMAND_PROP, "solution": {"oneOf": [
     _block("carroll", WITH_MODULUS, ("x", "t")),
@@ -198,52 +224,35 @@ HODOGRAPH_SCHEMA = _object(
     {"command": COMMAND_PROP, **WITH_BETA, **KIND_PARAMS["hodograph"][0], "X": AXIS, "tau": AXIS},
     [*WITH_BETA, *KIND_PARAMS["hodograph"][1], "X", "tau"])
 
-VERIFY_SCHEMA = _object({
-    "command": COMMAND_PROP,
-    "study": {"enum": ["full", "asymptotic", "conservation", "linearized_symmetry", "commutator"]},
-    "beta": NUM,
-    "solution": BLOCK,
-    "rectangle": _object({"coord": SPAN, "point": SPAN}, ["coord", "point"]),
-    "levels": {"type": "array", "items": {"type": "integer", "minimum": 5}, "minItems": 2},
-    "order_target": NUM,
-    "negative_control": {"type": "boolean"},
-    "conservation": _object({"amp_weight": PROFILE, "angle_weight": PROFILE},
-                            ["amp_weight", "angle_weight"]),
-    "symmetry": _object({"phase": PROFILE, "radial": PROFILE}, ["phase", "radial"]),
-    "jets": {"type": "integer", "minimum": 1},
-    "seed": {"type": "integer", "minimum": 0},
-    "tol_factor": POS_NUM,
-}, ["study"])
-# the full study verifies the Carroll wave of polarization 1 only
-VERIFY_SOLUTION_SCHEMAS = {
-    "carroll": _block("carroll", WITH_MODULUS, omit=("polarization",)),
-    "constant_amplitude": _block("constant_amplitude"),
-    "hodograph": _block("hodograph"),
-}
+# a residual study samples its solution on the refinement levels of a rectangle
+SAMPLED = {"rectangle": _object({"coord": SPAN, "point": SPAN}, ["coord", "point"]),
+           "levels": {"type": "array", "items": {"type": "integer", "minimum": 5}, "minItems": 2},
+           "order_target": NUM, "negative_control": BOOL}
+# the polar studies; the asymptotic and conservation negative controls sample
+# their own non-solution, so those two may omit the solution (see _verify_study)
+POLAR = {**WITH_BETA, "solution": _one_of(_block("constant_amplitude"), _block("hodograph")),
+         **SAMPLED}
+SYMMETRY = _object({"phase": PROFILE, "radial": PROFILE}, ["phase", "radial"])
+CONSERVATION = _object({"amp_weight": PROFILE, "angle_weight": PROFILE},
+                       ["amp_weight", "angle_weight"])
+VERIFY_SCHEMAS = _variants("study", {
+    # the full study verifies the Carroll wave of polarization 1 only
+    "full": ({"solution": _block("carroll", WITH_MODULUS, omit=("polarization",)), **SAMPLED,
+              "seed": SEED}, ["solution", "rectangle", "levels"]),
+    "asymptotic": (POLAR, ["beta", "rectangle", "levels"]),
+    "conservation": ({**POLAR, "conservation": CONSERVATION},
+                     ["beta", "rectangle", "levels", "conservation"]),
+    "linearized_symmetry": ({**POLAR, "symmetry": SYMMETRY},
+                            ["beta", "solution", "rectangle", "levels", "symmetry"]),
+    "commutator": ({**WITH_BETA, "symmetry": SYMMETRY, "jets": {"type": "integer", "minimum": 1},
+                    "seed": SEED, "tol_factor": POS_NUM, "negative_control": BOOL}, ["symmetry"]),
+})
 
-CONVERGENCE_SCHEMA = _object({
-    **SYSTEM_HEAD,
-    "grid": _object({"a": NUM, "b": NUM, "boundary": BOUNDARY}, ["a", "b"]),
-    "run": RUN,
-    "levels": {"type": "array", "items": {"type": "integer", "minimum": 8}, "minItems": 2},
-    "oracle": BLOCK,
-    "order_target": NUM,
-    "order_tol": POS_NUM,
-}, ["system", "grid", "run", "levels", "oracle"])
-ORACLE_SCHEMAS = {
-    "full": {"oneOf": [_block("carroll"), _block("generalized")]},
-    "asymptotic": _block("constant_amplitude"),
-    "scalar": _block("simple_wave"),
-}
-
-SCHEMAS = {
-    "simulate": SIMULATE_SCHEMA,
-    "exact": EXACT_SCHEMA,
-    "classify": CLASSIFY_SCHEMA,
-    "hodograph": HODOGRAPH_SCHEMA,
-    "verify": VERIFY_SCHEMA,
-    "convergence": CONVERGENCE_SCHEMA,
-}
+# a command's closed schema, or its variants by the value of its VARIANT_KEYS key
+SCHEMAS = {"simulate": SIMULATE_SCHEMAS, "exact": EXACT_SCHEMA, "classify": CLASSIFY_SCHEMA,
+           "hodograph": HODOGRAPH_SCHEMA, "verify": VERIFY_SCHEMAS,
+           "convergence": CONVERGENCE_SCHEMAS}
+VARIANT_KEYS = {"simulate": "system", "convergence": "system", "verify": "study"}
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +349,18 @@ def _schema_error(value, schema: dict, path: tuple = ()):
     return _first(_KEYWORDS[key](value, rule, schema, path) for key, rule in schema.items())
 
 
-def _validate(config: dict, schema: dict, where: str = "config"):
+def _validate(command: str, config: dict):
+    """Check the whole config against its command's schema, or against the variant
+    that its system or study names; a config that names none is checked for that key."""
+    schema, key = SCHEMAS[command], VARIANT_KEYS.get(command)
+    if key is not None:
+        name = config.get(key)
+        schema = schema[name] if isinstance(name, str) and name in schema else {
+            "properties": {key: {"enum": list(schema)}}, "required": [key]}
     error = _schema_error(config, schema)
     if error:
         path = "/".join(map(str, error[0])) or "<root>"
-        raise ConfigError(f"invalid {where} at {path}: {error[1]}")
+        raise ConfigError(f"invalid config at {path}: {error[1]}")
 
 
 def _axis(cfg: dict) -> np.ndarray:
@@ -618,13 +634,9 @@ def _system(config: dict, block: dict):
     system, kind = config["system"], block["kind"]
     params = {**config, **block}
     if system == "full":
-        if "modulus" not in config:
-            raise ConfigError("system 'full' requires a 'modulus' block")
         m = modulus_from_config(config["modulus"])
         names = FullState._fields
         evolve = lambda grid, run, w: evolve_full(m, grid, FullState(*w), run)
-    elif "beta" not in config:
-        raise ConfigError(f"system {system!r} requires 'beta'")
     elif system == "asymptotic":
         beta = params["beta"] = float(config["beta"])
         names = StrainState._fields
@@ -661,7 +673,6 @@ def _system(config: dict, block: dict):
 
 
 def cmd_simulate(config: dict) -> tuple[dict, dict]:
-    _validate(config["init"], INIT_SCHEMAS[config["system"]], where="init block")
     grid = _grid(config["grid"], config["grid"]["n"])
     run_cfg = SimulationConfig(**config["run"])
     evolve, oracle = _system(config, config["init"])
@@ -777,9 +788,7 @@ def _order_report(study: str, report, target: float, control: bool, **extra) -> 
 
 
 def _commutator_study(config: dict, control: bool) -> dict:
-    sym = config.get("symmetry")
-    if sym is None:
-        raise ConfigError("commutator study requires a 'symmetry' block")
+    sym = config["symmetry"]
     spec = SymmetrySpec(phase_fn=profile_from_config(sym["phase"]),
                         radial_fn=profile_from_config(sym["radial"]))
     if control:
@@ -808,24 +817,12 @@ def _verify_study(config: dict) -> dict:
     control = bool(config.get("negative_control", False))
     if study == "commutator":
         return _commutator_study(config, control)
-    if "rectangle" not in config or "levels" not in config:
-        raise ConfigError(f"study {study!r} requires 'rectangle' and 'levels'")
     sol, full = config.get("solution"), study == "full"
-    if not full and "beta" not in config:
-        raise ConfigError(f"study {study!r} requires 'beta'")
     # a negative control of the residual and conservation studies samples its
-    # own non-solution, but a solution block it is given must still be valid
+    # own non-solution; the schema still checks a solution block it is given
     non_solution = control and study in ("asymptotic", "conservation")
-    if sol is not None or not non_solution:
-        if full and (sol is None or sol.get("kind") != "carroll"):
-            raise ConfigError("study 'full' requires a 'carroll' solution block")
-        if not full and (sol is None or sol.get("kind") not in ("constant_amplitude", "hodograph")):
-            raise ConfigError(f"study {study!r} requires a solution block "
-                              f"(constant_amplitude or hodograph)")
-        _validate(sol, VERIFY_SOLUTION_SCHEMAS[sol["kind"]], where="solution block")
-    block = {"conservation": "conservation", "linearized_symmetry": "symmetry"}.get(study)
-    if block is not None and block not in config:
-        raise ConfigError(f"{study} study requires a {block!r} block")
+    if sol is None and not non_solution:
+        raise ConfigError(f"study {study!r} requires a solution block unless negative_control")
     if non_solution:
         def fields(coords, points):
             # theta = sin(2 tau), rho = 1 solves neither study
@@ -875,7 +872,6 @@ def cmd_verify(config: dict) -> tuple[dict, dict]:
 
 
 def cmd_convergence(config: dict) -> tuple[dict, dict]:
-    _validate(config["oracle"], ORACLE_SCHEMAS[config["system"]], where="oracle block")
     run_cfg = SimulationConfig(**config["run"])
     evolve, oracle = _system(config, config["oracle"])
     report = convergence_study(lambda n: evolve(_grid(config["grid"], n), run_cfg),
@@ -939,7 +935,7 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
         declared = config.get("command")
         if declared is not None and declared != command:
             raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked")
-        _validate(config, SCHEMAS[command])
+        _validate(command, config)
         _check_outdir(outdir)
         artifacts, extra = HANDLERS[command](config)
         status = "ok"

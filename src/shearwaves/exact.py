@@ -286,12 +286,11 @@ def _simple_wave_coefficients(beta, X):
     return c3, c6
 
 
-def _simple_wave_solve(beta, profile, X, tau, rho, check=True, max_iter=NEWTON_MAX_ITER):
+def _simple_wave_solve(beta, profile, X, tau, rho, max_iter=NEWTON_MAX_ITER):
     """Newton for g(rho) = rho - Phi(tau - 3 beta X rho^2) = 0 at points (X, tau).
 
-    X is one coordinate or an array shaped as tau.  Returns the roots,
-    raising at the first failing point; with check=False, returns the
-    iterates and the failure codes of _damped_newton instead.
+    X is one coordinate or an array shaped as tau.  Returns the iterates and
+    the failure codes of _damped_newton.
     """
     X, tau = np.broadcast_arrays(X, tau)
     c3, c6 = _simple_wave_coefficients(beta, X)
@@ -306,10 +305,7 @@ def _simple_wave_solve(beta, profile, X, tau, rho, check=True, max_iter=NEWTON_M
             return [-(res[0] / dg)], (dg == 0.0) | ~np.isfinite(dg)
 
     (rho,), code = _damped_newton(residual, newton_step, [rho], SIMPLE_WAVE_TOL, max_iter)
-    if not check:
-        return rho, code
-    _raise_first_failure(code, SIMPLE_WAVE_FAILURES, X, tau)
-    return rho
+    return rho, code
 
 
 def _track_branch(beta, profile, X, tau) -> np.ndarray:
@@ -323,7 +319,7 @@ def _track_branch(beta, profile, X, tau) -> np.ndarray:
     for n_sub in BRANCH_SUBSTEPS:
         idx, r = todo, rho[todo]
         for j in range(1, n_sub + 1):
-            r, code = _simple_wave_solve(beta, profile, X * j / n_sub, tau[idx], r, check=False)
+            r, code = _simple_wave_solve(beta, profile, X * j / n_sub, tau[idx], r)
             idx, r = idx[code == 0], r[code == 0]
         rho[idx] = r
         todo = todo[~np.isin(todo, idx)]
@@ -344,8 +340,10 @@ def eval_simple_wave(beta: float, profile: ProfileFunction, X: float, tau: float
     """
     if rho_guess is None:
         return float(sample_simple_wave(beta, profile, [X], [tau])[0, 0])
-    return float(_simple_wave_solve(beta, profile, float(X), np.array([float(tau)]),
-                                    np.array([float(rho_guess)]))[0])
+    X, tau = np.array([float(X)]), np.array([float(tau)])
+    rho, code = _simple_wave_solve(beta, profile, X, tau, np.array([float(rho_guess)]))
+    _raise_first_failure(code, SIMPLE_WAVE_FAILURES, X, tau)
+    return float(rho[0])
 
 
 def sample_simple_wave(beta: float, profile: ProfileFunction, X_grid, tau_grid) -> np.ndarray:
@@ -372,7 +370,7 @@ def sample_simple_wave(beta: float, profile: ProfileFunction, X_grid, tau_grid) 
     p = np.arange(X.size)
     (rho,), code = _continue(
         lambda idx, seeds, it: _simple_wave_solve(beta, profile, X[idx], tau[idx], *seeds,
-                                                  check=False, max_iter=it),
+                                                  max_iter=it),
         pred=p - len(tau_grid), lead=np.full(p.size, -1),
         start=np.tile(row0, len(X_grid))[None])
     _raise_first_failure(code, SIMPLE_WAVE_FAILURES, X, tau)

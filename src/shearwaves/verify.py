@@ -137,7 +137,9 @@ class ResidualReport:
 def _make_report(hs, norms, target, tol=None, **details) -> ResidualReport:
     """Report of one residual's (Linf, L2) norms over the spacings ``hs``: it passes
     with no ``target``, with the Linf order within ``tol`` of it when a ``tol`` is
-    given, and otherwise when both orders reach it."""
+    given, and otherwise when both orders reach it.  A ``tol`` needs a ``target``."""
+    if tol is not None and target is None:
+        raise ValueError("an order tolerance needs an order target")
     linf, l2 = norms
     order, order_l2 = _fit_order(hs, linf), _fit_order(hs, l2)
     if target is None:

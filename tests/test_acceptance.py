@@ -362,7 +362,7 @@ def test_criterion_09_negative_controls(tmp_path):
     hodo_rect = {"coord": {"min": -0.55, "max": -0.45},
                  "point": {"min": -1.7, "max": -1.3}}
     configs = {
-        "full": {"study": "full", "beta": 0.5, "rectangle": rect, "levels": [33, 65],
+        "full": {"study": "full", "rectangle": rect, "levels": [33, 65],
                  "solution": {"kind": "carroll",
                               "modulus": {"kind": "cubic", "mu0": 1.0, "mu1": 0.5},
                               "amplitude": 1.0, "wavenumber": 1.0}},

@@ -764,32 +764,32 @@ def test_verify_negative_control_exits_one(tmp_path):
     assert report["control_confirmed"] is True
 
 
-NEGATIVE_CONTROL_SYMMETRY = {"phase": {"kind": "linear", "k": 1.0},
-                             "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}}
+SYMMETRY = {"phase": {"kind": "linear", "k": 1.0},
+            "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}}
+CONSERVATION = {"amp_weight": {"kind": "const", "c": 0.0},
+                "angle_weight": {"kind": "linear", "k": 1.0}}
+RECTANGLE = {"coord": {"min": 0.0, "max": 1.0}, "point": {"min": 0.0, "max": TWO_PI}}
 NEGATIVE_CONTROL_CONFIGS = {
-    "full": {"beta": 0.5, "levels": [33, 65],
+    "full": {"rectangle": RECTANGLE, "levels": [33, 65],
              "solution": {"kind": "carroll",
                           "modulus": {"kind": "cubic", "mu0": 1.0, "mu1": 0.5},
                           "amplitude": 1.0, "wavenumber": 1.0}},
-    "asymptotic": {"beta": 0.5, "levels": [33, 65]},
-    "conservation": {"beta": 0.5, "levels": [33, 65],
-                     "conservation": {"amp_weight": {"kind": "const", "c": 0.0},
-                                      "angle_weight": {"kind": "linear", "k": 1.0}}},
+    "asymptotic": {"beta": 0.5, "rectangle": RECTANGLE, "levels": [33, 65]},
+    "conservation": {"beta": 0.5, "rectangle": RECTANGLE, "levels": [33, 65],
+                     "conservation": CONSERVATION},
     "linearized_symmetry": {"beta": 1.0, "levels": [33, 65],
-                            "symmetry": NEGATIVE_CONTROL_SYMMETRY,
-                            "solution": {"kind": "hodograph", **NEGATIVE_CONTROL_SYMMETRY,
+                            "symmetry": SYMMETRY,
+                            "solution": {"kind": "hodograph", **SYMMETRY,
                                          "seed": [0.5, 1.0]},
                             "rectangle": {"coord": {"min": -0.55, "max": -0.45},
                                           "point": {"min": -1.7, "max": -1.3}}},
-    "commutator": {"beta": 1.0, "symmetry": NEGATIVE_CONTROL_SYMMETRY},
+    "commutator": {"beta": 1.0, "symmetry": SYMMETRY},
 }
 
 
 @pytest.mark.parametrize("study", sorted(NEGATIVE_CONTROL_CONFIGS))
 def test_every_negative_control_study_exits_one(tmp_path, study):
     cfg = {"command": "verify", "study": study, "negative_control": True,
-           "rectangle": {"coord": {"min": 0.0, "max": 1.0},
-                         "point": {"min": 0.0, "max": TWO_PI}},
            **NEGATIVE_CONTROL_CONFIGS[study]}
     code, out = run_cli(tmp_path, cfg, "enc")
     assert code == 1
@@ -803,7 +803,7 @@ def test_unconfirmed_negative_control_exits_one(tmp_path):
     # the angle-squared shift is a true symmetry of a constant-amplitude
     # envelope, so the control's residual decays and the control is not confirmed
     cfg = {**small_config("verify"), "study": "linearized_symmetry", "negative_control": True,
-           "levels": [17, 33, 65], "symmetry": NEGATIVE_CONTROL_SYMMETRY}
+           "levels": [17, 33, 65], "symmetry": SYMMETRY}
     code, out = run_cli(tmp_path, cfg, "unc")
     assert code == 1
     assert read_manifest(out)["passed"] is False
@@ -1372,17 +1372,19 @@ def test_convergence_repeated_level_exits_two(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
-def test_verify_full_study_needs_no_beta(tmp_path):
+def test_verify_full_study_needs_no_beta(tmp_path, capsys):
+    # the full study reads its modulus from the solution block: beta is not its key
     cfg = {"command": "verify", "study": "full", "beta": 1.0,
            "solution": {"kind": "carroll", "modulus": {"kind": "cubic", "mu0": 1.0, "mu1": 0.5},
                         "amplitude": 1.0, "wavenumber": 1.0},
            "rectangle": {"coord": {"min": 0.0, "max": 1.0}, "point": {"min": 0.0, "max": TWO_PI}},
            "levels": [17, 33, 65]}
     code, out = run_cli(tmp_path, cfg, "fwb")
+    assert code == 2
+    assert "('beta' was unexpected)" in capsys.readouterr().err
+    assert not out.exists()
     del cfg["beta"]
-    code_nb, out_nb = run_cli(tmp_path, cfg, "fnb")
-    assert code == code_nb == 0
-    assert (out / "report.json").read_bytes() == (out_nb / "report.json").read_bytes()
+    assert run_cli(tmp_path, cfg, "fnb")[0] == 0
 
 
 @pytest.mark.parametrize("solution", [{"kind": 3}, {"kind": "carroll", "bogus": 1},
@@ -1390,9 +1392,9 @@ def test_verify_full_study_needs_no_beta(tmp_path):
                          ids=["kind_3", "carroll", "hodograph_missing_keys"])
 @pytest.mark.parametrize("study", ["asymptotic", "conservation"])
 def test_negative_control_validates_its_solution_block(tmp_path, capsys, study, solution):
-    cfg = {**small_config("verify"), "study": study, "negative_control": True,
-           "conservation": {"amp_weight": {"kind": "const", "c": 0.0},
-                            "angle_weight": {"kind": "linear", "k": 1.0}}}
+    cfg = {**small_config("verify"), "study": study, "negative_control": True}
+    if study == "conservation":
+        cfg["conservation"] = CONSERVATION
     code, _ = run_cli(tmp_path, cfg, "ncv")
     assert code == 1  # a valid block: the control is confirmed
     code, out = run_cli(tmp_path, {**cfg, "solution": solution}, "nci")
@@ -1401,8 +1403,19 @@ def test_negative_control_validates_its_solution_block(tmp_path, capsys, study, 
     assert not (out / "manifest.json").exists()
 
 
-def _one_of(where, block):
-    return f"config error: invalid {where}: {block!r} is not valid under any of the given schemas\n"
+def test_polar_study_without_solution_needs_negative_control(tmp_path, capsys):
+    # the one requirement that the schema cannot state: a study that may
+    # sample its own non-solution does so only as a negative control
+    code, out = run_cli(tmp_path, _without(small_config("verify"), "solution"), "nos")
+    assert code == 2
+    assert capsys.readouterr().err == ("config error: study 'asymptotic' requires a solution "
+                                       "block unless negative_control\n")
+    assert not out.exists()
+
+
+def _one_of(path, block):
+    return (f"config error: invalid config at {path}: {block!r} is not valid under any of the "
+            f"given schemas\n")
 
 
 HODOGRAPH_SOLUTION = {"kind": "hodograph", "phase": {"kind": "linear", "k": 1.0},
@@ -1424,14 +1437,14 @@ def _invalid_init(system, block):
     return ("simulate", {"system": system, **SYSTEM_COEFFICIENTS[system],
                          "grid": {"n": 16, "a": 0.0, "b": TWO_PI}, "run": {"end": 0.1},
                          "init": block},
-            _one_of("init block at <root>", block))
+            _one_of("init", block))
 
 
 def _invalid_oracle(system, block, message):
     return ("convergence", {"system": system, **SYSTEM_COEFFICIENTS[system],
                             "grid": {"a": 0.0, "b": TWO_PI}, "run": {"end": 0.1},
                             "levels": [16, 32], "oracle": block},
-            f"config error: invalid oracle block at {message}\n")
+            f"config error: invalid config at {message}\n")
 
 
 def _invalid_verify(study, block, message):
@@ -1439,11 +1452,13 @@ def _invalid_verify(study, block, message):
            "rectangle": {"coord": {"min": 0.0, "max": 1.0}, "point": {"min": 0.0, "max": 1.0}}}
     if study != "full":
         cfg["beta"] = 0.5
-    return "verify", cfg, f"config error: {message}\n"
+    if study == "conservation":
+        cfg["conservation"] = CONSERVATION
+    return "verify", cfg, f"config error: invalid config at {message}\n"
 
 
 def _invalid_exact(block):
-    return "exact", {"solution": block}, _one_of("config at solution", block)
+    return "exact", {"solution": block}, _one_of("solution", block)
 
 
 def _invalid_hodograph(cfg, message):
@@ -1457,29 +1472,30 @@ INVALID_BLOCKS = {
                                      {"kind": "carroll", "amplitude": 1.0, "wavenumber": 1.0}),
     "oracle_missing_key": _invalid_oracle(
         "full", {"kind": "carroll", "amplitude": 1.0},
-        "<root>: {'kind': 'carroll', 'amplitude': 1.0} is not valid under any of the given "
+        "oracle: {'kind': 'carroll', 'amplitude': 1.0} is not valid under any of the given "
         "schemas"),
     "oracle_extra_key": _invalid_oracle(
         "asymptotic", {**CONSTANT_AMPLITUDE_SOLUTION, "beta": 1.0},
-        "<root>: Additional properties are not allowed ('beta' was unexpected)"),
+        "oracle: Additional properties are not allowed ('beta' was unexpected)"),
     "oracle_wrong_kind": _invalid_oracle("scalar", {"kind": "profile", "profile": SINE},
-                                         "kind: 'simple_wave' was expected"),
+                                         "oracle/kind: 'simple_wave' was expected"),
+    # the polar studies take either of two kinds: JSON Schema's oneOf message
     "verify_missing_key": _invalid_verify(
         "asymptotic", _without(HODOGRAPH_SOLUTION, "seed"),
-        "invalid solution block at <root>: 'seed' is a required property"),
+        f"solution: {_without(HODOGRAPH_SOLUTION, 'seed')!r} is not valid under any of the "
+        f"given schemas"),
     "verify_missing_modulus": _invalid_verify(
         "full", _without(CARROLL_SOLUTION, "modulus"),
-        "invalid solution block at <root>: 'modulus' is a required property"),
+        "solution: 'modulus' is a required property"),
     "verify_extra_key": _invalid_verify(
         "conservation", {**CONSTANT_AMPLITUDE_SOLUTION, "beta": 0.5},
-        "invalid solution block at <root>: Additional properties are not allowed "
-        "('beta' was unexpected)"),
+        f"solution: {({**CONSTANT_AMPLITUDE_SOLUTION, 'beta': 0.5})!r} is not valid under any "
+        f"of the given schemas"),
     "verify_carroll_polarization": _invalid_verify(
         "full", {**CARROLL_SOLUTION, "polarization": 1},
-        "invalid solution block at <root>: Additional properties are not allowed "
-        "('polarization' was unexpected)"),
+        "solution: Additional properties are not allowed ('polarization' was unexpected)"),
     "verify_wrong_kind": _invalid_verify("full", CONSTANT_AMPLITUDE_SOLUTION,
-                                         "study 'full' requires a 'carroll' solution block"),
+                                         "solution/kind: 'carroll' was expected"),
     "exact_missing_key": _invalid_exact(
         _without(exact_config("carroll")["solution"], "wavenumber")),
     "exact_extra_key": _invalid_exact(exact_config("carroll", bogus=1)["solution"]),
@@ -1516,6 +1532,92 @@ def test_oracle_check_without_oracle_exits_two(tmp_path):
     }
     code, out = run_cli(tmp_path, cfg, "noo")
     assert code == 2
+    assert not out.exists()
+
+
+def _simulate(system, init):
+    return {"command": "simulate", "system": system, **SYSTEM_COEFFICIENTS[system],
+            "grid": {"n": 16, "a": 0.0, "b": TWO_PI}, "run": {"end": 0.1}, "init": init,
+            "oracle_check": False}
+
+
+def _convergence(system, oracle):
+    return {"command": "convergence", "system": system, **SYSTEM_COEFFICIENTS[system],
+            "grid": {"a": 0.0, "b": TWO_PI}, "run": {"end": 0.1}, "levels": [16, 32],
+            "oracle": oracle, "order_target": 1.0, "order_tol": 0.5}
+
+
+POLAR_STUDY = {"beta": 0.5, "solution": CONSTANT_AMPLITUDE_SOLUTION, "rectangle": RECTANGLE,
+               "levels": [9, 17], "order_target": 1.5, "negative_control": False}
+# one valid config of every variant, with every top-level key its schema lists
+VARIANT_CONFIGS = {
+    ("simulate", "full"): _simulate("full", {"kind": "zero"}),
+    ("simulate", "asymptotic"): _simulate("asymptotic", {"kind": "plane", "profile": SINE}),
+    ("simulate", "scalar"): _simulate("scalar", {"kind": "profile", "profile": SINE}),
+    ("convergence", "full"): _convergence("full", _without(CARROLL_SOLUTION, "modulus")),
+    ("convergence", "asymptotic"): _convergence("asymptotic", CONSTANT_AMPLITUDE_SOLUTION),
+    ("convergence", "scalar"): _convergence("scalar", {"kind": "simple_wave", "profile": SINE}),
+    ("verify", "full"): {"command": "verify", "study": "full", **_without(POLAR_STUDY, "beta"),
+                         "solution": CARROLL_SOLUTION, "seed": 0},
+    ("verify", "asymptotic"): {"command": "verify", "study": "asymptotic", **POLAR_STUDY},
+    ("verify", "conservation"): {"command": "verify", "study": "conservation", **POLAR_STUDY,
+                                 "conservation": CONSERVATION},
+    ("verify", "linearized_symmetry"): {"command": "verify", "study": "linearized_symmetry",
+                                        **POLAR_STUDY, "symmetry": SYMMETRY},
+    ("verify", "commutator"): {"command": "verify", "study": "commutator", "beta": 1.0,
+                               "symmetry": SYMMETRY, "jets": 10, "seed": 0, "tol_factor": 1e-10,
+                               "negative_control": False},
+}
+# each (command, variant, key) where the key is at the top level of a sibling
+# variant's schema but not of this one's, with a sibling that lists it
+SIBLING_KEYS = {(command, name, key): sibling
+                for command in cli.VARIANT_KEYS
+                for name, schema in cli.SCHEMAS[command].items()
+                for sibling, other in cli.SCHEMAS[command].items()
+                for key in other["properties"] if key not in schema["properties"]}
+
+
+@pytest.mark.parametrize("command, variant", [(command, name) for command in cli.VARIANT_KEYS
+                                              for name in cli.SCHEMAS[command]])
+def test_variant_configs_are_valid_and_complete(command, variant):
+    cfg = VARIANT_CONFIGS[command, variant]
+    assert cfg.keys() == cli.SCHEMAS[command][variant]["properties"].keys()
+    cli._validate(command, cfg)
+    assert_validators_agree(cfg)
+
+
+@pytest.mark.parametrize("command, variant, key", sorted(SIBLING_KEYS))
+def test_key_of_a_sibling_variant_exits_two(tmp_path, capsys, command, variant, key):
+    sibling = VARIANT_CONFIGS[command, SIBLING_KEYS[command, variant, key]]
+    code, out = run_cli(tmp_path, {**VARIANT_CONFIGS[command, variant], key: sibling[key]}, "sib")
+    assert code == 2
+    assert capsys.readouterr().err == ("config error: invalid config at <root>: Additional "
+                                       f"properties are not allowed ({key!r} was unexpected)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", sorted(cli.VARIANT_KEYS.items()))
+def test_config_naming_no_variant_exits_two(tmp_path, capsys, command, key):
+    names = list(cli.SCHEMAS[command])
+    for value, message in ((None, f"<root>: {key!r} is a required property"),
+                           ("bogus", f"{key}: 'bogus' is not one of {names!r}"),
+                           ([], f"{key}: [] is not one of {names!r}")):
+        cfg = {**small_config(command), key: value}
+        if value is None:
+            del cfg[key]
+        code, out = run_cli(tmp_path, cfg, "nov")
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: invalid config at {message}\n"
+        assert not out.exists()
+
+
+def test_convergence_tolerance_without_target_exits_two(tmp_path, capsys):
+    # a tolerance around no target would pass at any order
+    cfg = {**small_config("convergence"), "order_tol": 1e-9}
+    assert "order_target" not in cfg
+    code, out = run_cli(tmp_path, cfg, "tol")
+    assert code == 2
+    assert capsys.readouterr().err == "config error: an order tolerance needs an order target\n"
     assert not out.exists()
 
 
@@ -1628,23 +1730,28 @@ REFERENCE_VALIDATOR = jsonschema.validators.extend(
     jsonschema.Draft202012Validator,
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
         "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)))
-SCHEMA_TABLES = {"config": cli.SCHEMAS, "init": cli.INIT_SCHEMAS, "oracle": cli.ORACLE_SCHEMAS,
-                 "solution": cli.VERIFY_SOLUTION_SCHEMAS}
-REFERENCES = {f"{table}/{name}": (schema, REFERENCE_VALIDATOR(schema))
-              for table, schemas in SCHEMA_TABLES.items() for name, schema in schemas.items()}
+
+
+def config_schemas():
+    """Every config schema as ``(command, variant, schema)``; the variant is None
+    for a command that has no variants."""
+    for command, schema in cli.SCHEMAS.items():
+        variants = schema if command in cli.VARIANT_KEYS else {None: schema}
+        for variant, variant_schema in variants.items():
+            yield command, variant, variant_schema
+
+
+REFERENCES = {(command, variant): (schema, REFERENCE_VALIDATOR(schema))
+              for command, variant, schema in config_schemas()}
 
 
 def assert_validators_agree(config):
-    """Under every schema of the four tables, the CLI's validator finds the
-    first error that jsonschema finds, path and message, in the config and in
-    each of its second-stage blocks; or both find none."""
-    values = [config, *(config[key] for key in ("init", "oracle", "solution")
-                        if isinstance(config.get(key), dict))]
-    for value in values:
-        for name, (schema, reference) in REFERENCES.items():
-            error = next(reference.iter_errors(value), None)
-            expected = None if error is None else (tuple(error.absolute_path), error.message)
-            assert cli._schema_error(value, schema) == expected, (name, value)
+    """Under every config schema, the CLI's validator finds the first error
+    that jsonschema finds, path and message, or both find none."""
+    for name, (schema, reference) in REFERENCES.items():
+        error = next(reference.iter_errors(config), None)
+        expected = None if error is None else (tuple(error.absolute_path), error.message)
+        assert cli._schema_error(config, schema) == expected, (name, config)
 
 
 @settings(max_examples=2000, derandomize=True, deadline=None)

@@ -19,10 +19,12 @@ from shearwaves.errors import NoConvergence, SingularJacobian
 from shearwaves.exact import (
     HODOGRAPH_PASS_MAX_ITER,
     NEWTON_MAX_ITER,
+    SIMPLE_WAVE_FAILURES,
     CarrollWave,
     HodographData,
     _damped_newton,
     _hodograph_solve,
+    _raise_first_failure,
     _simple_wave_solve,
     _track_branch,
     carroll_dispersion,
@@ -235,15 +237,20 @@ def _simple_wave_march(beta, profile, X, tau):
     0, and each later row is one _simple_wave_solve from the row before.
     Returns rho, or the error of the first failing point.
     """
+    def solve(x, seed):
+        row, code = _simple_wave_solve(beta, profile, x, tau, seed)
+        _raise_first_failure(code, SIMPLE_WAVE_FAILURES, np.full(len(tau), x), tau)
+        return row
+
     rho = np.empty((len(X), len(tau)))
     try:
         for i, x in enumerate(X):
             if i:
-                rho[i] = _simple_wave_solve(beta, profile, x, tau, rho[i - 1])
+                rho[i] = solve(x, rho[i - 1])
             elif x != 0.0:
                 rho[0] = _track_branch(beta, profile, x, tau)
             else:
-                rho[0] = _simple_wave_solve(beta, profile, x, tau, profile(tau))
+                rho[0] = solve(x, profile(tau))
     except NoConvergence as exc:
         return exc
     return rho

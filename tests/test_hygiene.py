@@ -230,17 +230,19 @@ def test_detector_reads_solution_block_table():
 def schema_block_kinds():
     """``{kind: contexts}`` of every block kind that a CLI schema accepts."""
     kinds = collections.defaultdict(set)
-    for block in cli.EXACT_SCHEMA["properties"]["solution"]["oneOf"]:
-        kinds[block["properties"]["kind"]["const"]].add(("exact", None))
-    for system, schema in cli.INIT_SCHEMAS.items():
-        for block in schema["oneOf"]:
-            kinds[block["properties"]["kind"]["const"]].add(("init", system))
-    for system, schema in cli.ORACLE_SCHEMAS.items():
-        # a system with one oracle family takes its block alone, not in a oneOf
-        for block in schema.get("oneOf", [schema]):
-            kinds[block["properties"]["kind"]["const"]].add(("oracle", system))
-    for kind in cli.VERIFY_SOLUTION_SCHEMAS:
-        kinds[kind].add(("verify", None))
+    positions = [(cli.EXACT_SCHEMA, "solution", ("exact", None))]
+    positions += [(schema, "init", ("init", system))
+                  for system, schema in cli.SCHEMAS["simulate"].items()]
+    positions += [(schema, "oracle", ("oracle", system))
+                  for system, schema in cli.SCHEMAS["convergence"].items()]
+    positions += [(schema, "solution", ("verify", None))
+                  for schema in cli.SCHEMAS["verify"].values()
+                  if "solution" in schema["properties"]]
+    for schema, key, context in positions:
+        # a position of one block kind takes its block alone, not in a oneOf
+        block = schema["properties"][key]
+        for branch in block.get("oneOf", [block]):
+            kinds[branch["properties"]["kind"]["const"]].add(context)
     # the hodograph command samples the hodograph family from its top level
     kinds["hodograph"].add(("hodograph", None))
     return dict(kinds)
@@ -252,6 +254,44 @@ def test_readme_solution_blocks_match_the_schemas():
     for kind, (required, optional, _) in table.items():
         props, needed = cli.KIND_PARAMS[kind]
         assert (required, optional) == (needed, [p for p in props if p not in needed]), kind
+
+
+def config_schemas():
+    """Every config schema as ``(command, variant, schema)``; the variant is None
+    for a command that has no variants."""
+    for command, schema in cli.SCHEMAS.items():
+        variants = schema if command in cli.VARIANT_KEYS else {None: schema}
+        for variant, variant_schema in variants.items():
+            yield command, variant, variant_schema
+
+
+def top_level_key_table(text):
+    """``{(command, variant): (required, optional)}`` of the README's "Top-level
+    keys" table; the variant is None for a command that has no variants."""
+    section = text.split("\n### Top-level keys\n", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            table[cells[0].strip("`"), cells[1].strip("`") or None] = (
+                re.findall(r"`(\w+)`", cells[2]), re.findall(r"`(\w+)`", cells[3]))
+    return table
+
+
+def test_detector_reads_top_level_key_table():
+    text = ("## Command line\n\n### Top-level keys\n\n| command | variant | required | optional |\n"
+            "| --- | --- | --- | --- |\n| `run` | `fast` | `system`, `n` | `seed` |\n"
+            "| `plot` | | `axes` | |\n\n### Next\n| `x` | 1 | 2 | 3 |\n")
+    assert top_level_key_table(text) == {("run", "fast"): (["system", "n"], ["seed"]),
+                                         ("plot", None): (["axes"], [])}
+
+
+def test_readme_top_level_keys_match_the_schemas():
+    assert top_level_key_table((ROOT / "README.md").read_text()) == {
+        (command, variant): (schema["required"], [
+            name for name in schema["properties"]
+            if name not in schema["required"] and name != "command"])
+        for command, variant, schema in config_schemas()}
 
 
 def failure_type_table(text):
@@ -272,11 +312,6 @@ def test_readme_failure_types_match_the_error_classes():
     subclasses = [name for name, obj in vars(errors).items() if isinstance(obj, type)
                   and issubclass(obj, errors.ShearWaveError) and obj is not errors.ShearWaveError]
     assert failure_type_table((ROOT / "README.md").read_text()) == subclasses
-
-
-# the second-stage blocks: their schema depends on the config's system, study
-# or block kind, and the handler validates each against its own table
-OPEN_PLACEHOLDERS = {"simulate/init", "convergence/oracle", "verify/solution"}
 
 
 def open_objects(schema, path):
@@ -321,15 +356,9 @@ def test_detector_finds_open_objects():
     assert open_objects(schema, "demo") == ["demo/a", "demo/a/c", "demo/d/oneOf[1]", "demo/e/items"]
 
 
-# every table of CLI schemas, by the path prefix of its schemas
-SCHEMA_TABLES = {"": cli.SCHEMAS, "init/": cli.INIT_SCHEMAS, "oracle/": cli.ORACLE_SCHEMAS,
-                 "solution/": cli.VERIFY_SOLUTION_SCHEMAS}
-
-
 def test_every_config_object_is_closed():
-    found = [path for prefix, table in SCHEMA_TABLES.items() for name, schema in table.items()
-             for path in open_objects(schema, prefix + name)]
-    assert sorted(found) == sorted(OPEN_PLACEHOLDERS)
+    assert [path for command, variant, schema in config_schemas()
+            for path in open_objects(schema, f"{command}/{variant}")] == []
 
 
 # the keywords that cli._schema_error checks
@@ -400,8 +429,8 @@ def test_detector_finds_unchecked_schema_parts():
 
 
 def test_validator_checks_every_schema_part():
-    assert [path for prefix, table in SCHEMA_TABLES.items() for name, schema in table.items()
-            for path in unchecked_schema_parts(schema, prefix + name)] == []
+    assert [path for command, variant, schema in config_schemas()
+            for path in unchecked_schema_parts(schema, f"{command}/{variant}")] == []
 
 
 def test_cli_runs_without_jsonschema(tmp_path):

@@ -364,6 +364,13 @@ def test_convergence_study_order_band():
     assert untargeted.passed and untargeted.order == report.order
 
 
+def test_convergence_study_rejects_a_tolerance_without_a_target():
+    # a tolerance around no target would pass at any order
+    run, oracle = _asymptotic_runner(0.5, 1.0, sine_profile(1.0, 1.0), end=0.2)
+    with pytest.raises(ValueError, match="order tolerance needs an order target"):
+        convergence_study(run, oracle, [32, 64], order_tol=1e-9)
+
+
 def test_convergence_study_oracle_failure():
     run, _ = _asymptotic_runner(0.5, 1.0, sine_profile(1.0, 1.0), end=0.2)
 
