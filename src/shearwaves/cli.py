@@ -1,6 +1,7 @@
 """Command-line entry point: JSON config in, CSV/JSON artifacts out.
 
 Subcommands: simulate, exact, classify, hodograph, verify, convergence.
+Each exact solution family is one `FAMILIES` entry plus one README row.
 Every run validates its whole config, blocks included, in one pass against
 one closed schema of `SCHEMAS`: its command's, or the one of the ``system``
 (simulate, convergence) or ``study`` (verify) that it names.  A key that
@@ -30,6 +31,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 from typing import Callable
 
@@ -142,36 +144,143 @@ CONVERGENCE_RUN = _object({key: value for key, value in RUN["properties"].items(
 COMMAND_PROP = {"enum": list(COMMANDS)}
 PAIR = {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2}
 
-# each block kind's own parameters (properties, required), written once; a
-# context adds what else it reads from the block: see _block
-KIND_PARAMS = {
-    "carroll": ({"amplitude": POS_NUM, "wavenumber": POS_NUM, "polarization": SIGN},
-                ["amplitude", "wavenumber"]),
-    "generalized": ({"amplitude": POS_NUM, "profile": PROFILE, "direction": SIGN,
-                     "polarization": SIGN}, ["amplitude", "profile"]),
-    "zero": ({}, []),
-    "constant_amplitude": ({"amplitude": POS_NUM, "profile": PROFILE}, ["amplitude", "profile"]),
-    "plane": ({"profile": PROFILE}, ["profile"]),
-    "profile": ({"profile": PROFILE}, ["profile"]),
-    "simple_wave": ({"profile": PROFILE}, ["profile"]),
-    "separable": ({"flux": FLUX, "k": NUM, "phi0": NUM, "dphi0": NUM},
-                  ["flux", "k", "phi0", "dphi0"]),
-    "overdetermined": ({"flux": FLUX, "level": POS_NUM, "profile": PROFILE, "direction": SIGN,
-                        "v_bracket": PAIR}, ["flux", "level", "profile"]),
-    "hodograph": ({"phase": PROFILE, "radial": PROFILE, "seed": PAIR}, ["phase", "radial", "seed"]),
-}
 WITH_MODULUS, WITH_BETA = {"modulus": MODULUS}, {"beta": NUM}
 
+# ---------------------------------------------------------------------------
+# exact solution families: one table serves every command
 
-def _block(kind, lead=None, axes=(), omit=()):
-    """The schema of a ``kind`` block in one context: the ``lead`` properties
-    (the modulus or beta the block carries there), the kind's own parameters
-    less ``omit``, then its sample ``axes``; all required but the optional
-    parameters."""
-    props, required = KIND_PARAMS[kind]
-    lead = lead or {}
-    own = {name: value for name, value in props.items() if name not in omit}
-    return _kind(kind, {**lead, **own, **dict.fromkeys(axes, AXIS)}, [*lead, *required, *axes])
+
+def _mesh(coord_axis, point_axis):
+    """The (coordinate, point) mesh as read-only broadcast views, indexed [coordinate, point]."""
+    coords = np.asarray(coord_axis, dtype=float)
+    points = np.asarray(point_axis, dtype=float)
+    shape = (coords.size, points.size)
+    return np.broadcast_to(coords[:, None], shape), np.broadcast_to(points, shape)
+
+
+def _polar(rho, theta) -> dict:
+    """Polar fields with their strains U = rho cos(theta), V = rho sin(theta)."""
+    return {"theta": theta, "rho": rho, "U": rho * np.cos(theta), "V": rho * np.sin(theta)}
+
+
+def _profiles(block: dict, *names) -> list:
+    """The profiles of ``block`` under ``names``, built in that order."""
+    return [profile_from_config(block[name]) for name in names]
+
+
+def _on_mesh(closed_form: Callable) -> Callable:
+    """The builder of a closed-form family, whose fields take the mesh's broadcast views."""
+    def build(params):
+        closed = closed_form(params)
+        return lambda coords, points: closed(*_mesh(coords, points))
+    return build
+
+
+@_on_mesh
+def _carroll(params):
+    wave = CarrollWave.from_modulus(modulus_from_config(params["modulus"]),
+                                    params["amplitude"], params["wavenumber"],
+                                    params.get("polarization", 1))
+    return lambda T, X: carroll_full_state(wave, X, T)._asdict()
+
+
+@_on_mesh
+def _generalized(params):
+    m, prof = modulus_from_config(params["modulus"]), profile_from_config(params["profile"])
+    return lambda T, X: generalized_carroll_full_state(
+        m, params["amplitude"], prof, X, T,
+        params.get("direction", -1), params.get("polarization", 1))._asdict()
+
+
+@_on_mesh
+def _constant_amplitude(params):
+    prof = profile_from_config(params["profile"])
+    beta, amp = params["beta"], params["amplitude"]
+    return lambda X, tau: _polar(np.full(X.shape, float(amp)), prof(beta * amp**2 * X + tau))
+
+
+@_on_mesh
+def _overdetermined(params):
+    f, prof = flux_from_config(params["flux"]), profile_from_config(params["profile"])
+    return lambda T, X: eval_overdetermined(
+        f, params["level"], prof, X, T, params.get("direction", 1),
+        tuple(params.get("v_bracket", (1e-8, 10.0))))._asdict()
+
+
+def _simple_wave(params):
+    prof = profile_from_config(params["profile"])
+    return lambda X, tau: {"rho": sample_simple_wave(params["beta"], prof, X, tau)}
+
+
+def _hodograph(params):
+    data = HodographData(*_profiles(params, "phase", "radial"))
+    return lambda X, tau: _polar(*sample_hodograph(data, params["beta"], X, tau,
+                                                   tuple(params["seed"])))
+
+
+def _separable(params):
+    f = flux_from_config(params["flux"])
+
+    def separable(t, x):
+        solution = eval_separable(f, params["k"], params["phi0"], params["dphi0"], t)
+        # phi depends on t alone: a view the CSV writer formats once per t
+        return {"phi": np.broadcast_to(solution.phi[:, None], (len(t), len(x))),
+                "u": solution.u_field(x), "v": solution.v_field(x)}
+    return separable
+
+
+# an exact solution family: its block's own parameters (props, required); the
+# coefficient it reads, a modulus or beta, which a block carries where it is
+# sampled and a run's config holds at its top level; its sample axes, the
+# coordinate (t or X) first, then the point (x or tau); build(params), which
+# returns fields(coords, points), the family's named arrays on the mesh of
+# those axes, or is None where the family has no exact fields; and whether a
+# run starts from its profile rather than from its fields at coordinate 0.
+# params is the block merged over its enclosing config.  build makes the
+# family's profiles, flux, modulus or wave; it evaluates, and fails, in fields
+Family = namedtuple("Family", "props required coefficient axes build from_profile",
+                    defaults=(False,))
+# every exact family by block kind: a new family is one entry here and one row
+# of the README's "Solution blocks" table
+FAMILIES = {
+    "carroll": Family({"amplitude": POS_NUM, "wavenumber": POS_NUM, "polarization": SIGN},
+                      ("amplitude", "wavenumber"), WITH_MODULUS, ("t", "x"), _carroll),
+    "generalized": Family({"amplitude": POS_NUM, "profile": PROFILE, "direction": SIGN,
+                           "polarization": SIGN}, ("amplitude", "profile"), WITH_MODULUS,
+                          ("t", "x"), _generalized),
+    "zero": Family({}, (), {}, ("t", "x"), lambda params: lambda t, x: dict.fromkeys(
+        FullState._fields, np.zeros((len(t), len(x))))),
+    "constant_amplitude": Family({"amplitude": POS_NUM, "profile": PROFILE},
+                                 ("amplitude", "profile"), WITH_BETA, ("X", "tau"),
+                                 _constant_amplitude),
+    # a plane wave's initial U is its profile; it has no exact fields
+    "plane": Family({"profile": PROFILE}, ("profile",), {}, (), None, from_profile=True),
+    "simple_wave": Family({"profile": PROFILE}, ("profile",), WITH_BETA, ("X", "tau"),
+                          _simple_wave, from_profile=True),
+    "separable": Family({"flux": FLUX, "k": NUM, "phi0": NUM, "dphi0": NUM},
+                        ("flux", "k", "phi0", "dphi0"), {}, ("t", "x"), _separable),
+    "overdetermined": Family({"flux": FLUX, "level": POS_NUM, "profile": PROFILE,
+                              "direction": SIGN, "v_bracket": PAIR}, ("flux", "level", "profile"),
+                             {}, ("t", "x"), _overdetermined),
+    "hodograph": Family({"phase": PROFILE, "radial": PROFILE, "seed": PAIR},
+                        ("phase", "radial", "seed"), WITH_BETA, ("X", "tau"), _hodograph),
+}
+# a scalar run's init names the simple wave by the profile it starts from
+FAMILIES["profile"] = FAMILIES["simple_wave"]
+
+
+def _properties(kind, coefficient=False, axes=False, omit=()):
+    """A ``kind`` block's properties and required names in one context: its family's
+    coefficient if carried, its own parameters less ``omit``, then its axes if carried."""
+    family = FAMILIES[kind]
+    lead = family.coefficient if coefficient else {}
+    own = {name: value for name, value in family.props.items() if name not in omit}
+    axes = dict.fromkeys(family.axes if axes else (), AXIS)
+    return {**lead, **own, **axes}, [*lead, *family.required, *axes]
+
+
+def _block(kind, **context):
+    return _kind(kind, *_properties(kind, **context))
 
 
 def _one_of(*blocks):
@@ -206,23 +315,19 @@ CONVERGENCE_SCHEMAS = _variants("system", {
              [*coef, "grid", "run", "levels", "oracle"])
     for system, (coef, _, oracles) in SYSTEMS.items()})
 
-EXACT_SCHEMA = _object({"command": COMMAND_PROP, "solution": {"oneOf": [
-    _block("carroll", WITH_MODULUS, ("x", "t")),
-    _block("generalized", WITH_MODULUS, ("x", "t")),
-    _block("constant_amplitude", WITH_BETA, ("X", "tau")),
-    _block("simple_wave", WITH_BETA, ("X", "tau")),
-    _block("separable", axes=("x", "t")),
-    _block("overdetermined", axes=("x", "t")),
-]}}, ["solution"])
+# the families that the exact command samples, each with its coefficient and axes
+EXACT_KINDS = ("carroll", "generalized", "constant_amplitude", "simple_wave", "separable",
+               "overdetermined")
+EXACT_SCHEMA = _object({"command": COMMAND_PROP, "solution": _one_of(
+    *(_block(kind, coefficient=True, axes=True) for kind in EXACT_KINDS))}, ["solution"])
 
 CLASSIFY_SCHEMA = _object({"command": COMMAND_PROP, "flux": FLUX,
                            "samples": _object({"u": AXIS, "v": AXIS}, ["u", "v"]),
                            "alpha": FLUX}, ["flux", "samples"])
 
 # a hodograph config is a hodograph block at the root, with beta and its axes
-HODOGRAPH_SCHEMA = _object(
-    {"command": COMMAND_PROP, **WITH_BETA, **KIND_PARAMS["hodograph"][0], "X": AXIS, "tau": AXIS},
-    [*WITH_BETA, *KIND_PARAMS["hodograph"][1], "X", "tau"])
+HODOGRAPH_KEYS = _properties("hodograph", coefficient=True, axes=True)
+HODOGRAPH_SCHEMA = _object({"command": COMMAND_PROP, **HODOGRAPH_KEYS[0]}, HODOGRAPH_KEYS[1])
 
 # a residual study samples its solution on the refinement levels of a rectangle
 SAMPLED = {"rectangle": _object({"coord": SPAN, "point": SPAN}, ["coord", "point"]),
@@ -237,7 +342,7 @@ CONSERVATION = _object({"amp_weight": PROFILE, "angle_weight": PROFILE},
                        ["amp_weight", "angle_weight"])
 VERIFY_SCHEMAS = _variants("study", {
     # the full study verifies the Carroll wave of polarization 1 only
-    "full": ({"solution": _block("carroll", WITH_MODULUS, omit=("polarization",)), **SAMPLED,
+    "full": ({"solution": _block("carroll", coefficient=True, omit=("polarization",)), **SAMPLED,
               "seed": SEED}, ["solution", "rectangle", "levels"]),
     "asymptotic": (POLAR, ["beta", "rectangle", "levels"]),
     "conservation": ({**POLAR, "conservation": CONSERVATION},
@@ -555,72 +660,6 @@ def _grid(grid_cfg: dict, n: int) -> Grid1D:
 
 
 # ---------------------------------------------------------------------------
-# exact solution families: one builder serves every command
-
-
-def _mesh(coord_axis, point_axis):
-    """The (coordinate, point) mesh as read-only broadcast views, indexed [coordinate, point]."""
-    coords = np.asarray(coord_axis, dtype=float)
-    points = np.asarray(point_axis, dtype=float)
-    shape = (coords.size, points.size)
-    return np.broadcast_to(coords[:, None], shape), np.broadcast_to(points, shape)
-
-
-def _polar(rho, theta) -> dict:
-    """Polar fields with their strains U = rho cos(theta), V = rho sin(theta)."""
-    return {"theta": theta, "rho": rho, "U": rho * np.cos(theta), "V": rho * np.sin(theta)}
-
-
-def _solution(kind: str, params: dict) -> Callable:
-    """``fields(coords, points)``: the named arrays of the exact family ``kind``
-    on the mesh of a coordinate axis (t or X) and a point axis (x or tau).
-
-    ``params`` is the block merged over its enclosing config, which holds the
-    modulus or beta.  The family's profiles, flux or modulus, and a Carroll
-    wave, are built here; every family evaluates, and fails, inside ``fields``.
-    """
-    if kind == "zero":
-        return lambda t, x: dict.fromkeys(FullState._fields, np.zeros((len(t), len(x))))
-    if kind == "simple_wave":
-        prof = profile_from_config(params["profile"])
-        return lambda X, tau: {"rho": sample_simple_wave(params["beta"], prof, X, tau)}
-    if kind == "hodograph":
-        data = HodographData(phase_fn=profile_from_config(params["phase"]),
-                             radial_fn=profile_from_config(params["radial"]))
-        return lambda X, tau: _polar(*sample_hodograph(data, params["beta"], X, tau,
-                                                       tuple(params["seed"])))
-    if kind == "separable":
-        f = flux_from_config(params["flux"])
-        def separable(t, x):
-            solution = eval_separable(f, params["k"], params["phi0"], params["dphi0"], t)
-            # phi depends on t alone: a view the CSV writer formats once per t
-            return {"phi": np.broadcast_to(solution.phi[:, None], (len(t), len(x))),
-                    "u": solution.u_field(x), "v": solution.v_field(x)}
-        return separable
-    # the closed-form families, on the mesh's broadcast views
-    if kind == "carroll":
-        wave = CarrollWave.from_modulus(modulus_from_config(params["modulus"]),
-                                        params["amplitude"], params["wavenumber"],
-                                        params.get("polarization", 1))
-        closed = lambda T, X: carroll_full_state(wave, X, T)._asdict()
-    elif kind == "generalized":
-        m, prof = modulus_from_config(params["modulus"]), profile_from_config(params["profile"])
-        closed = lambda T, X: generalized_carroll_full_state(
-            m, params["amplitude"], prof, X, T,
-            params.get("direction", -1), params.get("polarization", 1))._asdict()
-    elif kind == "constant_amplitude":
-        prof = profile_from_config(params["profile"])
-        beta, amp = params["beta"], params["amplitude"]
-        closed = lambda X, tau: _polar(np.full(X.shape, float(amp)), prof(beta * amp**2 * X + tau))
-    else:
-        f, prof = flux_from_config(params["flux"]), profile_from_config(params["profile"])
-        closed = lambda T, X: eval_overdetermined(
-            f, params["level"], prof, X, T, params.get("direction", 1),
-            tuple(params.get("v_bracket", (1e-8, 10.0))))._asdict()
-    return lambda coords, points: closed(*_mesh(coords, points))
-
-
-# ---------------------------------------------------------------------------
 # systems: each pairs one evolution with the exact family it reproduces
 
 
@@ -631,7 +670,7 @@ def _system(config: dict, block: dict):
     on the grid's cell centers.  ``oracle(centers, coordinate)`` stacks the
     block's exact fields like the trajectory's states, or is None.
     """
-    system, kind = config["system"], block["kind"]
+    system, family = config["system"], FAMILIES[block["kind"]]
     params = {**config, **block}
     if system == "full":
         m = modulus_from_config(config["modulus"])
@@ -647,13 +686,11 @@ def _system(config: dict, block: dict):
         # evolve_scalar solves rho_X = beta (rho^3)_tau, whose simple wave
         # rho = Phi(tau + 3 beta X rho^2) is the family sample_simple_wave
         # builds with -beta
-        kind, params["beta"] = "simple_wave", -beta
-    oracle = None
-    if kind != "plane":
-        fields = _solution(kind, params)
-        oracle = lambda x, c: np.stack([v[0] for v in map(fields([c], x).get, names)])
-    if kind in ("plane", "simple_wave"):
-        # a plane wave or a scalar profile starts from prof(x) itself
+        params["beta"] = -beta
+    # a family without exact fields (a plane wave) has no oracle
+    fields = family.build and family.build(params)
+    oracle = fields and (lambda x, c: np.stack([v[0] for v in map(fields([c], x).get, names)]))
+    if family.from_profile:
         prof = profile_from_config(block["profile"])
         initial = lambda x: [np.asarray(prof(x), dtype=float), *np.zeros((len(names) - 1, len(x)))]
     else:
@@ -698,17 +735,17 @@ def cmd_simulate(config: dict) -> tuple[dict, dict]:
 
 
 def _sample_exact(sol: dict):
-    """The header and columns of an exact solution block: its two axes, then its fields."""
-    fields = _solution(sol["kind"], sol)
-    axes = ("t", "x") if "t" in sol else ("X", "tau")
-    coords, points = _axis(sol[axes[0]]), _axis(sol[axes[1]])
+    """The header and columns of an exact solution block: its family's axes, then its fields."""
+    family = FAMILIES[sol["kind"]]
+    fields = family.build(sol)
+    coords, points = (_axis(sol[axis]) for axis in family.axes)
     values = fields(coords, points)
     if sol["kind"] == "constant_amplitude":
         # the rho and theta columns have always been read back from (U, V);
         # the family's own rho and theta differ from them in the last bits
         values = {"U": values["U"], "V": values["V"],
                   **strain_to_polar(values["U"], values["V"])._asdict()}
-    return [*axes, *values], [*_mesh(coords, points), *values.values()]
+    return [*family.axes, *values], [*_mesh(coords, points), *values.values()]
 
 
 def cmd_exact(config: dict) -> tuple[dict, dict]:
@@ -760,10 +797,10 @@ def cmd_classify(config: dict) -> tuple[dict, dict]:
 
 
 def cmd_hodograph(config: dict) -> tuple[dict, dict]:
-    fields = _solution("hodograph", config)
-    X, tau = _axis(config["X"]), _axis(config["tau"])
-    theta, rho = map(fields(X, tau).get, ("theta", "rho"))
-    return ({"samples.csv": (["X", "tau", "theta", "rho"], [*_mesh(X, tau), theta, rho])},
+    # the family at the root of the config; its CSV keeps the axes, theta and rho
+    header, columns = _sample_exact({**config, "kind": "hodograph"})
+    theta, rho = columns[2:4]
+    return ({"samples.csv": (header[:4], columns[:4])},
             {"rho_range": [float(rho.min()), float(rho.max())],
              "theta_range": [float(theta.min()), float(theta.max())]})
 
@@ -788,9 +825,7 @@ def _order_report(study: str, report, target: float, control: bool, **extra) -> 
 
 
 def _commutator_study(config: dict, control: bool) -> dict:
-    sym = config["symmetry"]
-    spec = SymmetrySpec(phase_fn=profile_from_config(sym["phase"]),
-                        radial_fn=profile_from_config(sym["radial"]))
+    spec = SymmetrySpec(*_profiles(config["symmetry"], "phase", "radial"))
     if control:
         spec = PerturbedRadialControl(spec)
     rng = np.random.default_rng(config.get("seed", 0))
@@ -829,7 +864,7 @@ def _verify_study(config: dict) -> dict:
             C, P = _mesh(coords, points)
             return {"theta": np.sin(2.0 * P) + 0.0 * C, "rho": np.ones(C.shape)}
     else:
-        fields = _solution(sol["kind"], {**config, **sol})
+        fields = FAMILIES[sol["kind"]].build({**config, **sol})
     if full and control:
         rng = np.random.default_rng(config.get("seed", 0))
         fields = lambda t, x: {k: rng.standard_normal((len(t), len(x))) for k in FullState._fields}
@@ -843,9 +878,7 @@ def _verify_study(config: dict) -> dict:
         report = residual_asymptotic(samples, beta, order_target=target)
         return _order_report(study, report, target, control)
     if study == "conservation":
-        cons = config["conservation"]
-        spec = ConservationSpec(amp_weight=profile_from_config(cons["amp_weight"]),
-                                angle_weight=profile_from_config(cons["angle_weight"]))
+        spec = ConservationSpec(*_profiles(config["conservation"], "amp_weight", "angle_weight"))
         try:
             report = conservation_residual(samples, beta, spec, order_target=target)
         except NeitherOrientationDecays as exc:
@@ -856,9 +889,7 @@ def _verify_study(config: dict) -> dict:
             return doc
         return _order_report(study, report, target, control,
                              orientation=report.details.get("orientation"))
-    sym = config["symmetry"]
-    spec = SymmetrySpec(phase_fn=profile_from_config(sym["phase"]),
-                        radial_fn=profile_from_config(sym["radial"]))
+    spec = SymmetrySpec(*_profiles(config["symmetry"], "phase", "radial"))
     if control:
         spec = AngleSquaredControl(spec)
     report = linearized_symmetry_residual(samples, beta, spec, order_target=target)

@@ -137,9 +137,7 @@ class ResidualReport:
 def _make_report(hs, norms, target, tol=None, **details) -> ResidualReport:
     """Report of one residual's (Linf, L2) norms over the spacings ``hs``: it passes
     with no ``target``, with the Linf order within ``tol`` of it when a ``tol`` is
-    given, and otherwise when both orders reach it.  A ``tol`` needs a ``target``."""
-    if tol is not None and target is None:
-        raise ValueError("an order tolerance needs an order target")
+    given, and otherwise when both orders reach it."""
     linf, l2 = norms
     order, order_l2 = _fit_order(hs, linf), _fit_order(hs, l2)
     if target is None:
@@ -490,6 +488,8 @@ def convergence_study(run: Callable, oracle: Callable, levels: Sequence[int],
         raise ValueError("need at least 2 resolutions")
     if len({int(n) for n in levels}) < len(levels):
         raise ValueError(f"resolutions must be distinct, got {[int(n) for n in levels]}")
+    if order_tol is not None and order_target is None:
+        raise ValueError("an order tolerance needs an order target")
     hs, norms = [], []
     for n in levels:
         traj = run(int(n))

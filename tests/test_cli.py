@@ -503,12 +503,22 @@ def test_exact_fields_on_mesh_views_match_meshgrid_copies(monkeypatch, kind):
 ORACLE_INITS = {
     "carroll": ({"system": "full", "modulus": CUBIC},
                 {"kind": "carroll", "amplitude": 0.8, "wavenumber": 2.0, "polarization": -1}),
+    "generalized": ({"system": "full", "modulus": CUBIC},
+                    {"kind": "generalized", "amplitude": 0.8, "profile": SINE, "direction": 1,
+                     "polarization": -1}),
     "zero": ({"system": "full", "modulus": CUBIC}, {"kind": "zero"}),
     "constant_amplitude": ({"system": "asymptotic", "beta": 0.5},
                            {"kind": "constant_amplitude", "amplitude": 0.7, "profile": SINE}),
     "profile": ({"system": "scalar", "beta": 1.0},
                 {"kind": "profile", "profile": {**SINE, "amp": 0.2, "offset": 1.0}}),
 }
+
+
+def test_fixtures_cover_every_family_they_claim():
+    inits = {kind: system for system, (_, kinds, _) in cli.SYSTEMS.items() for kind in kinds}
+    assert set(ORACLE_INITS) == {kind for kind in inits if cli.FAMILIES[kind].build is not None}
+    assert all(inits[kind] == system["system"] for kind, (system, _) in ORACLE_INITS.items())
+    assert set(EXACT_SOLUTIONS) == set(cli.EXACT_KINDS)
 
 
 def end_zero_config(kind):
@@ -1647,11 +1657,21 @@ ODD_VALUES = st.one_of(
 CFL_VALUES = st.one_of(st.floats(-0.5, 0.0), st.floats(0.9, 1.5), st.just(0.3))
 
 
+# the configs that generated_configs breaks: a small one per command, one of
+# every exact family, a run from every init with an exact family, and a
+# residual study of the hodograph family
+BASE_CONFIGS = [*map(small_config, COMMANDS), *map(exact_config, sorted(EXACT_SOLUTIONS)),
+                *map(end_zero_config, sorted(ORACLE_INITS)),
+                {**small_config("verify"), "beta": 1.0, "solution": HODOGRAPH_SOLUTION,
+                 "rectangle": {"coord": {"min": -0.55, "max": -0.45},
+                               "point": {"min": -1.7, "max": -1.3}}}]
+
+
 @st.composite
 def generated_configs(draw):
-    """A small config per command, left valid or broken in one way."""
-    command = draw(st.sampled_from(COMMANDS))
-    cfg = copy.deepcopy(small_config(command))
+    """A small config of some command, left valid or broken in one way."""
+    cfg = copy.deepcopy(draw(st.sampled_from(BASE_CONFIGS)))
+    command = cfg["command"]
     if command == "verify" and draw(st.booleans()):
         cfg["negative_control"] = True
     change = draw(st.sampled_from(("none", "value", "extra_key", "drop_key", "levels", "cfl")))

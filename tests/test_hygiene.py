@@ -250,10 +250,14 @@ def schema_block_kinds():
 
 def test_readme_solution_blocks_match_the_schemas():
     table = solution_block_table((ROOT / "README.md").read_text())
-    assert {kind: contexts for kind, (_, _, contexts) in table.items()} == schema_block_kinds()
+    accepted = schema_block_kinds()
+    assert {kind: contexts for kind, (_, _, contexts) in table.items()} == accepted
+    # every family is accepted somewhere: no FAMILIES entry is dead
+    assert set(cli.FAMILIES) <= set(accepted)
     for kind, (required, optional, _) in table.items():
-        props, needed = cli.KIND_PARAMS[kind]
-        assert (required, optional) == (needed, [p for p in props if p not in needed]), kind
+        family = cli.FAMILIES[kind]
+        assert (required, optional) == (list(family.required), [
+            p for p in family.props if p not in family.required]), kind
 
 
 def config_schemas():

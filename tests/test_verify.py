@@ -365,10 +365,18 @@ def test_convergence_study_order_band():
 
 
 def test_convergence_study_rejects_a_tolerance_without_a_target():
-    # a tolerance around no target would pass at any order
-    run, oracle = _asymptotic_runner(0.5, 1.0, sine_profile(1.0, 1.0), end=0.2)
+    # a tolerance around no target would pass at any order; the study refuses
+    # it before it evolves any level
+    evolve, oracle = _asymptotic_runner(0.5, 1.0, sine_profile(1.0, 1.0), end=0.2)
+    calls = []
+
+    def run(n):
+        calls.append(n)
+        return evolve(n)
+
     with pytest.raises(ValueError, match="order tolerance needs an order target"):
         convergence_study(run, oracle, [32, 64], order_tol=1e-9)
+    assert calls == []
 
 
 def test_convergence_study_oracle_failure():
