@@ -454,6 +454,20 @@ def _schema_error(value, schema: dict, path: tuple = ()):
     return _first(_KEYWORDS[key](value, rule, schema, path) for key, rule in schema.items())
 
 
+def _block_error(value, schema: dict, path: tuple = ()):
+    """``_schema_error``, but a block that no ``oneOf`` branch takes gets its own kind's error."""
+    error = _schema_error(value, schema, path)
+    if error:
+        for key in error[0][len(path):]:
+            value = value[key]
+            schema = schema["items"] if isinstance(key, int) else schema["properties"][key]
+        kind = value.get("kind") if isinstance(value, dict) else None
+        for branch in schema.get("oneOf", ()):
+            if _equal(kind, branch["properties"]["kind"]["const"]):
+                return _block_error(value, branch, error[0])
+    return error
+
+
 def _validate(command: str, config: dict):
     """Check the whole config against its command's schema, or against the variant
     that its system or study names; a config that names none is checked for that key."""
@@ -462,7 +476,7 @@ def _validate(command: str, config: dict):
         name = config.get(key)
         schema = schema[name] if isinstance(name, str) and name in schema else {
             "properties": {key: {"enum": list(schema)}}, "required": [key]}
-    error = _schema_error(config, schema)
+    error = _block_error(config, schema)
     if error:
         path = "/".join(map(str, error[0])) or "<root>"
         raise ConfigError(f"invalid config at {path}: {error[1]}")
@@ -998,17 +1012,19 @@ def run(command: str, config_path: str, outdir: Path, quiet: bool = False) -> in
     return 0 if passed else 1
 
 
+_PARSER = argparse.ArgumentParser(  # once: one process may run main for many commands
+    prog="shearwaves",
+    description="Exact solutions, finite-volume evolution, and structural "
+                "verification for 1D nonlinear shear waves.",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="path to a JSON run configuration")
+_PARSER.add_argument("--out", default="out", help="artifact output directory")
+_PARSER.add_argument("--quiet", action="store_true", help="suppress status output")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="shearwaves",
-        description="Exact solutions, finite-volume evolution, and structural "
-                    "verification for 1D nonlinear shear waves.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to a JSON run configuration")
-    parser.add_argument("--out", default="out", help="artifact output directory")
-    parser.add_argument("--quiet", action="store_true", help="suppress status output")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return run(args.command, args.config, Path(args.out), args.quiet)
 
 

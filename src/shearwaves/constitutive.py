@@ -61,13 +61,19 @@ def eval_Q(m: ShearModulus, s):
     s = np.asarray(s, dtype=float)
     if s.size and np.fmin.reduce(s, axis=None) < 0.0:
         raise ValueError("squared strain magnitude must be non-negative")
-    out = np.asarray(m.q(s), dtype=float)
-    if out.shape != s.shape:
-        out = np.broadcast_to(out, s.shape).copy()
-    if s.size and np.fmin.reduce(out, axis=None) <= 0.0:
-        bad = float(s.flat[int(np.argmax(out <= 0.0))])
-        raise NonPositiveModulus(f"Q({bad!r}) <= 0 for modulus {m.q.name!r}")
+    out = _positive_Q(m, s, m.q(s))
     return out if out.ndim else float(out)
+
+
+def _positive_Q(m: ShearModulus, s: np.ndarray, q) -> np.ndarray:
+    """q = Q(s) as floats of the shape of s; NonPositiveModulus names the first s with Q <= 0."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != s.shape:
+        q = np.broadcast_to(q, s.shape).copy()
+    if s.size and np.fmin.reduce(q, axis=None) <= 0.0:
+        bad = float(s.flat[int(np.argmax(q <= 0.0))])
+        raise NonPositiveModulus(f"Q({bad!r}) <= 0 for modulus {m.q.name!r}")
+    return q
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Two schemes share one kernel, and ``STEPPERS``, the one table of schemes,
 names them: first-order local Lax-Friedrichs (Rusanov interface flux) and
 second-order MUSCL-Hancock with minmod-limited slopes.  All systems are
-advanced in conservation form w_t + f(w)_x = 0 with local wave-speed bounds
+advanced in the paper's form w_t = g(w)_x with local wave-speed bounds
 feeding the CFL step; a gradient monitor watches for loss of smoothness.
 Each evolve_* function hands the kernel its system as one ConservationLaw.
 Two law builders serve the three systems: the full law, and the polar law
@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .constitutive import ShearModulus
+from .constitutive import ShearModulus, _positive_Q
 from .errors import BlowupDetected, HyperbolicityLoss, NoConvergence, NonPositiveModulus
 from .exact import FullState, StrainState
-from .profiles import ProfileFunction
+from .profiles import ProfileFunction, derivative
 
 STEP_FLOOR_FACTOR = 1e-9
 
@@ -114,10 +115,10 @@ def cfl_step(max_speed: float, h: float, cfl: float, remaining: float = math.inf
 
 @dataclass(frozen=True)
 class ConservationLaw:
-    """One system w_t + f(w)_x = 0 as data for the finite-volume kernel.
+    """One system w_t = g(w)_x as data for the finite-volume kernel.
 
     ``flux_speed(w, ncells=None)`` takes states of shape (fields, n) and
-    evaluates the system's coefficients once.  It returns the fluxes f(w) of
+    evaluates the system's coefficients once.  It returns the fluxes g(w) of
     the columns from ``ncells`` on and the wave-speed bounds, shape
     (1, ncells), of the first ``ncells`` columns, and checks that those
     first columns are hyperbolic; ``ncells=None`` gives both for every
@@ -133,37 +134,40 @@ class ConservationLaw:
     raise_on_blowup: bool
 
 
-def _pad(w: np.ndarray, ng: int, boundary: str) -> np.ndarray:
-    if boundary == "periodic":
-        return np.concatenate([w[:, -ng:], w, w[:, :ng]], axis=1)
-    left = np.repeat(w[:, :1], ng, axis=1)
-    right = np.repeat(w[:, -1:], ng, axis=1)
-    return np.concatenate([left, w, right], axis=1)
+@lru_cache(maxsize=64)
+def _ghost_columns(n: int, ng: int, boundary: str) -> np.ndarray:
+    """Columns padding n cells with ng ghost cells a side: wrapped, or the edge cell
+    repeated.  The cached array is shared, so it is read-only."""
+    j = np.arange(-ng, n + ng)
+    j = j % n if boundary == "periodic" else np.clip(j, 0, n - 1)
+    j.flags.writeable = False
+    return j
 
 
-def _rusanov(w, f, c, left, right):
-    """Rusanov fluxes between states w[:, left] and w[:, right], given f(w) and speeds c."""
+def _rusanov(w, g, c, left, right):
+    """Twice the Rusanov fluxes of w_t = g(w)_x between w[:, left] and w[:, right]."""
     alpha = np.maximum(c[:, left], c[:, right])
-    return 0.5 * (f[:, left] + f[:, right]) - 0.5 * alpha * (w[:, right] - w[:, left])
+    return (g[:, left] + g[:, right]) + alpha * (w[:, right] - w[:, left])
 
 
 # A stepper advances the cells by one CFL step: (w, law, h, boundary, cfl,
-# remaining) -> (new w, dt, max cell speed).  The cells' speeds set dt.
+# remaining) -> (new w, dt, max cell speed).  The cells' speeds set dt.  Each
+# update is w - (dt/2h) * (G[k] - G[k+1]) for the doubled interface fluxes G.
 
 
 def _step_lf(w, law, h, boundary, cfl, remaining):
-    f, c = law.flux_speed(w)
+    g, c = law.flux_speed(w)
     amax = float(c.max())
     dt = cfl_step(amax, h, cfl, remaining)
-    # interface states are padded cells, so the padded f and c serve them
+    # interface states are padded cells, so the padded g and c serve them
     nf = w.shape[0]
-    wfc = _pad(np.concatenate([w, f, c]), 1, boundary)
-    F = _rusanov(wfc[:nf], wfc[nf:2 * nf], wfc[2 * nf:], np.s_[:-1], np.s_[1:])
-    return w - (dt / h) * (F[:, 1:] - F[:, :-1]), dt, amax
+    wgc = np.concatenate([w, g, c]).take(_ghost_columns(w.shape[1], 1, boundary), axis=1)
+    G = _rusanov(wgc[:nf], wgc[nf:2 * nf], wgc[2 * nf:], np.s_[:-1], np.s_[1:])
+    return w - (0.5 * (dt / h)) * (G[:, :-1] - G[:, 1:]), dt, amax
 
 
 def _step_muscl(w, law, h, boundary, cfl, remaining):
-    wp = _pad(w, 2, boundary)
+    wp = w.take(_ghost_columns(w.shape[1], 2, boundary), axis=1)
     # minmod of the backward and forward differences of each padded cell
     d = wp[:, 1:] - wp[:, :-1]
     dm, dp = d[:, :-1], d[:, 1:]
@@ -176,18 +180,18 @@ def _step_muscl(w, law, h, boundary, cfl, remaining):
     # cells first, then the predictor faces right-then-left, so a failing Q
     # names the same first point as evaluating cells, wr and wl in turn
     n, m = w.shape[1], wc.shape[1]
-    fr_fl, c = law.flux_speed(np.concatenate([w, wr, wl], axis=1), n)
+    g_faces, c = law.flux_speed(np.concatenate([w, wr, wl], axis=1), n)
     amax = float(c.max())
     dt = cfl_step(amax, h, cfl, remaining)
-    shift = -(dt / (2.0 * h)) * (fr_fl[:, :m] - fr_fl[:, m:])
-    wl = wl + shift
-    wr = wr + shift
+    shift = (dt / (2.0 * h)) * (g_faces[:, m:] - g_faces[:, :m])
+    wr -= shift
+    wl -= shift
     # interface k sits between wr[:, k] and wl[:, k + 1]; stack both sides
     k = m - 1
     ab = np.concatenate([wr[:, :-1], wl[:, 1:]], axis=1)
-    f_ab, c_ab = law.flux_speed(ab)
-    F = _rusanov(ab, f_ab, c_ab, np.s_[:k], np.s_[k:])
-    return w - (dt / h) * (F[:, 1:] - F[:, :-1]), dt, amax
+    g_ab, c_ab = law.flux_speed(ab)
+    G = _rusanov(ab, g_ab, c_ab, np.s_[:k], np.s_[k:])
+    return w - (0.5 * (dt / h)) * (G[:, :-1] - G[:, 1:]), dt, amax
 
 
 STEPPERS = {"lax_friedrichs": _step_lf, "muscl_minmod": _step_muscl}
@@ -231,11 +235,12 @@ def _evolve(w0, grid: Grid1D, config: SimulationConfig,
         except (HyperbolicityLoss, NonPositiveModulus) as exc:  # the state at t fails its step
             exc.coordinate = t
             raise
-        if not np.isfinite(w).all():
+        g = _max_gradient(w, h)
+        # a non-finite cell makes the gradient non-finite; an overflowing difference may too
+        if not math.isfinite(g) and not np.isfinite(w).all():
             raise BlowupDetected(f"non-finite state at coordinate {t + dt!r}", coordinate=t + dt)
         t += dt
         n_steps += 1
-        g = _max_gradient(w, h)
         step_coords.append(t)
         step_speed.append(amax)
         step_grad.append(g)
@@ -288,12 +293,12 @@ def _sum_sq(w):
 
 
 def _polar_law(beta, field_names, raise_on_blowup) -> ConservationLaw:
-    """w_X = beta (s w)_tau on rows (U, V) or one row rho: flux -beta s w, speed bound 3|beta| s."""
+    """w_X = beta (s w)_tau on rows (U, V) or one row rho: flux beta s w, speed bound 3|beta| s."""
     beta = float(beta)
 
     def flux_speed(w, ncells=None):
         s = _sum_sq(w)
-        return -beta * (s[:, ncells:] * w[:, ncells:]), 3.0 * abs(beta) * s[:, :ncells]
+        return beta * (s[:, ncells:] * w[:, ncells:]), 3.0 * abs(beta) * s[:, :ncells]
 
     return ConservationLaw(flux_speed, field_names, raise_on_blowup)
 
@@ -312,17 +317,19 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
     safety = 1.2 if m.q.df is None else 1.0
 
     def flux_speed(w, ncells=None):
-        s = _sum_sq(w)
-        qt = m.qtilde(s)
+        s = _sum_sq(w)  # s >= 0; with Q > 0 on every column, only the fast speed is tested
+        qt, dqt = _positive_Q(m, s, m.q.f(s)), derivative(m.q.f, m.q.df, s[:, :ncells])
+        if m.rho != 1.0:
+            qt, dqt = qt / m.rho, dqt / m.rho
         sc, qc = s[:, :ncells], qt[:, :ncells]
-        fast = qc + 2.0 * sc * m.dqtilde(sc)
-        if np.fmin.reduce(np.fmin(qc, fast), axis=None) <= 0.0:
+        fast = qc + 2.0 * sc * dqt
+        if np.fmin.reduce(fast, axis=None) <= 0.0:
             raise HyperbolicityLoss(
                 f"squared wave speed went non-positive (min {min(np.min(qc), np.min(fast)):.3e})"
             )
         c = np.sqrt(np.maximum(qc, fast))
         wf, qf = w[:, ncells:], qt[:, ncells:]
-        return -np.concatenate([wf[2:], qf * wf[:2]]), (c if safety == 1.0 else safety * c)
+        return np.concatenate([wf[2:], qf * wf[:2]]), (c if safety == 1.0 else safety * c)
 
     law = ConservationLaw(flux_speed, ("U", "V", "M", "N"), raise_on_blowup=True)
     return _evolve((init.U, init.V, init.M, init.N), grid, config, law)

@@ -1428,6 +1428,10 @@ def _one_of(path, block):
             f"given schemas\n")
 
 
+def _error_at(message):
+    return f"config error: invalid config at {message}\n"
+
+
 HODOGRAPH_SOLUTION = {"kind": "hodograph", "phase": {"kind": "linear", "k": 1.0},
                       "radial": {"kind": "poly", "coeffs": [0.0, 0.0, 1.0]}, "seed": [0.5, 1.0]}
 CARROLL_SOLUTION = {"kind": "carroll", "modulus": CUBIC, "amplitude": 1.0, "wavenumber": 1.0}
@@ -1443,18 +1447,20 @@ SYSTEM_COEFFICIENTS = {"full": {"modulus": CUBIC}, "asymptotic": {"beta": 0.5},
                        "scalar": {"beta": 1.0}}
 
 
-def _invalid_init(system, block):
+def _invalid_init(system, block, message=None):
+    """An invalid init block; a message of None is the oneOf message of a block
+    whose kind names no branch."""
     return ("simulate", {"system": system, **SYSTEM_COEFFICIENTS[system],
                          "grid": {"n": 16, "a": 0.0, "b": TWO_PI}, "run": {"end": 0.1},
                          "init": block},
-            _one_of("init", block))
+            _one_of("init", block) if message is None else _error_at(message))
 
 
 def _invalid_oracle(system, block, message):
     return ("convergence", {"system": system, **SYSTEM_COEFFICIENTS[system],
                             "grid": {"a": 0.0, "b": TWO_PI}, "run": {"end": 0.1},
                             "levels": [16, 32], "oracle": block},
-            f"config error: invalid config at {message}\n")
+            _error_at(message))
 
 
 def _invalid_verify(study, block, message):
@@ -1464,51 +1470,54 @@ def _invalid_verify(study, block, message):
         cfg["beta"] = 0.5
     if study == "conservation":
         cfg["conservation"] = CONSERVATION
-    return "verify", cfg, f"config error: invalid config at {message}\n"
+    return "verify", cfg, _error_at(message)
 
 
-def _invalid_exact(block):
-    return "exact", {"solution": block}, _one_of("solution", block)
+def _invalid_exact(block, message=None):
+    return "exact", {"solution": block}, (_one_of("solution", block) if message is None
+                                          else _error_at(message))
 
 
 def _invalid_hodograph(cfg, message):
-    return "hodograph", cfg, f"config error: invalid config at {message}\n"
+    return "hodograph", cfg, _error_at(message)
 
 
 INVALID_BLOCKS = {
-    "init_missing_key": _invalid_init("full", {"kind": "carroll", "amplitude": 1.0}),
-    "init_extra_key": _invalid_init("full", {"kind": "zero", "amplitude": 1.0}),
+    # a block that fits no branch of a oneOf gets the error of the branch of its kind
+    "init_missing_key": _invalid_init("full", {"kind": "carroll", "amplitude": 1.0},
+                                      "init: 'wavenumber' is a required property"),
+    "init_extra_key": _invalid_init(
+        "full", {"kind": "zero", "amplitude": 1.0},
+        "init: Additional properties are not allowed ('amplitude' was unexpected)"),
     "init_wrong_kind": _invalid_init("asymptotic",
                                      {"kind": "carroll", "amplitude": 1.0, "wavenumber": 1.0}),
-    "oracle_missing_key": _invalid_oracle(
-        "full", {"kind": "carroll", "amplitude": 1.0},
-        "oracle: {'kind': 'carroll', 'amplitude': 1.0} is not valid under any of the given "
-        "schemas"),
+    "oracle_missing_key": _invalid_oracle("full", {"kind": "carroll", "amplitude": 1.0},
+                                          "oracle: 'wavenumber' is a required property"),
     "oracle_extra_key": _invalid_oracle(
         "asymptotic", {**CONSTANT_AMPLITUDE_SOLUTION, "beta": 1.0},
         "oracle: Additional properties are not allowed ('beta' was unexpected)"),
     "oracle_wrong_kind": _invalid_oracle("scalar", {"kind": "profile", "profile": SINE},
                                          "oracle/kind: 'simple_wave' was expected"),
-    # the polar studies take either of two kinds: JSON Schema's oneOf message
-    "verify_missing_key": _invalid_verify(
-        "asymptotic", _without(HODOGRAPH_SOLUTION, "seed"),
-        f"solution: {_without(HODOGRAPH_SOLUTION, 'seed')!r} is not valid under any of the "
-        f"given schemas"),
+    # the polar studies take either of two kinds
+    "verify_missing_key": _invalid_verify("asymptotic", _without(HODOGRAPH_SOLUTION, "seed"),
+                                          "solution: 'seed' is a required property"),
     "verify_missing_modulus": _invalid_verify(
         "full", _without(CARROLL_SOLUTION, "modulus"),
         "solution: 'modulus' is a required property"),
     "verify_extra_key": _invalid_verify(
         "conservation", {**CONSTANT_AMPLITUDE_SOLUTION, "beta": 0.5},
-        f"solution: {({**CONSTANT_AMPLITUDE_SOLUTION, 'beta': 0.5})!r} is not valid under any "
-        f"of the given schemas"),
+        "solution: Additional properties are not allowed ('beta' was unexpected)"),
     "verify_carroll_polarization": _invalid_verify(
         "full", {**CARROLL_SOLUTION, "polarization": 1},
         "solution: Additional properties are not allowed ('polarization' was unexpected)"),
     "verify_wrong_kind": _invalid_verify("full", CONSTANT_AMPLITUDE_SOLUTION,
                                          "solution/kind: 'carroll' was expected"),
     "exact_missing_key": _invalid_exact(
-        _without(exact_config("carroll")["solution"], "wavenumber")),
-    "exact_extra_key": _invalid_exact(exact_config("carroll", bogus=1)["solution"]),
+        _without(exact_config("carroll")["solution"], "wavenumber"),
+        "solution: 'wavenumber' is a required property"),
+    "exact_extra_key": _invalid_exact(
+        exact_config("carroll", bogus=1)["solution"],
+        "solution: Additional properties are not allowed ('bogus' was unexpected)"),
     "exact_wrong_kind": _invalid_exact(
         {**exact_config("simple_wave")["solution"], **HODOGRAPH_SOLUTION}),
     "hodograph_missing_key": _invalid_hodograph(_without(small_config("hodograph"), "seed"),
@@ -1813,6 +1822,63 @@ def test_validator_rejects_a_keyword_outside_its_subset():
         cli._schema_error({"a": "x"}, {"properties": {"a": {"pattern": "^x$"}}})
 
 
+def variant_schema(config):
+    command = config["command"]
+    schema = cli.SCHEMAS[command]
+    return schema[config[cli.VARIANT_KEYS[command]]] if command in cli.VARIANT_KEYS else schema
+
+
+def kind_blocks(value, schema, path=()):
+    """``(path, branch)`` of every block with a ``kind`` in ``value``: the schema
+    branch that its kind names, at a ``oneOf`` position or a one-kind one."""
+    if not isinstance(value, dict):
+        return
+    for branch in schema.get("oneOf", [schema]):
+        kind = branch.get("properties", {}).get("kind")
+        if kind is not None and kind["const"] == value.get("kind"):
+            yield path, branch
+            schema = branch
+    for key, sub in value.items():
+        if key in schema.get("properties", {}):
+            yield from kind_blocks(sub, schema["properties"][key], (*path, key))
+
+
+# every kind block of the base configs, and of the plane init that none of them holds
+PLANE_RUN = {"command": "simulate", "system": "asymptotic", "beta": 0.5,
+             "grid": {"n": 16, "a": 0.0, "b": TWO_PI}, "run": {"end": 0.1},
+             "init": {"kind": "plane", "profile": SINE}}
+MISSING_PARAMETERS = {
+    f"{cfg['command']}-{'/'.join(path) or 'root'}-{branch['properties']['kind']['const']}-{name}":
+    (cfg, path, branch, name)
+    for cfg in [*BASE_CONFIGS, PLANE_RUN]
+    for path, branch in kind_blocks(cfg, variant_schema(cfg))
+    for name in branch["required"][1:]}  # each required name after "kind"
+
+
+def test_missing_parameter_cases_cover_every_family():
+    kinds = {branch["properties"]["kind"]["const"]
+             for _, _, branch, _ in MISSING_PARAMETERS.values()}
+    assert kinds >= set(cli.FAMILIES) - {"zero"}
+    assert cli.FAMILIES["zero"].required == ()
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_PARAMETERS))
+def test_missing_block_parameter_is_named(tmp_path, capsys, case):
+    # a block with a missing parameter fits no oneOf branch; the error is the
+    # first one that jsonschema finds on the branch of the block's kind
+    config, path, branch, name = MISSING_PARAMETERS[case]
+    config = copy.deepcopy(config)
+    block = _get(config, path)
+    del block[name]
+    error = next(REFERENCE_VALIDATOR(branch).iter_errors(block))
+    assert error.message == f"{name!r} is a required property"
+    where = "/".join(map(str, (*path, *error.absolute_path))) or "<root>"
+    code, out = run_cli(tmp_path, config, "missing")
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: invalid config at {where}: {error.message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # packaging
 
@@ -1838,3 +1904,28 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_main_runs_two_commands_in_one_process_as_in_two(tmp_path):
+    # main parses with one parser built at import; a second call must not see the first
+    runs = [("classify", small_config("classify"), 0), ("exact", small_config("exact"), 0),
+            ("simulate", {**small_config("simulate"), "run": {"end": -1.0}}, 2)]
+    trees = {}
+    for command, cfg, _ in runs:
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+    for mode in ("in_process", "separate"):
+        for command, _, expected in runs:
+            argv = [command, "--config", str(tmp_path / f"{command}.json"),
+                    "--out", str(tmp_path / mode / command), "--quiet"]
+            if mode == "in_process":
+                code = main(argv)
+            else:
+                code = subprocess.run([sys.executable, "-m", "shearwaves", *argv],
+                                      capture_output=True).returncode
+            assert code == expected, (mode, command)
+            out = tmp_path / mode / command
+            trees[mode, command] = ({p.name: p.read_bytes() for p in out.iterdir()}
+                                    if out.exists() else None)
+    for command, _, _ in runs:
+        assert trees["in_process", command] == trees["separate", command], command

@@ -9,8 +9,10 @@ schemes is meant to move the trajectories.
 
 A transcription of that earlier kernel (separate flux and flux_speed
 closures, three coefficient evaluations per MUSCL step, dt set outside the
-steppers) is kept below as a second reference: on any host the kernel must
-reproduce it bit for bit, errors included.  Its scalar law writes the cube
+steppers, fluxes f = -g) is kept below as a second reference: on any host
+the kernel must reproduce its values bit for bit, errors included; the sign
+of an exact zero may differ where +0.0 and -0.0 meet (see
+test_zero_signs_of_an_all_zero_state).  Its scalar law writes the cube
 as (w * w) * w, as the kernel now does; the earlier w**3 is kept too, and
 the kernel stays within rounding of it.
 """
@@ -33,6 +35,7 @@ from shearwaves.errors import (
     ShearWaveError,
 )
 from shearwaves.exact import CarrollWave, FullState, StrainState, carroll_full_state
+from shearwaves import simulate
 from shearwaves.profiles import ProfileFunction, derivative
 from shearwaves.simulate import (
     STEP_FLOOR_FACTOR,
@@ -434,6 +437,123 @@ def test_predictor_face_modulus_is_checked_before_cell_hyperbolicity():
     assert ref[0] is HyperbolicityLoss
     assert new[0] is NonPositiveModulus
     assert "Q(0.4949" in new[1]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+@pytest.mark.parametrize("ng", [1, 2])
+@pytest.mark.parametrize("n", [8, 9, 64])
+def test_ghost_gather_equals_earlier_padding_bit_for_bit(boundary, ng, n):
+    w = np.random.default_rng(n).uniform(-1.0, 1.0, size=(3, n))
+    w[0, :3] = [-0.0, np.nan, np.inf]
+    w[1, -2:] = [-np.inf, -0.0]
+    got = w.take(simulate._ghost_columns(n, ng, boundary), axis=1)
+    want = ref_pad(w, ng, boundary)
+    assert got.shape == want.shape == (3, n + 2 * ng)
+    assert got.tobytes() == want.tobytes()
+
+
+def kernel_data(system, n, rng):
+    """Random data of a system for both_kernels: (system, w0, law arguments)."""
+    if system in ("full", "full_fd"):
+        pair = fd_pair() if system == "full_fd" else cubic_pair(1.0, 0.4)
+        return "full", rng.uniform(-0.5, 0.5, size=(4, n)), {"pair": pair}
+    if system == "asymptotic":
+        return system, rng.uniform(0.2, 0.7, size=(2, n)), {"beta": 0.8}
+    return system, rng.uniform(0.3, 0.8, size=(1, n)), {"beta": -1.0}
+
+
+def poisoned(step, value, cell, returns_dt):
+    """step, but from its third call on one cell of the last field is value."""
+    calls = []
+
+    def poisoned_step(*args):
+        out = step(*args)
+        calls.append(1)
+        if len(calls) >= 3:
+            w = out[0] if returns_dt else out
+            w[-1, cell] = value
+        return out
+    return poisoned_step
+
+
+@pytest.mark.parametrize("cell", [0, 7, -1], ids=["first", "interior", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("scheme", ["lax_friedrichs", "muscl_minmod"])
+@pytest.mark.parametrize("system", ["full", "asymptotic", "scalar"])
+def test_single_non_finite_cell_raises_as_earlier_kernel(monkeypatch, system, scheme, value,
+                                                         cell):
+    # the kernel reads finiteness off the gradient monitor: one bad cell must
+    # still raise at the step that made it, with the earlier message
+    grid = Grid1D(n=16, a=0.0, b=TWO_PI)
+    system, w0, law_args = kernel_data(system, 16, np.random.default_rng(3))
+    ref_name = "ref_step_lf" if scheme == "lax_friedrichs" else "ref_step_muscl"
+    monkeypatch.setitem(STEPPERS, scheme, poisoned(STEPPERS[scheme], value, cell, True))
+    monkeypatch.setitem(globals(), ref_name, poisoned(globals()[ref_name], value, cell, False))
+    config = SimulationConfig(end=1.0, scheme=scheme, blowup_factor=1e6)
+    with np.errstate(all="ignore"):
+        new, ref = both_kernels(system, w0, grid, config, **law_args)
+    assert isinstance(new, tuple) and new[0] is BlowupDetected, new
+    assert new == ref
+    assert new[1].startswith("non-finite state at coordinate")
+
+
+@pytest.mark.parametrize("scheme", ["lax_friedrichs", "muscl_minmod"])
+@pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+def test_finite_state_with_an_overflowing_gradient_runs_on(scheme, boundary):
+    # one step of a velocity jump of 2e305 over cells of width 1.25e-4: the
+    # state stays finite but its gradient overflows, which is no blowup
+    grid = Grid1D(n=8, a=0.0, b=1e-3, boundary=boundary)
+    zero = np.zeros(8)
+    w0 = np.stack([zero, zero, 1e305 * np.where(np.arange(8) < 4, 1.0, -1.0), zero])
+    with np.errstate(all="ignore"):
+        new, ref = both_kernels("full", w0, grid, SimulationConfig(end=0.4 * grid.h, scheme=scheme),
+                                pair=cubic_pair(1.0, 0.4))
+    assert np.isfinite(new.states).all() and new.step_max_gradient.tolist() == [math.inf]
+    for name in ("coords", "states", "step_coords", "step_max_speed", "step_max_gradient"):
+        assert np.array_equal(getattr(new, name), ref[name]), name
+
+
+@pytest.mark.parametrize("case", [c for c in IDENTITY_CASES if c[3] in (8, 33)],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_kernel_reproduces_earlier_kernel_on_signed_zeros(case):
+    # a third of the entries are exact zeros of either sign: values agree
+    # (array_equal takes -0.0 == 0.0); test_zero_signs_of_an_all_zero_state
+    # pins the signs
+    system, scheme, boundary, n = case
+    rng = np.random.default_rng(n)
+    grid = Grid1D(n=n, a=0.0, b=TWO_PI, boundary=boundary)
+    config = SimulationConfig(end=10.0 * grid.h, scheme=scheme, snapshot_stride=1,
+                              blowup_factor=1e6)
+    system, w0, law_args = kernel_data(system, n, rng)
+    zero = rng.random(w0.shape) < 1.0 / 3.0
+    w0[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    new, ref = both_kernels(system, w0, grid, config, **law_args)
+    assert not isinstance(ref, tuple), ref
+    for name in ("coords", "states", "step_coords", "step_max_speed", "step_max_gradient"):
+        assert np.array_equal(getattr(new, name), ref[name]), name
+
+
+@pytest.mark.parametrize("scheme, flipped", [("lax_friedrichs", [0, 5]), ("muscl_minmod", [])])
+def test_zero_signs_of_an_all_zero_state(scheme, flipped):
+    # An update is w - (dt/2h) (G[k] - G[k+1]) with G[k] = g_l + g_r + alpha (w_r - w_l),
+    # g = beta rho^3: on this all-zero state each cell keeps its own zero.  The
+    # earlier Lax-Friedrichs step, with fluxes f = -g, turned cells 0 and 5 to
+    # +0.0: an exact cancellation is +0.0 in f_l + f_r as in g_l + g_r.
+    signs = [1, 1, 0, 1, 0, 1, 1, 0]
+    w0 = np.where(signs, -0.0, 0.0)[None, :]
+    grid = Grid1D(n=8, a=0.0, b=TWO_PI)
+    new, ref = both_kernels("scalar", w0, grid, SimulationConfig(end=0.3, scheme=scheme),
+                            beta=-1.0)
+    assert new.states.shape == ref["states"].shape == (2, 1, 8)
+    assert not new.states.any() and not ref["states"].any()
+    assert np.signbit(new.final[0]).tolist() == [bool(b) for b in signs]
+    assert np.signbit(ref["states"][-1, 0]).tolist() == [
+        bool(b) and k not in flipped for k, b in enumerate(signs)]
+    # zeros of one sign keep their signs in both kernels
+    for zero in (0.0, -0.0):
+        new, ref = both_kernels("scalar", np.full((1, 8), zero), grid,
+                                SimulationConfig(end=0.3, scheme=scheme), beta=-1.0)
+        assert new.states.tobytes() == ref["states"].tobytes()
 
 
 # ---------------------------------------------------------------------------
