@@ -1,7 +1,8 @@
 """Command-line entry point: JSON config in, CSV/JSON artifacts out.
 
 Subcommands: simulate, exact, classify, hodograph, verify, convergence.
-Each exact solution family is one `FAMILIES` entry plus one README row.
+Each exact solution family is one `FAMILIES` entry plus one README row, and
+each verify study one `STUDIES` entry plus one README row.
 Every run validates its whole config, blocks included, in one pass against
 one closed schema of `SCHEMAS`: its command's, or the one of the ``system``
 (simulate, convergence) or ``study`` (verify) that it names.  A key that
@@ -147,7 +148,7 @@ PAIR = {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2}
 WITH_MODULUS, WITH_BETA = {"modulus": MODULUS}, {"beta": NUM}
 
 # ---------------------------------------------------------------------------
-# exact solution families: one table serves every command
+# exact solution families, one table for every command; then the verify studies
 
 
 def _mesh(coord_axis, point_axis):
@@ -329,29 +330,112 @@ CLASSIFY_SCHEMA = _object({"command": COMMAND_PROP, "flux": FLUX,
 HODOGRAPH_KEYS = _properties("hodograph", coefficient=True, axes=True)
 HODOGRAPH_SCHEMA = _object({"command": COMMAND_PROP, **HODOGRAPH_KEYS[0]}, HODOGRAPH_KEYS[1])
 
+
+def _non_solution(coords, points):
+    """theta = sin(2 tau), rho = 1: it solves neither the asymptotic nor the conservation study."""
+    C, P = _mesh(coords, points)
+    return {"theta": np.sin(2.0 * P) + 0.0 * C, "rho": np.ones(C.shape)}
+
+
+def _samples(config: dict, control: bool, noise: Callable = None) -> list:
+    """The study's fields on each refinement level of its rectangle, coarsest first: its
+    solution's, or under a negative control ``noise`` (the solution is still built) or,
+    where the study does not require a solution, `_non_solution`."""
+    study, sol, rect = config["study"], config.get("solution"), config["rectangle"]
+    levels = [[_axis({**rect[a], "n": n}) for a in ("coord", "point")] for n in config["levels"]]
+    if control and "solution" not in STUDIES[study].required:
+        fields = _non_solution
+    elif sol is None:
+        raise ConfigError(f"study {study!r} requires a solution block unless negative_control")
+    else:
+        fields = FAMILIES[sol["kind"]].build({**config, **sol})
+    fields = noise if control and noise else fields
+    return [FieldSample(coords, points, fields(coords, points)) for coords, points in levels]
+
+
+def _decay(report, **extra) -> tuple:
+    """The run of a study judged by the fitted decay order of its residual: a
+    control is confirmed where the residual does not decay."""
+    return ({"order": report.order, "order_l2": report.order_l2, "linf": report.linf,
+             "l2": report.l2, "target": report.target, **extra}, report.passed,
+            report.order <= 0.5)
+
+
+def _symmetry(config: dict, control: bool, control_spec: Callable):
+    """The study's symmetry, or under a negative control ``control_spec`` of it."""
+    spec = SymmetrySpec(*_profiles(config["symmetry"], "phase", "radial"))
+    return control_spec(spec) if control else spec
+
+
+def _full(config, control, target):
+    # a negative control samples standard normal noise: per level, fields U, V, M, N
+    rng = np.random.default_rng(config.get("seed", 0))
+    noise = lambda t, x: {k: rng.standard_normal((len(t), len(x))) for k in FullState._fields}
+    samples = _samples(config, control, noise)
+    return _decay(residual_full(samples, modulus_from_config(config["solution"]["modulus"]),
+                                order_target=target))
+
+
+def _conservation(config, control, target):
+    samples = _samples(config, control)
+    spec = ConservationSpec(*_profiles(config["conservation"], "amp_weight", "angle_weight"))
+    try:
+        report = conservation_residual(samples, config["beta"], spec, order_target=target)
+    except NeitherOrientationDecays as exc:
+        return {"neither_orientation_decays": True, "message": str(exc)}, False, True
+    return _decay(report, orientation=report.details.get("orientation"))
+
+
+def _commutator(config, control, target):
+    spec = _symmetry(config, control, PerturbedRadialControl)
+    rng = np.random.default_rng(config.get("seed", 0))
+    n = config.get("jets", 100)
+    jets = np.column_stack([rng.uniform(lo, hi, n) for lo, hi in
+                            [(0.0, 2.0 * np.pi), (0.5, 1.5)] + [(-1.0, 1.0)] * 4])
+    beta = config.get("beta", 1.0)
+    worst = commutator_residual(spec, beta, jets)
+    phi = spec.characteristic(jets[:, 0], jets[:, 1], jets[:, 2], jets[:, 3])
+    scale = max(1.0, float(np.max(np.abs(phi[0]))), float(np.max(np.abs(phi[1]))),
+                abs(beta) * float(np.max(jets[:, 1] ** 2)))
+    tol = config.get("tol_factor", 1e-10) * scale
+    return {"max_bracket": worst, "tolerance": tol, "n_jets": int(n)}, worst <= tol, worst > tol
+
+
 # a residual study samples its solution on the refinement levels of a rectangle
 SAMPLED = {"rectangle": _object({"coord": SPAN, "point": SPAN}, ["coord", "point"]),
            "levels": {"type": "array", "items": {"type": "integer", "minimum": 5}, "minItems": 2},
            "order_target": NUM, "negative_control": BOOL}
-# the polar studies; the asymptotic and conservation negative controls sample
-# their own non-solution, so those two may omit the solution (see _verify_study)
 POLAR = {**WITH_BETA, "solution": _one_of(_block("constant_amplitude"), _block("hodograph")),
          **SAMPLED}
 SYMMETRY = _object({"phase": PROFILE, "radial": PROFILE}, ["phase", "radial"])
 CONSERVATION = _object({"amp_weight": PROFILE, "angle_weight": PROFILE},
                        ["amp_weight", "angle_weight"])
-VERIFY_SCHEMAS = _variants("study", {
+# a verify study: its config's keys (props, required) and run(config, control,
+# target) -> (its report's entries, passed, whether a negative control was
+# confirmed); run calls the verify residuals by this module's names, at run time
+Study = namedtuple("Study", "props required run")
+# every verify study by name: a new study is one entry here and one row of the
+# README's "Top-level keys" table
+STUDIES = {
     # the full study verifies the Carroll wave of polarization 1 only
-    "full": ({"solution": _block("carroll", coefficient=True, omit=("polarization",)), **SAMPLED,
-              "seed": SEED}, ["solution", "rectangle", "levels"]),
-    "asymptotic": (POLAR, ["beta", "rectangle", "levels"]),
-    "conservation": ({**POLAR, "conservation": CONSERVATION},
-                     ["beta", "rectangle", "levels", "conservation"]),
-    "linearized_symmetry": ({**POLAR, "symmetry": SYMMETRY},
-                            ["beta", "solution", "rectangle", "levels", "symmetry"]),
-    "commutator": ({**WITH_BETA, "symmetry": SYMMETRY, "jets": {"type": "integer", "minimum": 1},
-                    "seed": SEED, "tol_factor": POS_NUM, "negative_control": BOOL}, ["symmetry"]),
-})
+    "full": Study({"solution": _block("carroll", coefficient=True, omit=("polarization",)),
+                   **SAMPLED, "seed": SEED}, ("solution", "rectangle", "levels"), _full),
+    "asymptotic": Study(POLAR, ("beta", "rectangle", "levels"), lambda config, control, target:
+                        _decay(residual_asymptotic(_samples(config, control), config["beta"],
+                                                   order_target=target))),
+    "conservation": Study({**POLAR, "conservation": CONSERVATION},
+                          ("beta", "rectangle", "levels", "conservation"), _conservation),
+    "linearized_symmetry": Study(
+        {**POLAR, "symmetry": SYMMETRY}, ("beta", "solution", "rectangle", "levels", "symmetry"),
+        lambda config, control, target: _decay(linearized_symmetry_residual(
+            _samples(config, control), config["beta"],
+            _symmetry(config, control, AngleSquaredControl), order_target=target))),
+    "commutator": Study({**WITH_BETA, "symmetry": SYMMETRY,
+                         "jets": {"type": "integer", "minimum": 1}, "seed": SEED,
+                         "tol_factor": POS_NUM, "negative_control": BOOL},
+                        ("symmetry",), _commutator),
+}
+VERIFY_SCHEMAS = _variants("study", {name: study[:2] for name, study in STUDIES.items()})
 
 # a command's closed schema, or its variants by the value of its VARIANT_KEYS key
 SCHEMAS = {"simulate": SIMULATE_SCHEMAS, "exact": EXACT_SCHEMA, "classify": CLASSIFY_SCHEMA,
@@ -819,101 +903,15 @@ def cmd_hodograph(config: dict) -> tuple[dict, dict]:
              "theta_range": [float(theta.min()), float(theta.max())]})
 
 
-def _rectangle_samples(config: dict, fields: Callable) -> list:
-    """The study's ``fields(coords, points)`` on every refinement level of the
-    rectangle, coarsest first."""
-    rect = config["rectangle"]
-    levels = [[np.linspace(rect[axis]["min"], rect[axis]["max"], n) for axis in ("coord", "point")]
-              for n in config["levels"]]
-    return [FieldSample(coords, points, fields(coords, points)) for coords, points in levels]
-
-
-def _order_report(study: str, report, target: float, control: bool, **extra) -> dict:
-    """Report of a study judged by the fitted decay order of its residual."""
-    doc = {"study": study, "order": report.order, "order_l2": report.order_l2,
-           "linf": report.linf, "l2": report.l2, "target": target,
-           "negative_control": control, "passed": report.passed, **extra}
-    if control:
-        doc["control_confirmed"] = report.order <= 0.5
-    return doc
-
-
-def _commutator_study(config: dict, control: bool) -> dict:
-    spec = SymmetrySpec(*_profiles(config["symmetry"], "phase", "radial"))
-    if control:
-        spec = PerturbedRadialControl(spec)
-    rng = np.random.default_rng(config.get("seed", 0))
-    n = config.get("jets", 100)
-    jets = np.column_stack([rng.uniform(lo, hi, n) for lo, hi in
-                            [(0.0, 2.0 * np.pi), (0.5, 1.5)] + [(-1.0, 1.0)] * 4])
-    beta = config.get("beta", 1.0)
-    worst = commutator_residual(spec, beta, jets)
-    phi = spec.characteristic(jets[:, 0], jets[:, 1], jets[:, 2], jets[:, 3])
-    scale = max(1.0, float(np.max(np.abs(phi[0]))), float(np.max(np.abs(phi[1]))),
-                abs(beta) * float(np.max(jets[:, 1] ** 2)))
-    tol = config.get("tol_factor", 1e-10) * scale
-    doc = {"study": "commutator", "max_bracket": worst, "tolerance": tol,
-           "n_jets": int(n), "negative_control": control, "passed": worst <= tol}
-    if control:
-        doc["control_confirmed"] = worst > tol
-    return doc
-
-
-def _verify_study(config: dict) -> dict:
-    """Run the configured study and return its report; ``passed`` holds the verdict."""
-    study = config["study"]
-    target = config.get("order_target", DEFAULT_ORDER_TARGET)
-    control = bool(config.get("negative_control", False))
-    if study == "commutator":
-        return _commutator_study(config, control)
-    sol, full = config.get("solution"), study == "full"
-    # a negative control of the residual and conservation studies samples its
-    # own non-solution; the schema still checks a solution block it is given
-    non_solution = control and study in ("asymptotic", "conservation")
-    if sol is None and not non_solution:
-        raise ConfigError(f"study {study!r} requires a solution block unless negative_control")
-    if non_solution:
-        def fields(coords, points):
-            # theta = sin(2 tau), rho = 1 solves neither study
-            C, P = _mesh(coords, points)
-            return {"theta": np.sin(2.0 * P) + 0.0 * C, "rho": np.ones(C.shape)}
-    else:
-        fields = FAMILIES[sol["kind"]].build({**config, **sol})
-    if full and control:
-        rng = np.random.default_rng(config.get("seed", 0))
-        fields = lambda t, x: {k: rng.standard_normal((len(t), len(x))) for k in FullState._fields}
-    samples = _rectangle_samples(config, fields)
-
-    if full:
-        report = residual_full(samples, modulus_from_config(sol["modulus"]), order_target=target)
-        return _order_report(study, report, target, control)
-    beta = config["beta"]
-    if study == "asymptotic":
-        report = residual_asymptotic(samples, beta, order_target=target)
-        return _order_report(study, report, target, control)
-    if study == "conservation":
-        spec = ConservationSpec(*_profiles(config["conservation"], "amp_weight", "angle_weight"))
-        try:
-            report = conservation_residual(samples, beta, spec, order_target=target)
-        except NeitherOrientationDecays as exc:
-            doc = {"study": study, "neither_orientation_decays": True,
-                   "message": str(exc), "negative_control": control, "passed": False}
-            if control:
-                doc["control_confirmed"] = True
-            return doc
-        return _order_report(study, report, target, control,
-                             orientation=report.details.get("orientation"))
-    spec = SymmetrySpec(*_profiles(config["symmetry"], "phase", "radial"))
-    if control:
-        spec = AngleSquaredControl(spec)
-    report = linearized_symmetry_residual(samples, beta, spec, order_target=target)
-    return _order_report(study, report, target, control)
-
-
 def cmd_verify(config: dict) -> tuple[dict, dict]:
-    doc = _verify_study(config)
+    control = bool(config.get("negative_control", False))
+    entries, passed, confirmed = STUDIES[config["study"]].run(
+        config, control, config.get("order_target", DEFAULT_ORDER_TARGET))
+    doc = {"study": config["study"], **entries, "negative_control": control, "passed": passed}
+    if control:
+        doc["control_confirmed"] = confirmed
     # a negative control is run to be missed, confirmed or not; its report says which
-    return {"report.json": doc}, {"passed": doc["passed"] and not doc["negative_control"]}
+    return {"report.json": doc}, {"passed": passed and not control}
 
 
 def cmd_convergence(config: dict) -> tuple[dict, dict]:

@@ -198,8 +198,6 @@ STEPPERS = {"lax_friedrichs": _step_lf, "muscl_minmod": _step_muscl}
 
 
 def _max_gradient(w: np.ndarray, h: float) -> float:
-    if w.shape[1] < 2:
-        return 0.0
     return float(np.abs(w[:, 1:] - w[:, :-1]).max()) / h
 
 
@@ -213,6 +211,9 @@ def _total_variation(w: np.ndarray, boundary: str) -> np.ndarray:
 def _evolve(w0, grid: Grid1D, config: SimulationConfig,
             law: ConservationLaw) -> Trajectory:
     w = np.array(w0, dtype=float)
+    if w.ndim != 2 or w.shape[1] != grid.n:
+        raise ValueError(f"initial state needs one row per field and {grid.n} columns, one "
+                         f"per grid cell, not shape {w.shape}")
     if not np.isfinite(w).all():
         raise BlowupDetected("non-finite initial state", coordinate=0.0)
     h = grid.h

@@ -809,6 +809,18 @@ def test_every_negative_control_study_exits_one(tmp_path, study):
     assert json.loads((out / "report.json").read_text())["control_confirmed"] is True
 
 
+def test_negative_control_configs_cover_every_study(tmp_path, capsys):
+    assert set(NEGATIVE_CONTROL_CONFIGS) == set(cli.STUDIES)
+    # a control runs without a solution exactly where its study does not require one
+    bare = {study for study, cfg in NEGATIVE_CONTROL_CONFIGS.items() if "solution" not in cfg}
+    assert bare == {name for name, s in cli.STUDIES.items() if "solution" not in s.required}
+    for study in sorted(set(cli.STUDIES) - bare):
+        cfg = {"command": "verify", "study": study, "negative_control": True,
+               **_without(NEGATIVE_CONTROL_CONFIGS[study], "solution")}
+        assert run_cli(tmp_path, cfg, f"bare_{study}")[0] == 2
+        assert "'solution' is a required property" in capsys.readouterr().err
+
+
 def test_unconfirmed_negative_control_exits_one(tmp_path):
     # the angle-squared shift is a true symmetry of a constant-amplitude
     # envelope, so the control's residual decays and the control is not confirmed
@@ -903,20 +915,31 @@ WIDE_AXIS = {"min": -1e308, "max": 1e308, "n": 3}
 WIDE_GRID = {"a": -1e308, "b": 1e308}
 
 
+AXIS_OVERFLOWS = "axis width max - min overflows a double"
+GRID_OVERFLOWS = "grid width b - a overflows a double"
+
+
 @pytest.mark.parametrize("config, path, value, message", [
-    (_carroll_exact_config, ("solution", "x"), WIDE_AXIS, "axis width max - min"),
-    (lambda: small_config("hodograph"), ("X",), WIDE_AXIS, "axis width max - min"),
-    (lambda: small_config("classify"), ("samples", "u"), WIDE_AXIS, "axis width max - min"),
+    (_carroll_exact_config, ("solution", "x"), WIDE_AXIS, AXIS_OVERFLOWS),
+    (lambda: small_config("hodograph"), ("X",), WIDE_AXIS, AXIS_OVERFLOWS),
+    (lambda: small_config("classify"), ("samples", "u"), WIDE_AXIS, AXIS_OVERFLOWS),
     (lambda: carroll_simulate_config(init={"kind": "zero"}), ("grid",), {"n": 16, **WIDE_GRID},
-     "grid width b - a"),
-    (lambda: small_config("convergence"), ("grid",), WIDE_GRID, "grid width b - a"),
-], ids=["exact", "hodograph", "classify", "simulate", "convergence"])
+     GRID_OVERFLOWS),
+    (lambda: small_config("convergence"), ("grid",), WIDE_GRID, GRID_OVERFLOWS),
+    (lambda: {"command": "verify", "study": "full",
+              **copy.deepcopy(NEGATIVE_CONTROL_CONFIGS["full"])},
+     ("rectangle", "point"), {"min": -1e308, "max": 1e308}, AXIS_OVERFLOWS),
+    (lambda: small_config("verify"), ("rectangle", "coord"), {"min": 0.5, "max": 0.5},
+     "axis needs max > min"),
+], ids=["exact", "hodograph", "classify", "simulate", "convergence", "verify", "verify_empty"])
 def test_width_that_overflows_a_double_exits_two(tmp_path, capsys, config, path, value, message):
     cfg = config()
     _get(cfg, path[:-1])[path[-1]] = value
-    code, out = run_cli(tmp_path, cfg, "wide")
+    with warnings.catch_warnings():  # the config is rejected before any numpy work
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, cfg, "wide")
     assert code == 2
-    assert capsys.readouterr().err == f"config error: {message} overflows a double\n"
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not out.exists()
 
 

@@ -237,6 +237,22 @@ def test_non_finite_initial_state_raises_at_coordinate_zero(system, bad):
     assert info.value.coordinate == 0.0
 
 
+@pytest.mark.parametrize("system", ["full", "asymptotic", "scalar"])
+@pytest.mark.parametrize("field", [np.ones(12), np.ones(7), np.ones((1, 8)), 1.0],
+                         ids=["too_many_cells", "too_few_cells", "two_dimensional", "scalar"])
+def test_initial_state_needs_one_column_per_cell(system, field):
+    # a state of another width would run with the grid's h, and masses() would be wrong
+    grid = Grid1D(n=8, a=0.0, b=1.0)
+    cfg = SimulationConfig(end=0.1)
+    with pytest.raises(ValueError, match="8 columns, one per grid cell"):
+        if system == "full":
+            evolve_full(cubic_modulus(1.0, 0.4), grid, FullState(field, field, field, field), cfg)
+        elif system == "asymptotic":
+            evolve_asymptotic(1.0, grid, StrainState(field, field), cfg)
+        else:
+            evolve_scalar(1.0, grid, field, cfg)
+
+
 def test_scalar_evolution_records_blowup_without_raising():
     grid = Grid1D(n=256, a=0.0, b=TWO_PI)
     rho0 = 1.0 + 0.2 * np.sin(grid.centers)
