@@ -1,8 +1,9 @@
 """Command-line entry point: JSON config in, CSV/JSON artifacts out.
 
 Subcommands: simulate, exact, classify, hodograph, verify, convergence.
-Each exact solution family is one `FAMILIES` entry plus one README row, and
-each verify study one `STUDIES` entry plus one README row.
+Each exact solution family is one `FAMILIES` entry plus one README row, each
+evolved system one `SYSTEMS` entry plus its README rows, and each verify
+study one `STUDIES` entry plus one README row.
 Every run validates its whole config, blocks included, in one pass against
 one closed schema of `SCHEMAS`: its command's, or the one of the ``system``
 (simulate, convergence) or ``study`` (verify) that it names.  A key that
@@ -296,25 +297,37 @@ def _variants(key, table):
                           [key, *required]) for name, (props, required) in table.items()}
 
 
-# each system: the coefficient it reads from the top level of its config, then
-# the block kinds of its simulate init and of its convergence oracle
+# an evolved system: the coefficient it reads from the top level of its config;
+# the block kinds of its simulate init and of its convergence oracle; its state's
+# rows; evolve(config, grid, rows, run) -> its Trajectory from those rows, which
+# calls evolve_* by this module's names at run time; and the sign its oracle gives
+# beta, a float so that an integer beta becomes the double it names.  A new system
+# is one entry of SYSTEMS and its rows of the README's "Top-level keys" table
+System = namedtuple("System", "coefficient inits oracles fields evolve sign", defaults=(1.0,))
 SYSTEMS = {
-    "full": (WITH_MODULUS, ("carroll", "generalized", "zero"), ("carroll", "generalized")),
-    "asymptotic": (WITH_BETA, ("constant_amplitude", "plane"), ("constant_amplitude",)),
-    "scalar": (WITH_BETA, ("profile",), ("simple_wave",)),
+    "full": System(WITH_MODULUS, ("carroll", "generalized", "zero"), ("carroll", "generalized"),
+                   FullState._fields, lambda config, grid, rows, run: evolve_full(
+                       modulus_from_config(config["modulus"]), grid, rows, run)),
+    "asymptotic": System(WITH_BETA, ("constant_amplitude", "plane"), ("constant_amplitude",),
+                         StrainState._fields, lambda config, grid, rows, run: evolve_asymptotic(
+                             config["beta"], grid, rows, run)),
+    # evolve_scalar's simple wave rho = Phi(tau + 3 beta X rho^2) is sample_simple_wave's at -beta
+    "scalar": System(WITH_BETA, ("profile",), ("simple_wave",), ("rho",),
+                     lambda config, grid, rows, run: evolve_scalar(
+                         config["beta"], grid, rows[0], run), sign=-1.0),
 }
 SIMULATE_SCHEMAS = _variants("system", {
-    system: ({**coef, "grid": GRID, "run": RUN, "init": _one_of(*map(_block, inits)),
-              "oracle_check": BOOL}, [*coef, "grid", "run", "init"])
-    for system, (coef, inits, _) in SYSTEMS.items()})
+    name: ({**s.coefficient, "grid": GRID, "run": RUN, "init": _one_of(*map(_block, s.inits)),
+            "oracle_check": BOOL}, [*s.coefficient, "grid", "run", "init"])
+    for name, s in SYSTEMS.items()})
 CONVERGENCE_SCHEMAS = _variants("system", {
-    system: ({**coef, "grid": _object({"a": NUM, "b": NUM, "boundary": BOUNDARY}, ["a", "b"]),
-              "run": CONVERGENCE_RUN,
-              "levels": {"type": "array", "items": {"type": "integer", "minimum": 8},
-                         "minItems": 2},
-              "oracle": _one_of(*map(_block, oracles)), "order_target": NUM, "order_tol": POS_NUM},
-             [*coef, "grid", "run", "levels", "oracle"])
-    for system, (coef, _, oracles) in SYSTEMS.items()})
+    name: ({**s.coefficient,
+            "grid": _object({"a": NUM, "b": NUM, "boundary": BOUNDARY}, ["a", "b"]),
+            "run": CONVERGENCE_RUN,
+            "levels": {"type": "array", "items": {"type": "integer", "minimum": 8}, "minItems": 2},
+            "oracle": _one_of(*map(_block, s.oracles)), "order_target": NUM, "order_tol": POS_NUM},
+           [*s.coefficient, "grid", "run", "levels", "oracle"])
+    for name, s in SYSTEMS.items()})
 
 # the families that the exact command samples, each with its coefficient and axes
 EXACT_KINDS = ("carroll", "generalized", "constant_amplitude", "simple_wave", "separable",
@@ -339,8 +352,10 @@ def _non_solution(coords, points):
 
 def _samples(config: dict, control: bool, noise: Callable = None) -> list:
     """The study's fields on each refinement level of its rectangle, coarsest first: its
-    solution's, or under a negative control ``noise`` (the solution is still built) or,
-    where the study does not require a solution, `_non_solution`."""
+    solution's, or under a negative control ``noise`` or, where the study does not require
+    a solution, `_non_solution`.  A control with ``noise`` still builds the solution, for
+    its input checks alone: a block that names no wave (a Carroll wave whose modulus is not
+    positive at its amplitude squared) fails as it does without the control."""
     study, sol, rect = config["study"], config.get("solution"), config["rectangle"]
     levels = [[_axis({**rect[a], "n": n}) for a in ("coord", "point")] for n in config["levels"]]
     if control and "solution" not in STUDIES[study].required:
@@ -768,23 +783,10 @@ def _system(config: dict, block: dict):
     on the grid's cell centers.  ``oracle(centers, coordinate)`` stacks the
     block's exact fields like the trajectory's states, or is None.
     """
-    system, family = config["system"], FAMILIES[block["kind"]]
-    params = {**config, **block}
-    if system == "full":
-        m = modulus_from_config(config["modulus"])
-        names = FullState._fields
-        evolve = lambda grid, run, w: evolve_full(m, grid, FullState(*w), run)
-    elif system == "asymptotic":
-        beta = params["beta"] = float(config["beta"])
-        names = StrainState._fields
-        evolve = lambda grid, run, w: evolve_asymptotic(beta, grid, StrainState(*w), run)
-    else:
-        beta = float(config["beta"])
-        names, evolve = ("rho",), lambda grid, run, w: evolve_scalar(beta, grid, w[0], run)
-        # evolve_scalar solves rho_X = beta (rho^3)_tau, whose simple wave
-        # rho = Phi(tau + 3 beta X rho^2) is the family sample_simple_wave
-        # builds with -beta
-        params["beta"] = -beta
+    system, family = SYSTEMS[config["system"]], FAMILIES[block["kind"]]
+    names, params = system.fields, {**config, **block}
+    if "beta" in system.coefficient:
+        params["beta"] = system.sign * config["beta"]
     # a family without exact fields (a plane wave) has no oracle
     fields = family.build and family.build(params)
     oracle = fields and (lambda x, c: np.stack([v[0] for v in map(fields([c], x).get, names)]))
@@ -796,8 +798,8 @@ def _system(config: dict, block: dict):
 
     def start(grid, run):
         with np.errstate(all="ignore"):  # evolve_* raises on a non-finite initial state
-            w = initial(grid.centers)
-        return evolve(grid, run, w)
+            rows = initial(grid.centers)
+        return system.evolve(config, grid, rows, run)
     return start, oracle
 
 
@@ -827,7 +829,7 @@ def cmd_simulate(config: dict) -> tuple[dict, dict]:
     extra = {"grid": {**config["grid"], "h": grid.h}, "diagnostics": diagnostics}
     if config.get("oracle_check"):
         extra["oracle_error_linf"] = float(np.max(np.abs(oracle_error(traj, oracle))))
-    snapshots = (["coordinate", "cell_center", *traj.field_names],
+    snapshots = (["coordinate", "cell_center", *SYSTEMS[config["system"]].fields],
                  [*_mesh(traj.coords, grid.centers), *traj.states.transpose(1, 0, 2)])
     return {"snapshots.csv": snapshots}, extra
 

@@ -5,23 +5,23 @@ names them: first-order local Lax-Friedrichs (Rusanov interface flux) and
 second-order MUSCL-Hancock with minmod-limited slopes.  All systems are
 advanced in the paper's form w_t = g(w)_x with local wave-speed bounds
 feeding the CFL step; a gradient monitor watches for loss of smoothness.
-Each evolve_* function hands the kernel its system as one ConservationLaw.
-Two law builders serve the three systems: the full law, and the polar law
-w_X = beta (s w)_tau, s the sum of the rows' squares, whose rows (U, V) are
-the asymptotic system and whose one row rho is the scalar cubic law.
+Each evolve_* function hands the kernel its initial rows, any sequence of
+arrays, and its system as one ConservationLaw, which names no fields.  Two
+law builders serve the three systems: the full law, and the polar law
+w_X = beta (s w)_tau, s the sum of the rows' squares, on the two rows of the
+asymptotic system (U, V) or the one row of the scalar cubic law (rho).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .constitutive import ShearModulus, _positive_Q
 from .errors import BlowupDetected, HyperbolicityLoss, NoConvergence, NonPositiveModulus
-from .exact import FullState, StrainState
 from .profiles import ProfileFunction, derivative
 
 STEP_FLOOR_FACTOR = 1e-9
@@ -79,10 +79,9 @@ class SimulationConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots plus per-step diagnostics of one evolution run."""
+    """Snapshots plus per-step diagnostics of one evolution run, in its initial state's rows."""
 
     grid: Grid1D
-    field_names: tuple
     coords: np.ndarray          # snapshot coordinates, shape (n_snap,)
     states: np.ndarray          # shape (n_snap, n_fields, n_cells)
     tv: np.ndarray              # total variation per snapshot/field
@@ -130,7 +129,6 @@ class ConservationLaw:
     """
 
     flux_speed: Callable
-    field_names: tuple
     raise_on_blowup: bool
 
 
@@ -208,12 +206,12 @@ def _total_variation(w: np.ndarray, boundary: str) -> np.ndarray:
     return tv
 
 
-def _evolve(w0, grid: Grid1D, config: SimulationConfig,
-            law: ConservationLaw) -> Trajectory:
+def _evolve(w0, grid: Grid1D, config: SimulationConfig, law: ConservationLaw,
+            rows: int) -> Trajectory:
     w = np.array(w0, dtype=float)
-    if w.ndim != 2 or w.shape[1] != grid.n:
-        raise ValueError(f"initial state needs one row per field and {grid.n} columns, one "
-                         f"per grid cell, not shape {w.shape}")
+    if w.shape != (rows, grid.n):
+        raise ValueError(f"initial state needs {rows} rows, one per field, and {grid.n} columns, "
+                         f"one per grid cell, not shape {w.shape}")
     if not np.isfinite(w).all():
         raise BlowupDetected("non-finite initial state", coordinate=0.0)
     h = grid.h
@@ -271,7 +269,6 @@ def _evolve(w0, grid: Grid1D, config: SimulationConfig,
     states_arr = np.array(states)
     return Trajectory(
         grid=grid,
-        field_names=law.field_names,
         coords=np.array(coords),
         states=states_arr,
         tv=np.array([_total_variation(s, grid.boundary) for s in states_arr]),
@@ -293,7 +290,7 @@ def _sum_sq(w):
     return U * U + V * V if len(w) > 1 else U * U
 
 
-def _polar_law(beta, field_names, raise_on_blowup) -> ConservationLaw:
+def _polar_law(beta, raise_on_blowup) -> ConservationLaw:
     """w_X = beta (s w)_tau on rows (U, V) or one row rho: flux beta s w, speed bound 3|beta| s."""
     beta = float(beta)
 
@@ -301,18 +298,18 @@ def _polar_law(beta, field_names, raise_on_blowup) -> ConservationLaw:
         s = _sum_sq(w)
         return beta * (s[:, ncells:] * w[:, ncells:]), 3.0 * abs(beta) * s[:, :ncells]
 
-    return ConservationLaw(flux_speed, field_names, raise_on_blowup)
+    return ConservationLaw(flux_speed, raise_on_blowup)
 
 
-def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
+def evolve_full(m: ShearModulus, grid: Grid1D, init: Sequence,
                 config: SimulationConfig) -> Trajectory:
     """Evolve the 4-field system (U, V, M, N) in conservation form.
 
-    U_t = M_x, V_t = N_x, M_t = [Qt(s) U]_x, N_t = [Qt(s) V]_x with
-    Qt = Q/rho and s = U^2 + V^2.  Squared wave speeds are Qt and
-    Qt + 2 s Qt'(s); both must stay positive (else NonPositiveModulus for
-    Q itself, HyperbolicityLoss for the fast speed).
-    When no analytic Q' is available the speed bound carries a 1.2 safety
+    ``init`` is any sequence of those rows on the grid's cells, a FullState among them.
+    U_t = M_x, V_t = N_x, M_t = [Qt(s) U]_x, N_t = [Qt(s) V]_x with Qt = Q/rho and
+    s = U^2 + V^2.  Squared wave speeds are Qt and Qt + 2 s Qt'(s); both must stay
+    positive (else NonPositiveModulus for Q itself, HyperbolicityLoss for the fast
+    speed).  When no analytic Q' is available the speed bound carries a 1.2 safety
     factor.  The gradient monitor raises BlowupDetected.
     """
     safety = 1.2 if m.q.df is None else 1.0
@@ -332,19 +329,19 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: FullState,
         wf, qf = w[:, ncells:], qt[:, ncells:]
         return np.concatenate([wf[2:], qf * wf[:2]]), (c if safety == 1.0 else safety * c)
 
-    law = ConservationLaw(flux_speed, ("U", "V", "M", "N"), raise_on_blowup=True)
-    return _evolve((init.U, init.V, init.M, init.N), grid, config, law)
+    return _evolve(init, grid, config, ConservationLaw(flux_speed, raise_on_blowup=True), 4)
 
 
-def evolve_asymptotic(beta: float, grid: Grid1D, init: StrainState,
+def evolve_asymptotic(beta: float, grid: Grid1D, init: Sequence,
                       config: SimulationConfig) -> Trajectory:
     """Evolve the weakly nonlinear system U_X = beta[(U^2+V^2)U]_tau (and V).
 
-    The grid axis is tau, the evolution coordinate is X.  Plane-polarized
-    data (V = 0) reduces to the scalar cubic law.  The gradient monitor
-    raises BlowupDetected when smoothness is lost.
+    ``init`` is any sequence of the rows U, V on the grid's cells, a StrainState among
+    them.  The grid axis is tau, the evolution coordinate is X.  Plane-polarized data
+    (V = 0) reduces to the scalar cubic law.  The gradient monitor raises
+    BlowupDetected when smoothness is lost.
     """
-    return _evolve((init.U, init.V), grid, config, _polar_law(beta, ("U", "V"), True))
+    return _evolve(init, grid, config, _polar_law(beta, True), 2)
 
 
 def evolve_scalar(beta: float, grid: Grid1D, rho0,
@@ -355,7 +352,7 @@ def evolve_scalar(beta: float, grid: Grid1D, rho0,
     records the crossing coordinate in the diagnostics; a step below the
     floor still raises BlowupDetected.
     """
-    return _evolve((rho0,), grid, config, _polar_law(beta, ("rho",), False))
+    return _evolve((rho0,), grid, config, _polar_law(beta, False), 1)
 
 
 def breaking_estimate(beta: float, rho0: ProfileFunction, tau_grid) -> float:

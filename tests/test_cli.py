@@ -515,7 +515,7 @@ ORACLE_INITS = {
 
 
 def test_fixtures_cover_every_family_they_claim():
-    inits = {kind: system for system, (_, kinds, _) in cli.SYSTEMS.items() for kind in kinds}
+    inits = {kind: name for name, system in cli.SYSTEMS.items() for kind in system.inits}
     assert set(ORACLE_INITS) == {kind for kind in inits if cli.FAMILIES[kind].build is not None}
     assert all(inits[kind] == system["system"] for kind, (system, _) in ORACLE_INITS.items())
     assert set(EXACT_SOLUTIONS) == set(cli.EXACT_KINDS)
@@ -525,6 +525,45 @@ def end_zero_config(kind):
     system, init = ORACLE_INITS[kind]
     return {"command": "simulate", **system, "grid": {"n": 16, "a": 0.0, "b": TWO_PI},
             "run": {"end": 0.0}, "init": init, "oracle_check": True}
+
+
+def record_evolutions(monkeypatch, evolve=None):
+    """Replace each system's ``cli.evolve_<system>`` with a recorder of its calls and
+    results, which calls ``evolve`` if given and the original otherwise."""
+    calls = {name: [] for name in cli.SYSTEMS}
+
+    def recorder(name, original):
+        def record(*args):
+            out = (evolve or original)(*args)
+            calls[name].append((args, out))
+            return out
+        return record
+    for name in cli.SYSTEMS:
+        monkeypatch.setattr(cli, f"evolve_{name}",
+                            recorder(name, getattr(cli, f"evolve_{name}")))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(cli.SYSTEMS))
+def test_every_system_runs_through_its_own_evolve(tmp_path, monkeypatch, name):
+    # an entry that bound its evolve_* at import would bypass the recorder
+    system = cli.SYSTEMS[name]
+    calls = record_evolutions(monkeypatch)
+    coefficient, init = ORACLE_INITS[system.inits[0]]
+    simulate = {**end_zero_config(system.inits[0]), "run": {"end": 0.1}}
+    code, out = run_cli(tmp_path, simulate, "sim")
+    assert code == 0
+    header, data = read_csv_columns(out / "snapshots.csv")
+    assert header == ["coordinate", "cell_center", *system.fields]
+    assert data.shape[1] == 2 + len(system.fields)
+    convergence = {"command": "convergence", **coefficient, "grid": {"a": 0.0, "b": TWO_PI},
+                   "run": {"end": 0.1}, "levels": [16, 32],
+                   "oracle": {**init, "kind": system.oracles[0]}}
+    assert run_cli(tmp_path, convergence, "cnv")[0] == 0
+    assert {other: len(runs) for other, runs in calls.items()} == {
+        other: 3 if other == name else 0 for other in cli.SYSTEMS}
+    for (_, grid, _, _), traj in calls[name]:
+        assert traj.states.shape[1:] == (len(system.fields), grid.n)
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_INITS))
@@ -819,6 +858,19 @@ def test_negative_control_configs_cover_every_study(tmp_path, capsys):
                **_without(NEGATIVE_CONTROL_CONFIGS[study], "solution")}
         assert run_cli(tmp_path, cfg, f"bare_{study}")[0] == 2
         assert "'solution' is a required property" in capsys.readouterr().err
+
+
+def test_full_control_still_rejects_a_solution_that_names_no_wave(tmp_path, capsys):
+    # Q(s) = 1 + s - 0.011 s^2 is positive on the control's noise but not at A^2 = 100:
+    # the control builds the Carroll wave for its input checks, and the build fails
+    solution = {**NEGATIVE_CONTROL_CONFIGS["full"]["solution"], "amplitude": 10.0,
+                "modulus": {"kind": "poly", "coeffs": [1.0, 1.0, -0.011]}}
+    cfg = {"command": "verify", "study": "full", "negative_control": True,
+           **NEGATIVE_CONTROL_CONFIGS["full"], "solution": solution}
+    code, out = run_cli(tmp_path, cfg, "nowave")
+    assert code == 3
+    assert "NonPositiveModulus: Q(100.0)" in capsys.readouterr().err
+    assert read_manifest(out)["error"]["type"] == "NonPositiveModulus"
 
 
 def test_unconfirmed_negative_control_exits_one(tmp_path):
@@ -1326,6 +1378,19 @@ def test_oracle_check_non_finite_oracle_exits_three(tmp_path):
     assert "oracle_error_linf" not in manifest
 
 
+@pytest.mark.parametrize("beta, amplitude", [(10**300, 10**10), (1e300, 1e10)],
+                         ids=["integers", "doubles"])
+def test_integer_beta_is_read_as_a_double(tmp_path, beta, amplitude):
+    # beta A^2 overflows a double to inf, so the initial state is not finite; an
+    # integer beta kept exact would instead fail to convert to a double (exit 2)
+    cfg = {"command": "simulate", "system": "asymptotic", "beta": beta,
+           "grid": {"n": 16, "a": 0.0, "b": TWO_PI}, "run": {"end": 0.1},
+           "init": {"kind": "constant_amplitude", "amplitude": amplitude, "profile": SINE}}
+    code, out = run_cli(tmp_path, cfg, "int")
+    assert code == 3
+    assert read_manifest(out)["error"]["message"] == "non-finite initial state"
+
+
 # scripts/configs/hodograph.json with a beta whose map overflows at the seed
 OVERFLOWING_HODOGRAPH = {**json.loads((CONFIG_DIR / "hodograph.json").read_text()), "beta": 1e300}
 
@@ -1653,8 +1718,11 @@ def test_config_naming_no_variant_exits_two(tmp_path, capsys, command, key):
         assert not out.exists()
 
 
-def test_convergence_tolerance_without_target_exits_two(tmp_path, capsys):
-    # a tolerance around no target would pass at any order
+def test_convergence_tolerance_without_target_exits_two(tmp_path, capsys, monkeypatch):
+    # a tolerance around no target would pass at any order; it is refused before any level runs
+    def evolve(*args):
+        raise AssertionError("a refused convergence study evolved a level")
+    record_evolutions(monkeypatch, evolve)
     cfg = {**small_config("convergence"), "order_tol": 1e-9}
     assert "order_target" not in cfg
     code, out = run_cli(tmp_path, cfg, "tol")

@@ -253,6 +253,32 @@ def test_initial_state_needs_one_column_per_cell(system, field):
             evolve_scalar(1.0, grid, field, cfg)
 
 
+@pytest.mark.parametrize("system, rows", [("full", 3), ("full", 5), ("asymptotic", 1),
+                                          ("asymptotic", 3)])
+def test_initial_state_needs_one_row_per_field(system, rows):
+    # the laws read rows by position: a state with another row count would run another system
+    grid = Grid1D(n=8, a=0.0, b=1.0)
+    init, cfg = [np.ones(grid.n)] * rows, SimulationConfig(end=0.1)
+    with pytest.raises(ValueError, match=f"needs {4 if system == 'full' else 2} rows"):
+        if system == "full":
+            evolve_full(cubic_modulus(1.0, 0.4), grid, init, cfg)
+        else:
+            evolve_asymptotic(1.0, grid, init, cfg)
+
+
+def test_any_row_sequence_evolves_as_its_named_tuple():
+    m = cubic_modulus(1.0, 0.5)
+    grid = Grid1D(n=32, a=0.0, b=TWO_PI)
+    init = FullState(*carroll_full_state(CarrollWave.from_modulus(m, 0.5, 1.0), grid.centers, 0.0))
+    cfg = SimulationConfig(end=0.5)
+    named = evolve_full(m, grid, init, cfg).states
+    for rows in (list(init), np.stack(init)):
+        assert evolve_full(m, grid, rows, cfg).states.tobytes() == named.tobytes()
+    U, V = np.sin(grid.centers), np.cos(grid.centers)
+    named = evolve_asymptotic(0.5, grid, StrainState(U, V), cfg).states
+    assert evolve_asymptotic(0.5, grid, [U, V], cfg).states.tobytes() == named.tobytes()
+
+
 def test_scalar_evolution_records_blowup_without_raising():
     grid = Grid1D(n=256, a=0.0, b=TWO_PI)
     rho0 = 1.0 + 0.2 * np.sin(grid.centers)
