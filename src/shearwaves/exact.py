@@ -172,32 +172,61 @@ def _damped_newton(residual, newton_step, unknowns, tol, max_iter=NEWTON_MAX_ITE
     max_iter sweeps.  Returns the unknowns and a code per element: 0
     converged, 1 flagged by newton_step, 2 damping exhausted, 3 still above
     tol after max_iter sweeps.
+
+    Elements still iterating stay packed in x, res and err beside their
+    indices act, and are written back when they leave.  The full step is
+    tried as x + step (1.0 * step == step); if every element takes it, it
+    replaces the packed state whole.
     """
     u = [np.array(a, dtype=float) for a in unknowns]
     act = np.arange(u[0].size)
-    res, err = residual(u, act)
     code = np.zeros(act.size, dtype=int)
+    x = u  # u itself until the first element leaves, while act is every index
+    res, err = residual(x, act)
+
+    def drop(gone, why, step=()):
+        """Write back the elements gone with code why; pack the rest and their step."""
+        nonlocal act, x, res, err
+        for out, a in zip(u, x):
+            out[act[gone]] = a[gone]
+        code[act[gone]] = why
+        keep = ~gone
+        act, err, x, res = act[keep], err[keep], [a[keep] for a in x], [r[keep] for r in res]
+        return [s[keep] for s in step]
+
     for _ in range(max_iter):
-        act = act[~(err[act] <= tol)]
+        done = err <= tol
+        if done.any():
+            drop(done, 0)
         if act.size == 0:
             return u, code
-        step, code[act] = newton_step([a[act] for a in u], [r[act] for r in res], act)
-        ok = code[act] == 0
-        act, step = act[ok], [s[ok] for s in step]
-        left, lam = np.arange(act.size), 1.0
-        for _h in range(NEWTON_MAX_HALVINGS + 1):
-            idx = act[left]
-            trial = [a[idx] + lam * s[left] for a, s in zip(u, step)]
-            res_t, err_t = residual(trial, idx)
-            won = err_t < err[idx]
-            for old, new in zip(u + res + [err], trial + res_t + [err_t]):
-                old[idx[won]] = new[won]
-            left, lam = left[~won], 0.5 * lam
+        step, flag = newton_step(x, res, act)
+        if flag.any():
+            step = drop(flag, 1, step)
+        trial = [a + s for a, s in zip(x, step)]
+        res_t, err_t = residual(trial, act)
+        won = err_t < err
+        if won.all():
+            x, res, err = trial, res_t, err_t
+            continue
+        for old, new in zip(x + res + [err], trial + res_t + [err_t]):
+            old[won] = new[won]
+        left, lam = np.flatnonzero(~won), 1.0
+        for _h in range(NEWTON_MAX_HALVINGS):
+            lam *= 0.5
+            trial = [a[left] + lam * s[left] for a, s in zip(x, step)]
+            res_t, err_t = residual(trial, act[left])
+            won = err_t < err[left]
+            for old, new in zip(x + res + [err], trial + res_t + [err_t]):
+                old[left[won]] = new[won]
+            left = left[~won]
             if left.size == 0:
                 break
-        code[act[left]] = 2
-        act = act[code[act] == 0]
-    code[act[~(err[act] <= tol)]] = 3
+        else:
+            drop(np.isin(np.arange(act.size), left), 2)
+    for out, a in zip(u, x):
+        out[act] = a
+    code[act[~(err <= tol)]] = 3
     return u, code
 
 
@@ -253,7 +282,10 @@ def _continue(solve, pred, lead, start):
         for _ in range(pred.size.bit_length()):
             good &= good[anc]
             depth += depth[anc]
-            anc = anc[anc]
+            nxt = anc[anc]
+            if np.array_equal(nxt, anc):  # every pointer is at its root
+                break
+            anc = nxt
         code = np.where(pred < 0, c1, 0)  # pass 1 solved these as the march does
         failed = np.flatnonzero(code)
         first = failed[0] if failed.size else code.size
@@ -458,8 +490,9 @@ def _hodograph_solve(hd, beta, X, tau, theta, rho, max_iter=NEWTON_MAX_ITER):
 
     def newton_step(u, res, idx):
         (a, b), (c, d) = hodograph_jacobian(hd, beta, *u)
-        det = a * d - b * c
-        fold = np.abs(det) <= 1e-14 * np.maximum(np.abs(a * d) + np.abs(b * c), 1e-300)
+        ad, bc = a * d, b * c
+        det = ad - bc
+        fold = np.abs(det) <= 1e-14 * np.maximum(np.abs(ad) + np.abs(bc), 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
             return [(-res[0] * d + res[1] * b) / det, (-res[1] * a + res[0] * c) / det], fold
 

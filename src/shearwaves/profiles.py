@@ -88,18 +88,28 @@ def sine_profile(amp: float, freq: float, offset: float = 0.0) -> ProfileFunctio
     )
 
 
+def _horner(c):
+    """s -> sum_k c[k] * s**k in polyval's own operation order, so bit for bit its value."""
+    last, *rest = c.tolist()[::-1]
+
+    def f(s):
+        out = last + s * 0
+        for ck in rest:
+            out = ck + out * s
+        return out
+
+    return f
+
+
 def poly_profile(coeffs) -> ProfileFunction:
     """f(s) = sum_k coeffs[k] * s**k."""
     c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError(f"a poly profile needs a flat list of at least one coefficient, "
+                         f"got coeffs = {coeffs!r}")
     dc = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.array([0.0])
     d2c = np.polynomial.polynomial.polyder(dc) if len(dc) > 1 else np.array([0.0])
-    pv = np.polynomial.polynomial.polyval
-    return ProfileFunction(
-        f=lambda s: pv(s, c),
-        df=lambda s: pv(s, dc),
-        d2f=lambda s: pv(s, d2c),
-        name="poly",
-    )
+    return ProfileFunction(f=_horner(c), df=_horner(dc), d2f=_horner(d2c), name="poly")
 
 
 def const_profile(c: float) -> ProfileFunction:

@@ -1,6 +1,8 @@
 """Exact solution families and their defining identities."""
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +43,15 @@ from shearwaves.exact import (
     sample_simple_wave,
     strain_to_polar,
 )
-from shearwaves.profiles import const_profile, linear_profile, poly_profile, sine_profile
+from shearwaves.profiles import (
+    const_profile,
+    linear_profile,
+    poly_profile,
+    profile_from_config,
+    sine_profile,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +593,9 @@ def _unit_root_problem(mode):
     """Residual and Newton step of the scalar equations u = 1, one per element.
 
     The step of a "half" element covers half the distance to the root, an
-    "away" element steps away from it, and a "flag" element cannot step.
+    "away" element steps away from it, an "over" element steps to 3 times
+    its distance on the other side (so only a quarter step lowers its
+    residual), and a "flag" element cannot step.
     """
     mode = np.asarray(mode)
 
@@ -592,7 +604,8 @@ def _unit_root_problem(mode):
         return [res], np.abs(res)
 
     def newton_step(u, res, idx):
-        return [np.where(mode[idx] == "away", 1.0, -0.5) * res[0]], mode[idx] == "flag"
+        factor = np.select([mode[idx] == "away", mode[idx] == "over"], [1.0, -4.0], -0.5)
+        return [factor * res[0]], mode[idx] == "flag"
 
     return residual, newton_step
 
@@ -626,6 +639,126 @@ def test_damped_newton_default_budget_converges_a_slow_element():
     (u,), code = _damped_newton(residual, newton_step, [[0.0]], 1e-9)
     assert code[0] == 0
     assert abs(u[0] - 1.0) <= 1e-9
+
+
+def _damped_newton_reference(residual, newton_step, unknowns, tol, max_iter=NEWTON_MAX_ITER):
+    """The array damped Newton as it was before it packed its active set.
+
+    Transcribed unchanged: every sweep gathers the unknowns and residuals of
+    the active elements from the full arrays, and every trial scatters its
+    winners back into them.  _damped_newton must reproduce its unknowns bit
+    for bit, its codes, and its calls of residual and newton_step.
+    """
+    u = [np.array(a, dtype=float) for a in unknowns]
+    act = np.arange(u[0].size)
+    res, err = residual(u, act)
+    code = np.zeros(act.size, dtype=int)
+    for _ in range(max_iter):
+        act = act[~(err[act] <= tol)]
+        if act.size == 0:
+            return u, code
+        step, code[act] = newton_step([a[act] for a in u], [r[act] for r in res], act)
+        ok = code[act] == 0
+        act, step = act[ok], [s[ok] for s in step]
+        left, lam = np.arange(act.size), 1.0
+        for _h in range(exact.NEWTON_MAX_HALVINGS + 1):
+            idx = act[left]
+            trial = [a[idx] + lam * s[left] for a, s in zip(u, step)]
+            res_t, err_t = residual(trial, idx)
+            won = err_t < err[idx]
+            for old, new in zip(u + res + [err], trial + res_t + [err_t]):
+                old[idx[won]] = new[won]
+            left, lam = left[~won], 0.5 * lam
+            if left.size == 0:
+                break
+        code[act[left]] = 2
+        act = act[code[act] == 0]
+    code[act[~(err[act] <= tol)]] = 3
+    return u, code
+
+
+def _counted(fn, calls):
+    """fn, appending the size of its last argument to calls on each call."""
+    def wrapper(*args):
+        calls.append(np.size(args[-1]))
+        return fn(*args)
+    return wrapper
+
+
+def _same_bits(got, ref):
+    return [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in ref]
+
+
+def _engines_agree(residual, newton_step, unknowns, tol, max_iter):
+    """Run both engines; require the same bits, codes and call sequences."""
+    runs = []
+    for engine in (_damped_newton, _damped_newton_reference):
+        calls_r, calls_n = [], []
+        u, code = engine(_counted(residual, calls_r), _counted(newton_step, calls_n),
+                         unknowns, tol, max_iter)
+        runs.append((u, code, calls_r, calls_n))
+    (u, code, *calls), (u_ref, code_ref, *calls_ref) = runs
+    assert _same_bits(u, u_ref)
+    np.testing.assert_array_equal(code, code_ref)
+    assert calls == calls_ref
+    return code
+
+
+@pytest.mark.parametrize("max_iter", [1, 10, 100])
+def test_packed_newton_matches_the_reference_on_unit_roots(max_iter):
+    rng = np.random.default_rng(max_iter)
+    codes = []
+    for n in rng.integers(1, 60, size=40):
+        mode = rng.choice(["half", "flag", "away", "over"], size=n,
+                          p=rng.dirichlet(np.ones(4)))
+        # distances from the root of 1e-12 to 1e3, some none, some NaN
+        start = 1.0 + rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 3, n)
+        start[rng.random(n) < 0.1] = 1.0
+        start[rng.random(n) < 0.05] = np.nan
+        residual, newton_step = _unit_root_problem(mode)
+        codes.append(_engines_agree(residual, newton_step, [start], 1e-9, max_iter))
+    # every outcome occurs: converged, flagged, damping exhausted, out of sweeps
+    assert set(np.concatenate(codes)) == ({0, 1, 2} if max_iter == 100 else {0, 1, 2, 3})
+
+
+def _hodograph_engine_cases(rng):
+    """Every fourth case of HODOGRAPH_CASES as one array solve, each point
+    seeded at its own perturbation of the case's seed, and one mix on
+    HODOGRAPH_FAMILY of points seeded at their root, on the fold theta = 0
+    or near their root."""
+    for hd, beta, X, tau, (theta0, rho0) in HODOGRAPH_CASES[::4]:
+        X, tau = (a.ravel() for a in np.meshgrid(X, tau, indexing="ij"))
+        perturb = 10.0 ** rng.uniform(-3, 0)
+        rho = rho0 + perturb * rng.standard_normal(X.size)
+        yield (hd, beta, X, tau, theta0 + perturb * rng.standard_normal(X.size),
+               np.where(rho == 0.0, rho0, rho))
+    theta, rho = rng.uniform(0.3, 1.5, 60), rng.uniform(0.6, 1.5, 60)
+    X, tau = hodograph_forward(HODOGRAPH_FAMILY, 1.0, theta, rho)
+    kind = np.arange(60) % 3
+    yield (HODOGRAPH_FAMILY, 1.0, X, tau,
+           np.choose(kind, [theta, 0.0, theta + rng.normal(0.0, 0.3, 60)]),
+           np.choose(kind, [rho, rho, rho + rng.normal(0.0, 0.1, 60)]))
+
+
+@pytest.mark.parametrize("max_iter", [1, 10, 100])
+def test_packed_newton_matches_the_reference_on_hodograph_solves(monkeypatch, max_iter):
+    codes = []
+    for k, case in enumerate(_hodograph_engine_cases(np.random.default_rng(max_iter))):
+        out = []
+        for engine in (_damped_newton, _damped_newton_reference):
+            monkeypatch.setattr(exact, "_damped_newton", engine)
+            calls = []
+            monkeypatch.setattr(exact, "hodograph_forward", _counted(hodograph_forward, calls))
+            monkeypatch.setattr(exact, "hodograph_jacobian", _counted(hodograph_jacobian, calls))
+            with np.errstate(all="ignore"):
+                out.append((*_hodograph_solve(*case, max_iter=max_iter), calls))
+        (u, code, calls), (u_ref, code_ref, calls_ref) = out
+        assert _same_bits(u, u_ref), k
+        np.testing.assert_array_equal(code, code_ref)
+        assert calls == calls_ref, k
+        codes.append(code)
+    # in one sweep, no damping runs out
+    assert set(np.concatenate(codes)) == ({0, 1, 3} if max_iter == 1 else {0, 1, 2, 3})
 
 
 # seeded here, the root (theta, rho) = (0.8, 1.2) of the rho^2 hodograph takes
@@ -667,6 +800,20 @@ def test_sample_hodograph_from_a_slow_seed_marches_nothing(monkeypatch):
     got = sample_hodograph(HODOGRAPH_FAMILY, 1.0, X, tau, SLOW_SEED)
     assert budgets == [NEWTON_MAX_ITER, HODOGRAPH_PASS_MAX_ITER, HODOGRAPH_PASS_MAX_ITER]
     _assert_same_outcome(got, ref, "slow seed")
+
+
+def test_sample_hodograph_calls_the_forward_map_through_the_module(monkeypatch):
+    # the traced benchmark counts Newton sweeps and forward evaluations by
+    # wrapping these two module attributes; on the shipped window the solver
+    # makes the same calls as the solver before its active set was packed
+    config = json.loads((CONFIGS / "hodograph.json").read_text())
+    forward, jacobian = [], []
+    monkeypatch.setattr(exact, "hodograph_forward", _counted(hodograph_forward, forward))
+    monkeypatch.setattr(exact, "hodograph_jacobian", _counted(hodograph_jacobian, jacobian))
+    hd = HodographData(profile_from_config(config["phase"]), profile_from_config(config["radial"]))
+    X, tau = (np.linspace(config[a]["min"], config[a]["max"], config[a]["n"]) for a in ("X", "tau"))
+    sample_hodograph(hd, config["beta"], X, tau, config["seed"])
+    assert (len(forward), len(jacobian)) == (14, 11)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Profile builders: values, derivatives, config round-trips."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from shearwaves.constitutive import poly_modulus
 from shearwaves.profiles import (
     ProfileFunction,
     const_profile,
@@ -35,6 +39,49 @@ def test_poly_matches_horner():
     np.testing.assert_allclose(p(S), 1.0 - 2.0 * S + 0.5 * S**2)
     np.testing.assert_allclose(p.deriv(S), -2.0 + S)
     np.testing.assert_allclose(p.deriv2(S), 0.5 * 2.0)
+
+
+@pytest.mark.parametrize("build", [poly_profile, poly_modulus])
+@pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]], 2.0])
+def test_polynomial_without_a_flat_coefficient_list_is_refused_when_built(build, coeffs):
+    with pytest.raises(ValueError, match=r"at least one coefficient, got coeffs = "
+                                         + re.escape(repr(coeffs))):
+        build(coeffs)
+
+
+def _polyval_profile(coeffs):
+    """The poly profile as it was built on np.polynomial.polynomial.polyval."""
+    pv, polyder = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+    c = np.asarray(coeffs, dtype=float)
+    dc = polyder(c) if len(c) > 1 else np.array([0.0])
+    d2c = polyder(dc) if len(dc) > 1 else np.array([0.0])
+    return ProfileFunction(f=lambda s: pv(s, c), df=lambda s: pv(s, dc),
+                           d2f=lambda s: pv(s, d2c), name="poly")
+
+
+def _bits(v):
+    """The float64 bits of v, with every NaN the same (its sign and payload are not kept)."""
+    v = np.array(v, dtype=float)
+    return np.where(np.isnan(v), np.nan, v).view(np.uint64)
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                           2.2250738585072014e-308, -1e-310])
+POINTS = SPECIAL | st.floats(allow_nan=True, allow_infinity=True)
+COEFFS = st.lists(st.integers(-3, 3) | SPECIAL | st.floats(-1e3, 1e3), min_size=1, max_size=6)
+
+
+@given(coeffs=COEFFS, point=POINTS, array=hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=5), elements=POINTS))
+@settings(max_examples=300, deadline=None)
+def test_poly_is_polyval_bit_for_bit(coeffs, point, array):
+    p, ref = poly_profile(coeffs), _polyval_profile(coeffs)
+    with np.errstate(all="ignore"):
+        for s in (point, np.array(point), array):
+            for got, want in ((p(s), ref(s)), (p.deriv(s), ref.deriv(s)),
+                              (p.deriv2(s), ref.deriv2(s)), (p.f(s), ref.f(s))):
+                assert type(got) is type(want) or np.ndim(got) == np.ndim(want) == 0
+                np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def test_const_is_flat():
