@@ -384,7 +384,7 @@ def _symmetry(config: dict, control: bool, control_spec: Callable):
 
 def _full(config, control, target):
     # a negative control samples standard normal noise: per level, fields U, V, M, N
-    rng = np.random.default_rng(config.get("seed", 0))
+    rng = np.random.default_rng(config.get("seed", 0)) if control else None
     noise = lambda t, x: {k: rng.standard_normal((len(t), len(x))) for k in FullState._fields}
     samples = _samples(config, control, noise)
     return _decay(residual_full(samples, modulus_from_config(config["solution"]["modulus"]),
@@ -839,7 +839,13 @@ def _sample_exact(sol: dict):
     family = FAMILIES[sol["kind"]]
     fields = family.build(sol)
     coords, points = (_axis(sol[axis]) for axis in family.axes)
-    values = fields(coords, points)
+    with np.errstate(all="ignore"):  # a field that overflows is refused below
+        values = fields(coords, points)
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            i, j = np.argwhere(~np.isfinite(value))[0]
+            raise OverflowError(f"{name} is not finite at ({', '.join(family.axes)}) = "
+                                f"({float(coords[i])!r}, {float(points[j])!r})")
     if sol["kind"] == "constant_amplitude":
         # the rho and theta columns have always been read back from (U, V);
         # the family's own rho and theta differ from them in the last bits

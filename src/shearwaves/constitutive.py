@@ -18,6 +18,8 @@ from .profiles import (
     FD2_REL_STEP,
     FD_REL_STEP,
     ProfileFunction,
+    _horner,
+    _polyder,
     const_profile,
     derivative,
     poly_profile,
@@ -275,30 +277,19 @@ def ratio_flux() -> TempleFlux:
     )
 
 
-def poly_flux(coeffs) -> TempleFlux:
+def poly_flux(coeffs, name: str = "poly") -> TempleFlux:
     """P(u, v) = sum_{i,j} coeffs[i][j] * u**i * v**j."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 2:
         raise ValueError("coeffs must be a 2D array [i][j] -> u**i v**j")
-    pv2, polyder = np.polynomial.polynomial.polyval2d, np.polynomial.polynomial.polyder
-    # a constant's derivative is +0 (polyder gives c[:1]*0, which is -0 where c < 0)
-    der = lambda a, axis: polyder(a, axis=axis) if a.shape[axis] > 1 else np.zeros_like(a)
-    cu, cv = der(c, 0), der(c, 1)
-    cuu, cuv, cvv = der(cu, 0), der(cu, 1), der(cv, 1)
-    return TempleFlux(
-        p=lambda u, v: pv2(u, v, c),
-        pu=lambda u, v: pv2(u, v, cu),
-        pv=lambda u, v: pv2(u, v, cv),
-        puu=lambda u, v: pv2(u, v, cuu),
-        puv=lambda u, v: pv2(u, v, cuv),
-        pvv=lambda u, v: pv2(u, v, cvv),
-        name="poly",
-    )
+    cu, cv = _polyder(c), _polyder(c.T).T
+    cuu, cuv, cvv = _polyder(cu), _polyder(cu.T).T, _polyder(cv.T).T
+    return TempleFlux(*map(_horner, (c, cu, cv, cuu, cuv, cvv)), name=name)
 
 
 def sum_squares_flux(scale: float = 1.0) -> TempleFlux:
     """P(u, v) = scale * (u**2 + v**2), the weakly nonlinear flux."""
-    return poly_flux([[0.0, 0.0, scale], [0.0, 0.0, 0.0], [scale, 0.0, 0.0]])
+    return poly_flux([[0.0, 0.0, scale], [0.0, 0.0, 0.0], [scale, 0.0, 0.0]], name="sum_squares")
 
 
 def modulus_flux(m: ShearModulus) -> TempleFlux:

@@ -601,6 +601,13 @@ class SeparableSolution:
         return 0.5 * self.dphi**2 - 0.5 * self.wavenumber**2 * W
 
 
+PRODUCT_FORM_PAIRS = (
+    (1.1369616873214543, 0.7697867137638703), (0.5409735239361947, 0.5165276355285291),
+    (1.3132702392002724, 1.4127555772777218), (1.1066357757671799, 1.2294965609839985),
+    (1.043624991465423, 1.4350724237877683), (1.3158535541215322, 0.5027385001701481),
+    (1.3574042765875693, 0.5335855753054644), (1.229655446429944, 0.675655620602559))
+
+
 def _product_scalar(f: Union[TempleFlux, Callable]) -> Callable:
     """Reduce a product-form flux P(u, v) = g(u v) to its scalar factor g."""
     if not isinstance(f, TempleFlux):
@@ -610,11 +617,8 @@ def _product_scalar(f: Union[TempleFlux, Callable]) -> Callable:
         r = np.sqrt(np.maximum(np.asarray(s, dtype=float), 0.0))
         return f.p(r, r)
 
-    # product form means P depends on (u, v) only through u*v
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        a = rng.uniform(0.5, 1.5)
-        b = rng.uniform(0.5, 1.5)
+    # product form means P depends on (u, v) only through u*v: P(a, b) = P(r, r), r^2 = ab
+    for a, b in PRODUCT_FORM_PAIRS:
         direct = float(f.p(a, b))
         reduced = float(g(a * b))
         if abs(direct - reduced) > 1e-8 * max(1.0, abs(direct)):

@@ -89,16 +89,26 @@ def sine_profile(amp: float, freq: float, offset: float = 0.0) -> ProfileFunctio
 
 
 def _horner(c):
-    """s -> sum_k c[k] * s**k in polyval's own operation order, so bit for bit its value."""
-    last, *rest = c.tolist()[::-1]
+    """s -> sum_k c[k] * s**k in polyval's own operation order, so bit for bit its value;
+    a matrix c gives (u, v) -> sum_ij c[i, j] u**i v**j in polyval2d's: u, then v."""
+    if c.ndim == 2:
+        columns = [_horner(column) for column in c.T]
+        return lambda u, v: _horner_sum([column(u) for column in columns[::-1]], v)
+    top = c.tolist()[::-1]
+    return lambda s: _horner_sum(top, s)
 
-    def f(s):
-        out = last + s * 0
-        for ck in rest:
-            out = ck + out * s
-        return out
 
-    return f
+def _horner_sum(top, s):
+    """The Horner sum at s of the coefficients top, listed from the highest power down."""
+    out = top[0] + s * 0
+    for ck in top[1:]:
+        out = ck + out * s
+    return out
+
+
+def _polyder(c):
+    """polyder's j * c[j] along axis 0, bit for bit, but +0 for a constant (not c[:1] * 0)."""
+    return (c[1:].T * np.arange(1, len(c))).T if len(c) > 1 else np.zeros_like(c[:1])
 
 
 def poly_profile(coeffs) -> ProfileFunction:
@@ -107,9 +117,8 @@ def poly_profile(coeffs) -> ProfileFunction:
     if c.ndim != 1 or c.size == 0:
         raise ValueError(f"a poly profile needs a flat list of at least one coefficient, "
                          f"got coeffs = {coeffs!r}")
-    dc = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.array([0.0])
-    d2c = np.polynomial.polynomial.polyder(dc) if len(dc) > 1 else np.array([0.0])
-    return ProfileFunction(f=_horner(c), df=_horner(dc), d2f=_horner(d2c), name="poly")
+    dc = _polyder(c)
+    return ProfileFunction(f=_horner(c), df=_horner(dc), d2f=_horner(_polyder(dc)), name="poly")
 
 
 def const_profile(c: float) -> ProfileFunction:

@@ -192,7 +192,7 @@ def test_classify_evaluates_each_partial_once(partial_calls):
     partial_calls.clear()
     classify(product_flux(), _lattice(), alpha=sum_squares_flux())
     assert dict(partial_calls) == {**{("product", axes): 1 for axes in every},
-                                   **{("poly", axes): 1 for axes in every}}
+                                   **{("sum_squares", axes): 1 for axes in every}}
 
 
 # ---------------------------------------------------------------------------

@@ -1295,17 +1295,28 @@ def test_simple_wave_failure_names_its_point(tmp_path):
     assert f"at (X, tau) = ({point[0]!r}, {point[1]!r})" in error["message"]
 
 
-def test_simple_wave_beta_that_overflows_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("cfg, message", [
     # 3 beta X is inf * 0 = NaN even on the row X = 0, whose answer is Phi(tau)
-    sine = {"kind": "sine", "amp": 0.2, "freq": 1.0, "offset": 1.0}
-    cfg = {"command": "exact",
-           "solution": {"kind": "simple_wave", "beta": 1e308, "profile": sine,
-                        "X": {"min": 0.0, "max": 0.5, "n": 5},
-                        "tau": {"min": 0.0, "max": TWO_PI, "n": 9}}}
-    code, out = run_cli(tmp_path, cfg, "swbeta")
+    ({"command": "exact",
+      "solution": {"kind": "simple_wave", "beta": 1e308,
+                   "profile": {"kind": "sine", "amp": 0.2, "freq": 1.0, "offset": 1.0},
+                   "X": {"min": 0.0, "max": 0.5, "n": 5},
+                   "tau": {"min": 0.0, "max": TWO_PI, "n": 9}}},
+     "3 beta X or 6 beta X is not finite at beta = 1e+308"),
+    # e^{kx} overflows once k x > 709.8; its row t = 0 is the first
+    (exact_config("separable", x={"min": 0.0, "max": 1e308, "n": 3}),
+     "u is not finite at (t, x) = (0.0, 5e+307)"),
+    # omega t overflows at t = 1e308 (omega 2.3), and cos(inf) is NaN
+    (exact_config("carroll", wavenumber=2.0, t={"min": 0.0, "max": 1e308, "n": 3}),
+     "U is not finite at (t, x) = (1e+308, 0.0)"),
+], ids=["simple_wave_beta", "separable_x", "carroll_t"])
+def test_exact_parameter_that_overflows_exits_two(tmp_path, capsys, cfg, message):
+    # one line on stderr and no artifacts: numpy's overflow warnings stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, cfg, "ovf")
     assert code == 2
-    assert capsys.readouterr().err == ("config error: a parameter overflows a double: "
-                                       "3 beta X or 6 beta X is not finite at beta = 1e+308\n")
+    assert capsys.readouterr() == ("", f"config error: a parameter overflows a double: {message}\n")
     assert not out.exists()
 
 

@@ -197,6 +197,44 @@ def test_poly_flux_partials_match_zero_padded_coefficients_bit_for_bit():
                 assert np.array_equal(np.signbit(got), np.signbit(want)), name
 
 
+def polyder_partial_coeffs(c):
+    """poly_flux's coefficient arrays as they were built on np.polynomial:
+    polyder along each axis, with +0 for a constant's derivative."""
+    polyder = np.polynomial.polynomial.polyder
+    der = lambda a, axis: polyder(a, axis=axis) if a.shape[axis] > 1 else np.zeros_like(a)
+    cu, cv = der(c, 0), der(c, 1)
+    return c, cu, cv, der(cu, 0), der(cu, 1), der(cv, 1)
+
+
+def _bits(x):
+    """The float64 bits of x, with every NaN the same."""
+    x = np.array(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+def test_poly_flux_is_polyval2d_bit_for_bit():
+    # Horner in u over the rows, then in v: polyval2d's own operation order,
+    # on arrays and scalars, signed zeros and non-finite points included
+    rng = np.random.default_rng(11)
+    pv2 = np.polynomial.polynomial.polyval2d
+    names = ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv")
+    special = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, 1e300]
+    for _ in range(500):
+        shape = tuple(rng.integers(1, 6, size=2))
+        c = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        c[rng.random(shape) < 0.2] = 0.0
+        c[rng.random(shape) < 0.1] = -0.0
+        f = poly_flux(c)
+        u, v = rng.normal(scale=3.0, size=(2, 2, 7))
+        u.flat[:3], v.flat[:3] = rng.choice(special, 3), rng.choice(special, 3)
+        for uu, vv in ((u, v), (float(u[0, 0]), float(v[0, 0])), (float(u[1, 2]), -0.0)):
+            for name, coeffs in zip(names, polyder_partial_coeffs(c)):
+                with np.errstate(all="ignore"):
+                    got, want = getattr(f, name)(uu, vv), pv2(uu, vv, coeffs)
+                assert np.shape(got) == np.shape(want), name
+                assert np.array_equal(_bits(got), _bits(want)), (name, c, uu, vv)
+
+
 def _central(g, u, v, axis):
     """Central difference of g along u (axis 0) or v (axis 1), step 1e-6 * max(1, |x|)."""
     if axis == 0:

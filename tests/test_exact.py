@@ -878,7 +878,9 @@ def test_separable_first_integral_drift():
     assert np.max(np.abs(E - E[0])) < 1e-8
 
 
-def test_separable_rejects_non_product_flux():
-    with pytest.raises(ValueError):
-        eval_separable(ratio_flux(), 1.0, 1.0, 0.0, np.linspace(0.0, 1.0, 5))
+@pytest.mark.parametrize("flux", [ratio_flux(), sum_squares_flux()], ids=lambda f: f.name)
+def test_separable_rejects_non_product_flux(flux):
+    # the fixed sample pairs refuse both, and the message names the flux
+    with pytest.raises(ValueError, match=rf"^flux '{flux.name}' is not of product form: "):
+        eval_separable(flux, 1.0, 1.0, 0.0, np.linspace(0.0, 1.0, 5))
 

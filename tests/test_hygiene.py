@@ -3,8 +3,8 @@ referenced, every package export is reached, every script path the README
 names exists, the README's solution-block table matches the CLI's schemas,
 its failure-type table matches the error classes, every config object in
 those schemas is closed and uses only keywords the CLI's validator checks,
-the CLI runs without jsonschema, and the repo's pytest settings let a failing
-property report its falsifying example."""
+the CLI runs without jsonschema, numpy.random or numpy.polynomial, and the
+repo's pytest settings let a failing property report its falsifying example."""
 import ast
 import collections
 import json
@@ -437,21 +437,44 @@ def test_validator_checks_every_schema_part():
             for path in unchecked_schema_parts(schema, f"{command}/{variant}")] == []
 
 
+# a separable block and a sum_squares classify: the product-form check and
+# the poly flux, which no shipped config reaches
+EXTRA_RUNS = [
+    {"command": "exact", "solution": {
+        "kind": "separable", "flux": {"kind": "product"}, "k": 0.3, "phi0": 0.3, "dphi0": 0.1,
+        "x": {"min": -1.0, "max": 1.0, "n": 7}, "t": {"min": 0.0, "max": 1.0, "n": 5}}},
+    {"command": "classify", "flux": {"kind": "sum_squares", "scale": 0.5},
+     "samples": {"u": {"min": 0.5, "max": 2.0, "n": 5}, "v": {"min": 0.5, "max": 2.0, "n": 5}}},
+]
+
+
 def test_cli_runs_without_jsonschema(tmp_path):
     # jsonschema and what it imports cost a CLI process about 64 ms and 4 MB
-    # at start-up; the CLI validates its configs itself
+    # at start-up; the CLI validates its configs itself.  On first use in a
+    # fresh process numpy.random costs 6.1 MB and 11-17 ms, numpy.polynomial
+    # 0.87 MB and 3-5 ms (2-vCPU Xeon, numpy 2.4.6); no run but a commutator
+    # study or a full study's negative control draws random numbers, and no
+    # run needs numpy.polynomial
+    paths = sorted((ROOT / "scripts" / "configs").glob("*.json"))
+    for k, cfg in enumerate(EXTRA_RUNS):
+        paths.append(tmp_path / f"extra{k}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    runs = [(json.loads(p.read_text())["command"], str(p), str(tmp_path / f"out{k}"))
+            for k, p in enumerate(paths)]
+    assert any(p.name == "full_residual.json" for p in paths)
     script = (
         "import json, sys\n"
         "from shearwaves.cli import main\n"
-        f"code = main(['classify', '--config', {str(ROOT / 'scripts/configs/classify.json')!r},\n"
-        f"             '--out', {str(tmp_path / 'out')!r}, '--quiet'])\n"
+        "codes = [main([command, '--config', path, '--out', out, '--quiet'])\n"
+        f"         for command, path, out in {runs!r}]\n"
         "roots = {name.partition('.')[0] for name in sys.modules}\n"
-        "print(json.dumps([code, sorted(roots & {'jsonschema', 'referencing', 'rpds',\n"
-        "                                       'attr', 'attrs'})]))\n"
+        "print(json.dumps([codes, sorted(roots & {'jsonschema', 'referencing', 'rpds',\n"
+        "                                        'attr', 'attrs'}),\n"
+        "                  sorted({'numpy.random', 'numpy.polynomial'} & set(sys.modules))]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
-    assert json.loads(proc.stdout) == [0, []]
+    assert json.loads(proc.stdout) == [[0] * len(runs), [], []]
 
 
 def test_failing_property_reports_its_example(tmp_path):
