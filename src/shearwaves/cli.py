@@ -709,14 +709,18 @@ def _format17(values) -> np.ndarray:
     [2^62, 2^63) (the significand shifted left by 10 bits) and let
     E = floor(log10 |x|).  The 17 significant digits are then
     M 5^p / 2^s with p = 16 - E <= 21 and 7 <= s <= 57, rounded half to
-    even; one product of M and 5^p in 32-bit limbs holds it exactly in two
-    words.  E comes from ``log10`` and is corrected by one where the scaled
-    value falls outside [10^16, 10^17).  No double in the range rounds up
-    to a power of ten: the largest double below 10^k is at least
-    8.7e-17 10^k from it, more than half a unit of the 17th digit.  The
-    mask `_KEEP` of (sign, E, significant digits) keeps the bytes of the
-    text in the slot.  Every other value (NaN, +-inf, tiny or huge) is
-    formatted with ``%``.
+    even by `_scaled17`.  E comes from ``log10`` and is corrected by one
+    where the scaled value falls outside [10^16, 10^17).  No double in the
+    range rounds up to a power of ten: the largest double below 10^k is at
+    least 8.7e-17 10^k from it, more than half a unit of the 17th digit.
+    An int64 division by 10^8 halves the digits, and ``floor`` of double
+    quotients by 1e8 and 1e4 splits the halves into the leading digit and
+    four groups.  For integers below 10^9 these are exact: a true quotient
+    lies 10^-8 or more below the next integer, far over half an ulp.  The
+    trailing zeros are the last group's `_TZ4` entry, plus the earlier
+    groups' where it is 0000.  The mask `_KEEP` of (sign, E, significant
+    digits) keeps the bytes of the text in the slot.  Every other value
+    (NaN, +-inf, tiny or huge) is formatted with ``%``.
     """
     v = np.ravel(values)
     a = np.abs(v)
@@ -733,17 +737,18 @@ def _format17(values) -> np.ndarray:
         scaled[off], up[off] = _scaled17(M[off], e[off], E[off])
     digits = (scaled + up).astype(np.int64)
     high = digits // 10**8
-    low = digits - high * 10**8
+    high, low = high.astype(float), (digits - high * 10**8).astype(float)  # below 10^9
+    lead = np.floor(high / 1e8)
+    high -= lead * 1e8
     words = np.empty((v.size, 5), dtype=np.int64)  # into _WORDS: leading digit, then 4 groups
-    np.floor_divide(high, 10**8, out=words[:, 0])
-    high -= words[:, 0] * 10**8
-    words[:, 0] += 10_000
-    np.floor_divide(high, 10**4, out=words[:, 1])
-    np.subtract(high, words[:, 1] * 10**4, out=words[:, 2])
-    np.floor_divide(low, 10**4, out=words[:, 3])
-    np.subtract(low, words[:, 3] * 10**4, out=words[:, 4])
-    z = _TZ4[words[:, 1:].T]  # the trailing zeros of the 17 digits; the first is never 0
-    zeros = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0]))
+    words[:, 0] = lead + 10_000
+    words[:, 1], words[:, 3] = np.floor(high / 1e4), np.floor(low / 1e4)
+    words[:, 2], words[:, 4] = high - words[:, 1] * 1e4, low - words[:, 3] * 1e4
+    zeros = _TZ4[words[:, 4]]  # the trailing zeros of the 17 digits; the first is never 0
+    deep = np.flatnonzero(zeros == 4)
+    if deep.size:
+        z = _TZ4[words[deep, 1:4].T]
+        zeros[deep] += z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0])
     out = np.take(_WORDS, words)
     out &= np.take(_KEEP, (np.where(a == 0, 20, E + 4) + 21 * np.signbit(v)) * 17 + 16 - zeros,
                    axis=0)
@@ -755,16 +760,22 @@ def _format17(values) -> np.ndarray:
 
 
 def _scaled17(M, e, E):
-    """floor(M 2^e 10^(16 - E)) and whether it rounds up, half to even."""
+    """floor(M 2^e 10^(16 - E)) and whether it rounds up, half to even.
+
+    M 5^p in 32-bit limbs is exact in two words, high and low.  With
+    r = 64 - s in [7, 57], ``low << r`` puts the s discarded bits on r zero
+    bits, so adding the scaled value's last bit cannot overflow; the sum
+    passes 2^63 when the rest is over half a unit, or half and the value odd.
+    """
     f, s = _POW5[16 - E], (E - 16 - e).astype(_U)  # the scaled value is M f / 2^s
     m0, m1, f0, f1 = M & _U(0xFFFFFFFF), M >> _U(32), f & _U(0xFFFFFFFF), f >> _U(32)
     low0 = m0 * f0
     mid = m1 * f0 + m0 * f1
     low = low0 + (mid << _U(32))
     high = m1 * f1 + (mid >> _U(32)) + (low < low0)  # carry out of the low word
-    scaled = (low >> s) | (high << (_U(64) - s))
-    rest, half = low & ((_U(1) << s) - _U(1)), _U(1) << (s - _U(1))
-    return scaled, (rest > half) | ((rest == half) & (scaled & _U(1) == _U(1)))
+    r = _U(64) - s
+    scaled = (low >> s) | (high << r)
+    return scaled, (low << r) + (scaled & _U(1)) > _U(2**63)
 
 
 def _grid(grid_cfg: dict, n: int) -> Grid1D:

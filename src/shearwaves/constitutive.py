@@ -280,8 +280,9 @@ def ratio_flux() -> TempleFlux:
 def poly_flux(coeffs, name: str = "poly") -> TempleFlux:
     """P(u, v) = sum_{i,j} coeffs[i][j] * u**i * v**j."""
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 2:
-        raise ValueError("coeffs must be a 2D array [i][j] -> u**i v**j")
+    if c.ndim != 2 or c.size == 0:
+        raise ValueError(f"a poly flux needs a 2D array [i][j] -> u**i v**j of at least one "
+                         f"coefficient, got coeffs = {coeffs!r}")
     cu, cv = _polyder(c), _polyder(c.T).T
     cuu, cuv, cvv = _polyder(cu), _polyder(cu.T).T, _polyder(cv.T).T
     return TempleFlux(*map(_horner, (c, cu, cv, cuu, cuv, cvv)), name=name)

@@ -227,41 +227,43 @@ def _evolve(w0, grid: Grid1D, config: SimulationConfig, law: ConservationLaw,
 
     t = 0.0
     n_steps = 0
-    while t < end - 1e-14 * max(1.0, abs(end)):
-        remaining = end - t
-        try:
-            w, dt, amax = stepper(w, law, h, grid.boundary, config.cfl, remaining)
-        except (HyperbolicityLoss, NonPositiveModulus) as exc:  # the state at t fails its step
-            exc.coordinate = t
-            raise
-        g = _max_gradient(w, h)
-        # a non-finite cell makes the gradient non-finite; an overflowing difference may too
-        if not math.isfinite(g) and not np.isfinite(w).all():
-            raise BlowupDetected(f"non-finite state at coordinate {t + dt!r}", coordinate=t + dt)
-        t += dt
-        n_steps += 1
-        step_coords.append(t)
-        step_speed.append(amax)
-        step_grad.append(g)
-        steep = g > config.blowup_factor * g0
-        # a last step cut short by the end of the run is not a collapsed step
-        if dt < min(step_floor, remaining):
-            raise BlowupDetected(f"step collapsed to {dt:.3e}, below the floor {step_floor:.3e}, "
-                                 f"at coordinate {t!r}", coordinate=t)
-        if steep and law.raise_on_blowup:
-            raise BlowupDetected(
-                f"gradient monitor tripped at coordinate {t!r} "
-                f"(gradient {g:.3e} vs initial {g0:.3e}, step {dt:.3e})",
-                coordinate=t,
-            )
-        if steep and blowup_at is None:
-            blowup_at = t
-        if config.snapshot_stride > 0 and n_steps % config.snapshot_stride == 0 and t < end:
-            coords.append(t)
-            states.append(w.copy())
-        if n_steps >= config.max_steps:
-            raise NoConvergence(f"exceeded max_steps = {config.max_steps} at coordinate {t!r}",
-                                coordinate=t)
+    with np.errstate(all="ignore"):  # a step that overflows raises BlowupDetected below
+        while t < end - 1e-14 * max(1.0, abs(end)):
+            remaining = end - t
+            try:
+                w, dt, amax = stepper(w, law, h, grid.boundary, config.cfl, remaining)
+            except (HyperbolicityLoss, NonPositiveModulus) as exc:  # the state at t fails its step
+                exc.coordinate = t
+                raise
+            g = _max_gradient(w, h)
+            # a non-finite cell makes the gradient non-finite; an overflowing difference may too
+            if not math.isfinite(g) and not np.isfinite(w).all():
+                raise BlowupDetected(f"non-finite state at coordinate {t + dt!r}",
+                                     coordinate=t + dt)
+            t += dt
+            n_steps += 1
+            step_coords.append(t)
+            step_speed.append(amax)
+            step_grad.append(g)
+            steep = g > config.blowup_factor * g0
+            # a last step cut short by the end of the run is not a collapsed step
+            if dt < min(step_floor, remaining):
+                raise BlowupDetected(f"step collapsed to {dt:.3e}, below the floor "
+                                     f"{step_floor:.3e}, at coordinate {t!r}", coordinate=t)
+            if steep and law.raise_on_blowup:
+                raise BlowupDetected(
+                    f"gradient monitor tripped at coordinate {t!r} "
+                    f"(gradient {g:.3e} vs initial {g0:.3e}, step {dt:.3e})",
+                    coordinate=t,
+                )
+            if steep and blowup_at is None:
+                blowup_at = t
+            if config.snapshot_stride > 0 and n_steps % config.snapshot_stride == 0 and t < end:
+                coords.append(t)
+                states.append(w.copy())
+            if n_steps >= config.max_steps:
+                raise NoConvergence(f"exceeded max_steps = {config.max_steps} at coordinate {t!r}",
+                                    coordinate=t)
     if coords[-1] != t:
         coords.append(t)
         states.append(w.copy())

@@ -105,7 +105,8 @@ def _balance(a: np.ndarray, b: np.ndarray, sample: FieldSample) -> np.ndarray:
 
 def _norms(residuals: Sequence[np.ndarray]) -> tuple:
     flat = np.concatenate([np.ravel(r) for r in residuals])
-    return float(np.max(np.abs(flat))), float(np.sqrt(np.mean(flat**2)))
+    with np.errstate(over="ignore"):  # an l2 norm that overflows is inf, written as null
+        return float(np.max(np.abs(flat))), float(np.sqrt(np.mean(flat**2)))
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,88 @@ def test_write_csv_formats_raw_bit_patterns_as_format(bits):
         assert_one_column_and_mesh_match(Path(tmp), np.array(bits, dtype=np.uint64).view(float))
 
 
+# the formatter's stages one at a time: splitting the 17 digits into groups by
+# double division, counting their trailing zeros from the last group, and
+# rounding half to even by one comparison
+
+
+def assert_format17_is_format(values):
+    values = np.asarray(values, dtype=float)
+    slots = cli._format17(values).view(np.uint8).reshape(-1, 40)
+    got = [bytes(slot).replace(b"\0", b"").decode() for slot in slots]
+    assert got == [format(x, ".17g") for x in values.tolist()]
+
+
+def digits17(x):
+    """The 17 significant digits of x, as ``%.17g`` rounds them."""
+    return format(x, ".16e").partition("e")[0].replace(".", "").lstrip("-")
+
+
+def test_format17_counts_every_trailing_zero_depth():
+    # N / 2^k is exact; its decimal N 5^k has 17 - depth significant digits, so
+    # the last nonzero digit falls in each of the four groups and the leading digit
+    rng = np.random.default_rng(32)
+    values = []
+    for depth in range(17):
+        for k in range(30):
+            lo = max(1, -(-10**(16 - depth) // 5**k))
+            hi = min((10**(17 - depth) - 1) // 5**k, 2**53 - 1)
+            if lo <= hi:
+                n = rng.integers(lo, hi, 8, endpoint=True) | 1  # odd: N 5^k ends in 1-9
+                values += [x for x in (n / 2.0**k).tolist() if 1e-4 <= x < 1e16]
+    values = np.array(values)
+    depths = {17 - len(digits17(x).rstrip("0")) for x in values.tolist()}
+    assert depths == set(range(17))
+    assert_format17_is_format(np.concatenate([values, -values]))
+
+
+def test_format17_splits_digit_groups_at_their_edges():
+    # doubles whose 17 digits have groups 0000 or 9999, or are a multiple of
+    # 10^4 or 10^8 or one below it, at every decimal exponent of the fast path
+    lead, groups = [1, 5, 9], [0, 1, 5000, 9999]
+    targets = [d * 10**16 + a * 10**12 + b * 10**8 + c * 10**4 + e
+               for d in lead for a in groups for b in groups for c in groups for e in groups]
+    rng = np.random.default_rng(33)
+    for unit in (10**4, 10**8):
+        m = rng.integers(10**16 // unit, 10**17 // unit, 40)
+        targets += [int(q) * unit for q in m] + [int(q) * unit - 1 for q in m]
+    values = []
+    for target in targets:
+        for E in range(-4, 16):
+            x = float(f"{target}e{E - 16}")
+            values += [y for y in (np.nextafter(x, 0.0), x, np.nextafter(x, math.inf))
+                       if digits17(y) == str(target)]
+    hit = {int(digits17(x)) for x in values}
+    assert {t % 10**4 for t in hit} >= {0, 1, 5000, 9999}
+    assert {t // 10**4 % 10**4 for t in hit} >= {0, 1, 5000, 9999}
+    assert {t % 10**8 for t in hit} >= {0, 99999999}
+    assert len(hit) > len(targets) // 2
+    assert_format17_is_format(np.concatenate([values, np.negative(values)]))
+
+
+def test_format17_rounds_ties_to_even_both_ways():
+    # each tie's exact decimal has 18 digits ending in 25 or 75 (an odd multiple
+    # of 5^k, k >= 2): the even 17th digit 2 stays and the odd 7 rounds up
+    ties = exact_ties(np.random.default_rng(34), 2000)
+    truncated = []
+    for x in ties.tolist():
+        f = Fraction(x)
+        exact = str(f.numerator * 5 ** (f.denominator.bit_length() - 1))
+        truncated.append(int(exact[:17]))
+        assert digits17(x) == str(truncated[-1] + truncated[-1] % 2)
+    assert {t % 10 for t in truncated} == {2, 7}
+    assert_format17_is_format(np.concatenate([ties, -ties]))
+
+
+def test_format17_matches_format_on_raw_bit_patterns():
+    # every exponent once, then the same significands with an exponent of the fast path
+    bits = np.random.default_rng(35).integers(0, 2**64, 200_000, dtype=np.uint64)
+    fast = (bits & np.uint64(0x800FFFFFFFFFFFFF)) | ((np.uint64(1010) + (bits >> np.uint64(52))
+                                                      % np.uint64(67)) << np.uint64(52))
+    assert_format17_is_format(bits.view(float))
+    assert_format17_is_format(fast.view(float))
+
+
 def test_large_write_stays_in_one_process(tmp_path, monkeypatch):
     forks = []
     fork = os.fork
@@ -1404,6 +1486,11 @@ def test_integer_beta_is_read_as_a_double(tmp_path, beta, amplitude):
 
 # scripts/configs/hodograph.json with a beta whose map overflows at the seed
 OVERFLOWING_HODOGRAPH = {**json.loads((CONFIG_DIR / "hodograph.json").read_text()), "beta": 1e300}
+# scripts/configs/breaking.json and simulate.json with a coefficient that overflows
+# the first step; the state is non-finite after it
+OVERFLOWING_SCALAR = {**json.loads((CONFIG_DIR / "breaking.json").read_text()), "beta": -1e308}
+OVERFLOWING_FULL = json.loads((CONFIG_DIR / "simulate.json").read_text())
+OVERFLOWING_FULL["modulus"]["mu1"] = 1e308
 
 
 @pytest.mark.parametrize("cfg, failure", [
@@ -1414,7 +1501,10 @@ OVERFLOWING_HODOGRAPH = {**json.loads((CONFIG_DIR / "hodograph.json").read_text(
      "BlowupDetected: non-finite initial state"),
     (OVERFLOWING_HODOGRAPH,
      "NoConvergence: hodograph Newton damping exhausted at (X, tau) = (-0.55, -1.7)"),
-], ids=["simulate_oracle", "convergence_oracle", "simulate_init", "hodograph_beta"])
+    (OVERFLOWING_SCALAR, "BlowupDetected: non-finite state at coordinate 0.0"),
+    (OVERFLOWING_FULL, "BlowupDetected: non-finite state at coordinate 0.0"),
+], ids=["simulate_oracle", "convergence_oracle", "simulate_init", "hodograph_beta",
+        "simulate_scalar_step", "simulate_full_step"])
 def test_overflow_prints_only_the_failure_line(tmp_path, cfg, failure):
     # numpy's overflow warnings would reach stderr ahead of the failure line
     path, out = tmp_path / "c.json", tmp_path / "o"
@@ -1424,6 +1514,20 @@ def test_overflow_prints_only_the_failure_line(tmp_path, cfg, failure):
                           capture_output=True, text=True)
     assert proc.returncode == 3
     assert proc.stderr == f"{cfg['command']} failed: {failure} (manifest in {out})\n"
+
+
+def test_full_residual_that_overflows_misses_its_target_quietly(tmp_path):
+    # scripts/configs/full_residual.json with mu1 = 1e308: the residuals' l2
+    # norm overflows to inf (written as null), and no numpy warning is printed
+    cfg = json.loads((CONFIG_DIR / "full_residual.json").read_text())
+    cfg["solution"]["modulus"]["mu1"] = 1e308
+    path, out = tmp_path / "c.json", tmp_path / "o"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run([sys.executable, "-m", "shearwaves", "verify", "--config", str(path),
+                           "--out", str(out), "--quiet"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = json.loads((out / "report.json").read_text())
+    assert report["l2"] == [None] * 3 and all(math.isfinite(x) for x in report["linf"])
 
 
 # the hodograph family of test_hodograph_fold_seed_exits_three, with its seed on the fold

@@ -235,6 +235,14 @@ def test_poly_flux_is_polyval2d_bit_for_bit():
                 assert np.array_equal(_bits(got), _bits(want)), (name, c, uu, vv)
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+def test_poly_flux_without_coefficients_is_refused_at_construction(shape):
+    # refused when built, not at its first evaluation
+    with pytest.raises(ValueError, match=r"a poly flux needs .* at least one coefficient, "
+                                         r"got coeffs = "):
+        poly_flux(np.zeros(shape))
+
+
 def _central(g, u, v, axis):
     """Central difference of g along u (axis 0) or v (axis 1), step 1e-6 * max(1, |x|)."""
     if axis == 0:
