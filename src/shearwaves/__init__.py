@@ -55,10 +55,8 @@ from .exact import (
     eval_asymptotic_linear,
     eval_overdetermined,
     eval_separable,
-    eval_simple_wave,
     generalized_carroll_full_state,
     hodograph_forward,
-    hodograph_invert,
     hodograph_jacobian,
     sample_hodograph,
     sample_simple_wave,

@@ -55,14 +55,18 @@ def temple_eigen(f: TempleFlux, u, v) -> EigenReport:
 
     One evaluation of P and its partials covers every state; the report keeps
     them as ``partials = (P_u, P_v, P_uu, P_uv, P_vv)``.  A scalar state gives
-    floats (0-d arrays in ``partials``).  Raises SingularJacobian when P_v = 0
-    (d2 undefined) or u = 0 (d1 undefined) at any state, naming the first one
-    in row-major order in the message and coordinate.
+    floats (0-d arrays in ``partials``).  Raises SingularJacobian when P or a
+    partial is not finite (a state outside the flux's domain), then when
+    P_v = 0 (d2 undefined) or u = 0 (d1 undefined), at any state, naming the
+    first one in row-major order in the message and coordinate.
     """
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    P = np.asarray(f.p(u, v), dtype=float)
-    Pu = np.asarray(f.p_u(u, v), dtype=float)
-    Pv = np.asarray(f.p_v(u, v), dtype=float)
+    with np.errstate(all="ignore"):  # a value that is not finite is refused below
+        values = [np.asarray(get(u, v), dtype=float)
+                  for get in (f.p, f.p_u, f.p_v, f.p_uu, f.p_uv, f.p_vv)]
+    _require_regular(~np.isfinite(np.broadcast_arrays(*values)).all(axis=0),
+                     "P or a partial of P is not finite", u, v)
+    P, Pu, Pv, Puu, Puv, Pvv = values
     scale = np.maximum(1.0, np.maximum(np.abs(P), np.abs(Pu)))
     _require_regular(np.abs(Pv) <= DIRECTION_TOL * scale, "P_v = 0: d2 undefined", u, v)
     _require_regular(u == 0.0, "u = 0: d1 = (1, v/u) undefined", u, v)
@@ -70,9 +74,6 @@ def temple_eigen(f: TempleFlux, u, v) -> EigenReport:
     one = np.ones_like(u)
     d1 = (one, v / u)
     d2 = (one, -Pu / Pv)
-    Puu = np.asarray(f.p_uu(u, v), dtype=float)
-    Puv = np.asarray(f.p_uv(u, v), dtype=float)
-    Pvv = np.asarray(f.p_vv(u, v), dtype=float)
     grad1 = (2.0 * Pu + u * Puu + v * Puv, 2.0 * Pv + u * Puv + v * Pvv)
     ld1 = grad1[0] * d1[0] + grad1[1] * d1[1]
     # grad(lambda2) = (P_u, P_v); the product with d2 cancels exactly

@@ -216,8 +216,11 @@ def _simple_wave(params):
 
 def _hodograph(params):
     data = HodographData(*_profiles(params, "phase", "radial"))
-    return lambda X, tau: _polar(*sample_hodograph(data, params["beta"], X, tau,
-                                                   tuple(params["seed"])))
+
+    def hodograph(X, tau):
+        rho, theta = sample_hodograph(data, params["beta"], X, tau, tuple(params["seed"]))
+        return {"theta": theta, "rho": rho}
+    return hodograph
 
 
 def _separable(params):
@@ -884,11 +887,11 @@ def cmd_classify(config: dict) -> tuple[dict, dict]:
     U, V = np.meshgrid(u, v, indexing="ij")
     pts = np.column_stack([U.ravel(), V.ravel()])
 
-    P = np.asarray(f.p(U, V), dtype=float)
-    Pu = np.asarray(f.p_u(U, V), dtype=float)
-    Pv = np.asarray(f.p_v(U, V), dtype=float)
+    with np.errstate(all="ignore"):  # classify refuses a sample where these are not finite
+        P, Pu, Pv = (np.asarray(get(U, V), dtype=float) for get in (f.p, f.p_u, f.p_v))
     scale = max(1.0, float(np.max(np.abs(P))))
-    if float(np.max(np.abs(Pu))) <= 1e-12 * scale and float(np.max(np.abs(Pv))) <= 1e-12 * scale:
+    if (np.isfinite(P).all() and float(np.max(np.abs(Pu))) <= 1e-12 * scale
+            and float(np.max(np.abs(Pv))) <= 1e-12 * scale):
         return {"report.json": {
             "constant_flux": True,
             "flags": dict.fromkeys(FLAGS, True),
@@ -914,10 +917,10 @@ def cmd_classify(config: dict) -> tuple[dict, dict]:
 
 
 def cmd_hodograph(config: dict) -> tuple[dict, dict]:
-    # the family at the root of the config; its CSV keeps the axes, theta and rho
+    # the family at the root of the config: its CSV holds the axes, theta and rho
     header, columns = _sample_exact({**config, "kind": "hodograph"})
-    theta, rho = columns[2:4]
-    return ({"samples.csv": (header[:4], columns[:4])},
+    theta, rho = columns[2:]
+    return ({"samples.csv": (header, columns)},
             {"rho_range": [float(rho.min()), float(rho.max())],
              "theta_range": [float(theta.min()), float(theta.max())]})
 

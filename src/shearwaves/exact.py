@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,10 +99,6 @@ class CarrollWave:
     def speed(self) -> float:
         return self.omega / self.wavenumber
 
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.omega
-
 
 def carroll_dispersion(m: ShearModulus, amplitude: float, wavenumber: float) -> float:
     """Frequency omega = k * sqrt(Q(A^2)/rho) of the circular wave."""
@@ -117,7 +113,7 @@ def carroll_full_state(w: CarrollWave, x, t=0.0) -> FullState:
     phase = w.wavenumber * np.asarray(x, dtype=float) - w.omega * np.asarray(t, dtype=float)
     U = w.amplitude * np.cos(phase)
     V = w.polarization * w.amplitude * np.sin(phase)
-    c = w.omega / w.wavenumber
+    c = w.speed
     return FullState(U, V, -c * U, -c * V)
 
 
@@ -360,22 +356,14 @@ def _track_branch(beta, profile, X, tau) -> np.ndarray:
     raise point_error(NoConvergence, "simple-wave branch tracking failed", (X, tau[todo[0]]))
 
 
-def eval_simple_wave(beta: float, profile: ProfileFunction, X: float, tau: float,
-                     rho_guess: Optional[float] = None) -> float:
+def eval_simple_wave(beta: float, profile: ProfileFunction, X: float, tau: float) -> float:
     """Amplitude of the plane-polarized simple wave at a single point.
 
     Solves the implicit relation rho = Phi(tau - 3*beta*X*rho^2) to 1e-12 on
-    the branch continued in X from the X = 0 root rho = Phi(tau).  An explicit
-    rho_guess selects a branch directly; otherwise the branch is tracked by
-    stepping X from 0 and warm-starting Newton at each substep.  This is a
+    the branch continued in X from the X = 0 root rho = Phi(tau).  This is a
     one-point view of the array solver behind sample_simple_wave.
     """
-    if rho_guess is None:
-        return float(sample_simple_wave(beta, profile, [X], [tau])[0, 0])
-    X, tau = np.array([float(X)]), np.array([float(tau)])
-    rho, code = _simple_wave_solve(beta, profile, X, tau, np.array([float(rho_guess)]))
-    _raise_first_failure(code, SIMPLE_WAVE_FAILURES, X, tau)
-    return float(rho[0])
+    return float(sample_simple_wave(beta, profile, [X], [tau])[0, 0])
 
 
 def sample_simple_wave(beta: float, profile: ProfileFunction, X_grid, tau_grid) -> np.ndarray:
@@ -608,11 +596,8 @@ PRODUCT_FORM_PAIRS = (
     (1.3574042765875693, 0.5335855753054644), (1.229655446429944, 0.675655620602559))
 
 
-def _product_scalar(f: Union[TempleFlux, Callable]) -> Callable:
+def _product_scalar(f: TempleFlux) -> Callable:
     """Reduce a product-form flux P(u, v) = g(u v) to its scalar factor g."""
-    if not isinstance(f, TempleFlux):
-        return f
-
     def g(s):
         r = np.sqrt(np.maximum(np.asarray(s, dtype=float), 0.0))
         return f.p(r, r)
@@ -629,14 +614,14 @@ def _product_scalar(f: Union[TempleFlux, Callable]) -> Callable:
     return g
 
 
-def eval_separable(f: Union[TempleFlux, Callable], k: float, phi0: float, dphi0: float,
+def eval_separable(f: TempleFlux, k: float, phi0: float, dphi0: float,
                    t_grid, substeps: int = 1) -> SeparableSolution:
     """Integrate phi'' = k^2 P(phi^2) phi with fixed-step RK4 on t_grid.
 
-    f is either a product-form flux (P(u, v) = g(u v), verified on samples)
-    or the scalar factor g itself.  k = 0 degenerates to free motion
-    phi = phi0 + dphi0 * t.  Raises BlowupDetected if phi leaves the domain
-    where the modulus can be evaluated (non-finite state).
+    f is a product-form flux (P(u, v) = g(u v), verified on samples).  k = 0
+    degenerates to free motion phi = phi0 + dphi0 * t.  Raises BlowupDetected
+    if phi leaves the domain where the modulus can be evaluated (non-finite
+    state).
     """
     g = _product_scalar(f)
     k = float(k)

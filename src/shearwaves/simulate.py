@@ -25,6 +25,8 @@ from .errors import BlowupDetected, HyperbolicityLoss, NoConvergence, NonPositiv
 from .profiles import ProfileFunction, derivative
 
 STEP_FLOOR_FACTOR = 1e-9
+# a run that takes this many steps raises NoConvergence
+MAX_STEPS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,6 @@ class SimulationConfig:
     cfl: float = 0.4
     snapshot_stride: int = 0
     blowup_factor: float = 50.0
-    max_steps: int = 5_000_000
 
     def __post_init__(self):
         if not self.end >= 0.0:
@@ -215,7 +216,7 @@ def _evolve(w0, grid: Grid1D, config: SimulationConfig, law: ConservationLaw,
     if not np.isfinite(w).all():
         raise BlowupDetected("non-finite initial state", coordinate=0.0)
     h = grid.h
-    end = config.end
+    end, stride = config.end, config.snapshot_stride
     stepper = STEPPERS[config.scheme]
     g0 = max(_max_gradient(w, h), 1e-8)
     step_floor = STEP_FLOOR_FACTOR * (grid.b - grid.a)
@@ -226,7 +227,6 @@ def _evolve(w0, grid: Grid1D, config: SimulationConfig, law: ConservationLaw,
     blowup_at = None
 
     t = 0.0
-    n_steps = 0
     with np.errstate(all="ignore"):  # a step that overflows raises BlowupDetected below
         while t < end - 1e-14 * max(1.0, abs(end)):
             remaining = end - t
@@ -241,7 +241,6 @@ def _evolve(w0, grid: Grid1D, config: SimulationConfig, law: ConservationLaw,
                 raise BlowupDetected(f"non-finite state at coordinate {t + dt!r}",
                                      coordinate=t + dt)
             t += dt
-            n_steps += 1
             step_coords.append(t)
             step_speed.append(amax)
             step_grad.append(g)
@@ -258,11 +257,11 @@ def _evolve(w0, grid: Grid1D, config: SimulationConfig, law: ConservationLaw,
                 )
             if steep and blowup_at is None:
                 blowup_at = t
-            if config.snapshot_stride > 0 and n_steps % config.snapshot_stride == 0 and t < end:
+            if stride > 0 and len(step_coords) % stride == 0 and t < end:
                 coords.append(t)
                 states.append(w.copy())
-            if n_steps >= config.max_steps:
-                raise NoConvergence(f"exceeded max_steps = {config.max_steps} at coordinate {t!r}",
+            if len(step_coords) >= MAX_STEPS:
+                raise NoConvergence(f"exceeded max_steps = {MAX_STEPS} at coordinate {t!r}",
                                     coordinate=t)
     if coords[-1] != t:
         coords.append(t)

@@ -274,12 +274,8 @@ def conservation_residual(samples: Sequence[FieldSample], beta: float,
             f"conservation residual does not decay in either orientation "
             f"(forward order {orders['forward'][0]:.3f}, swapped {orders['swapped'][0]:.3f})"
         )
-    if decays["forward"] and decays["swapped"]:
-        chosen = "forward" if orders["forward"][0] >= orders["swapped"][0] else "swapped"
-        if math.isinf(orders["forward"][0]):
-            chosen = "forward"
-    else:
-        chosen = "forward" if decays["forward"] else "swapped"
+    # a decaying orientation, then the higher Linf order; max keeps forward on a tie
+    chosen = max(("forward", "swapped"), key=lambda k: (decays[k], orders[k][0]))
     return _make_report(hs, norms[chosen], order_target, orientation=chosen,
                         order_forward=orders["forward"][0], order_swapped=orders["swapped"][0])
 
@@ -325,7 +321,7 @@ class SymmetrySpec:
 
 @dataclass(frozen=True)
 class PerturbedRadialControl:
-    """Negative control: the radial characteristic component scaled by (1 + coeff*rho).
+    """Negative control: the radial characteristic component scaled by (1 + COEFF*rho).
 
     Breaks the commutation with the system flow while keeping the angle
     component intact; any bracket or linearized residual run against it must
@@ -333,18 +329,18 @@ class PerturbedRadialControl:
     """
 
     base: SymmetrySpec
-    coeff: float = 0.1
+    COEFF = 0.1
 
     def characteristic(self, theta, rho, theta_tau, rho_tau):
         phi_th, phi_rh = self.base.characteristic(theta, rho, theta_tau, rho_tau)
-        return phi_th, (1.0 + self.coeff * rho) * phi_rh
+        return phi_th, (1.0 + self.COEFF * rho) * phi_rh
 
     def characteristic_partials(self, theta, rho, theta_tau, rho_tau):
         comp_theta, comp_rho = self.base.characteristic_partials(theta, rho, theta_tau, rho_tau)
         _, phi_rh = self.base.characteristic(theta, rho, theta_tau, rho_tau)
-        g = 1.0 + self.coeff * rho
+        g = 1.0 + self.COEFF * rho
         scaled = (comp_rho[0] * g,
-                  comp_rho[1] * g + self.coeff * phi_rh,
+                  comp_rho[1] * g + self.COEFF * phi_rh,
                   comp_rho[2] * g,
                   comp_rho[3] * g)
         return comp_theta, scaled

@@ -1,5 +1,6 @@
 """Eigenstructure, classification flags, and compatibility."""
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ def test_eigen_degenerate_directions():
     # the first failing state in row-major order
     assert info.value.coordinate == (0.0, 2.0)
     assert "at (u, v) = (0.0, 2.0)" in str(info.value)
+
+
+def test_eigen_refuses_states_outside_the_flux_domain():
+    # v^2 underflows to 0 at v = 1e-300, so the ratio flux's P_v, P_uv and P_vv
+    # are not finite there; that is refused, without a numpy warning, ahead of
+    # the earlier state (0, 1), where u = 0 and P_v = 0
+    u, v = [[0.0, 1.0], [0.5, 1.0]], [[1.0, 1.0], [1e-300, 1.0]]
+    for args, point in [((u, v), (0.5, 1e-300)), ((0.5, 1e-300), (0.5, 1e-300))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularJacobian, match="P or a partial of P is not finite") as info:
+                temple_eigen(ratio_flux(), *args)
+        assert info.value.coordinate == point
 
 
 @pytest.mark.parametrize("flux", [product_flux(), ratio_flux(), sum_squares_flux()],

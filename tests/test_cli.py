@@ -1491,6 +1491,15 @@ OVERFLOWING_HODOGRAPH = {**json.loads((CONFIG_DIR / "hodograph.json").read_text(
 OVERFLOWING_SCALAR = {**json.loads((CONFIG_DIR / "breaking.json").read_text()), "beta": -1e308}
 OVERFLOWING_FULL = json.loads((CONFIG_DIR / "simulate.json").read_text())
 OVERFLOWING_FULL["modulus"]["mu1"] = 1e308
+# scripts/configs/classify.json with samples where v^2 underflows, so the ratio
+# flux's P_v is -inf; and a poly flux whose P overflows while P_v = 0, which
+# the constant-flux check must not take for a constant
+OUT_OF_DOMAIN_CLASSIFY = json.loads((CONFIG_DIR / "classify.json").read_text())
+OUT_OF_DOMAIN_CLASSIFY["samples"]["v"]["min"] = 1e-300
+OVERFLOWING_CLASSIFY = {"command": "classify",
+                        "flux": {"kind": "poly", "coeffs": [[1e308], [1e308]]},
+                        "samples": {"u": {"min": 1.0, "max": 2.0, "n": 5},
+                                    "v": {"min": 0.5, "max": 2.0, "n": 5}}}
 
 
 @pytest.mark.parametrize("cfg, failure", [
@@ -1503,8 +1512,12 @@ OVERFLOWING_FULL["modulus"]["mu1"] = 1e308
      "NoConvergence: hodograph Newton damping exhausted at (X, tau) = (-0.55, -1.7)"),
     (OVERFLOWING_SCALAR, "BlowupDetected: non-finite state at coordinate 0.0"),
     (OVERFLOWING_FULL, "BlowupDetected: non-finite state at coordinate 0.0"),
+    (OUT_OF_DOMAIN_CLASSIFY,
+     "SingularJacobian: P or a partial of P is not finite at (u, v) = (0.5, 1e-300)"),
+    (OVERFLOWING_CLASSIFY,
+     "SingularJacobian: P or a partial of P is not finite at (u, v) = (1.0, 0.5)"),
 ], ids=["simulate_oracle", "convergence_oracle", "simulate_init", "hodograph_beta",
-        "simulate_scalar_step", "simulate_full_step"])
+        "simulate_scalar_step", "simulate_full_step", "classify_domain", "classify_overflow"])
 def test_overflow_prints_only_the_failure_line(tmp_path, cfg, failure):
     # numpy's overflow warnings would reach stderr ahead of the failure line
     path, out = tmp_path / "c.json", tmp_path / "o"

@@ -218,8 +218,8 @@ def ref_evolve(w0, grid, config, law):
         if config.snapshot_stride > 0 and n_steps % config.snapshot_stride == 0 and t < end:
             coords.append(t)
             states.append(w.copy())
-        if n_steps >= config.max_steps:
-            raise NoConvergence(f"exceeded max_steps = {config.max_steps} at coordinate {t!r}")
+        if n_steps >= simulate.MAX_STEPS:
+            raise NoConvergence(f"exceeded max_steps = {simulate.MAX_STEPS} at coordinate {t!r}")
     if coords[-1] != t:
         coords.append(t)
         states.append(w.copy())
@@ -398,14 +398,17 @@ def error_case(name, x):
         return BlowupDetected, "scalar", 1e103 * (1.0 + 0.5 * wave[:1]), {"beta": 1.0}, {}
     if name == "gradient_monitor":
         return BlowupDetected, "asymptotic", wave, {"beta": 1.0}, {"blowup_factor": 1.5}
-    return NoConvergence, "asymptotic", wave, {"beta": 1.0}, {"max_steps": 3}
+    # both kernels read the step budget from simulate.MAX_STEPS, which the test sets to 3
+    return NoConvergence, "asymptotic", wave, {"beta": 1.0}, {}
 
 
 @pytest.mark.parametrize("scheme", ["lax_friedrichs", "muscl_minmod"])
 @pytest.mark.parametrize("name", ERROR_CASES)
-def test_kernel_raises_as_earlier_kernel(name, scheme):
+def test_kernel_raises_as_earlier_kernel(name, scheme, monkeypatch):
     grid = Grid1D(n=64, a=0.0, b=TWO_PI)
     error, system, w0, law_args, run_args = error_case(name, grid.centers)
+    if name == "max_steps":
+        monkeypatch.setattr(simulate, "MAX_STEPS", 3)
     config = SimulationConfig(end=5.0, scheme=scheme, **run_args)
     with np.errstate(all="ignore"):
         new, ref = both_kernels(system, w0, grid, config, **law_args)

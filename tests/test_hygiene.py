@@ -1,12 +1,15 @@
 """Source hygiene: every import is used, every private module-level name is
 referenced, every package export is reached, every script path the README
-names exists, the README's solution-block table matches the CLI's schemas,
-its failure-type table matches the error classes, every config object in
-those schemas is closed and uses only keywords the CLI's validator checks,
-the CLI runs without jsonschema, numpy.random or numpy.polynomial, and the
-repo's pytest settings let a failing property report its falsifying example."""
+names exists, the README's solution-block table matches the CLI's schemas
+and the fields each family samples, its failure-type table matches the error
+classes, every config object in those schemas is closed and uses only
+keywords the CLI's validator checks, the library's run and grid settings are
+the CLI's, the CLI runs without jsonschema, numpy.random or numpy.polynomial,
+and the repo's pytest settings let a failing property report its falsifying
+example."""
 import ast
 import collections
+import dataclasses
 import json
 import os
 import re
@@ -14,9 +17,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shearwaves import cli, errors
+from shearwaves.simulate import Grid1D, SimulationConfig
+from test_cli import EXACT_SOLUTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "shearwaves"
@@ -29,8 +35,6 @@ IMPORT_CHECKED = {**{m: SRC / m for m in MODULES},
 EXPORT_ALLOWLIST = {
     "compatibility_residuals": "g4/g5 check of a constructed pair; its CLI path is ROADMAP item 4",
     "construct_temple_flux": "builds the paper's constructed class; its CLI path is ROADMAP item 4",
-    "eval_simple_wave": "one-point reference for sample_simple_wave; the benchmark tracer counts it",
-    "hodograph_invert": "one-point reference for sample_hodograph; the benchmark tracer counts it",
 }
 
 
@@ -194,6 +198,15 @@ def test_readme_names_only_existing_scripts():
     assert [p for p in named if not (ROOT / p).exists()] == []
 
 
+def solution_block_rows(text):
+    """The cells of each row of the README's "Solution blocks" table."""
+    section = text.split("\n## Solution blocks\n", 1)[1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            yield cells
+
+
 def solution_block_table(text):
     """``{kind: (required, optional, contexts)}`` from the README's "Solution blocks" table.
 
@@ -201,12 +214,8 @@ def solution_block_table(text):
     optional ones.  A context is ``(command, system)``: "full `init`" is
     ``("init", "full")`` and "`exact`" is ``("exact", None)``.
     """
-    section = text.split("\n## Solution blocks\n", 1)[1].split("\n## ", 1)[0]
     table = {}
-    for line in section.splitlines():
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) != 4 or not cells[0].startswith("`"):
-            continue
+    for cells in solution_block_rows(text):
         required, _, optional = cells[2].partition("optional")
         contexts = {(command, system or None)
                     for system, command in re.findall(r"(?:(\w+) )?`(\w+)`", cells[3])}
@@ -258,6 +267,31 @@ def test_readme_solution_blocks_match_the_schemas():
         family = cli.FAMILIES[kind]
         assert (required, optional) == (list(family.required), [
             p for p in family.props if p not in family.required]), kind
+
+
+def test_readme_solution_fields_are_what_each_family_samples():
+    # each family's fields as its builder returns them on a 5 x 5 mesh of its
+    # axes; a row of initial fields only names a family that samples none
+    params = {**EXACT_SOLUTIONS, "zero": {},
+              "hodograph": json.loads((ROOT / "scripts/configs/hodograph.json").read_text())}
+    unit = {"min": 0.0, "max": 1.0}
+    checked = set()
+    for kind, fields, _, _ in solution_block_rows((ROOT / "README.md").read_text()):
+        kind = kind.strip("`")
+        if fields.startswith("initial"):
+            continue
+        family, block = cli.FAMILIES[kind], params[kind]
+        axes = [block.get(name, unit) for name in family.axes]
+        mesh = [np.linspace(axis["min"], axis["max"], 5) for axis in axes]
+        assert list(family.build(block)(*mesh)) == re.findall(r"`(\w+)`", fields), kind
+        checked.add(kind)
+    assert checked == set(params)
+
+
+def test_library_run_settings_are_the_cli_settings():
+    # a setting that no config can set is a knob for tests alone
+    assert [f.name for f in dataclasses.fields(SimulationConfig)] == list(cli.RUN["properties"])
+    assert [f.name for f in dataclasses.fields(Grid1D)] == list(cli.GRID["properties"])
 
 
 def config_schemas():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from shearwaves import simulate
 from shearwaves.constitutive import ShearModulus, cubic_modulus
 from shearwaves.errors import BlowupDetected, HyperbolicityLoss, NoConvergence, NonPositiveModulus
 from shearwaves.exact import (
@@ -68,11 +69,12 @@ def test_simulation_config_validation(kwargs):
         SimulationConfig(**kwargs)
 
 
-def test_max_steps_raises_no_convergence():
+def test_max_steps_raises_no_convergence(monkeypatch):
     grid = Grid1D(n=16, a=0.0, b=TWO_PI)
     rho0 = 1.0 + 0.1 * np.sin(grid.centers)
+    monkeypatch.setattr(simulate, "MAX_STEPS", 3)
     with pytest.raises(NoConvergence, match="max_steps = 3"):
-        evolve_scalar(1.0, grid, rho0, SimulationConfig(end=1.0, max_steps=3))
+        evolve_scalar(1.0, grid, rho0, SimulationConfig(end=1.0))
 
 
 def test_cfl_step_arithmetic():
@@ -298,15 +300,16 @@ def test_scalar_evolution_records_no_blowup_before_breaking():
     assert np.all(traj.step_max_gradient <= 10.0 * traj.initial_gradient)
 
 
-def test_scalar_step_below_floor_raises():
+def test_scalar_step_below_floor_raises(monkeypatch):
     # speeds near 1e300 give steps near 1e-302, far below the floor: the run
     # stops at its first step instead of running on to max_steps
     grid = Grid1D(n=64, a=0.0, b=TWO_PI)
     rho0 = 1.0 + 0.2 * np.sin(grid.centers)
     # the floor is 1e-9 (b - a)
     message = r"step collapsed to \S+, below the floor 6\.283e-09, at coordinate"
+    monkeypatch.setattr(simulate, "MAX_STEPS", 10)
     with pytest.raises(BlowupDetected, match=message) as info:
-        evolve_scalar(1e300, grid, rho0, SimulationConfig(end=1.0, max_steps=10))
+        evolve_scalar(1e300, grid, rho0, SimulationConfig(end=1.0))
     assert 0.0 < info.value.coordinate < 1e-290
     assert f"at coordinate {info.value.coordinate!r}" in str(info.value)
 

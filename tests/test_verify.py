@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from shearwaves import verify
 from shearwaves.constitutive import cubic_modulus
 from shearwaves.errors import NeitherOrientationDecays, OracleFailure
 from shearwaves.exact import (
@@ -257,6 +258,36 @@ def test_conservation_neither_orientation_decays():
                             angle_weight=linear_profile(1.0))
     with pytest.raises(NeitherOrientationDecays):
         conservation_residual(samples, 0.5, spec)
+
+
+# fitted orders (forward Linf, forward L2, swapped Linf, swapped L2) and the
+# orientation chosen: one that decays (both orders >= 1), then the higher Linf
+# order; forward wins a tie, infinite orders included; None where neither decays
+INF = math.inf
+ORIENTATIONS = [
+    ((2.0, 2.0, 0.0, 0.0), "forward"), ((0.0, 0.0, 2.0, 2.0), "swapped"),
+    ((2.0, 0.5, 3.0, 3.0), "swapped"), ((3.0, 0.5, 2.0, 2.0), "swapped"),
+    ((3.0, 3.0, 2.0, 0.9), "forward"), ((2.0, 2.0, 3.0, 1.0), "swapped"),
+    ((3.0, 1.0, 2.0, 2.0), "forward"), ((2.0, 2.0, 2.0, 5.0), "forward"),
+    ((INF, INF, INF, INF), "forward"), ((INF, INF, 2.0, 2.0), "forward"),
+    ((2.0, 2.0, INF, INF), "swapped"), ((INF, INF, 0.0, 0.0), "forward"),
+    ((0.0, 0.0, INF, INF), "swapped"), ((0.5, 2.0, 2.0, 0.9), None),
+]
+
+
+@pytest.mark.parametrize("orders, chosen", ORIENTATIONS)
+def test_conservation_orientation_rule(monkeypatch, orders, chosen):
+    scripted = iter([*orders, 0.0, 0.0])  # then the report's own two fits
+    monkeypatch.setattr(verify, "_fit_order", lambda hs, norms: next(scripted))
+    samples = [_flat_sample(n, n) for n in (9, 17)]
+    spec = ConservationSpec(const_profile(0.0), linear_profile(1.0))
+    if chosen is None:
+        with pytest.raises(NeitherOrientationDecays):
+            conservation_residual(samples, 0.5, spec)
+        return
+    details = conservation_residual(samples, 0.5, spec).details
+    assert details["orientation"] == chosen
+    assert (details["order_forward"], details["order_swapped"]) == (orders[0], orders[2])
 
 
 # ---------------------------------------------------------------------------
