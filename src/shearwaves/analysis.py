@@ -57,27 +57,28 @@ def temple_eigen(f: TempleFlux, u, v) -> EigenReport:
     them as ``partials = (P_u, P_v, P_uu, P_uv, P_vv)``.  A scalar state gives
     floats (0-d arrays in ``partials``).  Raises SingularJacobian when P or a
     partial is not finite (a state outside the flux's domain), then when
-    P_v = 0 (d2 undefined) or u = 0 (d1 undefined), at any state, naming the
-    first one in row-major order in the message and coordinate.
+    P_v = 0 (d2 undefined) or u = 0 (d1 undefined), then when lambda1, its
+    gradient or grad1_dot_d1 overflows, naming the first such state in row-major order.
     """
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     with np.errstate(all="ignore"):  # a value that is not finite is refused below
         values = [np.asarray(get(u, v), dtype=float)
                   for get in (f.p, f.p_u, f.p_v, f.p_uu, f.p_uv, f.p_vv)]
-    _require_regular(~np.isfinite(np.broadcast_arrays(*values)).all(axis=0),
-                     "P or a partial of P is not finite", u, v)
-    P, Pu, Pv, Puu, Puv, Pvv = values
-    scale = np.maximum(1.0, np.maximum(np.abs(P), np.abs(Pu)))
-    _require_regular(np.abs(Pv) <= DIRECTION_TOL * scale, "P_v = 0: d2 undefined", u, v)
-    _require_regular(u == 0.0, "u = 0: d1 = (1, v/u) undefined", u, v)
-    lam1 = P + u * Pu + v * Pv
-    one = np.ones_like(u)
-    d1 = (one, v / u)
-    d2 = (one, -Pu / Pv)
-    grad1 = (2.0 * Pu + u * Puu + v * Puv, 2.0 * Pv + u * Puv + v * Pvv)
-    ld1 = grad1[0] * d1[0] + grad1[1] * d1[1]
-    # grad(lambda2) = (P_u, P_v); the product with d2 cancels exactly
-    ld2 = Pu * d2[0] + Pv * d2[1]
+        _require_regular(~np.isfinite(np.broadcast_arrays(*values)).all(axis=0),
+                         "P or a partial of P is not finite", u, v)
+        P, Pu, Pv, Puu, Puv, Pvv = values
+        scale = np.maximum(1.0, np.maximum(np.abs(P), np.abs(Pu)))
+        _require_regular(np.abs(Pv) <= DIRECTION_TOL * scale, "P_v = 0: d2 undefined", u, v)
+        _require_regular(u == 0.0, "u = 0: d1 = (1, v/u) undefined", u, v)
+        lam1 = P + u * Pu + v * Pv
+        one = np.ones_like(u)
+        d1, d2 = (one, v / u), (one, -Pu / Pv)
+        grad1 = (2.0 * Pu + u * Puu + v * Puv, 2.0 * Pv + u * Puv + v * Pvv)
+        ld1 = grad1[0] * d1[0] + grad1[1] * d1[1]
+        # grad(lambda2) = (P_u, P_v); the product with d2 cancels exactly
+        ld2 = Pu * d2[0] + Pv * d2[1]
+    _require_regular(~np.isfinite([lam1, *grad1, ld1]).all(axis=0),
+                     "lambda1 or its gradient is not finite", u, v)
     partials = (Pu, Pv, Puu, Puv, Pvv)
     if u.ndim == 0:
         return EigenReport(float(u), float(v), float(lam1), float(P), (1.0, float(d1[1])),
@@ -114,18 +115,18 @@ def _flag(residual_max: float) -> Optional[bool]:
 def _decoupling_residual(u, v, au, av, auu, auv, avv):
     """Residual of d(alpha_u u + alpha_v v)/d(u/v) = 0 in the (alpha, u/v)
     chart, from the chart's partials at (u, v).  Raises SingularJacobian at the
-    first sample where the change of variables is singular."""
-    bu = 1.0 / v
-    bv = -u / (v * v)
-    det = au * bv - av * bu
-    scale = np.abs(au * bv) + np.abs(av * bu)
-    _require_regular(np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300),
-                     "(alpha, u/v) change of variables is singular", u, v)
-    du_db = -av / det
-    dv_db = au / det
-    Eu = auu * u + au + auv * v
-    Ev = auv * u + avv * v + av
-    return du_db * Eu + dv_db * Ev
+    first sample where the chart overflows or the change of variables is singular."""
+    with np.errstate(all="ignore"):  # a value that is not finite is refused below
+        bu, bv = 1.0 / v, -u / (v * v)
+        det = au * bv - av * bu
+        scale = np.abs(au * bv) + np.abs(av * bu)
+        _require_regular(~(np.isfinite(det) & np.isfinite(scale)),
+                         "(alpha, u/v) chart is not finite", u, v)
+        _require_regular(np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300),
+                         "(alpha, u/v) change of variables is singular", u, v)
+        res = (-av / det) * (auu * u + au + auv * v) + (au / det) * (auv * u + avv * v + av)
+    _require_regular(~np.isfinite(res), "(alpha, u/v) chart is not finite", u, v)
+    return res
 
 
 def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> ClassificationReport:
@@ -134,18 +135,17 @@ def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> Clas
     samples: array-like of shape (n, 2).  The decoupling test runs in the
     (alpha, u/v) chart; when no chart is supplied, alpha = P itself is used
     (a valid Riemann-invariant chart wherever the change of variables is
-    regular).  An explicitly supplied chart that degenerates at a sample
-    raises SingularJacobian; if the default chart degenerates (e.g. any
-    P = P(u/v)) the decoupling flag is left indeterminate instead.  A sample
-    with u = 0, v = 0 or P_v = 0 raises SingularJacobian too.  Each names the
-    first failing sample in row-major order, (u, v), in its message and
-    coordinate.
+    regular).  An explicitly supplied chart that degenerates or overflows at
+    a sample raises SingularJacobian; if the default chart does (e.g. any
+    P = P(u/v) degenerates) the decoupling flag is left indeterminate instead.
+    A sample with u = 0, v = 0 or P_v = 0, or where lambda1 overflows, raises
+    SingularJacobian too.  Each names the first failing sample in row-major
+    order, (u, v), in its message and coordinate.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("samples must have shape (n, 2)")
-    u = pts[:, 0]
-    v = pts[:, 1]
+    u, v = pts[:, 0], pts[:, 1]
     _require_regular((u == 0.0) | (v == 0.0), "sample on the axis u = 0 or v = 0", u, v)
     eigen = temple_eigen(f, u, v)
     res_ce = np.abs(eigen.grad1_dot_d1)
@@ -153,13 +153,13 @@ def classify(f: TempleFlux, samples, alpha: Optional[TempleFlux] = None) -> Clas
     res_equal = np.abs(u * Pu + v * Pv)
     res_ham = np.abs(v * Pv - u * Pu)
     # the default chart alpha = P reuses the partials of P
-    chart = eigen.partials if alpha is None else [getattr(alpha, "p_" + axes)(u, v)
-                                                  for axes in ("u", "v", "uu", "uv", "vv")]
+    with np.errstate(all="ignore"):  # _decoupling_residual refuses a chart that is not finite
+        chart = eigen.partials if alpha is None else [getattr(alpha, "p_" + axes)(u, v)
+                                                      for axes in ("u", "v", "uu", "uv", "vv")]
     try:
         dec = _decoupling_residual(u, v, *chart)
     except SingularJacobian:
-        if alpha is not None:
-            # the caller asked for this chart explicitly
+        if alpha is not None:  # the caller asked for this chart explicitly
             raise
         dec = np.nan
     dec_max = float(np.max(np.abs(dec)))
@@ -205,14 +205,10 @@ def compatibility_residuals(A: TempleFlux, B: TempleFlux, phi: TempleFlux,
     first one in row-major order in the message and coordinate.
     """
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    pu = np.asarray(phi.p_u(u, v), dtype=float)
-    pv = np.asarray(phi.p_v(u, v), dtype=float)
+    pu, pv = (np.asarray(get(u, v), dtype=float) for get in (phi.p_u, phi.p_v))
     _require_regular(np.abs(pv) <= 1e-14 * np.maximum(1.0, np.abs(pu)),
                      "phi_v = 0: level set is not a v-graph", u, v)
-    Au = np.asarray(A.p_u(u, v), dtype=float)
-    Av = np.asarray(A.p_v(u, v), dtype=float)
-    Bu = np.asarray(B.p_u(u, v), dtype=float)
-    Bv = np.asarray(B.p_v(u, v), dtype=float)
+    Au, Av, Bu, Bv = (np.asarray(get(u, v), dtype=float) for get in (A.p_u, A.p_v, B.p_u, B.p_v))
     g4 = Bu * pv**2 + (Au - Bv) * pu * pv - Av * pu**2
     k = Au - Av * pu / pv
     g5 = float(np.var(np.atleast_1d(k)))

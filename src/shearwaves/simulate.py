@@ -2,14 +2,17 @@
 
 Two schemes share one kernel, and ``STEPPERS``, the one table of schemes,
 names them: first-order local Lax-Friedrichs (Rusanov interface flux) and
-second-order MUSCL-Hancock with minmod-limited slopes.  All systems are
-advanced in the paper's form w_t = g(w)_x with local wave-speed bounds
-feeding the CFL step; a gradient monitor watches for loss of smoothness.
-Each evolve_* function hands the kernel its initial rows, any sequence of
-arrays, and its system as one ConservationLaw, which names no fields.  Two
-law builders serve the three systems: the full law, and the polar law
-w_X = beta (s w)_tau, s the sum of the rows' squares, on the two rows of the
-asymptotic system (U, V) or the one row of the scalar cubic law (rho).
+second-order MUSCL-Hancock with minmod-limited slopes, minmod computed as a
+clamp of one difference between 0 and the other: opposite signs give 0, like
+signs the smaller magnitude, the textbook selection, save that a product of
+the two that underflows to 0 is no sign change.  All systems are advanced in
+the paper's form w_t = g(w)_x with local wave-speed bounds feeding the CFL
+step; a gradient monitor watches for loss of smoothness.  Each evolve_*
+function hands the kernel its initial rows, any sequence of arrays, and its
+system as one ConservationLaw, which names no fields.  Two law builders serve
+the three systems: the full law, and the polar law w_X = beta (s w)_tau, s the
+sum of the rows' squares, on the two rows of the asymptotic system (U, V) or
+the one row of the scalar cubic law (rho).
 """
 from __future__ import annotations
 
@@ -156,7 +159,7 @@ def _rusanov(w, g, c, left, right):
 
 def _step_lf(w, law, h, boundary, cfl, remaining):
     g, c = law.flux_speed(w)
-    amax = float(c.max())
+    amax = float(np.maximum.reduce(c, axis=None))
     dt = cfl_step(amax, h, cfl, remaining)
     # interface states are padded cells, so the padded g and c serve them
     nf = w.shape[0]
@@ -167,20 +170,21 @@ def _step_lf(w, law, h, boundary, cfl, remaining):
 
 def _step_muscl(w, law, h, boundary, cfl, remaining):
     wp = w.take(_ghost_columns(w.shape[1], 2, boundary), axis=1)
-    # minmod of the backward and forward differences of each padded cell
+    # minmod of each padded cell's backward and forward differences: dm clamped
+    # into [min(dp, 0), max(dp, 0)] selects what dm*dp <= 0, then |dm| < |dp|
+    # selects (np.minimum and np.maximum return their second argument on ties,
+    # so zero slopes are +0.0), but keeps the minmod where dm*dp underflows to 0
     d = wp[:, 1:] - wp[:, :-1]
     dm, dp = d[:, :-1], d[:, 1:]
-    ad = np.abs(d)
-    slope = np.where(dm * dp <= 0.0, 0.0, np.where(ad[:, :-1] < ad[:, 1:], dm, dp))
+    slope = np.minimum(np.maximum(dm, np.minimum(dp, 0.0)), np.maximum(dp, 0.0))
     wc = wp[:, 1:-1]
     half = 0.5 * slope
-    wl = wc - half
-    wr = wc + half
+    wl, wr = wc - half, wc + half
     # cells first, then the predictor faces right-then-left, so a failing Q
     # names the same first point as evaluating cells, wr and wl in turn
     n, m = w.shape[1], wc.shape[1]
     g_faces, c = law.flux_speed(np.concatenate([w, wr, wl], axis=1), n)
-    amax = float(c.max())
+    amax = float(np.maximum.reduce(c, axis=None))
     dt = cfl_step(amax, h, cfl, remaining)
     shift = (dt / (2.0 * h)) * (g_faces[:, m:] - g_faces[:, :m])
     wr -= shift
@@ -197,7 +201,7 @@ STEPPERS = {"lax_friedrichs": _step_lf, "muscl_minmod": _step_muscl}
 
 
 def _max_gradient(w: np.ndarray, h: float) -> float:
-    return float(np.abs(w[:, 1:] - w[:, :-1]).max()) / h
+    return float(np.maximum.reduce(np.abs(w[:, 1:] - w[:, :-1]), axis=None)) / h
 
 
 def _total_variation(w: np.ndarray, boundary: str) -> np.ndarray:
@@ -221,8 +225,7 @@ def _evolve(w0, grid: Grid1D, config: SimulationConfig, law: ConservationLaw,
     g0 = max(_max_gradient(w, h), 1e-8)
     step_floor = STEP_FLOOR_FACTOR * (grid.b - grid.a)
 
-    coords = [0.0]
-    states = [w.copy()]
+    coords, states = [0.0], [w.copy()]
     step_coords, step_speed, step_grad = [], [], []
     blowup_at = None
 
@@ -314,10 +317,11 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: Sequence,
     factor.  The gradient monitor raises BlowupDetected.
     """
     safety = 1.2 if m.q.df is None else 1.0
+    dq = m.q.df or (lambda s: derivative(m.q.f, None, s))
 
     def flux_speed(w, ncells=None):
         s = _sum_sq(w)  # s >= 0; with Q > 0 on every column, only the fast speed is tested
-        qt, dqt = _positive_Q(m, s, m.q.f(s)), derivative(m.q.f, m.q.df, s[:, :ncells])
+        qt, dqt = _positive_Q(m, s, m.q.f(s)), dq(s[:, :ncells])
         if m.rho != 1.0:
             qt, dqt = qt / m.rho, dqt / m.rho
         sc, qc = s[:, :ncells], qt[:, :ncells]

@@ -1,5 +1,6 @@
 """Eigenstructure, classification flags, and compatibility."""
 import collections
+import math
 import warnings
 
 import numpy as np
@@ -74,6 +75,23 @@ def test_eigen_refuses_states_outside_the_flux_domain():
             with pytest.raises(SingularJacobian, match="P or a partial of P is not finite") as info:
                 temple_eigen(ratio_flux(), *args)
         assert info.value.coordinate == point
+
+
+@pytest.mark.parametrize("coeffs, point", [
+    # P = 1e308 v: grad1 = (0, 2e308) overflows everywhere, lambda1 = 2e308 v where v > 0.9
+    ([[0.0, 1e308]], (1.0, 0.5)),
+    # P = 6e307 v: lambda1 and grad1 stay finite, grad1_dot_d1 = 1.2e308 v/u
+    # overflows only where v/u > 1.5, first at the second state
+    ([[0.0, 6e307]], (0.5, 1.0)),
+], ids=["grad1", "grad1_dot_d1"])
+def test_eigen_refuses_an_overflowing_lambda1(coeffs, point):
+    u, v = [[1.0, 0.5], [0.5, 1.0]], [[0.5, 1.0], [1.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobian, match="lambda1 or its gradient is not finite") as info:
+            temple_eigen(poly_flux(coeffs), u, v)
+    assert info.value.coordinate == point
+    assert f"at (u, v) = {point}" in str(info.value)
 
 
 @pytest.mark.parametrize("flux", [product_flux(), ratio_flux(), sum_squares_flux()],
@@ -168,6 +186,33 @@ def test_classify_explicit_singular_chart_raises():
     chart = ratio_flux()
     with pytest.raises(SingularJacobian, match="change of variables is singular"):
         classify(ratio_flux(), _lattice(), alpha=chart)
+
+
+def test_classify_chart_that_overflows():
+    # alpha = 1e300 u (or P = 1e290 v + 1e300 u as the default chart): at
+    # v = 1e-10 the chart's alpha_u u / v^2 overflows, where it used to read as
+    # a singular change of variables; the explicit chart is refused, the
+    # default one leaves the decoupling flag indeterminate, both without a warning
+    samples = [(1.0, 1.0), (0.5, 1e-10), (1.0, 1e-10)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobian, match=r"\(alpha, u/v\) chart is not finite") as info:
+            classify(product_flux(), samples, alpha=poly_flux([[0.0], [1e300]]))
+        assert info.value.coordinate == (0.5, 1e-10)
+        rep = classify(poly_flux([[0.0, 1e290], [1e300, 0.0]]), samples)
+    assert rep.decouples is None and math.isnan(rep.residuals["decouples"])
+
+
+def test_decoupling_residual_that_overflows_is_refused():
+    # the chart is regular at both samples, but at the second the residual's
+    # alpha_uu u = 4e308 overflows
+    one = np.ones(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobian, match=r"\(alpha, u/v\) chart is not finite") as info:
+            analysis._decoupling_residual(np.array([1.0, 4.0]), one, one, one,
+                                          np.full(2, 1e308), 0.0 * one, 0.0 * one)
+    assert info.value.coordinate == (4.0, 1.0)
 
 
 def test_classify_hand_built_chart_matches_analytic_chart():

@@ -1500,6 +1500,11 @@ OVERFLOWING_CLASSIFY = {"command": "classify",
                         "flux": {"kind": "poly", "coeffs": [[1e308], [1e308]]},
                         "samples": {"u": {"min": 1.0, "max": 2.0, "n": 5},
                                     "v": {"min": 0.5, "max": 2.0, "n": 5}}}
+# P = 1e308 v is finite on [0.5, 1]^2, but lambda1's gradient 2 P_v is not
+OVERFLOWING_EIGEN_CLASSIFY = {"command": "classify",
+                              "flux": {"kind": "poly", "coeffs": [[0.0, 1e308]]},
+                              "samples": {"u": {"min": 0.5, "max": 1.0, "n": 5},
+                                          "v": {"min": 0.5, "max": 1.0, "n": 5}}}
 
 
 @pytest.mark.parametrize("cfg, failure", [
@@ -1516,8 +1521,11 @@ OVERFLOWING_CLASSIFY = {"command": "classify",
      "SingularJacobian: P or a partial of P is not finite at (u, v) = (0.5, 1e-300)"),
     (OVERFLOWING_CLASSIFY,
      "SingularJacobian: P or a partial of P is not finite at (u, v) = (1.0, 0.5)"),
+    (OVERFLOWING_EIGEN_CLASSIFY,
+     "SingularJacobian: lambda1 or its gradient is not finite at (u, v) = (0.5, 0.5)"),
 ], ids=["simulate_oracle", "convergence_oracle", "simulate_init", "hodograph_beta",
-        "simulate_scalar_step", "simulate_full_step", "classify_domain", "classify_overflow"])
+        "simulate_scalar_step", "simulate_full_step", "classify_domain", "classify_overflow",
+        "classify_eigen_overflow"])
 def test_overflow_prints_only_the_failure_line(tmp_path, cfg, failure):
     # numpy's overflow warnings would reach stderr ahead of the failure line
     path, out = tmp_path / "c.json", tmp_path / "o"

@@ -560,6 +560,99 @@ def test_zero_signs_of_an_all_zero_state(scheme, flipped):
 
 
 # ---------------------------------------------------------------------------
+# the limiter: the kernel computes minmod as a clamp, which selects what the
+# earlier kernel's ref_minmod selects, save where the product of the two
+# differences underflows to 0 (the clamp keeps the minmod there) and where
+# +-inf meets a zero (the same value, but the clamp's zero is always +0.0)
+
+
+def clamp_minmod(a, b):
+    """The kernel's minmod: a clamped into [min(b, 0), max(b, 0)]."""
+    return np.minimum(np.maximum(a, np.minimum(b, 0.0)), np.maximum(b, 0.0))
+
+
+LIMITER_SPECIALS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    -1e-310, 1e-160, -1e-160, 0.48, 1.0, -1.0, 1e308, -1e308]
+
+
+def limiter_pairs(n, seed):
+    """n (a, b) pairs: specials, normals, doubles of every exponent, tiny
+    values whose products underflow, and ties |a| = |b| of either sign."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        sign = rng.choice([-1.0, 1.0], n)
+        every_exponent = np.ldexp(sign * rng.uniform(0.5, 1.0, n), rng.integers(-1074, 1024, n))
+        kinds = [rng.choice(LIMITER_SPECIALS, n), rng.standard_normal(n), every_exponent,
+                 1e-160 * rng.standard_normal(n)]
+        return np.choose(rng.integers(0, len(kinds), n), kinds)
+
+    a, b = draw(), draw()
+    tie = rng.random(n) < 0.1
+    b[tie] = np.where(rng.random(n) < 0.5, a, -a)[tie]
+    return a, b
+
+
+def test_clamp_selects_as_the_earlier_limiter_bit_for_bit():
+    a, b = limiter_pairs(200_000, 0)
+    with np.errstate(all="ignore"):
+        product = a * b
+        new, ref = clamp_minmod(a, b), ref_minmod(a, b)
+    like_signs = ((a > 0.0) & (b > 0.0)) | ((a < 0.0) & (b < 0.0))
+    underflow = like_signs & (product == 0.0)
+    inf_zero = np.isnan(product)
+    same = ~underflow & ~inf_zero
+    # every kind of pair is drawn
+    assert underflow.sum() > 1000 and inf_zero.sum() > 100
+    for kind in (a == 0.0, np.signbit(a) & (a == 0.0), a == b, a == -b, np.isinf(a),
+                 (a != 0.0) & (np.abs(a) < 2.2250738585072014e-308)):
+        assert (kind & same).sum() > 100
+    assert new[same].tobytes() == ref[same].tobytes()
+    # a product that underflows: the clamp keeps the minmod, the earlier limiter gives 0
+    minmod = np.where(np.abs(a) < np.abs(b), a, b)
+    assert new[underflow].tobytes() == minmod[underflow].tobytes()
+    assert not ref[underflow].any()
+    # +-inf against a zero: both give a zero, the clamp's is +0.0
+    assert not new[inf_zero].any() and not ref[inf_zero].any()
+    assert not np.signbit(new[inf_zero]).any()
+
+
+def test_clamp_keeps_the_minmod_where_the_product_underflows():
+    a, b = np.array([0.48, -0.48, 5e-324, 0.48]), np.array([5e-324, -5e-324, 0.48, -5e-324])
+    assert clamp_minmod(a, b).tolist() == [5e-324, -5e-324, 5e-324, 0.0]
+    assert ref_minmod(a, b).tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "outflow"])
+def test_muscl_predictor_faces_use_the_clamp(boundary):
+    # a MUSCL step's first flux evaluation sees the cells, then the faces
+    # wc + slope/2 and wc - slope/2 of the cells padded by one a side
+    seen = []
+
+    def flux_speed(w, ncells=None):
+        seen.append(w.copy())
+        return np.zeros_like(w[:, ncells:]), np.ones((1, w.shape[1] if ncells is None else ncells))
+
+    rng = np.random.default_rng(7)
+    n = 64
+    normal, zero = rng.standard_normal((3, n)), np.zeros((3, n))
+    w = np.choose(rng.integers(0, 4, (3, n)), [normal, zero, -zero, 1e-160 * normal[::-1]])
+    w[1, ::4] = w[1, 1::4]  # ties: a zero difference next to its neighbours'
+    # cell 11: dm = 0.05, dp = 4e-323, whose product underflows to 0
+    w[0, 10:13] = [-0.05, 0.0, 4e-323]
+    STEPPERS["muscl_minmod"](w, simulate.ConservationLaw(flux_speed, True), 0.1, boundary, 0.4, 1.0)
+    wp = w.take(simulate._ghost_columns(n, 2, boundary), axis=1)
+    d = wp[:, 1:] - wp[:, :-1]
+    wc, half = wp[:, 1:-1], 0.5 * clamp_minmod(d[:, :-1], d[:, 1:])
+    faces = seen[0]
+    assert faces[:, :n].tobytes() == w.tobytes()
+    assert faces[:, n:2 * n + 2].tobytes() == (wc + half).tobytes()
+    assert faces[:, 2 * n + 2:].tobytes() == (wc - half).tobytes()
+    # the face of cell 11 moved by half the minmod, where the earlier limiter gave 0
+    assert faces[0, n + 12] == 2e-323 and faces[0, 2 * n + 2 + 12] == -2e-323
+
+
+# ---------------------------------------------------------------------------
 # symmetries of the kernel (ROADMAP 7a): the material is isotropic and both
 # schemes are in conservation form, so these maps of the data commute with them
 
