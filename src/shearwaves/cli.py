@@ -371,11 +371,11 @@ def _samples(config: dict, control: bool, noise: Callable = None) -> list:
     return [FieldSample(coords, points, fields(coords, points)) for coords, points in levels]
 
 
-def _decay(report, **extra) -> tuple:
+def _decay(report) -> tuple:
     """The run of a study judged by the fitted decay order of its residual: a
     control is confirmed where the residual does not decay."""
     return ({"order": report.order, "order_l2": report.order_l2, "linf": report.linf,
-             "l2": report.l2, "target": report.target, **extra}, report.passed,
+             "l2": report.l2, "target": report.target}, report.passed,
             report.order <= 0.5)
 
 
@@ -398,10 +398,9 @@ def _conservation(config, control, target):
     samples = _samples(config, control)
     spec = ConservationSpec(*_profiles(config["conservation"], "amp_weight", "angle_weight"))
     try:
-        report = conservation_residual(samples, config["beta"], spec, order_target=target)
+        return _decay(conservation_residual(samples, config["beta"], spec, order_target=target))
     except NeitherOrientationDecays as exc:
         return {"neither_orientation_decays": True, "message": str(exc)}, False, True
-    return _decay(report, orientation=report.details.get("orientation"))
 
 
 def _commutator(config, control, target):

@@ -18,6 +18,7 @@ from .profiles import (
     FD2_REL_STEP,
     FD_REL_STEP,
     ProfileFunction,
+    _derivatives_of,
     _horner,
     _polyder,
     const_profile,
@@ -279,12 +280,16 @@ def ratio_flux() -> TempleFlux:
 
 def poly_flux(coeffs, name: str = "poly") -> TempleFlux:
     """P(u, v) = sum_{i,j} coeffs[i][j] * u**i * v**j."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 2 or c.size == 0:
-        raise ValueError(f"a poly flux needs a 2D array [i][j] -> u**i v**j of at least one "
-                         f"coefficient, got coeffs = {coeffs!r}")
-    cu, cv = _polyder(c), _polyder(c.T).T
-    cuu, cuv, cvv = _polyder(cu), _polyder(cu.T).T, _polyder(cv.T).T
+    try:
+        c = np.asarray(coeffs, dtype=float)
+    except ValueError:  # numpy's refusal of rows of unequal length, reworded below
+        c = None
+    if c is None or c.ndim != 2 or c.size == 0:
+        raise ValueError(f"a poly flux needs a 2D array [i][j] -> u**i v**j, its rows of equal "
+                         f"length, of at least one coefficient, got coeffs = {coeffs!r}")
+    with _derivatives_of(coeffs):
+        cu, cv = _polyder(c), _polyder(c.T).T
+        cuu, cuv, cvv = _polyder(cu), _polyder(cu.T).T, _polyder(cv.T).T
     return TempleFlux(*map(_horner, (c, cu, cv, cuu, cuv, cvv)), name=name)
 
 

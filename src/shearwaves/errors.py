@@ -36,7 +36,7 @@ class BlowupDetected(ShearWaveError):
 
 
 class NeitherOrientationDecays(ShearWaveError):
-    """Neither density/flux ordering of a balance law decays under refinement."""
+    """A conservation pair's balance does not decay under refinement."""
 
 
 class OracleFailure(ShearWaveError):

@@ -9,6 +9,7 @@ Builtin families: linear, sine, poly, const.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -111,14 +112,28 @@ def _polyder(c):
     return (c[1:].T * np.arange(1, len(c))).T if len(c) > 1 else np.zeros_like(c[:1])
 
 
+@contextmanager
+def _derivatives_of(coeffs):
+    """Where the derivative coefficients of the poly ``coeffs`` are computed: a finite
+    j * c[j] that overflows is an OverflowError naming ``coeffs``, not a warning."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise OverflowError(f"a derivative coefficient of coeffs = {coeffs!r} "
+                            f"is not finite") from None
+
+
 def poly_profile(coeffs) -> ProfileFunction:
     """f(s) = sum_k coeffs[k] * s**k."""
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError(f"a poly profile needs a flat list of at least one coefficient, "
                          f"got coeffs = {coeffs!r}")
-    dc = _polyder(c)
-    return ProfileFunction(f=_horner(c), df=_horner(dc), d2f=_horner(_polyder(dc)), name="poly")
+    with _derivatives_of(coeffs):
+        dc = _polyder(c)
+        d2c = _polyder(dc)
+    return ProfileFunction(f=_horner(c), df=_horner(dc), d2f=_horner(d2c), name="poly")
 
 
 def const_profile(c: float) -> ProfileFunction:

@@ -16,7 +16,7 @@ Solver runs are checked the same way: ``convergence_study`` fits the order of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -87,20 +87,24 @@ def _require_layers(sample: FieldSample):
         raise ValueError("need at least 5 transverse points for interior stencils")
 
 
-def _d_evolution(a: np.ndarray, h: float) -> np.ndarray:
-    """Centered derivative along axis 0; loses one layer on each end of axis 0."""
-    return (a[2:, :] - a[:-2, :]) / (2.0 * h)
+def _mid(a: np.ndarray) -> np.ndarray:
+    """The interior of ``a``, one layer dropped on each end of both axes."""
+    return a[1:-1, 1:-1]
 
 
-def _d_transverse(a: np.ndarray, h: float) -> np.ndarray:
-    """Centered derivative along axis 1; loses one layer on each end of axis 1."""
-    return (a[:, 2:] - a[:, :-2]) / (2.0 * h)
+def _d_coord(a: np.ndarray, sample: FieldSample) -> np.ndarray:
+    """Centered derivative along the evolution axis, on ``_mid(a)``."""
+    return (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * sample.d_coord)
+
+
+def _d_point(a: np.ndarray, sample: FieldSample) -> np.ndarray:
+    """Centered derivative along the transverse axis, on ``_mid(a)``."""
+    return (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * sample.d_point)
 
 
 def _balance(a: np.ndarray, b: np.ndarray, sample: FieldSample) -> np.ndarray:
     """D_coord a - D_point b on the interior, two boundary layers dropped on each axis."""
-    return (_d_evolution(a, sample.d_coord)[1:-1, 2:-2]
-            - _d_transverse(b, sample.d_point)[2:-2, 1:-1])
+    return _mid(_d_coord(a, sample) - _d_point(b, sample))
 
 
 def _norms(residuals: Sequence[np.ndarray]) -> tuple:
@@ -132,10 +136,9 @@ class ResidualReport:
     order_l2: float
     target: Optional[float]
     passed: bool
-    details: dict = field(default_factory=dict)
 
 
-def _make_report(hs, norms, target, tol=None, **details) -> ResidualReport:
+def _make_report(hs, norms, target, tol=None) -> ResidualReport:
     """Report of one residual's (Linf, L2) norms over the spacings ``hs``: it passes
     with no ``target``, with the Linf order within ``tol`` of it when a ``tol`` is
     given, and otherwise when both orders reach it."""
@@ -148,27 +151,25 @@ def _make_report(hs, norms, target, tol=None, **details) -> ResidualReport:
     else:
         passed = abs(order - target) <= tol
     return ResidualReport(spacings=hs, linf=linf, l2=l2, order=order, order_l2=order_l2,
-                          target=target, passed=passed, details=details)
+                          target=target, passed=passed)
 
 
-def _level_norms(samples: Sequence[FieldSample], level_residuals: Callable):
-    """Transverse spacings and residual norms over the refinement levels.
+def _residual_report(samples: Sequence[FieldSample], level: Callable,
+                     target: Optional[float]) -> ResidualReport:
+    """Report of the residuals over the refinement levels.
 
-    ``level_residuals(sample)`` returns one level's residuals as a tuple of
-    groups, each a list of arrays pooled into one (Linf, L2) pair.  Returns
-    the spacings and an array indexed [group, Linf or L2, level].  The levels
-    need strictly decreasing spacing and room for the stencils.
+    ``level(sample)`` returns one level's residuals as a list of arrays, pooled
+    into one (Linf, L2) pair per level against the transverse spacing.  The
+    levels need strictly decreasing spacing and room for the stencils.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 refinement levels to estimate a decay order")
     hs = np.array([s.d_point for s in samples])
     if np.any(hs[1:] >= hs[:-1]):
         raise ValueError("refinement levels must have strictly decreasing spacing")
-    norms = []
     for sample in samples:
         _require_layers(sample)
-        norms.append([_norms(group) for group in level_residuals(sample)])
-    return hs, np.transpose(norms, (1, 2, 0))
+    return _make_report(hs, np.transpose([_norms(level(s)) for s in samples]), target)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +187,10 @@ def residual_full(samples: Sequence[FieldSample], m: ShearModulus,
     def level(sample):
         U, V, M, N = (sample.get(name) for name in "UVMN")
         qt = m.qtilde(U * U + V * V)
-        return ([_balance(U, M, sample), _balance(V, N, sample),
-                 _balance(M, qt * U, sample), _balance(N, qt * V, sample)],)
+        return [_balance(U, M, sample), _balance(V, N, sample),
+                _balance(M, qt * U, sample), _balance(N, qt * V, sample)]
 
-    hs, norms = _level_norms(samples, level)
-    return _make_report(hs, norms[0], order_target)
+    return _residual_report(samples, level, order_target)
 
 
 def residual_asymptotic(samples: Sequence[FieldSample], beta: float,
@@ -203,15 +203,12 @@ def residual_asymptotic(samples: Sequence[FieldSample], beta: float,
     beta = float(beta)
 
     def level(sample):
-        dX, dtau = sample.d_coord, sample.d_point
         th, rh = sample.get("theta"), sample.get("rho")
-        rh_mid = rh[1:-1, 1:-1]
-        r1 = _d_evolution(th, dX)[:, 1:-1] - beta * rh_mid**2 * _d_transverse(th, dtau)[1:-1, :]
-        r2 = _d_evolution(rh, dX)[:, 1:-1] - 3.0 * beta * rh_mid**2 * _d_transverse(rh, dtau)[1:-1, :]
-        return ([r1[1:-1, 1:-1], r2[1:-1, 1:-1]],)
+        rh2 = _mid(rh)**2
+        return [_mid(_d_coord(th, sample) - beta * rh2 * _d_point(th, sample)),
+                _mid(_d_coord(rh, sample) - 3.0 * beta * rh2 * _d_point(rh, sample))]
 
-    hs, norms = _level_norms(samples, level)
-    return _make_report(hs, norms[0], order_target)
+    return _residual_report(samples, level, order_target)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +225,10 @@ class ConservationSpec:
         density = -amp'(rho) rho^2 - 3 amp(rho) rho - angle(theta) rho
         flux    = beta (-3 amp'(rho) rho^4 - 3 amp(rho) rho^3 - angle(theta) rho^3)
 
-    Which of the two sits under the evolution derivative is decided
-    empirically by ``conservation_residual``, never assumed.
+    For every weight pair flux_theta = beta rho^2 density_theta and flux_rho =
+    3 beta rho^2 density_rho, so D_X density - D_tau flux = density_theta r_theta
+    + density_rho r_rho, with r_theta and r_rho the two residuals of
+    ``residual_asymptotic``: the balance vanishes on every solution.
     """
 
     amp_weight: ProfileFunction
@@ -248,36 +247,25 @@ class ConservationSpec:
 def conservation_residual(samples: Sequence[FieldSample], beta: float,
                           spec: ConservationSpec,
                           order_target: float = DEFAULT_ORDER_TARGET) -> ResidualReport:
-    """Decay of the divergence of a conservation pair on sampled (theta, rho).
+    """Decay of a conservation pair's balance D_X density - D_tau flux on sampled (theta, rho).
 
-    Both orientations are measured: ``forward`` applies the evolution
-    derivative to the density and the transverse derivative to the flux,
-    ``swapped`` does the opposite.  The report carries the orientation that
-    decays (preferring ``forward`` on ties); when neither does the field is
-    not a solution (or the pair is wrong) and NeitherOrientationDecays is
-    raised with both fitted orders.
+    The balance is density_theta r_theta + density_rho r_rho (``ConservationSpec``),
+    so it decays on every solution.  Unless min(order, order_l2) reaches
+    DECAY_MIN_ORDER (a NaN ``order`` never does) the field is not a solution or
+    the pair is wrong, and NeitherOrientationDecays is raised with both orders.
     """
     beta = float(beta)
 
     def level(sample):
         th, rh = sample.get("theta"), sample.get("rho")
-        dens = spec.density(th, rh)
-        flx = spec.flux(th, rh, beta)
-        return [_balance(dens, flx, sample)], [_balance(flx, dens, sample)]
+        return [_balance(spec.density(th, rh), spec.flux(th, rh, beta), sample)]
 
-    hs, norm_pairs = _level_norms(samples, level)
-    norms = dict(zip(("forward", "swapped"), norm_pairs))
-    orders = {key: (_fit_order(hs, linf), _fit_order(hs, l2)) for key, (linf, l2) in norms.items()}
-    decays = {k: min(v) >= DECAY_MIN_ORDER for k, v in orders.items()}
-    if not any(decays.values()):
+    report = _residual_report(samples, level, order_target)
+    if not min(report.order, report.order_l2) >= DECAY_MIN_ORDER:
         raise NeitherOrientationDecays(
-            f"conservation residual does not decay in either orientation "
-            f"(forward order {orders['forward'][0]:.3f}, swapped {orders['swapped'][0]:.3f})"
-        )
-    # a decaying orientation, then the higher Linf order; max keeps forward on a tie
-    chosen = max(("forward", "swapped"), key=lambda k: (decays[k], orders[k][0]))
-    return _make_report(hs, norms[chosen], order_target, orientation=chosen,
-                        order_forward=orders["forward"][0], order_swapped=orders["swapped"][0])
+            f"conservation residual does not decay (order {report.order:.3f}, "
+            f"L2 order {report.order_l2:.3f})")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -376,28 +364,18 @@ def linearized_symmetry_residual(samples: Sequence[FieldSample], beta: float, sp
     beta = float(beta)
 
     def level(sample):
-        dX, dtau = sample.d_coord, sample.d_point
         th, rh = sample.get("theta"), sample.get("rho")
-        th_tau = _d_transverse(th, dtau)
-        rh_tau = _d_transverse(rh, dtau)
-        phi_th, phi_rh = spec.characteristic(th[:, 1:-1], rh[:, 1:-1], th_tau, rh_tau)
+        th_tau, rh_tau = _d_point(th, sample), _d_point(rh, sample)
+        phi_th, phi_rh = spec.characteristic(_mid(th), _mid(rh), th_tau, rh_tau)
+        # the equations on the interior of the characteristic's own interior
+        rh_m, phi_rh_m = _mid(_mid(rh)), _mid(phi_rh)
+        eq1 = (_d_coord(phi_th, sample) - 2.0 * beta * rh_m * _mid(th_tau) * phi_rh_m
+               - beta * rh_m**2 * _d_point(phi_th, sample))
+        eq2 = (_d_coord(phi_rh, sample) - 6.0 * beta * rh_m * _mid(rh_tau) * phi_rh_m
+               - 3.0 * beta * rh_m**2 * _d_point(phi_rh, sample))
+        return [eq1, eq2]
 
-        dX_phi_th = _d_evolution(phi_th, dX)[:, 1:-1]
-        dX_phi_rh = _d_evolution(phi_rh, dX)[:, 1:-1]
-        dtau_phi_th = _d_transverse(phi_th, dtau)[1:-1, :]
-        dtau_phi_rh = _d_transverse(phi_rh, dtau)[1:-1, :]
-
-        rh_m = rh[1:-1, 2:-2]
-        th_tau_m = th_tau[1:-1, 1:-1]
-        rh_tau_m = rh_tau[1:-1, 1:-1]
-        phi_rh_m = phi_rh[1:-1, 1:-1]
-
-        eq1 = dX_phi_th - 2.0 * beta * rh_m * th_tau_m * phi_rh_m - beta * rh_m**2 * dtau_phi_th
-        eq2 = dX_phi_rh - 6.0 * beta * rh_m * rh_tau_m * phi_rh_m - 3.0 * beta * rh_m**2 * dtau_phi_rh
-        return ([eq1[1:-1, :], eq2[1:-1, :]],)
-
-    hs, norms = _level_norms(samples, level)
-    return _make_report(hs, norms[0], order_target)
+    return _residual_report(samples, level, order_target)
 
 
 def commutator_residual(spec, beta: float, jet_samples) -> float:

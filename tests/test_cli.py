@@ -1391,7 +1391,12 @@ def test_simple_wave_failure_names_its_point(tmp_path):
     # omega t overflows at t = 1e308 (omega 2.3), and cos(inf) is NaN
     (exact_config("carroll", wavenumber=2.0, t={"min": 0.0, "max": 1e308, "n": 3}),
      "U is not finite at (t, x) = (1e+308, 0.0)"),
-], ids=["simple_wave_beta", "separable_x", "carroll_t"])
+    # the chart alpha = 1e308 u^2: its partial's coefficient 2 * 1e308 overflows when built
+    ({"command": "classify", "flux": {"kind": "poly", "coeffs": [[1.0, 1.0]]},
+      "alpha": {"kind": "poly", "coeffs": [[0.0], [0.0], [1e308]]},
+      "samples": {"u": {"min": 0.5, "max": 1.0, "n": 5}, "v": {"min": 0.5, "max": 1.0, "n": 5}}},
+     "a derivative coefficient of coeffs = [[0.0], [0.0], [1e+308]] is not finite"),
+], ids=["simple_wave_beta", "separable_x", "carroll_t", "classify_alpha_derivative"])
 def test_exact_parameter_that_overflows_exits_two(tmp_path, capsys, cfg, message):
     # one line on stderr and no artifacts: numpy's overflow warnings stay silent
     with warnings.catch_warnings():

@@ -1,4 +1,7 @@
 """Moduli, flux families, the nonlinearity coefficient, and level-set solves."""
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +244,24 @@ def test_poly_flux_without_coefficients_is_refused_at_construction(shape):
     with pytest.raises(ValueError, match=r"a poly flux needs .* at least one coefficient, "
                                          r"got coeffs = "):
         poly_flux(np.zeros(shape))
+
+
+def test_poly_flux_with_rows_of_unequal_length_is_refused_at_construction():
+    with pytest.raises(ValueError, match=r"a poly flux needs .*, its rows of equal length, .* "
+                                         r"got coeffs = \[\[0\.0, 1\.0\], \[1e\+300\]\]$"):
+        poly_flux([[0.0, 1.0], [1e300]])
+
+
+@pytest.mark.parametrize("coeffs", [[[0.0], [0.0], [1e308]], [[0.0, 0.0, 0.0, 4e307]],
+                                    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 6e307]]])
+def test_poly_flux_whose_derivative_overflows_is_refused_at_construction(coeffs):
+    # j * c[j] overflows in the coefficients of P_u, of P_vv, and of P_uv alone: refused
+    # when built, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"a derivative coefficient of coeffs = "
+                                                + re.escape(repr(coeffs)) + " is not finite"):
+            poly_flux(coeffs)
 
 
 def _central(g, u, v, axis):

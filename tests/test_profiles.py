@@ -1,5 +1,6 @@
 """Profile builders: values, derivatives, config round-trips."""
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def test_polynomial_without_a_flat_coefficient_list_is_refused_when_built(build,
     with pytest.raises(ValueError, match=r"at least one coefficient, got coeffs = "
                                          + re.escape(repr(coeffs))):
         build(coeffs)
+
+
+@pytest.mark.parametrize("build", [poly_profile, poly_modulus])
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0, 1e308], [0.0, 0.0, 0.0, 4e307]])
+def test_polynomial_whose_derivative_overflows_is_refused_when_built(build, coeffs):
+    # 2 * 1e308 overflows the first derivative's coefficients, 3 * 4e307 * 2
+    # the second's: refused when built, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"a derivative coefficient of coeffs = "
+                                                + re.escape(repr(coeffs)) + " is not finite"):
+            build(coeffs)
 
 
 def _polyval_profile(coeffs):

@@ -198,11 +198,10 @@ def test_conservation_angle_weight_on_exact_solution():
     spec = ConservationSpec(amp_weight=const_profile(0.0),
                             angle_weight=linear_profile(1.0))
     report = conservation_residual(samples, 0.5, spec)
-    assert report.details["orientation"] == "forward"
     assert report.order > 1.9
     assert report.passed
     # the swapped orientation must be visibly non-decaying here
-    assert report.details["order_swapped"] < 1.0
+    assert _swapped_balance(samples, 0.5, spec).order < 1.0
 
 
 def test_conservation_constant_angle_weight_is_exact():
@@ -260,34 +259,68 @@ def test_conservation_neither_orientation_decays():
         conservation_residual(samples, 0.5, spec)
 
 
-# fitted orders (forward Linf, forward L2, swapped Linf, swapped L2) and the
-# orientation chosen: one that decays (both orders >= 1), then the higher Linf
-# order; forward wins a tie, infinite orders included; None where neither decays
-INF = math.inf
-ORIENTATIONS = [
-    ((2.0, 2.0, 0.0, 0.0), "forward"), ((0.0, 0.0, 2.0, 2.0), "swapped"),
-    ((2.0, 0.5, 3.0, 3.0), "swapped"), ((3.0, 0.5, 2.0, 2.0), "swapped"),
-    ((3.0, 3.0, 2.0, 0.9), "forward"), ((2.0, 2.0, 3.0, 1.0), "swapped"),
-    ((3.0, 1.0, 2.0, 2.0), "forward"), ((2.0, 2.0, 2.0, 5.0), "forward"),
-    ((INF, INF, INF, INF), "forward"), ((INF, INF, 2.0, 2.0), "forward"),
-    ((2.0, 2.0, INF, INF), "swapped"), ((INF, INF, 0.0, 0.0), "forward"),
-    ((0.0, 0.0, INF, INF), "swapped"), ((0.5, 2.0, 2.0, 0.9), None),
-]
+def _swapped_balance(samples, beta, spec):
+    """Report of D_X flux - D_tau density, the balance with the pair swapped."""
+    def level(sample):
+        th, rh = sample.get("theta"), sample.get("rho")
+        return [verify._balance(spec.flux(th, rh, beta), spec.density(th, rh), sample)]
+
+    return verify._residual_report(samples, level, None)
 
 
-@pytest.mark.parametrize("orders, chosen", ORIENTATIONS)
-def test_conservation_orientation_rule(monkeypatch, orders, chosen):
-    scripted = iter([*orders, 0.0, 0.0])  # then the report's own two fits
+@pytest.fixture(scope="module")
+def polar_solutions():
+    """Sampled solutions of the polar system with varying and constant amplitude, with their beta."""
+    return [(_hodograph_samples(), 1.0),
+            (_constant_amplitude_samples(0.5, 1.0, sine_profile(1.0, 1.0)), 0.5)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_conservation_balance_of_random_weights_decays_forward_only(polar_solutions, seed):
+    # D_X density - D_tau flux = density_theta r_theta + density_rho r_rho for
+    # every weight pair, so the forward balance decays at the stencil order on
+    # any solution; the swapped one carries (beta^2 rho^4 - 1) density_theta
+    # theta_tau + (9 beta^2 rho^4 - 1) density_rho rho_tau and does not
+    rng = np.random.default_rng(seed)
+    spec = ConservationSpec(poly_profile(rng.uniform(-1.0, 1.0, 3)),
+                            poly_profile(rng.uniform(-1.0, 1.0, 3)))
+    for samples, beta in polar_solutions:
+        report = conservation_residual(samples, beta, spec)
+        assert min(report.order, report.order_l2) >= 1.8
+        assert report.passed
+        swapped = _swapped_balance(samples, beta, spec)
+        assert max(swapped.order, swapped.order_l2) < 1.0
+
+
+def test_conservation_on_nan_fields_does_not_decay():
+    samples = _constant_amplitude_samples(0.5, 1.0, sine_profile(1.0, 1.0))
+    for sample in samples:
+        sample.get("theta")[len(sample.coords) // 2, len(sample.points) // 2] = np.nan
+    spec = ConservationSpec(const_profile(0.0), linear_profile(1.0))
+    with pytest.raises(NeitherOrientationDecays, match="order nan"):
+        conservation_residual(samples, 0.5, spec)
+
+
+# fitted (Linf, L2) orders and whether the balance decays: min(Linf, L2) reaches
+# DECAY_MIN_ORDER; Python's min keeps its first argument against a NaN second
+INF, NAN = math.inf, math.nan
+DECAY_RULE = [((2.0, 2.0), True), ((1.0, 1.0), True), ((INF, INF), True), ((INF, 2.0), True),
+              ((0.5, 2.0), False), ((2.0, 0.9), False), ((0.0, INF), False),
+              ((NAN, 2.0), False), ((NAN, NAN), False), ((2.0, NAN), True)]
+
+
+@pytest.mark.parametrize("orders, decays", DECAY_RULE)
+def test_conservation_decay_rule(monkeypatch, orders, decays):
+    scripted = iter(orders)
     monkeypatch.setattr(verify, "_fit_order", lambda hs, norms: next(scripted))
     samples = [_flat_sample(n, n) for n in (9, 17)]
     spec = ConservationSpec(const_profile(0.0), linear_profile(1.0))
-    if chosen is None:
+    if not decays:
         with pytest.raises(NeitherOrientationDecays):
             conservation_residual(samples, 0.5, spec)
         return
-    details = conservation_residual(samples, 0.5, spec).details
-    assert details["orientation"] == chosen
-    assert (details["order_forward"], details["order_swapped"]) == (orders[0], orders[2])
+    report = conservation_residual(samples, 0.5, spec)
+    assert (report.order, report.order_l2) == orders
 
 
 # ---------------------------------------------------------------------------
