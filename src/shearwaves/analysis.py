@@ -10,6 +10,7 @@ Hamiltonian structure, decoupling in a Riemann-invariant chart).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -230,7 +231,7 @@ def construct_temple_flux(H: ProfileFunction, Phi: ProfileFunction, Psi: Profile
 
     The constructed pair satisfies the g4 compatibility residual identically.
     With Phi = Psi = 0 and H the flux coefficient seen through phi, the pair
-    reduces to (P u, P v).
+    reduces to (P u, P v).  Its partials follow by the chain rule.
     """
 
     def make_field(extra: ProfileFunction, carrier: str) -> TempleFlux:
@@ -239,15 +240,25 @@ def construct_temple_flux(H: ProfileFunction, Phi: ProfileFunction, Psi: Profile
             s = phi(u, v)
             return H(s) * w + extra(s)
 
-        def partial(axis, u, v):
+        def first(axis, u, v):
             w = u if carrier == "u" else v
             s = phi(u, v)
             dphi = getattr(phi, "p_" + axis)(u, v)
             base = H.deriv(s) * dphi * w + extra.deriv(s) * dphi
             return base + (H(s) if carrier == axis else 0.0)
 
-        return TempleFlux(p=value, pu=lambda u, v: partial("u", u, v),
-                          pv=lambda u, v: partial("v", u, v), name=f"H*{carrier}+{extra.name}")
+        def second(axes, u, v):  # first(a) differentiated along b
+            a, b = axes
+            w = u if carrier == "u" else v
+            s = phi(u, v)
+            da, dab = getattr(phi, "p_" + a)(u, v), getattr(phi, "p_" + axes)(u, v)
+            db = da if b == a else getattr(phi, "p_" + b)(u, v)
+            dh = H.deriv(s)
+            out = (H.deriv2(s) * w + extra.deriv2(s)) * da * db + (dh * w + extra.deriv(s)) * dab
+            return out + dh * ((db if carrier == a else 0.0) + (da if carrier == b else 0.0))
+
+        return TempleFlux(value, *(partial(first, axis) for axis in "uv"),
+                          *(partial(second, axes) for axes in ("uu", "uv", "vv")),
+                          name=f"H*{carrier}+{extra.name}")
 
     return FluxPair(make_field(Phi, "u"), make_field(Psi, "v"), phi)
-

@@ -3,8 +3,8 @@
 A shear modulus is a ProfileFunction Q(s) of the squared strain magnitude
 s = U^2 + V^2 with a density rho.  The flux P(u, v) multiplies both
 components of the reduced 2x2 system, and the same TempleFlux type carries
-its charts and level-set functions.  Both carry optional analytic
-derivatives with central-difference fallbacks.
+its charts and level-set functions.  Each derivative is the analytic one its
+builder gave; asking for one it left out is a TypeError that names it.
 """
 from __future__ import annotations
 
@@ -15,14 +15,11 @@ import numpy as np
 
 from .errors import NoConvergence, NonPositiveModulus
 from .profiles import (
-    FD2_REL_STEP,
-    FD_REL_STEP,
     ProfileFunction,
     _derivatives_of,
     _horner,
     _polyder,
     const_profile,
-    derivative,
     poly_profile,
 )
 
@@ -34,7 +31,7 @@ LEVEL_SET_MAX_ITER = 100
 class ShearModulus:
     """Shear modulus Q(s), s = squared strain magnitude, with density rho.
 
-    Q' is q.deriv: the analytic q.df, else a central difference of Q.
+    Q' and Q'' are q.deriv and q.deriv2: a TypeError if q lacks df or d2f.
     """
 
     q: ProfileFunction
@@ -50,8 +47,10 @@ class ShearModulus:
         return q if self.rho == 1.0 else q / self.rho
 
     def dqtilde(self, s):
-        dq = self.q.deriv(s)
-        return dq if self.rho == 1.0 else dq / self.rho
+        return self.q.deriv(s) / self.rho
+
+    def d2qtilde(self, s):
+        return self.q.deriv2(s) / self.rho
 
 
 def eval_Q(m: ShearModulus, s):
@@ -79,17 +78,19 @@ def _positive_Q(m: ShearModulus, s: np.ndarray, q) -> np.ndarray:
     return q
 
 
+def _partial_method(axes: str):
+    """A TempleFlux method (u, v) -> the partial along ``axes``, looked up when it is called."""
+    return lambda self, u, v: self._partial(axes, u, v)
+
+
 @dataclass(frozen=True)
 class TempleFlux:
     """A scalar function P(u, v) with its first and second partial derivatives.
 
     It is the flux coefficient of the reduced system u_t = [P u]_x,
     v_t = [P v]_x, and equally a decoupling chart alpha, a level-set function
-    phi or one member of a conservative pair (A, B).  A missing partial is a
-    central difference of the partial one order lower (for p_uv, an analytic
-    p_u before an analytic p_v).  The step is 1e-6 * max(1, |x|) when that
-    lower partial is analytic, and 1e-4 * max(1, |x|) for both differences
-    when it is itself a difference.
+    phi or one member of a conservative pair (A, B).  Asking for a partial that
+    was not given is a TypeError naming the flux and the partial.
     """
 
     p: Callable
@@ -103,35 +104,14 @@ class TempleFlux:
     def __call__(self, u, v):
         return self.p(u, v)
 
-    def p_u(self, u, v):
-        return self._partial("u", u, v)
+    p_u, p_v, p_uu, p_uv, p_vv = map(_partial_method, ("u", "v", "uu", "uv", "vv"))
 
-    def p_v(self, u, v):
-        return self._partial("v", u, v)
-
-    def p_uu(self, u, v):
-        return self._partial("uu", u, v)
-
-    def p_uv(self, u, v):
-        return self._partial("uv", u, v)
-
-    def p_vv(self, u, v):
-        return self._partial("vv", u, v)
-
-    def _partial(self, axes: str, u, v, rel_step: float = FD_REL_STEP):
-        """The partial of P along axes ("" is P, "u" is P_u, "uv" is P_uv, ...)."""
+    def _partial(self, axes: str, u, v):
+        """The partial of P along axes ("u" is P_u, "uv" is P_uv, ...)."""
         given = getattr(self, "p" + axes)
-        if given is not None:
-            return given(u, v)
-        lower, axis = axes[:-1], axes[-1]
-        if axes == "uv" and self.pu is None:
-            lower, axis = "v", "u"
-        if getattr(self, "p" + lower) is None:
-            rel_step = FD2_REL_STEP
-
-        if axis == "u":
-            return derivative(lambda x: self._partial(lower, x, v, rel_step), None, u, rel_step)
-        return derivative(lambda x: self._partial(lower, u, x, rel_step), None, v, rel_step)
+        if given is None:
+            raise TypeError(f"flux {self.name!r} has no analytic partial p{axes}")
+        return given(u, v)
 
 
 def solve_level_set(f: TempleFlux, a: float, u, v_bracket):
@@ -210,6 +190,7 @@ def cubic_modulus(mu0: float, mu1: float, rho: float = 1.0) -> ShearModulus:
     return ShearModulus(ProfileFunction(
         f=lambda s: mu0 + mu1 * np.asarray(s, dtype=float),
         df=lambda s: np.full(np.shape(s), mu1),
+        d2f=lambda s: np.zeros(np.shape(s)),
         name="cubic",
     ), rho)
 
@@ -222,6 +203,7 @@ def power_modulus(mu: float, n: float, rho: float = 1.0) -> ShearModulus:
     return ShearModulus(ProfileFunction(
         f=lambda s: mu * (1.0 + np.asarray(s, dtype=float)) ** n,
         df=lambda s: mu * n * (1.0 + np.asarray(s, dtype=float)) ** (n - 1.0),
+        d2f=lambda s: mu * n * (n - 1.0) * (1.0 + np.asarray(s, dtype=float)) ** (n - 2.0),
         name="power",
     ), rho)
 
@@ -304,6 +286,9 @@ def modulus_flux(m: ShearModulus) -> TempleFlux:
         p=lambda u, v: m.qtilde(u * u + v * v),
         pu=lambda u, v: 2.0 * u * m.dqtilde(u * u + v * v),
         pv=lambda u, v: 2.0 * v * m.dqtilde(u * u + v * v),
+        puu=lambda u, v: 2.0 * m.dqtilde(u * u + v * v) + 4.0 * u * u * m.d2qtilde(u * u + v * v),
+        puv=lambda u, v: 4.0 * u * v * m.d2qtilde(u * u + v * v),
+        pvv=lambda u, v: 2.0 * m.dqtilde(u * u + v * v) + 4.0 * v * v * m.d2qtilde(u * u + v * v),
         name="modulus",
     )
 

@@ -1,9 +1,9 @@
 """Scalar profile functions with derivatives.
 
-A ProfileFunction bundles a scalar callable with (optionally analytic)
-first and second derivatives.  When an analytic derivative is missing it
-falls back to central differences with step h = 1e-6 * max(1, |s|).  A shear
-modulus Q(s) is one of these, with s the squared strain magnitude.
+A ProfileFunction bundles a scalar callable with its analytic first and
+second derivatives.  Either may be left out; asking for a missing one is a
+TypeError that names the profile and the derivative.  A shear modulus Q(s) is
+one of these, with s the squared strain magnitude.
 
 Builtin families: linear, sine, poly, const.
 """
@@ -15,27 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-FD_REL_STEP = 1e-6
-# step of differences of a difference: larger, to keep the noise floor down
-FD2_REL_STEP = 1e-4
-
-
-def _fd_step(s, rel_step: float = FD_REL_STEP):
-    return rel_step * np.maximum(1.0, np.abs(s))
-
-
-def derivative(f: Callable, df: Optional[Callable], s, rel_step: float = FD_REL_STEP):
-    """df(s), or else the central difference of f at s with step rel_step * max(1, |s|).
-
-    A scalar s returns a float, an array s an array.
-    """
-    if df is not None:
-        return df(np.asarray(s, dtype=float)) if np.ndim(s) else float(df(s))
-    s = np.asarray(s, dtype=float)
-    h = _fd_step(s, rel_step)
-    out = (f(s + h) - f(s - h)) / (2.0 * h)
-    return out if out.ndim else float(out)
-
 
 @dataclass(frozen=True)
 class ProfileFunction:
@@ -46,7 +25,8 @@ class ProfileFunction:
     f : callable
         Vectorized scalar function.
     df, d2f : callable, optional
-        Analytic derivatives.  Central differences are used when absent.
+        Analytic derivatives; ``deriv`` or ``deriv2`` raises a TypeError naming
+        the profile when its own is missing.
     name : str
         Short label used in error messages and the names of derived fields.
     """
@@ -60,11 +40,19 @@ class ProfileFunction:
         return self.f(np.asarray(s, dtype=float)) if np.ndim(s) else float(self.f(s))
 
     def deriv(self, s):
-        return derivative(self.f, self.df, s)
+        df = self.analytic("df")
+        return df(np.asarray(s, dtype=float)) if np.ndim(s) else float(df(s))
 
     def deriv2(self, s):
-        # difference the (possibly analytic) first derivative
-        return derivative(self.deriv, self.d2f, s, rel_step=FD2_REL_STEP)
+        d2f = self.analytic("d2f")
+        return d2f(np.asarray(s, dtype=float)) if np.ndim(s) else float(d2f(s))
+
+    def analytic(self, name: str) -> Callable:
+        """The analytic derivative ``name`` ("df" or "d2f"); a TypeError if it is missing."""
+        fn = getattr(self, name)
+        if fn is None:
+            raise TypeError(f"profile {self.name!r} has no analytic derivative {name}")
+        return fn
 
 
 def linear_profile(k: float) -> ProfileFunction:

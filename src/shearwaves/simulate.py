@@ -25,7 +25,7 @@ import numpy as np
 
 from .constitutive import ShearModulus, _positive_Q
 from .errors import BlowupDetected, HyperbolicityLoss, NoConvergence, NonPositiveModulus
-from .profiles import ProfileFunction, derivative
+from .profiles import ProfileFunction
 
 STEP_FLOOR_FACTOR = 1e-9
 # a run that takes this many steps raises NoConvergence
@@ -44,8 +44,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 8:
             raise ValueError("grid needs at least 8 cells")
-        if not self.b > self.a:
-            raise ValueError("need b > a")
+        if not self.h > 0.0:  # b <= a, or a width b - a so small that h underflows to 0
+            raise ValueError(f"grid spacing (b - a)/n = {self.h!r} is not positive")
         if not math.isfinite(self.b - self.a):
             raise ValueError("grid width b - a overflows a double")
         if self.boundary not in ("periodic", "outflow"):
@@ -313,11 +313,10 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: Sequence,
     U_t = M_x, V_t = N_x, M_t = [Qt(s) U]_x, N_t = [Qt(s) V]_x with Qt = Q/rho and
     s = U^2 + V^2.  Squared wave speeds are Qt and Qt + 2 s Qt'(s); both must stay
     positive (else NonPositiveModulus for Q itself, HyperbolicityLoss for the fast
-    speed).  When no analytic Q' is available the speed bound carries a 1.2 safety
-    factor.  The gradient monitor raises BlowupDetected.
+    speed).  The speeds use the modulus's analytic Q', so a modulus without q.df is a
+    TypeError before the first step.  The gradient monitor raises BlowupDetected.
     """
-    safety = 1.2 if m.q.df is None else 1.0
-    dq = m.q.df or (lambda s: derivative(m.q.f, None, s))
+    dq = m.q.analytic("df")
 
     def flux_speed(w, ncells=None):
         s = _sum_sq(w)  # s >= 0; with Q > 0 on every column, only the fast speed is tested
@@ -332,7 +331,7 @@ def evolve_full(m: ShearModulus, grid: Grid1D, init: Sequence,
             )
         c = np.sqrt(np.maximum(qc, fast))
         wf, qf = w[:, ncells:], qt[:, ncells:]
-        return np.concatenate([wf[2:], qf * wf[:2]]), (c if safety == 1.0 else safety * c)
+        return np.concatenate([wf[2:], qf * wf[:2]]), c
 
     return _evolve(init, grid, config, ConservationLaw(flux_speed, raise_on_blowup=True), 4)
 

@@ -169,7 +169,9 @@ def _residual_report(samples: Sequence[FieldSample], level: Callable,
         raise ValueError("refinement levels must have strictly decreasing spacing")
     for sample in samples:
         _require_layers(sample)
-    return _make_report(hs, np.transpose([_norms(level(s)) for s in samples]), target)
+    with np.errstate(all="ignore"):  # a residual that overflows is inf or NaN, its norm null
+        norms = [_norms(level(s)) for s in samples]
+    return _make_report(hs, np.transpose(norms), target)
 
 
 # ---------------------------------------------------------------------------

@@ -1077,6 +1077,22 @@ def test_width_that_overflows_a_double_exits_two(tmp_path, capsys, config, path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["breaking", "simulate", "convergence", "carroll_convergence",
+                                  "generalized_convergence"])
+def test_grid_whose_spacing_underflows_exits_two(tmp_path, capsys, name):
+    # b = 5e-324 > a = 0, but h = (b - a)/n underflows to 0, which the
+    # gradient monitor would divide by
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg["grid"]["b"] = 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, cfg, "tiny")
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "config error: grid spacing (b - a)/n = 0.0 is not positive\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("config, path", [
     (carroll_simulate_config, ("init", "amplitude")),
@@ -1554,6 +1570,26 @@ def test_full_residual_that_overflows_misses_its_target_quietly(tmp_path):
     assert (proc.returncode, proc.stderr) == (1, "")
     report = json.loads((out / "report.json").read_text())
     assert report["l2"] == [None] * 3 and all(math.isfinite(x) for x in report["linf"])
+
+
+@pytest.mark.parametrize("name, block, key, value", [
+    ("verify", (), "beta", 1e308),
+    ("full_residual", ("solution",), "amplitude", 1e154),
+], ids=["verify_beta", "full_residual_amplitude"])
+def test_residual_that_overflows_misses_its_target_without_warnings(tmp_path, capsys, name,
+                                                                    block, key, value):
+    # every residual is inf or NaN at every level: the norms and orders are
+    # written as null and the target is missed, with no numpy warning
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    _get(cfg, block)[key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, cfg, "ovf")
+    assert code == 1
+    assert capsys.readouterr() == ("", "")
+    report = json.loads((out / "report.json").read_text())
+    assert report["linf"] == report["l2"] == [None] * 3
+    assert (report["order"], report["passed"]) == (None, False)
 
 
 # the hodograph family of test_hodograph_fold_seed_exits_three, with its seed on the fold

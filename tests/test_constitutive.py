@@ -48,12 +48,14 @@ def test_cubic_modulus_slope():
     assert m.q.deriv(0.0) == 0.5
     assert eval_Q(m, 2.0) == 2.0
     assert m.q.deriv(17.0) == 0.5
+    assert m.q.deriv2(17.0) == 0.0
 
 
 def test_power_modulus_derivative():
     m = power_modulus(2.0, 3.0)
     s = np.linspace(0.0, 2.0, 9)
     np.testing.assert_allclose(m.q.deriv(s), 6.0 * (1.0 + s) ** 2)
+    np.testing.assert_allclose(m.q.deriv2(s), 12.0 * (1.0 + s))
 
 
 def test_poly_modulus_and_config():
@@ -106,14 +108,6 @@ def test_negative_rho_rejected():
         ShearModulus(ProfileFunction(lambda s: 1.0 + s), rho=-1.0)
 
 
-@given(s=st.floats(0.0, 4.0))
-@settings(max_examples=60, deadline=None)
-def test_fd_modulus_derivative_matches_analytic(s):
-    ana = power_modulus(1.5, 2.0)
-    num = ShearModulus(ProfileFunction(ana.q.f, name="power-fd"))
-    assert abs(num.q.deriv(s) - ana.q.deriv(s)) <= 1e-7 * max(1.0, abs(ana.q.deriv(s)))
-
-
 # ---------------------------------------------------------------------------
 # flux families
 
@@ -144,18 +138,15 @@ def test_flux_partials_match_finite_differences(f):
     np.testing.assert_allclose(f.p_vv(U, V), _fd(f.p_v, U, V, 0.0, 1.0), rtol=1e-5, atol=1e-5)
 
 
-@pytest.mark.parametrize(
-    "f",
-    [product_flux(), ratio_flux(), poly_flux([[1.0, 0.5, 0.2], [0.25, -0.3, 0.0], [0.4, 0.0, 0.1]])],
-    ids=lambda f: f.name,
-)
-def test_flux_given_only_p_matches_analytic_partials(f):
-    only_p = TempleFlux(p=f.p)
-    np.testing.assert_allclose(only_p.p_u(U, V), f.p_u(U, V), rtol=1e-6, atol=1e-6)
-    np.testing.assert_allclose(only_p.p_v(U, V), f.p_v(U, V), rtol=1e-6, atol=1e-6)
-    for name in ("p_uu", "p_uv", "p_vv"):
-        np.testing.assert_allclose(getattr(only_p, name)(U, V), getattr(f, name)(U, V),
-                                   rtol=1e-5, atol=1e-5)
+def test_missing_partial_is_a_type_error_naming_it():
+    # a flux given with first partials only serves every caller that never asks for more
+    f = TempleFlux(p=lambda u, v: u * v, pu=lambda u, v: v, pv=lambda u, v: u, name="uv")
+    assert (f.p_u(2.0, 3.0), f.p_v(2.0, 3.0)) == (3.0, 2.0)
+    for axes in ("uu", "uv", "vv"):
+        with pytest.raises(TypeError, match=f"flux 'uv' has no analytic partial p{axes}$"):
+            getattr(f, "p_" + axes)(U, V)
+    with pytest.raises(TypeError, match="flux 'custom' has no analytic partial pu$"):
+        TempleFlux(p=lambda u, v: u * v).p_u(U, V)
 
 
 def zero_padded_partial_coeffs(c):
@@ -265,7 +256,8 @@ def test_poly_flux_whose_derivative_overflows_is_refused_at_construction(coeffs)
 
 
 def _central(g, u, v, axis):
-    """Central difference of g along u (axis 0) or v (axis 1), step 1e-6 * max(1, |x|)."""
+    """Central difference of g along u (axis 0) or v (axis 1), step 1e-6 * max(1, |x|);
+    its error is up to about 6e-10 relative on these samples."""
     if axis == 0:
         h = 1e-6 * np.maximum(1.0, np.abs(u))
         return (g(u + h, v) - g(u - h, v)) / (2.0 * h)
@@ -290,11 +282,14 @@ def _constructed_pair():
     ],
     ids=["mooney_rivlin", "cubic", "power", "poly", "pair_A", "pair_B"],
 )
-def test_second_partials_difference_the_analytic_first_partials(f):
+def test_analytic_second_partials_match_differences_of_the_analytic_first_partials(f):
     for u, v in ((U, V), (0.83, 1.27)):
-        np.testing.assert_array_equal(f.p_uu(u, v), _central(f.pu, u, v, 0))
-        np.testing.assert_array_equal(f.p_uv(u, v), _central(f.pu, u, v, 1))
-        np.testing.assert_array_equal(f.p_vv(u, v), _central(f.pv, u, v, 1))
+        for got, want in ((f.p_uu(u, v), _central(f.pu, u, v, 0)),
+                          (f.p_uv(u, v), _central(f.pu, u, v, 1)),
+                          (f.p_uv(u, v), _central(f.pv, u, v, 0)),
+                          (f.p_vv(u, v), _central(f.pv, u, v, 1))):
+            assert np.shape(got) == np.shape(u)
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
 def test_sum_squares_values():

@@ -36,7 +36,7 @@ from shearwaves.errors import (
 )
 from shearwaves.exact import CarrollWave, FullState, StrainState, carroll_full_state
 from shearwaves import simulate
-from shearwaves.profiles import ProfileFunction, derivative
+from shearwaves.profiles import ProfileFunction
 from shearwaves.simulate import (
     STEP_FLOOR_FACTOR,
     STEPPERS,
@@ -97,28 +97,23 @@ def test_trajectory_matches_recorded_reference(case, reference):
                                    err_msg=name)
 
 
-@pytest.mark.parametrize("scheme, analytic_dq, per_step", [
-    pytest.param("lax_friedrichs", True, 1, id="lax_friedrichs-1"),
-    pytest.param("muscl_minmod", True, 2, id="muscl_minmod-2"),
-    pytest.param("lax_friedrichs", False, 3, id="lax_friedrichs-fd-3"),
-    pytest.param("muscl_minmod", False, 6, id="muscl_minmod-fd-6"),
+@pytest.mark.parametrize("scheme, rho, per_step", [
+    pytest.param("lax_friedrichs", 1.0, 1, id="lax_friedrichs-1"),
+    pytest.param("muscl_minmod", 1.0, 2, id="muscl_minmod-2"),
+    pytest.param("lax_friedrichs", 1.3, 1, id="lax_friedrichs-rho-1"),
+    pytest.param("muscl_minmod", 1.3, 2, id="muscl_minmod-rho-2"),
 ])
-def test_modulus_evaluations_per_step(scheme, analytic_dq, per_step):
+def test_modulus_evaluations_per_step(scheme, rho, per_step):
     # LF: once on the cells; MUSCL: the cells with the stacked predictor
-    # faces, then the stacked interface states.  Without dq each Q' is a
-    # central difference, two more Q calls wherever wave speeds are bounded
-    # (the cells, and for MUSCL the interface states); rho = 1.3 takes the
-    # divide in Qt = Q/rho and the 1.2 speed safety factor.
+    # faces, then the stacked interface states.  rho = 1.3 takes the divide
+    # in Qt = Q/rho, which costs no further Q call.
     calls = []
 
     def q(s):
         calls.append(np.shape(s))
         return 1.0 + 0.4 * s
 
-    if analytic_dq:
-        m = ShearModulus(ProfileFunction(q, df=lambda s: 0.4 * np.ones_like(s)))
-    else:
-        m = ShearModulus(ProfileFunction(q), rho=1.3)
+    m = ShearModulus(ProfileFunction(q, df=lambda s: 0.4 * np.ones_like(s)), rho=rho)
     grid = Grid1D(n=32, a=0.0, b=TWO_PI)
     init = FullState(*carroll_full_state(CarrollWave.from_modulus(m, 0.5, 1.0), grid.centers, 0.0))
     calls.clear()
@@ -235,13 +230,11 @@ def ref_strain_sq(w):
 
 def ref_full_law(m, dq):
     """The earlier full-system closures; dq is Q' as the modulus computed it then."""
-    safety = 1.2 if dq is None else 1.0
-
     def qtilde(s):
         return eval_Q(m, s) / m.rho
 
     def dqtilde(s):
-        return derivative(m.q.f, dq, s) / m.rho
+        return dq(s) / m.rho
 
     def flux(w):
         qt = qtilde(ref_strain_sq(w))
@@ -255,7 +248,7 @@ def ref_full_law(m, dq):
             raise HyperbolicityLoss(
                 f"squared wave speed went non-positive (min {min(np.min(qt), np.min(fast)):.3e})"
             )
-        return -np.concatenate([w[2:], qt * w[:2]]), safety * np.sqrt(np.maximum(qt, fast))
+        return -np.concatenate([w[2:], qt * w[:2]]), np.sqrt(np.maximum(qt, fast))
 
     return {"flux": flux, "flux_speed": flux_speed, "raise_on_blowup": True}
 
@@ -297,9 +290,10 @@ def cubic_pair(mu0, mu1):
     return cubic_modulus(mu0, mu1), lambda s: mu1 * np.ones_like(np.asarray(s, dtype=float))
 
 
-def fd_pair():
-    """A modulus with no analytic Q' and rho != 1: the 1.2 safety factor and the divides."""
-    return ShearModulus(ProfileFunction(lambda s: 1.0 + 0.3 * s + 0.1 * s * s), rho=1.3), None
+def rho_pair():
+    """A modulus with rho != 1, whose Qt = Q/rho and Qt' = Q'/rho take the divides, and its Q'."""
+    dq = lambda s: 0.3 + 0.2 * s
+    return ShearModulus(ProfileFunction(lambda s: 1.0 + 0.3 * s + 0.1 * s * s, df=dq), rho=1.3), dq
 
 
 def both_kernels(system, w0, grid, config, beta=None, pair=None):
@@ -324,7 +318,7 @@ def both_kernels(system, w0, grid, config, beta=None, pair=None):
 
 
 IDENTITY_CASES = [(system, scheme, boundary, n)
-                  for system in ("full", "full_fd", "asymptotic", "scalar")
+                  for system in ("full", "full_rho", "asymptotic", "scalar")
                   for scheme in ("lax_friedrichs", "muscl_minmod")
                   for boundary in ("periodic", "outflow")
                   for n in (8, 33, 64, 257)]
@@ -341,7 +335,7 @@ def test_kernel_reproduces_earlier_kernel_bit_for_bit(case):
     if system.startswith("full"):
         w0 = rng.uniform(-0.5, 0.5, size=(4, n))
         new, ref = both_kernels("full", w0, grid, config,
-                                pair=fd_pair() if system == "full_fd" else cubic_pair(1.0, 0.4))
+                                pair=rho_pair() if system == "full_rho" else cubic_pair(1.0, 0.4))
     elif system == "asymptotic":
         new, ref = both_kernels(system, rng.uniform(0.2, 0.7, size=(2, n)), grid, config, beta=0.8)
     else:
@@ -457,8 +451,8 @@ def test_ghost_gather_equals_earlier_padding_bit_for_bit(boundary, ng, n):
 
 def kernel_data(system, n, rng):
     """Random data of a system for both_kernels: (system, w0, law arguments)."""
-    if system in ("full", "full_fd"):
-        pair = fd_pair() if system == "full_fd" else cubic_pair(1.0, 0.4)
+    if system in ("full", "full_rho"):
+        pair = rho_pair() if system == "full_rho" else cubic_pair(1.0, 0.4)
         return "full", rng.uniform(-0.5, 0.5, size=(4, n)), {"pair": pair}
     if system == "asymptotic":
         return system, rng.uniform(0.2, 0.7, size=(2, n)), {"beta": 0.8}

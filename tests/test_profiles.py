@@ -111,19 +111,15 @@ def test_scalar_in_scalar_out():
     assert isinstance(poly_profile([2.0])(1.0), float)
 
 
-@given(
-    amp=st.floats(0.1, 3.0),
-    freq=st.floats(0.1, 3.0),
-    s=st.floats(-2.0, 2.0),
-)
-@settings(max_examples=50, deadline=None)
-def test_fd_fallback_agrees_with_analytic(amp, freq, s):
-    # same profile with and without analytic derivatives; the FD fallback
-    # should agree to a few orders below the step size
-    withd = sine_profile(amp, freq)
-    bare = ProfileFunction(f=withd.f, name="sine-fd")
-    assert abs(bare.deriv(s) - withd.deriv(s)) < 1e-8 * max(1.0, amp * freq)
-    assert abs(bare.deriv2(s) - withd.deriv2(s)) < 1e-5 * max(1.0, amp * freq**2)
+def test_missing_derivative_is_a_type_error_naming_it():
+    # a profile with df only serves every caller that never asks for f''
+    p = ProfileFunction(f=lambda s: s * s, df=lambda s: 2.0 * s, name="square")
+    assert p.deriv(1.5) == 3.0
+    np.testing.assert_array_equal(p.deriv(S), 2.0 * S)
+    with pytest.raises(TypeError, match="profile 'square' has no analytic derivative d2f"):
+        p.deriv2(1.5)
+    with pytest.raises(TypeError, match="profile 'custom' has no analytic derivative df"):
+        ProfileFunction(f=np.sin).deriv(S)
 
 
 @pytest.mark.parametrize(
