@@ -368,7 +368,8 @@ def _samples(config: dict, control: bool, noise: Callable = None) -> list:
     else:
         fields = FAMILIES[sol["kind"]].build({**config, **sol})
     fields = noise if control and noise else fields
-    return [FieldSample(coords, points, fields(coords, points)) for coords, points in levels]
+    with np.errstate(all="ignore"):  # a field that overflows misses the study's target
+        return [FieldSample(coords, points, fields(coords, points)) for coords, points in levels]
 
 
 def _decay(report) -> tuple:

@@ -163,16 +163,19 @@ def _damped_newton(residual, newton_step, unknowns, tol, max_iter=NEWTON_MAX_ITE
     residual(u, idx) returns the residual components and their max-norm at
     the elements idx, given their unknowns u; newton_step(u, res, idx)
     returns the full Newton step and a flag per element that cannot step.
+    The list residual returns may go on past the residual components with
+    arrays it computed on the way, such as the profile values at u; res
+    carries them beside u, so newton_step reads them at its own iterate.
     Each element tries the fractions 1, 1/2, ..., 2^-NEWTON_MAX_HALVINGS of
     its step and takes the first that lowers its norm, until norm <= tol or
     max_iter sweeps.  Returns the unknowns and a code per element: 0
     converged, 1 flagged by newton_step, 2 damping exhausted, 3 still above
     tol after max_iter sweeps.
 
-    Elements still iterating stay packed in x, res and err beside their
-    indices act, and are written back when they leave.  The full step is
-    tried as x + step (1.0 * step == step); if every element takes it, it
-    replaces the packed state whole.
+    Elements still iterating stay packed in x, res (every entry of it) and
+    err beside their indices act, and are written back when they leave.
+    The full step is tried as x + step (1.0 * step == step); if every
+    element takes it, it replaces the packed state whole.
     """
     u = [np.array(a, dtype=float) for a in unknowns]
     act = np.arange(u[0].size)
@@ -252,7 +255,10 @@ def _continue(solve, pred, lead, start):
     point is marched in seed-graph order, one array solve per level of the
     graph, up to the first failing point in row-major order.  Returns the
     unknowns, shaped as start, and a code per point, nonzero first at that
-    failure.
+    failure.  Where both passes converged and agree at every point, nothing
+    is marched and the pass-2 values and codes (all 0) are returned at once:
+    the general path would find every chain good, set no code (c1 is 0
+    everywhere) and march nothing.
     """
     def run(idx, seeds, max_iter):
         if idx.size == 0:
@@ -273,6 +279,8 @@ def _continue(solve, pred, lead, start):
         idx = np.flatnonzero((pred >= 0) & (c1[pred] == 0))
         u[:, idx], code[idx] = run(idx, u1.take(pred[idx], axis=1), HODOGRAPH_PASS_MAX_ITER)
         good = (c1 == 0) & (code == 0) & np.all(np.abs(u - u1) <= HODOGRAPH_AGREE, axis=0)
+        if good.all():
+            return u, code
         # pointer doubling ANDs good over each seed chain and sums its length
         anc, depth = np.where(pred < 0, np.arange(pred.size), pred), (pred >= 0).astype(int)
         for _ in range(pred.size.bit_length()):
@@ -324,11 +332,12 @@ def _simple_wave_solve(beta, profile, X, tau, rho, max_iter=NEWTON_MAX_ITER):
     c3, c6 = _simple_wave_coefficients(beta, X)
 
     def residual(u, idx):
-        g = u[0] - profile(tau[idx] - c3[idx] * u[0] * u[0])
-        return [g], np.abs(g)
+        foot = tau[idx] - c3[idx] * u[0] * u[0]
+        g = u[0] - profile(foot)
+        return [g, foot], np.abs(g)
 
     def newton_step(u, res, idx):
-        dg = 1.0 + c6[idx] * u[0] * profile.deriv(tau[idx] - c3[idx] * u[0] * u[0])
+        dg = 1.0 + c6[idx] * u[0] * profile.deriv(res[1])
         with np.errstate(divide="ignore", invalid="ignore"):
             return [-(res[0] / dg)], (dg == 0.0) | ~np.isfinite(dg)
 
@@ -413,12 +422,15 @@ class HodographData:
     radial_fn: ProfileFunction
 
 
-def hodograph_forward(hd: HodographData, beta: float, theta, rho):
+def hodograph_forward(hd: HodographData, beta: float, theta, rho, aux=None):
     """Map (theta, rho) to the physical coordinates (X, tau).
 
     X = s(theta)/(2 beta rho^3) - r'(rho)/(2 beta rho),
     tau = -3 s(theta)/(2 rho) - r(rho) + rho r'(rho)/2,
     with s = phase_fn and r = radial_fn.  rho = 0 raises ZeroDivisionError.
+    Given a list aux, appends s(theta) and r'(rho) to it, which
+    hodograph_jacobian takes at the same (theta, rho) instead of evaluating
+    them again.
     """
     theta = np.asarray(theta, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -427,6 +439,8 @@ def hodograph_forward(hd: HodographData, beta: float, theta, rho):
     s = hd.phase_fn(theta)
     r = hd.radial_fn(rho)
     dr = hd.radial_fn.deriv(rho)
+    if aux is not None:
+        aux += [s, dr]
     X = s / (2.0 * beta * rho**3) - dr / (2.0 * beta * rho)
     tau = -3.0 * s / (2.0 * rho) - r + 0.5 * rho * dr
     if X.ndim == 0:
@@ -434,13 +448,21 @@ def hodograph_forward(hd: HodographData, beta: float, theta, rho):
     return X, tau
 
 
-def hodograph_jacobian(hd: HodographData, beta: float, theta, rho) -> np.ndarray:
-    """Jacobian d(X, tau)/d(theta, rho) of the forward map, shape (2, 2, *theta.shape)."""
+def hodograph_jacobian(hd: HodographData, beta: float, theta, rho, s=None, dr=None):
+    """Jacobian d(X, tau)/d(theta, rho) of the forward map.
+
+    Returns the rows ((X_theta, X_rho), (tau_theta, tau_rho)), each entry
+    shaped as theta; np.array of it is the (2, 2, *theta.shape) array.  s
+    and dr are s(theta) and r'(rho) where the caller has them, as
+    hodograph_forward's aux gives them; either left out is evaluated here.
+    """
     theta = np.asarray(theta, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    s = hd.phase_fn(theta)
+    if s is None:
+        s = hd.phase_fn(theta)
+    if dr is None:
+        dr = hd.radial_fn.deriv(rho)
     ds = hd.phase_fn.deriv(theta)
-    dr = hd.radial_fn.deriv(rho)
     d2r = hd.radial_fn.deriv2(rho)
     rho2 = rho * rho
     rho3, rho4 = rho2 * rho, rho2 * rho2
@@ -448,7 +470,7 @@ def hodograph_jacobian(hd: HodographData, beta: float, theta, rho) -> np.ndarray
     X_rho = -3.0 * s / (2.0 * beta * rho4) - d2r / (2.0 * beta * rho) + dr / (2.0 * beta * rho2)
     tau_theta = -3.0 * ds / (2.0 * rho)
     tau_rho = 3.0 * s / (2.0 * rho2) - 0.5 * dr + 0.5 * rho * d2r
-    return np.array([[X_theta, X_rho], [tau_theta, tau_rho]])
+    return (X_theta, X_rho), (tau_theta, tau_rho)
 
 
 HODOGRAPH_FAILURES = {
@@ -463,21 +485,24 @@ def _hodograph_solve(hd, beta, X, tau, theta, rho, max_iter=NEWTON_MAX_ITER):
 
     One damped 2D Newton of at most max_iter sweeps over all points, with
     the forward map and its Jacobian evaluated once per sweep over the
-    points still iterating.  Returns the iterates (theta, rho) and the
-    failure codes of _damped_newton.
+    points still iterating; the Jacobian reuses the s(theta) and r'(rho)
+    that the forward map computed at the iterate.  Returns the iterates
+    (theta, rho) and the failure codes of _damped_newton.
     """
     if beta == 0.0 or np.any(np.asarray(rho) == 0.0):
         raise ValueError("the hodograph map needs beta != 0 and a seed with rho != 0")
     X, tau, theta, rho = np.broadcast_arrays(*np.atleast_1d(X, tau, theta, rho))
 
     def residual(u, idx):
-        # a trial at rho = 0 gets a NaN residual, which is never accepted
-        Xf, tf = hodograph_forward(hd, beta, u[0], np.where(u[1] == 0.0, np.nan, u[1]))
+        # a trial at rho = 0 gets a NaN residual, which is never accepted, so
+        # s and r' ride in res at an iterate whose rho is u[1]
+        aux = []
+        Xf, tf = hodograph_forward(hd, beta, u[0], np.where(u[1] == 0.0, np.nan, u[1]), aux)
         res = [Xf - X[idx], tf - tau[idx]]
-        return res, np.maximum(np.abs(res[0]), np.abs(res[1]))
+        return res + aux, np.maximum(np.abs(res[0]), np.abs(res[1]))
 
     def newton_step(u, res, idx):
-        (a, b), (c, d) = hodograph_jacobian(hd, beta, *u)
+        (a, b), (c, d) = hodograph_jacobian(hd, beta, *u, *res[2:])
         ad, bc = a * d, b * c
         det = ad - bc
         fold = np.abs(det) <= 1e-14 * np.maximum(np.abs(ad) + np.abs(bc), 1e-300)

@@ -1575,7 +1575,8 @@ def test_full_residual_that_overflows_misses_its_target_quietly(tmp_path):
 @pytest.mark.parametrize("name, block, key, value", [
     ("verify", (), "beta", 1e308),
     ("full_residual", ("solution",), "amplitude", 1e154),
-], ids=["verify_beta", "full_residual_amplitude"])
+    ("verify", ("solution", "profile"), "freq", 1e308),
+], ids=["verify_beta", "full_residual_amplitude", "verify_profile_freq"])
 def test_residual_that_overflows_misses_its_target_without_warnings(tmp_path, capsys, name,
                                                                     block, key, value):
     # every residual is inf or NaN at every level: the norms and orders are

@@ -1,4 +1,5 @@
 """Exact solution families and their defining identities."""
+import dataclasses
 import json
 import math
 import warnings
@@ -378,8 +379,8 @@ def test_hodograph_jacobian_matches_finite_differences():
     for col, (dth, drh) in enumerate([(h, 0.0), (0.0, h)]):
         Xp, tp = hodograph_forward(hd, beta, theta + dth, rho + drh)
         Xm, tm = hodograph_forward(hd, beta, theta - dth, rho - drh)
-        assert J[0, col] == pytest.approx((Xp - Xm) / (2 * h), rel=2e-6, abs=1e-8)
-        assert J[1, col] == pytest.approx((tp - tm) / (2 * h), rel=2e-6, abs=1e-8)
+        assert J[0][col] == pytest.approx((Xp - Xm) / (2 * h), rel=2e-6, abs=1e-8)
+        assert J[1][col] == pytest.approx((tp - tm) / (2 * h), rel=2e-6, abs=1e-8)
 
 
 @given(
@@ -823,6 +824,31 @@ def test_sample_hodograph_calls_the_forward_map_through_the_module(monkeypatch):
     X, tau = (np.linspace(config[a]["min"], config[a]["max"], config[a]["n"]) for a in ("X", "tau"))
     sample_hodograph(hd, config["beta"], X, tau, config["seed"])
     assert (len(forward), len(jacobian)) == (14, 11)
+
+
+def _counting_profile(profile, counts, label):
+    """profile, counting the calls of its f, df and d2f under label + name."""
+    def counted(name):
+        fn = getattr(profile, name)
+
+        def wrapper(s):
+            counts[label + name] = counts.get(label + name, 0) + 1
+            return fn(s)
+        return wrapper
+    return dataclasses.replace(profile, **{name: counted(name) for name in ("f", "df", "d2f")})
+
+
+def test_sample_hodograph_evaluates_each_profile_quantity_once_per_sweep():
+    # on the shipped window the solver makes 14 forward calls and 11 Jacobian
+    # calls; the Jacobian takes s(theta) and r'(rho) from the forward call
+    # at its iterate, so it evaluates only s'(theta) and r''(rho)
+    config = json.loads((CONFIGS / "hodograph.json").read_text())
+    counts = {}
+    hd = HodographData(_counting_profile(profile_from_config(config["phase"]), counts, "s."),
+                       _counting_profile(profile_from_config(config["radial"]), counts, "r."))
+    X, tau = (np.linspace(config[a]["min"], config[a]["max"], config[a]["n"]) for a in ("X", "tau"))
+    sample_hodograph(hd, config["beta"], X, tau, config["seed"])
+    assert counts == {"s.f": 14, "r.f": 14, "r.df": 14, "s.df": 11, "r.d2f": 11}
 
 
 # ---------------------------------------------------------------------------
