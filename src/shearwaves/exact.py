@@ -428,9 +428,10 @@ def hodograph_forward(hd: HodographData, beta: float, theta, rho, aux=None):
     X = s(theta)/(2 beta rho^3) - r'(rho)/(2 beta rho),
     tau = -3 s(theta)/(2 rho) - r(rho) + rho r'(rho)/2,
     with s = phase_fn and r = radial_fn.  rho = 0 raises ZeroDivisionError.
-    Given a list aux, appends s(theta) and r'(rho) to it, which
-    hodograph_jacobian takes at the same (theta, rho) instead of evaluating
-    them again.
+    Given a list aux, appends s(theta) and r'(rho) to it, each shaped as X
+    (a profile that returns a scalar is spread to that shape), which
+    hodograph_jacobian takes as its aux at the same (theta, rho) instead of
+    evaluating them again.
     """
     theta = np.asarray(theta, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -439,29 +440,26 @@ def hodograph_forward(hd: HodographData, beta: float, theta, rho, aux=None):
     s = hd.phase_fn(theta)
     r = hd.radial_fn(rho)
     dr = hd.radial_fn.deriv(rho)
-    if aux is not None:
-        aux += [s, dr]
     X = s / (2.0 * beta * rho**3) - dr / (2.0 * beta * rho)
     tau = -3.0 * s / (2.0 * rho) - r + 0.5 * rho * dr
+    if aux is not None:
+        aux += [a if np.shape(a) == X.shape else np.full(X.shape, a, dtype=float) for a in (s, dr)]
     if X.ndim == 0:
         return float(X), float(tau)
     return X, tau
 
 
-def hodograph_jacobian(hd: HodographData, beta: float, theta, rho, s=None, dr=None):
+def hodograph_jacobian(hd: HodographData, beta: float, theta, rho, aux=None):
     """Jacobian d(X, tau)/d(theta, rho) of the forward map.
 
     Returns the rows ((X_theta, X_rho), (tau_theta, tau_rho)), each entry
-    shaped as theta; np.array of it is the (2, 2, *theta.shape) array.  s
-    and dr are s(theta) and r'(rho) where the caller has them, as
-    hodograph_forward's aux gives them; either left out is evaluated here.
+    shaped as theta; np.array of it is the (2, 2, *theta.shape) array.  aux
+    is the pair s(theta), r'(rho) that hodograph_forward appended to its aux
+    at this (theta, rho); without it both are evaluated here.
     """
     theta = np.asarray(theta, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    if s is None:
-        s = hd.phase_fn(theta)
-    if dr is None:
-        dr = hd.radial_fn.deriv(rho)
+    s, dr = (hd.phase_fn(theta), hd.radial_fn.deriv(rho)) if aux is None else aux
     ds = hd.phase_fn.deriv(theta)
     d2r = hd.radial_fn.deriv2(rho)
     rho2 = rho * rho
@@ -497,12 +495,12 @@ def _hodograph_solve(hd, beta, X, tau, theta, rho, max_iter=NEWTON_MAX_ITER):
         # a trial at rho = 0 gets a NaN residual, which is never accepted, so
         # s and r' ride in res at an iterate whose rho is u[1]
         aux = []
-        Xf, tf = hodograph_forward(hd, beta, u[0], np.where(u[1] == 0.0, np.nan, u[1]), aux)
+        Xf, tf = hodograph_forward(hd, beta, u[0], np.where(u[1] == 0.0, np.nan, u[1]), aux=aux)
         res = [Xf - X[idx], tf - tau[idx]]
         return res + aux, np.maximum(np.abs(res[0]), np.abs(res[1]))
 
     def newton_step(u, res, idx):
-        (a, b), (c, d) = hodograph_jacobian(hd, beta, *u, *res[2:])
+        (a, b), (c, d) = hodograph_jacobian(hd, beta, *u, aux=res[2:])
         ad, bc = a * d, b * c
         det = ad - bc
         fold = np.abs(det) <= 1e-14 * np.maximum(np.abs(ad) + np.abs(bc), 1e-300)

@@ -46,6 +46,7 @@ from shearwaves.exact import (
     strain_to_polar,
 )
 from shearwaves.profiles import (
+    ProfileFunction,
     const_profile,
     linear_profile,
     poly_profile,
@@ -688,10 +689,10 @@ def _damped_newton_reference(residual, newton_step, unknowns, tol, max_iter=NEWT
 
 
 def _counted(fn, calls):
-    """fn, appending the size of its last argument to calls on each call."""
-    def wrapper(*args):
+    """fn, appending the size of its last positional argument to calls on each call."""
+    def wrapper(*args, **kwargs):
         calls.append(np.size(args[-1]))
-        return fn(*args)
+        return fn(*args, **kwargs)
     return wrapper
 
 
@@ -812,20 +813,6 @@ def test_sample_hodograph_from_a_slow_seed_marches_nothing(monkeypatch):
     _assert_same_outcome(got, ref, "slow seed")
 
 
-def test_sample_hodograph_calls_the_forward_map_through_the_module(monkeypatch):
-    # the traced benchmark counts Newton sweeps and forward evaluations by
-    # wrapping these two module attributes; on the shipped window the solver
-    # makes the same calls as the solver before its active set was packed
-    config = json.loads((CONFIGS / "hodograph.json").read_text())
-    forward, jacobian = [], []
-    monkeypatch.setattr(exact, "hodograph_forward", _counted(hodograph_forward, forward))
-    monkeypatch.setattr(exact, "hodograph_jacobian", _counted(hodograph_jacobian, jacobian))
-    hd = HodographData(profile_from_config(config["phase"]), profile_from_config(config["radial"]))
-    X, tau = (np.linspace(config[a]["min"], config[a]["max"], config[a]["n"]) for a in ("X", "tau"))
-    sample_hodograph(hd, config["beta"], X, tau, config["seed"])
-    assert (len(forward), len(jacobian)) == (14, 11)
-
-
 def _counting_profile(profile, counts, label):
     """profile, counting the calls of its f, df and d2f under label + name."""
     def counted(name):
@@ -838,17 +825,41 @@ def _counting_profile(profile, counts, label):
     return dataclasses.replace(profile, **{name: counted(name) for name in ("f", "df", "d2f")})
 
 
-def test_sample_hodograph_evaluates_each_profile_quantity_once_per_sweep():
-    # on the shipped window the solver makes 14 forward calls and 11 Jacobian
-    # calls; the Jacobian takes s(theta) and r'(rho) from the forward call
-    # at its iterate, so it evaluates only s'(theta) and r''(rho)
+def test_sample_hodograph_calls_the_forward_map_through_the_module(monkeypatch):
+    # the traced benchmark counts Newton sweeps and forward evaluations by
+    # wrapping these two module attributes; on the shipped window the solver
+    # makes the same calls as the solver before its active set was packed
     config = json.loads((CONFIGS / "hodograph.json").read_text())
+    forward, jacobian = [], []
+    monkeypatch.setattr(exact, "hodograph_forward", _counted(hodograph_forward, forward))
+    monkeypatch.setattr(exact, "hodograph_jacobian", _counted(hodograph_jacobian, jacobian))
     counts = {}
     hd = HodographData(_counting_profile(profile_from_config(config["phase"]), counts, "s."),
                        _counting_profile(profile_from_config(config["radial"]), counts, "r."))
     X, tau = (np.linspace(config[a]["min"], config[a]["max"], config[a]["n"]) for a in ("X", "tau"))
     sample_hodograph(hd, config["beta"], X, tau, config["seed"])
+    assert (len(forward), len(jacobian)) == (14, 11)
+    # each sweep evaluates each profile quantity once: the Jacobian takes
+    # s(theta) and r'(rho) from the forward call at its iterate, so it
+    # evaluates only s'(theta) and r''(rho)
     assert counts == {"s.f": 14, "r.f": 14, "r.df": 14, "s.df": 11, "r.d2f": 11}
+
+
+def test_hodograph_solve_spreads_a_scalar_profile_value_over_the_points():
+    # r'(rho) = 0.5 returned as a scalar rides in res beside the iterate as
+    # an array, so the solve matches the one with an array-valued r'
+    radial = ProfileFunction(lambda r: 0.5 * r, df=lambda r: 0.5, d2f=lambda r: 0.0)
+    rng = np.random.default_rng(7)
+    theta, rho = rng.uniform(0.3, 1.5, 20), rng.uniform(0.6, 1.5, 20)
+    out = []
+    for hd in (HodographData(linear_profile(1.0), radial),
+               HodographData(linear_profile(1.0), linear_profile(0.5))):
+        X, tau = hodograph_forward(hd, 1.0, theta, rho)
+        out.append(_hodograph_solve(hd, 1.0, X, tau, theta + 0.05, rho - 0.05))
+    (u, code), (u_ref, code_ref) = out
+    assert _same_bits(u, u_ref)
+    np.testing.assert_array_equal(code, code_ref)
+    assert not code.any()
 
 
 # ---------------------------------------------------------------------------
