@@ -99,11 +99,6 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-    def masses(self) -> np.ndarray:
-        """Cell-sum conserved totals per snapshot/field (times h)."""
-        return self.states.sum(axis=2) * self.grid.h
-
-
 
 def cfl_step(max_speed: float, h: float, cfl: float, remaining: float = math.inf) -> float:
     """CFL-limited step cfl*h/max_speed, capped by the remaining interval.

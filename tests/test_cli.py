@@ -19,8 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shearwaves import cli
-from shearwaves.cli import CSV_BLOCK_ROWS, _mesh, _write_csv, main
+from shearwaves import artifacts, cli
+from shearwaves.artifacts import CSV_BLOCK_ROWS, _write_csv
+from shearwaves.cli import _mesh, main
+from shearwaves.schema import _schema_error
 from shearwaves.simulate import Grid1D
 
 TWO_PI = 2.0 * math.pi
@@ -341,7 +343,7 @@ def test_write_csv_formats_raw_bit_patterns_as_format(bits):
 
 def assert_format17_is_format(values):
     values = np.asarray(values, dtype=float)
-    slots = cli._format17(values).view(np.uint8).reshape(-1, 40)
+    slots = artifacts._format17(values).view(np.uint8).reshape(-1, 40)
     got = [bytes(slot).replace(b"\0", b"").decode() for slot in slots]
     assert got == [format(x, ".17g") for x in values.tolist()]
 
@@ -466,24 +468,45 @@ def test_write_csv_column_kinds_match_reference(tmp_path, m, k):
         assert written_csv(tmp_path, names, cols) == expected_csv(names, cols)
 
 
+@pytest.fixture
+def block_rows(monkeypatch):
+    """The row count of every block that the CSV writer formats, as it formats it."""
+    rows = []
+    csv_lines = artifacts._csv_lines
+
+    def spy(block):
+        rows.append(block[0].size)
+        return csv_lines(block)
+
+    monkeypatch.setattr(artifacts, "_csv_lines", spy)
+    return rows
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 13])
-def test_write_csv_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, block):
+def test_write_csv_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch, block_rows, block):
     header, columns = mesh_columns(11, 6)
     wide_header, wide = mesh_columns(2, 17)  # inner axis longer than the block
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+    monkeypatch.setattr(artifacts, "CSV_BLOCK_ROWS", block)
     assert written_csv(tmp_path, header, columns) == expected_csv(header, columns)
     assert written_csv(tmp_path, wide_header, wide) == expected_csv(wide_header, wide)
     assert written_csv(tmp_path, ["u"], [columns[3]]) == expected_csv(["u"], [columns[3]])
+    # the writer read the patched size: no block is larger, all 166 rows were written
+    assert max(block_rows) <= block and sum(block_rows) == 66 + 34 + 66
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
-def test_shipped_config_artifacts_match_with_small_blocks(tmp_path, monkeypatch, path):
+def test_shipped_config_artifacts_match_with_small_blocks(tmp_path, monkeypatch, block_rows,
+                                                          path):
     command = json.loads(path.read_text())["command"]
     outs = []
     for block in (CSV_BLOCK_ROWS, 7):
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        monkeypatch.setattr(artifacts, "CSV_BLOCK_ROWS", block)
+        block_rows.clear()
         outs.append(tmp_path / f"block{block}")
         assert main([command, "--config", str(path), "--out", str(outs[-1]), "--quiet"]) == 0
+    # the last run wrote every CSV row in blocks of 7 rows at most
+    assert sum(block_rows) == sum(csv_data_lines(p) for p in outs[-1].glob("*.csv"))
+    assert max(block_rows, default=0) <= 7
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
@@ -568,6 +591,25 @@ def test_simulate_snapshot_rows_count_csv_lines(tmp_path, csv_sizes):
     assert len(manifest["diagnostics"]["snapshot_coords"]) > 2
     assert manifest["grid"]["n"] * len(manifest["diagnostics"]["snapshot_coords"]) == rows
     assert csv_sizes == [rows]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_run_writes_every_json_through_the_cli_binding(tmp_path, monkeypatch, command):
+    # the benchmark tracer sees a JSON write only through cli's own _write_json
+    names = []
+    write_json = cli._write_json
+
+    def spy(path, obj):
+        names.append(path.name)
+        return write_json(path, obj)
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    path = next(p for p in SHIPPED_CONFIGS if json.loads(p.read_text())["command"] == command)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    report = ["report.json"] if command in ("classify", "verify", "convergence") else []
+    assert names == [*report, "manifest.json"]
+    assert sorted(p.name for p in out.glob("*.json")) == sorted(names)
 
 
 @pytest.mark.parametrize("kind", sorted(EXACT_SOLUTIONS))
@@ -2049,7 +2091,7 @@ def assert_validators_agree(config):
     for name, (schema, reference) in REFERENCES.items():
         error = next(reference.iter_errors(config), None)
         expected = None if error is None else (tuple(error.absolute_path), error.message)
-        assert cli._schema_error(config, schema) == expected, (name, config)
+        assert _schema_error(config, schema) == expected, (name, config)
 
 
 @settings(max_examples=2000, derandomize=True, deadline=None)
@@ -2081,14 +2123,14 @@ def test_validator_agrees_with_jsonschema_on_shipped_configs(path):
      "Additional properties are not allowed ('a', 'b' were unexpected)"),
 ])
 def test_validator_keeps_json_schema_equality_and_words(value, rule, message):
-    assert cli._schema_error(value, rule) == (message and ((), message))
+    assert _schema_error(value, rule) == (message and ((), message))
     error = next(REFERENCE_VALIDATOR(rule).iter_errors(value), None)
     assert (error and error.message) == message
 
 
 def test_validator_rejects_a_keyword_outside_its_subset():
     with pytest.raises(KeyError, match="pattern"):
-        cli._schema_error({"a": "x"}, {"properties": {"a": {"pattern": "^x$"}}})
+        _schema_error({"a": "x"}, {"properties": {"a": {"pattern": "^x$"}}})
 
 
 def variant_schema(config):

@@ -1,6 +1,7 @@
 """Source hygiene: every import is used, every private module-level name is
 referenced, every package export is reached, every script path the README
-names exists, the README's solution-block table matches the CLI's schemas
+names exists, the README's layout names every module and no other file,
+the README's solution-block table matches the CLI's schemas
 and the fields each family samples, its failure-type table matches the error
 classes, every config object in those schemas is closed and uses only
 keywords the CLI's validator checks, the library's run and grid settings are
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from shearwaves import cli, errors
+from shearwaves.schema import _KEYWORDS, _TYPES
 from shearwaves.simulate import Grid1D, SimulationConfig
 from test_cli import EXACT_SOLUTIONS
 
@@ -196,6 +198,24 @@ def test_readme_names_only_existing_scripts():
     named = script_paths((ROOT / "README.md").read_text())
     assert named
     assert [p for p in named if not (ROOT / p).exists()] == []
+
+
+def layout_files(text):
+    """The file names of the README's "Layout" block, one per row, in order."""
+    block = text.split("\n## Layout\n", 1)[1].split("```")[1]
+    return re.findall(r"^  (\S+)", block, re.M)
+
+
+def test_detector_reads_layout_files():
+    text = ("## Usage\n\n```\n  run.py  not this one\n```\n\n## Layout\n\n```\n"
+            "src/shearwaves/\n  a.py   first\n         continued\n  b.py   second\n```\n"
+            "  c.py  after the block\n")
+    assert layout_files(text) == ["a.py", "b.py"]
+
+
+def test_readme_layout_names_every_module():
+    named = layout_files((ROOT / "README.md").read_text())
+    assert sorted(named) == sorted(p.name for p in SRC.glob("*.py"))
 
 
 def solution_block_rows(text):
@@ -399,8 +419,8 @@ def test_every_config_object_is_closed():
             for path in open_objects(schema, f"{command}/{variant}")] == []
 
 
-# the keywords that cli._schema_error checks
-VALIDATOR_KEYWORDS = {*cli._KEYWORDS, "properties", "items"}
+# the keywords that schema._schema_error checks
+VALIDATOR_KEYWORDS = {*_KEYWORDS, "properties", "items"}
 
 
 def _scalar(value):
@@ -425,7 +445,7 @@ def unchecked_schema_parts(schema, path):
     extend the path as in `open_objects`.
     """
     found = [f"{path}:{key}" for key in schema if key not in VALIDATOR_KEYWORDS]
-    if "type" in schema and not (isinstance(schema["type"], str) and schema["type"] in cli._TYPES):
+    if "type" in schema and not (isinstance(schema["type"], str) and schema["type"] in _TYPES):
         found.append(f"{path}:type")
     if schema.get("additionalProperties", False) is not False:
         found.append(f"{path}:additionalProperties")
