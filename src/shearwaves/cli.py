@@ -37,8 +37,8 @@ from .exact import (CarrollWave, FullState, HodographData, StrainState, carroll_
                     sample_hodograph, sample_simple_wave, strain_to_polar)
 from .analysis import classify
 from .profiles import profile_from_config
-from .schema import (AXIS, BOOL, BOUNDARY, CONVERGENCE_RUN, FLUX, GRID, NUM, PAIR, POS_NUM, PROFILE,
-                     RUN, SEED, SIGN, SPAN, WITH_BETA, WITH_MODULUS, _block_error, _kind,
+from .schema import (AXIS, BOOL, CONVERGENCE_GRID, CONVERGENCE_RUN, FLUX, GRID, NUM, PAIR, POS_NUM,
+                     PROFILE, RUN, SEED, SIGN, SPAN, WITH_BETA, WITH_MODULUS, _block_error, _kind,
                      _load_config, _object)
 from .simulate import Grid1D, SimulationConfig, evolve_asymptotic, evolve_full, evolve_scalar
 from .verify import (AngleSquaredControl, ConservationSpec, DEFAULT_ORDER_TARGET, FieldSample,
@@ -71,6 +71,11 @@ def _profiles(block: dict, *names) -> list:
     return [profile_from_config(block[name]) for name in names]
 
 
+def _given(params: dict, *names) -> dict:
+    """The optional ``names`` that ``params`` sets: the rest take their library defaults."""
+    return {name: params[name] for name in names if name in params}
+
+
 def _on_mesh(closed_form: Callable) -> Callable:
     """The builder of a closed-form family, whose fields take the mesh's broadcast views."""
     def build(params):
@@ -81,18 +86,16 @@ def _on_mesh(closed_form: Callable) -> Callable:
 
 @_on_mesh
 def _carroll(params):
-    wave = CarrollWave.from_modulus(modulus_from_config(params["modulus"]),
-                                    params["amplitude"], params["wavenumber"],
-                                    params.get("polarization", 1))
+    wave = CarrollWave.from_modulus(modulus_from_config(params["modulus"]), params["amplitude"],
+                                    params["wavenumber"], **_given(params, "polarization"))
     return lambda T, X: carroll_full_state(wave, X, T)._asdict()
 
 
 @_on_mesh
 def _generalized(params):
     m, prof = modulus_from_config(params["modulus"]), profile_from_config(params["profile"])
-    return lambda T, X: generalized_carroll_full_state(
-        m, params["amplitude"], prof, X, T,
-        params.get("direction", -1), params.get("polarization", 1))._asdict()
+    amp, signs = params["amplitude"], _given(params, "direction", "polarization")
+    return lambda T, X: generalized_carroll_full_state(m, amp, prof, X, T, **signs)._asdict()
 
 
 @_on_mesh
@@ -105,9 +108,8 @@ def _constant_amplitude(params):
 @_on_mesh
 def _overdetermined(params):
     f, prof = flux_from_config(params["flux"]), profile_from_config(params["profile"])
-    return lambda T, X: eval_overdetermined(
-        f, params["level"], prof, X, T, params.get("direction", 1),
-        tuple(params.get("v_bracket", (1e-8, 10.0))))._asdict()
+    given = _given(params, "direction", "v_bracket")
+    return lambda T, X: eval_overdetermined(f, params["level"], prof, X, T, **given)._asdict()
 
 
 def _simple_wave(params):
@@ -226,8 +228,7 @@ SIMULATE_SCHEMAS = _variants("system", {
     for name, s in SYSTEMS.items()})
 CONVERGENCE_SCHEMAS = _variants("system", {
     name: ({**s.coefficient,
-            "grid": _object({"a": NUM, "b": NUM, "boundary": BOUNDARY}, ["a", "b"]),
-            "run": CONVERGENCE_RUN,
+            "grid": CONVERGENCE_GRID, "run": CONVERGENCE_RUN,
             "levels": {"type": "array", "items": {"type": "integer", "minimum": 8}, "minItems": 2},
             "oracle": _one_of(*map(_block, s.oracles)), "order_target": NUM, "order_tol": POS_NUM},
            [*s.coefficient, "grid", "run", "levels", "oracle"])
@@ -389,11 +390,6 @@ def _axis(cfg: dict) -> np.ndarray:
     return np.linspace(cfg["min"], cfg["max"], cfg["n"])
 
 
-def _grid(grid_cfg: dict, n: int) -> Grid1D:
-    return Grid1D(n=n, a=grid_cfg["a"], b=grid_cfg["b"],
-                  boundary=grid_cfg.get("boundary", "periodic"))
-
-
 # ---------------------------------------------------------------------------
 # systems: each pairs one evolution with the exact family it reproduces
 
@@ -432,7 +428,7 @@ def _system(config: dict, block: dict):
 
 
 def cmd_simulate(config: dict) -> tuple[dict, dict]:
-    grid = _grid(config["grid"], config["grid"]["n"])
+    grid = Grid1D(**config["grid"])
     run_cfg = SimulationConfig(**config["run"])
     evolve, oracle = _system(config, config["init"])
     if config.get("oracle_check") and oracle is None:
@@ -547,10 +543,8 @@ def cmd_verify(config: dict) -> tuple[dict, dict]:
 def cmd_convergence(config: dict) -> tuple[dict, dict]:
     run_cfg = SimulationConfig(**config["run"])
     evolve, oracle = _system(config, config["oracle"])
-    report = convergence_study(lambda n: evolve(_grid(config["grid"], n), run_cfg),
-                               oracle, config["levels"],
-                               order_target=config.get("order_target"),
-                               order_tol=config.get("order_tol"))
+    report = convergence_study(lambda n: evolve(Grid1D(n=n, **config["grid"]), run_cfg), oracle,
+                               config["levels"], **_given(config, "order_target", "order_tol"))
     doc = {"system": config["system"], "cells": config["levels"], "spacings": report.spacings,
            "linf": report.linf, "l2": report.l2, "order": report.order, "order_l2": report.order_l2,
            "order_target": report.target, "order_tol": config.get("order_tol"),

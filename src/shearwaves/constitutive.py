@@ -17,6 +17,7 @@ from .errors import NoConvergence, NonPositiveModulus
 from .profiles import (
     ProfileFunction,
     _derivatives_of,
+    _from_config,
     _horner,
     _polyder,
     const_profile,
@@ -213,19 +214,13 @@ def poly_modulus(coeffs, rho: float = 1.0) -> ShearModulus:
     return ShearModulus(poly_profile(coeffs), rho)
 
 
-MODULUS_BUILTINS = {
-    "mooney_rivlin": lambda cfg: mooney_rivlin(cfg["mu"], cfg.get("rho", 1.0)),
-    "cubic": lambda cfg: cubic_modulus(cfg["mu0"], cfg["mu1"], cfg.get("rho", 1.0)),
-    "power": lambda cfg: power_modulus(cfg["mu"], cfg["n"], cfg.get("rho", 1.0)),
-    "poly": lambda cfg: poly_modulus(cfg["coeffs"], cfg.get("rho", 1.0)),
-}
+MODULUS_BUILTINS = {"mooney_rivlin": mooney_rivlin, "cubic": cubic_modulus,
+                    "power": power_modulus, "poly": poly_modulus}
 
 
 def modulus_from_config(cfg: dict) -> ShearModulus:
-    kind = cfg.get("kind")
-    if kind not in MODULUS_BUILTINS:
-        raise KeyError(f"unknown modulus kind: {kind!r}")
-    return MODULUS_BUILTINS[kind](cfg)
+    """A modulus block's ShearModulus; see `profiles._from_config` for its errors."""
+    return _from_config("modulus", MODULUS_BUILTINS, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +288,11 @@ def modulus_flux(m: ShearModulus) -> TempleFlux:
     )
 
 
-FLUX_BUILTINS = {
-    "product": lambda cfg: product_flux(),
-    "ratio": lambda cfg: ratio_flux(),
-    "poly": lambda cfg: poly_flux(cfg["coeffs"]),
-    "sum_squares": lambda cfg: sum_squares_flux(cfg.get("scale", 1.0)),
-    "modulus": lambda cfg: modulus_flux(modulus_from_config(cfg["modulus"])),
-}
+FLUX_BUILTINS = {"product": product_flux, "ratio": ratio_flux, "poly": poly_flux,
+                 "sum_squares": sum_squares_flux,
+                 "modulus": lambda modulus: modulus_flux(modulus_from_config(modulus))}
 
 
 def flux_from_config(cfg: dict) -> TempleFlux:
-    kind = cfg.get("kind")
-    if kind not in FLUX_BUILTINS:
-        raise KeyError(f"unknown flux kind: {kind!r}")
-    return FLUX_BUILTINS[kind](cfg)
+    """A flux block's TempleFlux; see `profiles._from_config` for its errors."""
+    return _from_config("flux", FLUX_BUILTINS, cfg)

@@ -4,8 +4,6 @@ A ProfileFunction bundles a scalar callable with its analytic first and
 second derivatives.  Either may be left out; asking for a missing one is a
 TypeError that names the profile and the derivative.  A shear modulus Q(s) is
 one of these, with s the squared strain magnitude.
-
-Builtin families: linear, sine, poly, const.
 """
 from __future__ import annotations
 
@@ -135,16 +133,19 @@ def const_profile(c: float) -> ProfileFunction:
     )
 
 
-PROFILE_BUILTINS = {
-    "linear": lambda cfg: linear_profile(cfg["k"]),
-    "sine": lambda cfg: sine_profile(cfg["amp"], cfg["freq"], cfg.get("offset", 0.0)),
-    "poly": lambda cfg: poly_profile(cfg["coeffs"]),
-    "const": lambda cfg: const_profile(cfg["c"]),
-}
+PROFILE_BUILTINS = {"linear": linear_profile, "sine": sine_profile, "poly": poly_profile,
+                    "const": const_profile}
+
+
+def _from_config(what: str, builtins: dict, cfg: dict):
+    """Call the ``builtins`` builder of block ``cfg``'s kind with the block's other keys. An
+    unknown kind is a KeyError; a missing or unknown key, a TypeError that names the key."""
+    kind = cfg.get("kind")
+    if kind not in builtins:
+        raise KeyError(f"unknown {what} kind: {kind!r}")
+    return builtins[kind](**{key: value for key, value in cfg.items() if key != "kind"})
 
 
 def profile_from_config(cfg: dict) -> ProfileFunction:
-    kind = cfg.get("kind")
-    if kind not in PROFILE_BUILTINS:
-        raise KeyError(f"unknown profile kind: {kind!r}")
-    return PROFILE_BUILTINS[kind](cfg)
+    """A profile block's ProfileFunction; see `_from_config` for its errors."""
+    return _from_config("profile", PROFILE_BUILTINS, cfg)

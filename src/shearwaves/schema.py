@@ -22,6 +22,11 @@ def _object(props, required=()):
             "additionalProperties": False}
 
 
+def _without(obj, name):
+    return _object({key: value for key, value in obj["properties"].items() if key != name},
+                   [key for key in obj["required"] if key != name])
+
+
 def _kind(kind, props, required=()):
     return _object({"kind": {"const": kind}, **props}, ["kind", *required])
 
@@ -69,9 +74,8 @@ RUN = _object({"end": {"type": "number", "minimum": 0},
                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.9},
                "snapshot_stride": {"type": "integer", "minimum": 0},
                "blowup_factor": {"type": "number", "exclusiveMinimum": 1}}, ["end"])
-# a convergence study compares final states alone: it keeps no snapshots
-CONVERGENCE_RUN = _object({key: value for key, value in RUN["properties"].items()
-                           if key != "snapshot_stride"}, ["end"])
+# a convergence study compares final states alone, each on the grid of its level's n
+CONVERGENCE_RUN, CONVERGENCE_GRID = _without(RUN, "snapshot_stride"), _without(GRID, "n")
 PAIR = {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2}
 
 WITH_MODULUS, WITH_BETA = {"modulus": MODULUS}, {"beta": NUM}

@@ -26,7 +26,8 @@ from shearwaves.constitutive import (
     sum_squares_flux,
 )
 from shearwaves.errors import NoConvergence, NonPositiveModulus
-from shearwaves.profiles import ProfileFunction, linear_profile, poly_profile, sine_profile
+from shearwaves.profiles import (ProfileFunction, linear_profile, poly_profile,
+                                 profile_from_config, sine_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +312,22 @@ def test_flux_config_kinds():
         assert np.isfinite(f.p(1.0, 1.0))
     with pytest.raises(KeyError):
         flux_from_config({"kind": "exotic"})
+
+
+@pytest.mark.parametrize("what, from_config, cfg, key", [
+    ("profile", profile_from_config, {"kind": "sine", "amp": 1.0}, "freq"),
+    ("modulus", modulus_from_config, {"kind": "power", "mu": 1.0}, "n"),
+    ("flux", flux_from_config, {"kind": "modulus"}, "modulus"),
+])
+def test_block_key_errors_name_the_key(what, from_config, cfg, key):
+    # the block's keys are its builder's keywords: a missing or an unknown one
+    # is Python's TypeError naming it; an unknown kind is a KeyError
+    with pytest.raises(TypeError, match=f"missing 1 required .* argument: '{key}'"):
+        from_config(cfg)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'spare'"):
+        from_config({**cfg, key: 1.0, "spare": 1.0})
+    with pytest.raises(KeyError, match=f"unknown {what} kind: 'exotic'"):
+        from_config({**cfg, "kind": "exotic"})
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ the README's solution-block table matches the CLI's schemas
 and the fields each family samples, its failure-type table matches the error
 classes, every config object in those schemas is closed and uses only
 keywords the CLI's validator checks, the library's run and grid settings are
-the CLI's, the CLI runs without jsonschema, numpy.random or numpy.polynomial,
-and the repo's pytest settings let a failing property report its falsifying
-example."""
+the CLI's, each profile, modulus and flux block's keys are its builder's
+keywords and the README's table of those blocks matches both, the CLI runs
+without jsonschema, numpy.random or numpy.polynomial, and the repo's pytest
+settings let a failing property report its falsifying example."""
 import ast
 import collections
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -22,7 +24,9 @@ import numpy as np
 import pytest
 
 from shearwaves import cli, errors
-from shearwaves.schema import _KEYWORDS, _TYPES
+from shearwaves.constitutive import FLUX_BUILTINS, MODULUS_BUILTINS
+from shearwaves.profiles import PROFILE_BUILTINS
+from shearwaves.schema import FLUX, MODULUS, NUM, PROFILE, _KEYWORDS, _TYPES, _kind
 from shearwaves.simulate import Grid1D, SimulationConfig
 from test_cli import EXACT_SOLUTIONS
 
@@ -312,6 +316,96 @@ def test_library_run_settings_are_the_cli_settings():
     # a setting that no config can set is a knob for tests alone
     assert [f.name for f in dataclasses.fields(SimulationConfig)] == list(cli.RUN["properties"])
     assert [f.name for f in dataclasses.fields(Grid1D)] == list(cli.GRID["properties"])
+
+
+# each config block of the library: its schema and its builders by kind
+CONFIG_BLOCKS = {"profile": (PROFILE, PROFILE_BUILTINS), "modulus": (MODULUS, MODULUS_BUILTINS),
+                 "flux": (FLUX, FLUX_BUILTINS)}
+# builder keywords that no config sets: poly_flux's name labels a flux built in code
+UNSET_KEYWORDS = {("flux", "poly"): {"name"}}
+
+
+def block_keys(block):
+    """``{kind: (required, optional)}`` of a block schema's ``oneOf`` branches, without ``kind``."""
+    keys = {}
+    for branch in block["oneOf"]:
+        required = [k for k in branch["required"] if k != "kind"]
+        keys[branch["properties"]["kind"]["const"]] = (required, [
+            k for k in branch["properties"] if k != "kind" and k not in required])
+    return keys
+
+
+def builder_mismatches(what, block, builtins):
+    """``what/kind`` for each kind whose schema branch and builder signature differ, sorted:
+    a kind on one side only, a key that is no keyword or a keyword that is no key, or
+    required keys other than the keywords without a default."""
+    keys, found = block_keys(block), []
+    for kind in sorted(set(keys) | set(builtins)):
+        if kind in keys and kind in builtins:
+            params = {name: p for name, p in inspect.signature(builtins[kind]).parameters.items()
+                      if name not in UNSET_KEYWORDS.get((what, kind), ())}
+            required, optional = keys[kind]
+            if ({*required, *optional} == set(params) and set(required) == {
+                    name for name, p in params.items() if p.default is p.empty}):
+                continue
+        found.append(f"{what}/{kind}")
+    return found
+
+
+def test_detector_finds_block_builder_mismatches():
+    def builder(a, b=1.0):
+        return a, b
+    block = {"oneOf": [
+        _kind("same", {"a": NUM, "b": NUM}, ["a"]),
+        _kind("extra_key", {"a": NUM, "b": NUM, "c": NUM}, ["a"]),
+        _kind("extra_keyword", {"a": NUM}, ["a"]),
+        _kind("default_required", {"a": NUM, "b": NUM}, ["a", "b"]),
+        _kind("schema_only", {}),
+    ]}
+    builtins = dict.fromkeys(["same", "extra_key", "extra_keyword", "default_required",
+                              "builder_only"], builder)
+    assert builder_mismatches("demo", block, builtins) == [
+        "demo/builder_only", "demo/default_required", "demo/extra_key", "demo/extra_keyword",
+        "demo/schema_only"]
+
+
+def test_block_keys_are_their_builders_keywords():
+    assert [kind for what, (block, builtins) in CONFIG_BLOCKS.items()
+            for kind in builder_mismatches(what, block, builtins)] == []
+
+
+def config_block_table(text):
+    """``{(block, kind): (required, {optional: default})}`` of the README's "Profile,
+    modulus and flux blocks" table; a default is the Python literal after `` = ``."""
+    section = text.split("\n## Profile, modulus and flux blocks\n", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            defaults = re.findall(r"`(\w+)` = `([^`]+)`", cells[4])
+            table[cells[0].strip("`"), cells[1].strip("`")] = (
+                re.findall(r"`(\w+)`", cells[3]),
+                {name: ast.literal_eval(value) for name, value in defaults})
+    return table
+
+
+def test_detector_reads_config_block_table():
+    text = ("# Tool\n\n## Profile, modulus and flux blocks\n\n"
+            "| block | kind | value | required | optional |\n| --- | --- | --- | --- | --- |\n"
+            "| `profile` | `wave` | `f(s) = a s` | `a`, `b` | "
+            "`c` = `0.5`, `d` = `-1` |\n| `flux` | `flat` | `P = 1` | none | none |\n\n"
+            "## Next\n| `x` | `y` | 1 | `z` | 2 |\n")
+    assert config_block_table(text) == {("profile", "wave"): (["a", "b"], {"c": 0.5, "d": -1}),
+                                        ("flux", "flat"): ([], {})}
+
+
+def test_readme_config_blocks_match_the_schemas_and_builders():
+    expected = {}
+    for what, (block, builtins) in CONFIG_BLOCKS.items():
+        for kind, (required, optional) in block_keys(block).items():
+            params = inspect.signature(builtins[kind]).parameters
+            expected[what, kind] = (required, {name: params[name].default for name in optional})
+    assert config_block_table((ROOT / "README.md").read_text()) == expected
 
 
 def config_schemas():
