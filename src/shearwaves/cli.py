@@ -484,6 +484,7 @@ FLAGS = ("equal_eigenvalues", "completely_exceptional", "hamiltonian", "decouple
 
 def cmd_classify(config: dict) -> tuple[dict, dict]:
     f = flux_from_config(config["flux"])
+    alpha = flux_from_config(config["alpha"]) if "alpha" in config else None
     u = _axis(config["samples"]["u"])
     v = _axis(config["samples"]["v"])
     if np.any(u == 0.0) or np.any(v == 0.0):
@@ -504,7 +505,6 @@ def cmd_classify(config: dict) -> tuple[dict, dict]:
             "note": "constant flux: the system is linear and every family is degenerate",
         }}, {}
 
-    alpha = flux_from_config(config["alpha"]) if "alpha" in config else None
     cls = classify(f, pts, alpha=alpha)
     eig = cls.eigen
     return {"report.json": {

@@ -26,8 +26,8 @@ HODOGRAPH_AGREE = 1e-8
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 20
 # sweeps a point seeded from another point's pass-1 value gets in an array
-# pass of _continue; points still iterating after that are marched at the full
-# NEWTON_MAX_ITER
+# pass of _continue; if one is still iterating after that, the rectangle is
+# marched at the full NEWTON_MAX_ITER
 HODOGRAPH_PASS_MAX_ITER = 10
 
 
@@ -248,17 +248,13 @@ def _continue(solve, pred, lead, start):
     start at the full NEWTON_MAX_ITER, so it solves those as the march does;
     it then solves every other point from the pass-1 value at lead[p], and
     pass 2 each point from the pass-1 value at pred[p], both within
-    HODOGRAPH_PASS_MAX_ITER sweeps.  A point keeps its pass-2 value where
-    both passes converged and agree within HODOGRAPH_AGREE at it and at
-    every point of its seed chain: pass 2 then had the march's seed to that
-    bound, and Newton contracts the difference to rounding.  Every other
-    point is marched in seed-graph order, one array solve per level of the
-    graph, up to the first failing point in row-major order.  Returns the
+    HODOGRAPH_PASS_MAX_ITER sweeps.  Where both passes converged and agree
+    within HODOGRAPH_AGREE at every point, the pass-2 values and codes (all
+    0) are returned.  Otherwise the rectangle is marched from the pass-1
+    roots, one array solve per step of the points whose predecessor is
+    solved, up to the first failing point in row-major order.  Returns the
     unknowns, shaped as start, and a code per point, nonzero first at that
-    failure.  Where both passes converged and agree at every point, nothing
-    is marched and the pass-2 values and codes (all 0) are returned at once:
-    the general path would find every chain good, set no code (c1 is 0
-    everywhere) and march nothing.
+    failure.
     """
     def run(idx, seeds, max_iter):
         if idx.size == 0:
@@ -278,31 +274,17 @@ def _continue(solve, pred, lead, start):
         u, code = u1.copy(), c1.copy()
         idx = np.flatnonzero((pred >= 0) & (c1[pred] == 0))
         u[:, idx], code[idx] = run(idx, u1.take(pred[idx], axis=1), HODOGRAPH_PASS_MAX_ITER)
-        good = (c1 == 0) & (code == 0) & np.all(np.abs(u - u1) <= HODOGRAPH_AGREE, axis=0)
-        if good.all():
+        if np.all((c1 == 0) & (code == 0) & np.all(np.abs(u - u1) <= HODOGRAPH_AGREE, axis=0)):
             return u, code
-        # pointer doubling ANDs good over each seed chain and sums its length
-        anc, depth = np.where(pred < 0, np.arange(pred.size), pred), (pred >= 0).astype(int)
-        for _ in range(pred.size.bit_length()):
-            good &= good[anc]
-            depth += depth[anc]
-            nxt = anc[anc]
-            if np.array_equal(nxt, anc):  # every pointer is at its root
-                break
-            anc = nxt
-        code = np.where(pred < 0, c1, 0)  # pass 1 solved these as the march does
-        failed = np.flatnonzero(code)
-        first = failed[0] if failed.size else code.size
-        todo = np.flatnonzero(~good[:first] & (pred[:first] >= 0))
-        todo = todo[np.argsort(depth[todo], kind="stable")]
-        # level by level: a point's predecessor is one level up
-        for ready in np.split(todo, np.flatnonzero(np.diff(depth[todo])) + 1):
-            ready = ready[ready < first]
+        u, code, done = u1, np.where(pred < 0, c1, 0), pred < 0  # pass 1 solved the roots
+        while True:
+            failed = np.flatnonzero(code)
+            first = failed[0] if failed.size else code.size
+            ready = np.flatnonzero(~done[:first] & done[pred[:first]])  # roots (pred -1) are done
+            if ready.size == 0:
+                return u, code
             u[:, ready], code[ready] = run(ready, u.take(pred[ready], axis=1), NEWTON_MAX_ITER)
-            failed = ready[code[ready] != 0]
-            if failed.size:
-                first = min(first, failed[0])
-    return u, code
+            done[ready] = True
 
 
 SIMPLE_WAVE_FAILURES = {
@@ -383,11 +365,11 @@ def sample_simple_wave(beta: float, profile: ProfileFunction, X_grid, tau_grid) 
     its X is not 0, per element on the points not yet resolved.  The
     rectangle is then solved by _continue: pass 1 solves every row from row
     0 at the full sweep budget, pass 2 each row from the pass-1 row before
-    it, and from the first point of a column where a pass fails or the two
-    disagree, the column is marched row by row as the seed graph says.  A
-    failure raises NoConvergence naming the first failing point (X, tau) in
-    row-major order, in its message and coordinate; OverflowError where
-    3 beta X or 6 beta X is not finite.
+    it, and where a pass fails or the two disagree anywhere, the rectangle
+    is marched row by row as the seed graph says.  A failure raises
+    NoConvergence naming the first failing point (X, tau) in row-major
+    order, in its message and coordinate; OverflowError where 3 beta X or
+    6 beta X is not finite.
     """
     X_grid = np.asarray(X_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
@@ -533,10 +515,10 @@ def sample_hodograph(hd: HodographData, beta: float, X_grid, tau_grid, seed) -> 
     The rectangle is solved by _continue: pass 1 solves column 0 from seed
     at the full sweep budget and every later point from its row's pass-1
     column-0 value, pass 2 each point from the pass-1 value of its
-    seed-graph predecessor, and from the first point of a seed chain where a
-    pass fails or the two disagree, the points are marched one seed-graph
-    step at a time.  A failure raises the error of the first failing point
-    in row-major order, naming its (X, tau) in the message and coordinate.
+    seed-graph predecessor, and where a pass fails or the two disagree
+    anywhere, the rectangle is marched one seed-graph step at a time.  A
+    failure raises the error of the first failing point in row-major
+    order, naming its (X, tau) in the message and coordinate.
     Returns (rho, theta) arrays of shape (len(X_grid), len(tau_grid)).
     """
     shape = (len(X_grid), len(tau_grid))
@@ -626,14 +608,16 @@ def _product_scalar(f: TempleFlux) -> Callable:
         return f.p(r, r)
 
     # product form means P depends on (u, v) only through u*v: P(a, b) = P(r, r), r^2 = ab
-    for a, b in PRODUCT_FORM_PAIRS:
-        direct = float(f.p(a, b))
-        reduced = float(g(a * b))
-        if abs(direct - reduced) > 1e-8 * max(1.0, abs(direct)):
-            raise ValueError(
-                f"flux {f.name!r} is not of product form: P({a:.3f},{b:.3f}) = {direct!r} "
-                f"but P(sqrt(ab),sqrt(ab)) = {reduced!r}"
-            )
+    a, b = np.array(PRODUCT_FORM_PAIRS).T
+    direct, reduced = f.p(a, b), g(a * b)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, no mismatch, as for Python floats
+        bad = np.flatnonzero(np.abs(direct - reduced) > 1e-8 * np.maximum(1.0, np.abs(direct)))
+    if bad.size:
+        a, b, direct, reduced = (float(x[bad[0]]) for x in (a, b, direct, reduced))
+        raise ValueError(
+            f"flux {f.name!r} is not of product form: P({a:.3f},{b:.3f}) = {direct!r} "
+            f"but P(sqrt(ab),sqrt(ab)) = {reduced!r}"
+        )
     return g
 
 

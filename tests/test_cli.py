@@ -1454,7 +1454,13 @@ def test_simple_wave_failure_names_its_point(tmp_path):
       "alpha": {"kind": "poly", "coeffs": [[0.0], [0.0], [1e308]]},
       "samples": {"u": {"min": 0.5, "max": 1.0, "n": 5}, "v": {"min": 0.5, "max": 1.0, "n": 5}}},
      "a derivative coefficient of coeffs = [[0.0], [0.0], [1e+308]] is not finite"),
-], ids=["simple_wave_beta", "separable_x", "carroll_t", "classify_alpha_derivative"])
+    # the same chart beside a constant flux, whose report reads no chart
+    ({"command": "classify", "flux": {"kind": "poly", "coeffs": [[1.0]]},
+      "alpha": {"kind": "poly", "coeffs": [[0.0], [0.0], [1e308]]},
+      "samples": {"u": {"min": 0.5, "max": 1.0, "n": 5}, "v": {"min": 0.5, "max": 1.0, "n": 5}}},
+     "a derivative coefficient of coeffs = [[0.0], [0.0], [1e+308]] is not finite"),
+], ids=["simple_wave_beta", "separable_x", "carroll_t", "classify_alpha_derivative",
+        "classify_alpha_derivative_constant_flux"])
 def test_exact_parameter_that_overflows_exits_two(tmp_path, capsys, cfg, message):
     # one line on stderr and no artifacts: numpy's overflow warnings stay silent
     with warnings.catch_warnings():

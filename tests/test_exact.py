@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from shearwaves import exact
 from shearwaves.constitutive import (
+    TempleFlux,
     cubic_modulus,
     poly_flux,
     power_modulus,
@@ -303,8 +304,8 @@ def _simple_wave_cases(n=200, seed=2):
 SIMPLE_WAVE_CASES = _simple_wave_cases()
 
 
-def _assert_same_outcome(got, ref, k):
-    """The same error type, coordinate and message, or values within 1e-12."""
+def _assert_same_outcome(got, ref, k, marched=False):
+    """The same error type, coordinate and message, or values within 1e-12 (equal if marched)."""
     if isinstance(ref, Exception):
         assert isinstance(got, Exception), (k, ref)
         assert type(got) is type(ref), (k, ref, got)
@@ -312,7 +313,26 @@ def _assert_same_outcome(got, ref, k):
         assert str(got) == str(ref), (k, ref, got)
     else:
         assert not isinstance(got, Exception), (k, got)
-        assert np.max(np.abs(np.subtract(got, ref)), initial=0.0) <= 1e-12, k
+        diff = np.max(np.abs(np.subtract(got, ref)), initial=0.0)
+        assert diff <= (0.0 if marched else 1e-12), (k, diff)
+
+
+def _count_solves(monkeypatch, name):
+    """Record the sweep budget of every call of exact.<name> from here on."""
+    budgets = []
+    solve = getattr(exact, name)
+
+    def counted(*args, max_iter=NEWTON_MAX_ITER):
+        budgets.append(max_iter)
+        return solve(*args, max_iter=max_iter)
+
+    monkeypatch.setattr(exact, name, counted)
+    return budgets
+
+
+def _marched(budgets):
+    """Whether _continue marched: its last solve is at the full budget after a pass's."""
+    return HODOGRAPH_PASS_MAX_ITER in budgets and budgets[-1] == NEWTON_MAX_ITER
 
 
 def _sample_or_error(sampler, *args):
@@ -322,13 +342,19 @@ def _sample_or_error(sampler, *args):
         return exc
 
 
-def test_sample_simple_wave_matches_reference_march():
-    failed = 0
+def test_sample_simple_wave_matches_reference_march(monkeypatch):
+    failed = marches = 0
+    budgets = _count_solves(monkeypatch, "_simple_wave_solve")
     for k, (beta, prof, X, tau) in enumerate(SIMPLE_WAVE_CASES):
         ref = _simple_wave_march(beta, prof, X, tau)
         failed += isinstance(ref, Exception)
-        _assert_same_outcome(_sample_or_error(sample_simple_wave, beta, prof, X, tau), ref, k)
+        budgets.clear()  # the reference's _track_branch solves through the module too
+        got = _sample_or_error(sample_simple_wave, beta, prof, X, tau)
+        marched = _marched(budgets)
+        marches += marched and not isinstance(ref, Exception)
+        _assert_same_outcome(got, ref, k, marched)
     assert 0 < failed < len(SIMPLE_WAVE_CASES)
+    assert marches > 0
     # first rows at X = 0 and away from it, on both sides
     firsts = [X[0] for _, _, X, _ in SIMPLE_WAVE_CASES]
     assert min(firsts) < 0.0 < max(firsts) and 0.0 in firsts
@@ -510,25 +536,21 @@ def _hodograph_cases(n=200, seed=1):
 HODOGRAPH_CASES = _hodograph_cases()
 
 
-def test_sample_hodograph_matches_reference_march():
-    failed = 0
+def test_sample_hodograph_matches_reference_march(monkeypatch):
+    failed = marches = 0
+    budgets = _count_solves(monkeypatch, "_hodograph_solve")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k, (hd, beta, X, tau, seed) in enumerate(HODOGRAPH_CASES):
             ref = _march_reference(hd, beta, X, tau, seed)
-            try:
-                got = sample_hodograph(hd, beta, X, tau, seed)
-            except (NoConvergence, SingularJacobian) as exc:
-                got = exc
-            if isinstance(ref, Exception):
-                failed += 1
-                assert isinstance(got, Exception), (k, ref)
-                assert type(got) is type(ref), (k, ref, got)
-                assert got.coordinate == ref.coordinate, (k, ref, got)
-            else:
-                assert not isinstance(got, Exception), (k, got)
-                assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12, k
+            failed += isinstance(ref, Exception)
+            budgets.clear()  # the reference solves through the module too
+            got = _sample_or_error(sample_hodograph, hd, beta, X, tau, seed)
+            marched = _marched(budgets)
+            marches += marched and not isinstance(ref, Exception)
+            _assert_same_outcome(got, ref, k, marched)
     assert 0 < failed < len(HODOGRAPH_CASES)
+    assert marches > 0
 
 
 def test_sample_hodograph_marches_past_a_branch_jump():
@@ -569,18 +591,6 @@ def test_sample_hodograph_degenerate_rectangles(nX, ntau):
     assert (got.rho[0, 0], got.theta[0, 0]) == (rho[0], theta[0])
 
 
-def _count_hodograph_solves(monkeypatch):
-    """Record the sweep budget of every _hodograph_solve call from here on."""
-    budgets = []
-
-    def counted(*args, max_iter):
-        budgets.append(max_iter)
-        return _hodograph_solve(*args, max_iter=max_iter)
-
-    monkeypatch.setattr(exact, "_hodograph_solve", counted)
-    return budgets
-
-
 @pytest.mark.parametrize("nX, ntau", [(1, 1), (1, 5), (5, 1), (5, 5)])
 def test_sample_hodograph_seed_on_a_fold_fails_at_the_first_point(monkeypatch, nX, ntau):
     # the fold job of the benchmark: det J vanishes at the seed theta = 0, and
@@ -588,7 +598,7 @@ def test_sample_hodograph_seed_on_a_fold_fails_at_the_first_point(monkeypatch, n
     X = np.linspace(-1.1, -0.9, nX)
     tau = np.linspace(-0.1, 0.1, ntau)
     ref = _march_reference(HODOGRAPH_FAMILY, 1.0, X, tau, (0.0, 1.0))
-    budgets = _count_hodograph_solves(monkeypatch)
+    budgets = _count_solves(monkeypatch, "_hodograph_solve")
     got = _sample_or_error(sample_hodograph, HODOGRAPH_FAMILY, 1.0, X, tau, (0.0, 1.0))
     assert isinstance(got, SingularJacobian)
     assert got.coordinate == (X[0], tau[0])
@@ -807,7 +817,7 @@ def test_sample_hodograph_from_a_slow_seed_marches_nothing(monkeypatch):
     X = np.linspace(-0.55, -0.45, 6)
     tau = np.linspace(-1.7, -1.3, 6)
     ref = _march_reference(HODOGRAPH_FAMILY, 1.0, X, tau, SLOW_SEED)
-    budgets = _count_hodograph_solves(monkeypatch)
+    budgets = _count_solves(monkeypatch, "_hodograph_solve")
     got = sample_hodograph(HODOGRAPH_FAMILY, 1.0, X, tau, SLOW_SEED)
     assert budgets == [NEWTON_MAX_ITER, HODOGRAPH_PASS_MAX_ITER, HODOGRAPH_PASS_MAX_ITER]
     _assert_same_outcome(got, ref, "slow seed")
@@ -923,9 +933,24 @@ def test_separable_first_integral_drift():
     assert np.max(np.abs(E - E[0])) < 1e-8
 
 
-@pytest.mark.parametrize("flux", [ratio_flux(), sum_squares_flux()], ids=lambda f: f.name)
+def _product_form_mismatch(f):
+    """The refusal of the first sample pair where P(a, b) != P(r, r), r^2 = ab, pair by pair."""
+    for a, b in exact.PRODUCT_FORM_PAIRS:
+        r = math.sqrt(a * b)
+        direct, reduced = float(f.p(a, b)), float(f.p(r, r))
+        if abs(direct - reduced) > 1e-8 * max(1.0, abs(direct)):
+            return (f"flux {f.name!r} is not of product form: P({a:.3f},{b:.3f}) = {direct!r} "
+                    f"but P(sqrt(ab),sqrt(ab)) = {reduced!r}")
+
+
+@pytest.mark.parametrize("flux", [
+    ratio_flux(), sum_squares_flux(),
+    # of product form on the pairs with a <= 1.3 only, so the first of the others fails
+    TempleFlux(p=lambda u, v: u * v + np.where(u > 1.3, u - v, 0.0), name="kinked"),
+], ids=lambda f: f.name)
 def test_separable_rejects_non_product_flux(flux):
-    # the fixed sample pairs refuse both, and the message names the flux
-    with pytest.raises(ValueError, match=rf"^flux '{flux.name}' is not of product form: "):
+    # the fixed sample pairs refuse each, and the message names the flux and the pair
+    with pytest.raises(ValueError, match=rf"^flux '{flux.name}' is not of product form: ") as err:
         eval_separable(flux, 1.0, 1.0, 0.0, np.linspace(0.0, 1.0, 5))
+    assert str(err.value) == _product_form_mismatch(flux)
 
