@@ -38,7 +38,7 @@ from .exact import (CarrollWave, FullState, HodographData, StrainState, carroll_
 from .analysis import classify
 from .profiles import profile_from_config
 from .schema import (AXIS, BOOL, CONVERGENCE_GRID, CONVERGENCE_RUN, FLUX, GRID, NUM, PAIR, POS_NUM,
-                     PROFILE, RUN, SEED, SIGN, SPAN, WITH_BETA, WITH_MODULUS, _block_error, _kind,
+                     PROFILE, RUN, SIGN, SPAN, WITH_BETA, WITH_MODULUS, _block_error, _kind,
                      _load_config, _object)
 from .simulate import Grid1D, SimulationConfig, evolve_asymptotic, evolve_full, evolve_scalar
 from .verify import (AngleSquaredControl, ConservationSpec, DEFAULT_ORDER_TARGET, FieldSample,
@@ -250,26 +250,27 @@ HODOGRAPH_SCHEMA = _object({"command": COMMAND_PROP, **HODOGRAPH_KEYS[0]}, HODOG
 
 
 def _non_solution(coords, points):
-    """theta = sin(2 tau), rho = 1: it solves neither the asymptotic nor the conservation study."""
+    """theta = sin(2 tau), rho = 1 and U = sin(2x), V = M = N = 1: the one field that every
+    negative control samples, and which solves none of the sampled studies."""
     C, P = _mesh(coords, points)
-    return {"theta": np.sin(2.0 * P) + 0.0 * C, "rho": np.ones(C.shape)}
+    wave, one = np.sin(2.0 * P) + 0.0 * C, np.ones(C.shape)
+    return {"theta": wave, "rho": one, "U": wave, "V": one, "M": one, "N": one}
 
 
-def _samples(config: dict, control: bool, noise: Callable = None) -> list:
+def _samples(config: dict, control: bool) -> list:
     """The study's fields on each refinement level of its rectangle, coarsest first: its
-    solution's, or under a negative control ``noise`` or, where the study does not require
-    a solution, `_non_solution`.  A control with ``noise`` still builds the solution, for
-    its input checks alone: a block that names no wave (a Carroll wave whose modulus is not
-    positive at its amplitude squared) fails as it does without the control."""
-    study, sol, rect = config["study"], config.get("solution"), config["rectangle"]
+    solution's, or under a negative control `_non_solution`.  A control still builds a
+    given solution block, for its input checks alone: a block that names no wave (a Carroll
+    wave whose modulus is not positive at its amplitude squared) fails as it does without
+    the control."""
+    sol, rect = config.get("solution"), config["rectangle"]
     levels = [[_axis({**rect[a], "n": n}) for a in ("coord", "point")] for n in config["levels"]]
-    if control and "solution" not in STUDIES[study].required:
-        fields = _non_solution
-    elif sol is None:
-        raise ConfigError(f"study {study!r} requires a solution block unless negative_control")
-    else:
+    if sol is not None:
         fields = FAMILIES[sol["kind"]].build({**config, **sol})
-    fields = noise if control and noise else fields
+    elif not control:
+        raise ConfigError(f"study {config['study']!r} requires a solution block unless "
+                          "negative_control")
+    fields = _non_solution if control else fields
     with np.errstate(all="ignore"):  # a field that overflows misses the study's target
         return [FieldSample(coords, points, fields(coords, points)) for coords, points in levels]
 
@@ -288,15 +289,6 @@ def _symmetry(config: dict, control: bool, control_spec: Callable):
     return control_spec(spec) if control else spec
 
 
-def _full(config, control, target):
-    # a negative control samples standard normal noise: per level, fields U, V, M, N
-    rng = np.random.default_rng(config.get("seed", 0)) if control else None
-    noise = lambda t, x: {k: rng.standard_normal((len(t), len(x))) for k in FullState._fields}
-    samples = _samples(config, control, noise)
-    return _decay(residual_full(samples, modulus_from_config(config["solution"]["modulus"]),
-                                order_target=target))
-
-
 def _conservation(config, control, target):
     samples = _samples(config, control)
     spec = ConservationSpec(*_profiles(config["conservation"], "amp_weight", "angle_weight"))
@@ -308,10 +300,12 @@ def _conservation(config, control, target):
 
 def _commutator(config, control, target):
     spec = _symmetry(config, control, PerturbedRadialControl)
-    rng = np.random.default_rng(config.get("seed", 0))
+    # the first n points of the Kronecker sequence frac(i sqrt(p)), p = 2, 3, 5, 7, 11, 13,
+    # on the box theta in [0, 2 pi], rho in [0.5, 1.5] and each derivative in [-1, 1]
     n = config.get("jets", 100)
-    jets = np.column_stack([rng.uniform(lo, hi, n) for lo, hi in
-                            [(0.0, 2.0 * np.pi), (0.5, 1.5)] + [(-1.0, 1.0)] * 4])
+    unit = np.outer(np.arange(1, n + 1), np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0])) % 1.0
+    jets = np.array([0.0, 0.5, -1.0, -1.0, -1.0, -1.0]) + unit * np.array(
+        [2.0 * np.pi, 1.0, 2.0, 2.0, 2.0, 2.0])
     beta = config.get("beta", 1.0)
     worst = commutator_residual(spec, beta, jets)
     phi = spec.characteristic(jets[:, 0], jets[:, 1], jets[:, 2], jets[:, 3])
@@ -339,7 +333,10 @@ Study = namedtuple("Study", "props required run")
 STUDIES = {
     # the full study verifies the Carroll wave of polarization 1 only
     "full": Study({"solution": _block("carroll", coefficient=True, omit=("polarization",)),
-                   **SAMPLED, "seed": SEED}, ("solution", "rectangle", "levels"), _full),
+                   **SAMPLED}, ("solution", "rectangle", "levels"),
+                  lambda config, control, target: _decay(residual_full(
+                      _samples(config, control), modulus_from_config(config["solution"]["modulus"]),
+                      order_target=target))),
     "asymptotic": Study(POLAR, ("beta", "rectangle", "levels"), lambda config, control, target:
                         _decay(residual_asymptotic(_samples(config, control), config["beta"],
                                                    order_target=target))),
@@ -348,10 +345,10 @@ STUDIES = {
     "linearized_symmetry": Study(
         {**POLAR, "symmetry": SYMMETRY}, ("beta", "solution", "rectangle", "levels", "symmetry"),
         lambda config, control, target: _decay(linearized_symmetry_residual(
-            _samples(config, control), config["beta"],
+            _samples(config, False), config["beta"],
             _symmetry(config, control, AngleSquaredControl), order_target=target))),
     "commutator": Study({**WITH_BETA, "symmetry": SYMMETRY,
-                         "jets": {"type": "integer", "minimum": 1}, "seed": SEED,
+                         "jets": {"type": "integer", "minimum": 1},
                          "tol_factor": POS_NUM, "negative_control": BOOL},
                         ("symmetry",), _commutator),
 }

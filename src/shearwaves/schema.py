@@ -39,7 +39,6 @@ AXIS = _object({"min": NUM, "max": NUM, "n": {"type": "integer", "minimum": 2}},
                ["min", "max", "n"])
 SPAN = _object({"min": NUM, "max": NUM}, ["min", "max"])
 BOOL = {"type": "boolean"}
-SEED = {"type": "integer", "minimum": 0}
 
 PROFILE = {
     "oneOf": [

@@ -200,9 +200,10 @@ def _max_gradient(w: np.ndarray, h: float) -> float:
 
 
 def _total_variation(w: np.ndarray, boundary: str) -> np.ndarray:
-    tv = np.sum(np.abs(np.diff(w, axis=1)), axis=1)
-    if boundary == "periodic":
-        tv = tv + np.abs(w[:, 0] - w[:, -1])
+    with np.errstate(over="ignore"):  # a finite state's variation may exceed a double: inf
+        tv = np.sum(np.abs(np.diff(w, axis=1)), axis=1)
+        if boundary == "periodic":
+            tv = tv + np.abs(w[:, 0] - w[:, -1])
     return tv
 
 

@@ -985,7 +985,7 @@ def test_negative_control_configs_cover_every_study(tmp_path, capsys):
 
 
 def test_full_control_still_rejects_a_solution_that_names_no_wave(tmp_path, capsys):
-    # Q(s) = 1 + s - 0.011 s^2 is positive on the control's noise but not at A^2 = 100:
+    # Q(s) = 1 + s - 0.011 s^2 is positive on the non-solution (s <= 2) but not at A^2 = 100:
     # the control builds the Carroll wave for its input checks, and the build fails
     solution = {**NEGATIVE_CONTROL_CONFIGS["full"]["solution"], "amplitude": 10.0,
                 "modulus": {"kind": "poly", "coeffs": [1.0, 1.0, -0.011]}}
@@ -995,6 +995,22 @@ def test_full_control_still_rejects_a_solution_that_names_no_wave(tmp_path, caps
     assert code == 3
     assert "NonPositiveModulus: Q(100.0)" in capsys.readouterr().err
     assert read_manifest(out)["error"]["type"] == "NonPositiveModulus"
+
+
+def test_commutator_jets_are_one_fixed_set_in_their_box(tmp_path, monkeypatch):
+    # the shipped study's 100 jets: the same on every run, inside the box theta in
+    # [0, 2 pi], rho in [0.5, 1.5], derivatives in [-1, 1], and spread over every tenth of it
+    seen, bracket = [], cli.commutator_residual
+    monkeypatch.setattr(cli, "commutator_residual",
+                        lambda spec, beta, jets: seen.append(jets) or bracket(spec, beta, jets))
+    cfg = json.loads((CONFIG_DIR / "hodograph_commutator.json").read_text())
+    (code1, out1), (code2, out2) = (run_cli(tmp_path, cfg, f"jets{k}") for k in range(2))
+    assert code1 == code2 == 0
+    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    assert seen[0].shape == (100, 6) and np.array_equal(seen[0], seen[1])
+    lo, hi = np.array([0.0, 0.5, -1.0, -1.0, -1.0, -1.0]), np.array([TWO_PI, 1.5, 1, 1, 1, 1])
+    tenths = np.floor(10.0 * (seen[0] - lo) / (hi - lo))
+    assert all(set(column) == set(range(10)) for column in tenths.T)
 
 
 def test_unconfirmed_negative_control_exits_one(tmp_path):
@@ -1459,8 +1475,17 @@ def test_simple_wave_failure_names_its_point(tmp_path):
       "alpha": {"kind": "poly", "coeffs": [[0.0], [0.0], [1e308]]},
       "samples": {"u": {"min": 0.5, "max": 1.0, "n": 5}, "v": {"min": 0.5, "max": 1.0, "n": 5}}},
      "a derivative coefficient of coeffs = [[0.0], [0.0], [1e+308]] is not finite"),
+    # a poly profile's 2 * 1e308 in a verify solution; a negative control builds
+    # a given solution block as the run without it does
+    *(({"command": "verify", "study": "asymptotic", "negative_control": control,
+        **NEGATIVE_CONTROL_CONFIGS["asymptotic"],
+        "solution": {"kind": "constant_amplitude", "amplitude": 1.0,
+                     "profile": {"kind": "poly", "coeffs": [0.0, 1e308, 1e308]}}},
+       "a derivative coefficient of coeffs = [0.0, 1e+308, 1e+308] is not finite")
+      for control in (False, True)),
 ], ids=["simple_wave_beta", "separable_x", "carroll_t", "classify_alpha_derivative",
-        "classify_alpha_derivative_constant_flux"])
+        "classify_alpha_derivative_constant_flux", "verify_profile_derivative",
+        "verify_control_profile_derivative"])
 def test_exact_parameter_that_overflows_exits_two(tmp_path, capsys, cfg, message):
     # one line on stderr and no artifacts: numpy's overflow warnings stay silent
     with warnings.catch_warnings():
@@ -1841,6 +1866,12 @@ INVALID_BLOCKS = {
         "<root>: Additional properties are not allowed ('kind' was unexpected)"),
     "hodograph_wrong_seed": _invalid_hodograph({**small_config("hodograph"), "seed": [1.0]},
                                                "seed: [1.0] is too short"),
+    # seed names the hodograph family's Newton start alone: no verify study draws
+    # random numbers
+    **{f"verify_{study}_seed": ("verify", {"study": study, **NEGATIVE_CONTROL_CONFIGS[study],
+                                           "seed": 0}, _error_at(
+        "<root>: Additional properties are not allowed ('seed' was unexpected)"))
+       for study in ("full", "commutator")},
 }
 
 
@@ -1891,14 +1922,14 @@ VARIANT_CONFIGS = {
     ("convergence", "asymptotic"): _convergence("asymptotic", CONSTANT_AMPLITUDE_SOLUTION),
     ("convergence", "scalar"): _convergence("scalar", {"kind": "simple_wave", "profile": SINE}),
     ("verify", "full"): {"command": "verify", "study": "full", **_without(POLAR_STUDY, "beta"),
-                         "solution": CARROLL_SOLUTION, "seed": 0},
+                         "solution": CARROLL_SOLUTION},
     ("verify", "asymptotic"): {"command": "verify", "study": "asymptotic", **POLAR_STUDY},
     ("verify", "conservation"): {"command": "verify", "study": "conservation", **POLAR_STUDY,
                                  "conservation": CONSERVATION},
     ("verify", "linearized_symmetry"): {"command": "verify", "study": "linearized_symmetry",
                                         **POLAR_STUDY, "symmetry": SYMMETRY},
     ("verify", "commutator"): {"command": "verify", "study": "commutator", "beta": 1.0,
-                               "symmetry": SYMMETRY, "jets": 10, "seed": 0, "tol_factor": 1e-10,
+                               "symmetry": SYMMETRY, "jets": 10, "tol_factor": 1e-10,
                                "negative_control": False},
 }
 # each (command, variant, key) where the key is at the top level of a sibling
@@ -2066,6 +2097,42 @@ def test_generated_configs_keep_exit_contract(case):
         else:
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["status"] == ("error" if code == 3 else "ok")
+
+
+def _float_paths(obj, prefix=()):
+    """Paths to every float held in nested dicts and lists, outer keys first."""
+    items = (obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list)
+             else ())
+    for key, value in items:
+        if isinstance(value, float):
+            yield prefix + (key,)
+        yield from _float_paths(value, prefix + (key,))
+
+
+# Run ends and grid ends are left out: a run.end of 1e103, or a grid width of
+# 1e-300, is valid but steps for minutes toward simulate.MAX_STEPS.
+EDGE_PATHS = [(cfg, path) for cfg in BASE_CONFIGS for path in _float_paths(cfg)
+              if path not in (("run", "end"), ("grid", "a"), ("grid", "b"))]
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, 1e154, 1e103, 1e-300, 5e-324, -0.0], ids=repr)
+def test_edge_values_keep_exit_contract(tmp_path, value):
+    # every float leaf of every base config set to one edge value: exit 2 prints one line
+    # and writes nothing, exit 3 prints one line, exits 0 and 1 print nothing under --quiet
+    broken = []
+    for k, (base, path) in enumerate(EDGE_PATHS):
+        cfg = copy.deepcopy(base)
+        _get(cfg, path[:-1])[path[-1]] = value
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli(tmp_path, cfg, f"edge{k}")
+        lines = err.getvalue().splitlines()
+        manifest = (out / "manifest.json").exists() and read_manifest(out)["status"]
+        expected = {0: (0, "ok"), 1: (0, "ok"), 2: (1, False), 3: (1, "error")}.get(code)
+        if (len(lines), manifest) != expected or code == 2 and not lines[0].startswith(
+                "config error:"):
+            broken.append((cfg["command"], path, code, manifest, lines))
+    assert broken == []
 
 
 # ---------------------------------------------------------------------------

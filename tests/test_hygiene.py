@@ -28,7 +28,7 @@ from shearwaves.constitutive import FLUX_BUILTINS, MODULUS_BUILTINS
 from shearwaves.profiles import PROFILE_BUILTINS
 from shearwaves.schema import FLUX, MODULUS, NUM, PROFILE, _KEYWORDS, _TYPES, _kind
 from shearwaves.simulate import Grid1D, SimulationConfig
-from test_cli import EXACT_SOLUTIONS
+from test_cli import EXACT_SOLUTIONS, NEGATIVE_CONTROL_CONFIGS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "shearwaves"
@@ -600,16 +600,19 @@ def test_cli_runs_without_jsonschema(tmp_path):
     # jsonschema and what it imports cost a CLI process about 64 ms and 4 MB
     # at start-up; the CLI validates its configs itself.  On first use in a
     # fresh process numpy.random costs 6.1 MB and 11-17 ms, numpy.polynomial
-    # 0.87 MB and 3-5 ms (2-vCPU Xeon, numpy 2.4.6); no run but a commutator
-    # study or a full study's negative control draws random numbers, and no
-    # run needs numpy.polynomial
+    # 0.87 MB and 3-5 ms (2-vCPU Xeon, numpy 2.4.6); no run draws random
+    # numbers, neither the commutator study nor a negative control (the full
+    # and commutator controls run last, exit 1 each), and no run needs
+    # numpy.polynomial
     paths = sorted((ROOT / "scripts" / "configs").glob("*.json"))
-    for k, cfg in enumerate(EXTRA_RUNS):
+    controls = [{"command": "verify", "study": study, "negative_control": True,
+                 **NEGATIVE_CONTROL_CONFIGS[study]} for study in ("full", "commutator")]
+    for k, cfg in enumerate(EXTRA_RUNS + controls):
         paths.append(tmp_path / f"extra{k}.json")
         paths[-1].write_text(json.dumps(cfg))
     runs = [(json.loads(p.read_text())["command"], str(p), str(tmp_path / f"out{k}"))
             for k, p in enumerate(paths)]
-    assert any(p.name == "full_residual.json" for p in paths)
+    assert {"full_residual.json", "hodograph_commutator.json"} <= {p.name for p in paths}
     script = (
         "import json, sys\n"
         "from shearwaves.cli import main\n"
@@ -622,7 +625,7 @@ def test_cli_runs_without_jsonschema(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
-    assert json.loads(proc.stdout) == [[0] * len(runs), [], []]
+    assert json.loads(proc.stdout) == [[0] * (len(runs) - 2) + [1, 1], [], []]
 
 
 def test_failing_property_reports_its_example(tmp_path):
