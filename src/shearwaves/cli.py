@@ -307,12 +307,13 @@ def _commutator(config, control, target):
     jets = np.array([0.0, 0.5, -1.0, -1.0, -1.0, -1.0]) + unit * np.array(
         [2.0 * np.pi, 1.0, 2.0, 2.0, 2.0, 2.0])
     beta = config.get("beta", 1.0)
-    worst = commutator_residual(spec, beta, jets)
-    phi = spec.characteristic(jets[:, 0], jets[:, 1], jets[:, 2], jets[:, 3])
-    scale = max(1.0, float(np.max(np.abs(phi[0]))), float(np.max(np.abs(phi[1]))),
-                abs(beta) * float(np.max(jets[:, 1] ** 2)))
+    with np.errstate(all="ignore"):  # a NaN bracket, or an infinite tolerance, fails below
+        worst = commutator_residual(spec, beta, jets)
+        phi = spec.characteristic(*jets.T[:4])
+        scale = max(1.0, float(np.max(np.abs(phi))), abs(beta) * float(np.max(jets[:, 1] ** 2)))
     tol = config.get("tol_factor", 1e-10) * scale
-    return {"max_bracket": worst, "tolerance": tol, "n_jets": int(n)}, worst <= tol, worst > tol
+    return ({"max_bracket": worst, "tolerance": tol, "n_jets": int(n)}, worst <= tol < math.inf,
+            worst > tol)
 
 
 # a residual study samples its solution on the refinement levels of a rectangle

@@ -227,21 +227,6 @@ def modulus_from_config(cfg: dict) -> ShearModulus:
 # builtin flux families
 
 
-def product_flux() -> TempleFlux:
-    """P(u, v) = u*v."""
-    z = lambda u, v: np.zeros(np.broadcast(u, v).shape) if np.ndim(u) or np.ndim(v) else 0.0
-    one = lambda u, v: np.ones(np.broadcast(u, v).shape) if np.ndim(u) or np.ndim(v) else 1.0
-    return TempleFlux(
-        p=lambda u, v: u * v,
-        pu=lambda u, v: v + 0.0 * u,
-        pv=lambda u, v: u + 0.0 * v,
-        puu=z,
-        puv=one,
-        pvv=z,
-        name="product",
-    )
-
-
 def ratio_flux() -> TempleFlux:
     """P(u, v) = u/v."""
     return TempleFlux(
@@ -268,6 +253,11 @@ def poly_flux(coeffs, name: str = "poly") -> TempleFlux:
         cu, cv = _polyder(c), _polyder(c.T).T
         cuu, cuv, cvv = _polyder(cu), _polyder(cu.T).T, _polyder(cv.T).T
     return TempleFlux(*map(_horner, (c, cu, cv, cuu, cuv, cvv)), name=name)
+
+
+def product_flux() -> TempleFlux:
+    """P(u, v) = u*v, the poly flux [[0, 0], [0, 1]]."""
+    return poly_flux([[0.0, 0.0], [0.0, 1.0]], name="product")
 
 
 def sum_squares_flux(scale: float = 1.0) -> TempleFlux:

@@ -8,7 +8,7 @@ one of these, with s the squared strain magnitude.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,17 +51,6 @@ class ProfileFunction:
         if fn is None:
             raise TypeError(f"profile {self.name!r} has no analytic derivative {name}")
         return fn
-
-
-def linear_profile(k: float) -> ProfileFunction:
-    """f(s) = k*s."""
-    k = float(k)
-    return ProfileFunction(
-        f=lambda s: k * s,
-        df=lambda s: k * np.ones_like(np.asarray(s, dtype=float)),
-        d2f=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        name="linear",
-    )
 
 
 def sine_profile(amp: float, freq: float, offset: float = 0.0) -> ProfileFunction:
@@ -120,6 +109,11 @@ def poly_profile(coeffs) -> ProfileFunction:
         dc = _polyder(c)
         d2c = _polyder(dc)
     return ProfileFunction(f=_horner(c), df=_horner(dc), d2f=_horner(d2c), name="poly")
+
+
+def linear_profile(k: float) -> ProfileFunction:
+    """f(s) = k*s, the poly profile [0, k]."""
+    return replace(poly_profile([0.0, k]), name="linear")
 
 
 def const_profile(c: float) -> ProfileFunction:

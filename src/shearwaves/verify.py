@@ -8,7 +8,9 @@ Solutions decay at the stencil order; non-solutions do not decay at all.
 
 The module also carries the conservation-law densities and symmetry
 characteristics of the weakly nonlinear polar system, including a purely
-algebraic commutator check that needs no field at all.
+algebraic commutator check that needs no field at all.  The system's own flow
+(beta rho^2 theta_tau, 3 beta rho^2 rho_tau) is the symmetry family's member of
+phase weight 0 and radial weight -beta rho^2.
 
 Solver runs are checked the same way: ``convergence_study`` fits the order of
 ``oracle_error``, a trajectory's error against its exact family, over cell counts.
@@ -23,7 +25,7 @@ import numpy as np
 
 from .constitutive import ShearModulus
 from .errors import NeitherOrientationDecays, OracleFailure
-from .profiles import ProfileFunction
+from .profiles import ProfileFunction, const_profile, poly_profile
 
 ZERO_FLOOR = 1e-12
 DEFAULT_ORDER_TARGET = 1.8
@@ -309,6 +311,23 @@ class SymmetrySpec:
         return comp_theta, comp_rho
 
 
+def _flow(beta: float) -> SymmetrySpec:
+    """The system's flow (beta rho^2 theta_tau, 3 beta rho^2 rho_tau): phase weight 0, radial
+    weight -beta rho^2; an OverflowError past |beta| ~ 9e307, where -2 beta overflows."""
+    try:
+        return SymmetrySpec(const_profile(0.0), poly_profile([0.0, 0.0, -beta]))
+    except OverflowError:  # reworded: the coefficients are the flow's, not the config's
+        raise OverflowError(f"the flow's radial weight -beta rho^2 at beta = {beta!r} has a "
+                            "derivative coefficient -2 beta that is not finite") from None
+
+
+def _apply(partials, values, d_tau):
+    """A characteristic component's partials w.r.t. (theta, rho, theta_tau, rho_tau)
+    applied to a pair ``values`` and the pair's transverse derivatives ``d_tau``."""
+    p_th, p_rh, p_tht, p_rht = partials
+    return p_th * values[0] + p_rh * values[1] + p_tht * d_tau[0] + p_rht * d_tau[1]
+
+
 @dataclass(frozen=True)
 class PerturbedRadialControl:
     """Negative control: the radial characteristic component scaled by (1 + COEFF*rho).
@@ -357,33 +376,30 @@ def linearized_symmetry_residual(samples: Sequence[FieldSample], beta: float, sp
 
     ``spec`` needs a ``characteristic(theta, rho, theta_tau, rho_tau)``
     method.  On sampled solution fields (theta, rho) the characteristic
-    (phi_theta, phi_rho) is tabulated from first-stage stencils and then
-    tested against
+    phi = (phi_theta, phi_rho) is tabulated from first-stage stencils and then
+    tested against D_X phi - psi'[phi] = 0, with psi the system's flow (`_flow`):
 
         D_X phi_theta - 2 beta rho theta_tau phi_rho - beta rho^2 D_tau phi_theta = 0
         D_X phi_rho   - 6 beta rho rho_tau   phi_rho - 3 beta rho^2 D_tau phi_rho = 0.
     """
-    beta = float(beta)
+    psi = _flow(beta)
 
     def level(sample):
         th, rh = sample.get("theta"), sample.get("rho")
-        th_tau, rh_tau = _d_point(th, sample), _d_point(rh, sample)
-        phi_th, phi_rh = spec.characteristic(_mid(th), _mid(rh), th_tau, rh_tau)
+        point = (_mid(th), _mid(rh), _d_point(th, sample), _d_point(rh, sample))
+        phi = spec.characteristic(*point)
         # the equations on the interior of the characteristic's own interior
-        rh_m, phi_rh_m = _mid(_mid(rh)), _mid(phi_rh)
-        eq1 = (_d_coord(phi_th, sample) - 2.0 * beta * rh_m * _mid(th_tau) * phi_rh_m
-               - beta * rh_m**2 * _d_point(phi_th, sample))
-        eq2 = (_d_coord(phi_rh, sample) - 6.0 * beta * rh_m * _mid(rh_tau) * phi_rh_m
-               - 3.0 * beta * rh_m**2 * _d_point(phi_rh, sample))
-        return [eq1, eq2]
+        psi_p = psi.characteristic_partials(*map(_mid, point))
+        phi_m, d_phi = [_mid(c) for c in phi], [_d_point(c, sample) for c in phi]
+        return [_d_coord(c, sample) - _apply(p, phi_m, d_phi) for c, p in zip(phi, psi_p)]
 
     return _residual_report(samples, level, order_target)
 
 
 def commutator_residual(spec, beta: float, jet_samples) -> float:
-    """Max bracket of a symmetry characteristic with the system's own flow.
+    """Max bracket [psi, phi] = psi'[phi] - phi'[psi] of a symmetry characteristic phi
+    with the system's own flow psi (`_flow`), NaN where a bracket value is NaN.
 
-    The second characteristic is (beta rho^2 theta_tau, 3 beta rho^2 rho_tau).
     Both bracket components are expanded algebraically on raw jet coordinates
     (theta, rho, theta_tau, rho_tau, theta_tautau, rho_tautau) with the total
     transverse derivative truncated at second order; no field enters.
@@ -391,39 +407,17 @@ def commutator_residual(spec, beta: float, jet_samples) -> float:
     For hydrodynamic specs the result is an algebraic zero, so anything above
     roundoff signals a broken characteristic.
     """
-    beta = float(beta)
     jets = np.atleast_2d(np.asarray(jet_samples, dtype=float))
     if jets.shape[1] != 6:
         raise ValueError("jet samples must have columns "
                          "(theta, rho, theta_tau, rho_tau, theta_tautau, rho_tautau)")
-    th, rh, tht, rht, thtt, rhtt = (jets[:, i] for i in range(6))
-
-    psi_th = beta * rh**2 * tht
-    psi_rh = 3.0 * beta * rh**2 * rht
-    zero = np.zeros_like(th)
-    psi_th_p = (zero, 2.0 * beta * rh * tht, beta * rh**2, zero)
-    psi_rh_p = (zero, 6.0 * beta * rh * rht, zero, 3.0 * beta * rh**2)
-
-    phi_th, phi_rh = spec.characteristic(th, rh, tht, rht)
-    phi_th_p, phi_rh_p = spec.characteristic_partials(th, rh, tht, rht)
-
-    def total_tau(partials):
-        d_th, d_rh, d_tht, d_rht = partials
-        return d_th * tht + d_rh * rht + d_tht * thtt + d_rht * rhtt
-
-    D_phi = (total_tau(phi_th_p), total_tau(phi_rh_p))
-    D_psi = (total_tau(psi_th_p), total_tau(psi_rh_p))
-    phi_vals = (phi_th, phi_rh)
-    psi_vals = (psi_th, psi_rh)
-
-    worst = 0.0
-    for psi_p, phi_p in ((psi_th_p, phi_th_p), (psi_rh_p, phi_rh_p)):
-        bracket = (psi_p[0] * phi_vals[0] + psi_p[1] * phi_vals[1]
-                   + psi_p[2] * D_phi[0] + psi_p[3] * D_phi[1]
-                   - phi_p[0] * psi_vals[0] - phi_p[1] * psi_vals[1]
-                   - phi_p[2] * D_psi[0] - phi_p[3] * D_psi[1])
-        worst = max(worst, float(np.max(np.abs(bracket))))
-    return worst
+    point, second = jets.T[:4], jets.T[4:]
+    (psi, psi_p), (phi, phi_p) = ((c.characteristic(*point), c.characteristic_partials(*point))
+                                  for c in (_flow(beta), spec))
+    # each component's total tau-derivative, truncated at second order
+    d_psi, d_phi = ([_apply(p, point[2:], second) for p in ps] for ps in (psi_p, phi_p))
+    bracket = [_apply(a, phi, d_phi) - _apply(b, psi, d_psi) for a, b in zip(psi_p, phi_p)]
+    return float(np.max(np.abs(bracket)))
 
 
 # ---------------------------------------------------------------------------

@@ -1013,6 +1013,43 @@ def test_commutator_jets_are_one_fixed_set_in_their_box(tmp_path, monkeypatch):
     assert all(set(column) == set(range(10)) for column in tenths.T)
 
 
+@pytest.mark.parametrize("control", [False, True], ids=["study", "control"])
+@pytest.mark.parametrize("value", [1e308, -1e308], ids=repr)
+@pytest.mark.parametrize("path", [("beta",), ("symmetry", "phase", "k"),
+                                  ("symmetry", "radial", "coeffs", 0),
+                                  ("symmetry", "radial", "coeffs", 1)],
+                         ids=lambda path: "/".join(map(str, path)))
+def test_commutator_that_overflows_fails_without_warnings(tmp_path, capsys, path, value, control):
+    # a beta whose flow has a derivative coefficient -2 beta that overflows is a config
+    # error; any other parameter that overflows gives a NaN bracket, written as null, or an
+    # infinite tolerance, and neither passes nor confirms a control
+    cfg = json.loads((CONFIG_DIR / "hodograph_commutator.json").read_text())
+    cfg["negative_control"] = control
+    _get(cfg, path[:-1])[path[-1]] = value
+    code, out = run_cli(tmp_path, cfg, "over")
+    err = capsys.readouterr().err
+    if path == ("beta",):
+        assert code == 2 and err.startswith("config error: a parameter overflows a double: "
+                                            f"the flow's radial weight -beta rho^2 at beta = {value!r}")
+        assert err.count("\n") == 1 and not out.exists()
+        return
+    assert (code, err) == (1, "")
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False and report.get("control_confirmed", False) is False
+    assert None in (report["max_bracket"], report["tolerance"])
+
+
+def test_commutator_with_an_infinite_tolerance_fails(tmp_path, capsys):
+    # tol_factor * scale overflows to inf, which would pass any bracket
+    cfg = {**json.loads((CONFIG_DIR / "hodograph_commutator.json").read_text()),
+           "tol_factor": 1e308}
+    code, out = run_cli(tmp_path, cfg, "inftol")
+    assert (code, capsys.readouterr().err) == (1, "")
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False and report["tolerance"] is None
+    assert 0.0 <= report["max_bracket"] < 1e-13
+
+
 def test_unconfirmed_negative_control_exits_one(tmp_path):
     # the angle-squared shift is a true symmetry of a constant-amplitude
     # envelope, so the control's residual decays and the control is not confirmed
@@ -2015,13 +2052,15 @@ CFL_VALUES = st.one_of(st.floats(-0.5, 0.0), st.floats(0.9, 1.5), st.just(0.3))
 
 
 # the configs that generated_configs breaks: a small one per command, one of
-# every exact family, a run from every init with an exact family, and a
-# residual study of the hodograph family
+# every exact family, a run from every init with an exact family, a residual
+# study of the hodograph family and a commutator study
 BASE_CONFIGS = [*map(small_config, COMMANDS), *map(exact_config, sorted(EXACT_SOLUTIONS)),
                 *map(end_zero_config, sorted(ORACLE_INITS)),
                 {**small_config("verify"), "beta": 1.0, "solution": HODOGRAPH_SOLUTION,
                  "rectangle": {"coord": {"min": -0.55, "max": -0.45},
-                               "point": {"min": -1.7, "max": -1.3}}}]
+                               "point": {"min": -1.7, "max": -1.3}}},
+                {"command": "verify", "study": "commutator", "beta": 1.0, "symmetry": SYMMETRY,
+                 "jets": 5}]
 
 
 @st.composite

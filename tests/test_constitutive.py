@@ -375,3 +375,38 @@ def test_level_set_array_matches_scalar_solves():
     assert all(isinstance(x, float) for x in scalar)
     np.testing.assert_array_equal(v.ravel(), scalar)
     np.testing.assert_allclose(v, u / 2.0, rtol=1e-12)
+
+
+def _former_product_flux():
+    """product_flux as it was written out by hand, before it became the poly flux
+    [[0, 0], [0, 1]]."""
+    z = lambda u, v: np.zeros(np.broadcast(u, v).shape) if np.ndim(u) or np.ndim(v) else 0.0
+    one = lambda u, v: np.ones(np.broadcast(u, v).shape) if np.ndim(u) or np.ndim(v) else 1.0
+    return TempleFlux(p=lambda u, v: u * v, pu=lambda u, v: v + 0.0 * u,
+                      pv=lambda u, v: u + 0.0 * v, puu=z, puv=one, pvv=z, name="product")
+
+
+def test_product_is_the_former_closures_but_for_signed_zeros():
+    f, ref = product_flux(), _former_product_flux()
+    assert f.name == "product"
+    # zero, tiny, moderate and huge finite values of both signs, -0.0 among them
+    values = np.array([sign * x for x in (0.0, 5e-324, 1e-300, 2.5, 1e154, 1e308)
+                       for sign in (1.0, -1.0)])
+    u, v = np.meshgrid(values, values)
+    pairs = [(u, v), (values, 3.0), (-2.0, values), *zip(map(float, u.flat), map(float, v.flat))]
+    with np.errstate(over="ignore"):  # u * v overflows to inf in both
+        for uu, vv in pairs:
+            for name in ("p", "p_u", "p_v", "p_uu", "p_uv", "p_vv"):
+                got, want = getattr(f, name)(uu, vv), getattr(ref, name)(uu, vv)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want), name
+                np.testing.assert_array_equal(got, want)  # bit for bit, but -0.0 == 0.0
+
+
+def test_product_follows_polyval2d_at_signed_zeros_and_infinities():
+    # Horner's last step adds the constant coefficient 0, so a u*v of -0.0 comes out
+    # +0.0; an infinite u or v meets x * 0 on the way, so it gives NaN where u*v is infinite
+    f, ref = product_flux(), _former_product_flux()
+    assert np.signbit(ref(-1.0, 0.0)) and not np.signbit(f(-1.0, 0.0))
+    for u, v in ((np.inf, 1.0), (2.0, -np.inf), (np.array([np.inf, 1.0]), np.array([1.0, np.inf]))):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(f(u, v)).all() and np.isinf(ref(u, v)).all()

@@ -141,3 +141,41 @@ def test_config_round_trip(cfg):
 def test_unknown_kind_rejected():
     with pytest.raises(KeyError):
         profile_from_config({"kind": "spline"})
+
+
+def _former_linear_profile(k):
+    """linear_profile as it was written out by hand, before it became the poly profile [0, k]."""
+    k = float(k)
+    return ProfileFunction(
+        f=lambda s: k * s,
+        df=lambda s: k * np.ones_like(np.asarray(s, dtype=float)),
+        d2f=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        name="linear",
+    )
+
+
+# zero, tiny, moderate and huge finite points of both signs, -0.0 among them
+EXTREMES = np.array([sign * x for x in (0.0, 5e-324, 1e-300, 2.5, 1e154, 1e308)
+                     for sign in (1.0, -1.0)])
+
+
+@pytest.mark.parametrize("k", [1.0, -2.5, 0.0, -0.0, 5e-324, -1e-300, 1e154, -1e308])
+def test_linear_is_the_former_closure_but_for_signed_zeros(k):
+    p, ref = linear_profile(k), _former_linear_profile(k)
+    assert p.name == "linear"
+    with np.errstate(over="ignore"):  # k * s overflows to inf in both
+        for s in (*EXTREMES, EXTREMES, EXTREMES.reshape(3, 4)):
+            for got, want in ((p(s), ref(s)), (p.deriv(s), ref.deriv(s)),
+                              (p.deriv2(s), ref.deriv2(s))):
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                np.testing.assert_array_equal(got, want)  # bit for bit, but -0.0 == 0.0
+
+
+def test_linear_follows_polyval_at_signed_zeros_and_infinities():
+    # Horner's last step adds the constant coefficient 0, so a k*s of -0.0 comes out
+    # +0.0; an infinite s meets s * 0 on the way, so it gives NaN where k*s is infinite
+    p, ref = linear_profile(-1.0), _former_linear_profile(-1.0)
+    assert np.signbit(ref(0.0)) and not np.signbit(p(0.0))
+    for s in (np.inf, -np.inf, np.array([np.inf, -np.inf])):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(p(s)).all() and np.isinf(ref(s)).all()

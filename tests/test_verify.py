@@ -384,6 +384,28 @@ def test_commutator_detects_perturbed_control():
     assert worst > 1e-3
 
 
+@pytest.mark.parametrize("beta", [1.0, 0.37, -2.5, 1e-300])
+def test_flow_is_the_systems_characteristic_with_its_partials(beta):
+    # the symmetry of phase weight 0 and radial weight -beta rho^2 is the system's flow
+    # (beta rho^2 theta_tau, 3 beta rho^2 rho_tau), its partials as written out by hand
+    point = th, rh, tht, rht = _random_jets().T[:4]
+    zero = np.zeros_like(th)
+    flow = verify._flow(beta)
+    want = (beta * rh**2 * tht, 3.0 * beta * rh**2 * rht)
+    for got, value in zip(flow.characteristic(*point), want):
+        np.testing.assert_allclose(got, value, rtol=1e-15, atol=0.0)
+    want = ((zero, 2.0 * beta * rh * tht, beta * rh**2, zero),
+            (zero, 6.0 * beta * rh * rht, zero, 3.0 * beta * rh**2))
+    for got, partials in zip(flow.characteristic_partials(*point), want):
+        for got_partial, partial in zip(got, partials):
+            np.testing.assert_allclose(got_partial, partial, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.37, -2.5, 1e-300])
+def test_flow_commutes_with_itself_exactly(beta):
+    assert commutator_residual(verify._flow(beta), beta, _random_jets()) == 0.0
+
+
 def test_commutator_rejects_bad_jets():
     spec = SymmetrySpec(phase_fn=linear_profile(1.0), radial_fn=linear_profile(1.0))
     with pytest.raises(ValueError):
